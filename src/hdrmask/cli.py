@@ -5,6 +5,12 @@ a run manifest (the fully resolved configuration, seed, and paths) next to
 its outputs, and exits 0 on success, 1 on usage errors, 2 on runtime
 errors. Config files are flat JSON mappings of flag names (without the
 leading dashes, dashes may be written as underscores).
+
+Each command's knobs are the keys of its ``_*_DEFAULTS`` table, and each
+key is both a config key and a flag (``base_channels`` is
+``--base-channels``). A flag's type is that of its default; a tuple
+default lists the allowed choices and defaults to the first. Only path
+flags are declared by hand.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -22,16 +27,15 @@ from . import __version__
 from .errors import HdrMaskError, ContractError, DomainError
 from . import formats
 from .losses import FeatureExtractor, LossWeights, total_loss
-from .network import (MASKING_MODES, UNetConfig, UNetParameters, exposure_mask,
-                      export_mask_images, unet_forward)
-from .pipeline import (CameraCurve, HdrImage, compose_hdr, mse_gamma,
-                       simulate_ldr)
+from .network import (MASKING_MODES, MODE_FEATURE_MASK, UNetConfig, UNetParameters,
+                      exposure_mask, export_mask_images, unet_forward)
+from .pipeline import CURVE_KINDS, CameraCurve, compose_hdr, simulate_ldr
 from .sampler import SamplerConfig, generate_inpainting_mask, sample_patches
 from .synthetic import make_hdr_corpus, make_texture_corpus
-from .tensor import check_gradients, parameter
+from .tensor import check_gradients
 from .training import (TrainConfig, evaluate, finetune_hdr, initialize_parameters,
                        load_model, loss_drop, run_ablation, save_model,
-                       train_inpainting, validation_mse)
+                       train_inpainting)
 
 
 class UsageError(Exception):
@@ -49,7 +53,8 @@ def _utc_now():
 
 def _resolve(args, defaults):
     """defaults < config file < explicit flags."""
-    resolved = dict(defaults)
+    resolved = {key: value[0] if isinstance(value, tuple) else value
+                for key, value in defaults.items()}
     path = getattr(args, "config", None)
     if path:
         try:
@@ -112,12 +117,11 @@ def _load_texture_dir(path):
 # -- subcommand implementations ------------------------------------------------
 
 
-_SIMULATE_DEFAULTS = {"percentile": 93.0, "bits": 8, "curve": "gamma",
-                      "gamma": 2.0, "alpha": 0.96, "seed": 0}
+_SIMULATE_DEFAULTS = {"percentile": 93.0, "bits": 8, "curve": CURVE_KINDS,
+                      "gamma": 2.0, "alpha": 0.96}
 
 
-def cmd_simulate_ldr(args):
-    resolved = _resolve(args, _SIMULATE_DEFAULTS)
+def cmd_simulate_ldr(args, resolved):
     hdr = formats.read_hdr(args.input)
     curve = CameraCurve(kind=resolved["curve"], gamma=resolved["gamma"])
     ldr = simulate_ldr(hdr, resolved["percentile"], curve, int(resolved["bits"]))
@@ -134,17 +138,17 @@ def cmd_simulate_ldr(args):
 _MASK_DEFAULTS = {"alpha": 0.96, "levels": 4, "base_channels": 16, "seed": 0}
 
 
-def cmd_mask(args):
-    resolved = _resolve(args, _MASK_DEFAULTS)
+def cmd_mask(args, resolved):
     ldr = formats.read_ldr(args.input)
     mask = exposure_mask(ldr.pixels, resolved["alpha"])
     if args.checkpoint:
         model = load_model(args.checkpoint)
-        params, config = model.params, model.config
+        params, config, mode = model.params, model.config, model.mode
     else:
         config = _unet_config(resolved)
         params = initialize_parameters(config, int(resolved["seed"]))
-    _, stack = unet_forward(ldr.pixels[None], mask[None], params, config)
+        mode = MODE_FEATURE_MASK
+    _, stack = unet_forward(ldr.pixels[None], mask[None], params, config, mode=mode)
     images = export_mask_images(stack)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {}
@@ -161,8 +165,7 @@ _SAMPLE_DEFAULTS = {"patch": 64, "per_image": 32, "threshold": 0.85,
                     "percentile": None, "seed": 0}
 
 
-def cmd_sample_patches(args):
-    resolved = _resolve(args, _SAMPLE_DEFAULTS)
+def cmd_sample_patches(args, resolved):
     images = _load_hdr_dir(args.in_dir)
     cfg = SamplerConfig(
         color_sigma=resolved["sigma_color"], space_sigma=resolved["sigma_space"],
@@ -189,8 +192,7 @@ _GENMASK_DEFAULTS = {"count": 8, "height": 64, "width": 64, "seed": 0,
                      "min_coverage": 0.05, "max_coverage": 0.45}
 
 
-def cmd_gen_inpaint_masks(args):
-    resolved = _resolve(args, _GENMASK_DEFAULTS)
+def cmd_gen_inpaint_masks(args, resolved):
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {}
     for i in range(int(resolved["count"])):
@@ -205,10 +207,10 @@ def cmd_gen_inpaint_masks(args):
     return 0
 
 
-_TRAIN_DEFAULTS = {"steps": 500, "batch": 4, "lr": 2e-4, "seed": 0,
-                   "mode": "FMask", "levels": 4, "base_channels": 16,
-                   "patience": 3, "factor": 2.0, "procedural": 0,
-                   "steps_per_epoch": 50}
+_FINETUNE_DEFAULTS = {"steps": 500, "batch": 4, "lr": 2e-4, "seed": 0,
+                      "mode": MASKING_MODES, "levels": 4, "base_channels": 16,
+                      "patience": 3, "factor": 2.0, "steps_per_epoch": 50}
+_INPAINT_DEFAULTS = {**_FINETUNE_DEFAULTS, "procedural": 0}
 
 
 def _train_config(resolved, stage):
@@ -220,8 +222,7 @@ def _train_config(resolved, stage):
                        steps_per_epoch=int(resolved["steps_per_epoch"]))
 
 
-def cmd_train_inpaint(args):
-    resolved = _resolve(args, _TRAIN_DEFAULTS)
+def cmd_train_inpaint(args, resolved):
     if args.texture_dir:
         images = _load_texture_dir(args.texture_dir)
     elif resolved["procedural"]:
@@ -237,8 +238,9 @@ def cmd_train_inpaint(args):
     best = os.path.join(args.out_dir, "inpaint_best.ckpt")
     final = os.path.join(args.out_dir, "inpaint_final.ckpt")
     log_path = os.path.join(args.out_dir, "inpaint_runlog.jsonl")
-    save_model(best, result.best_params, extractor=extractor)
-    save_model(final, result.params, adam_state=result.adam_state, extractor=extractor)
+    save_model(best, result.best_params, extractor=extractor, mode=config.masking_mode)
+    save_model(final, result.params, adam_state=result.adam_state, extractor=extractor,
+               mode=config.masking_mode)
     result.run_log.to_jsonl(log_path)
     _write_manifest(args.out_dir, "train-inpaint", resolved,
                     {"images": len(images)},
@@ -250,8 +252,7 @@ def cmd_train_inpaint(args):
     return 0
 
 
-def cmd_finetune_hdr(args):
-    resolved = _resolve(args, _TRAIN_DEFAULTS)
+def cmd_finetune_hdr(args, resolved):
     records = formats.read_dataset_shard(args.shard)
     init_params = None
     extractor = None
@@ -269,8 +270,9 @@ def cmd_finetune_hdr(args):
     best = os.path.join(args.out_dir, "hdr_best.ckpt")
     final = os.path.join(args.out_dir, "hdr_final.ckpt")
     log_path = os.path.join(args.out_dir, "hdr_runlog.jsonl")
-    save_model(best, result.best_params, extractor=extractor)
-    save_model(final, result.params, adam_state=result.adam_state, extractor=extractor)
+    save_model(best, result.best_params, extractor=extractor, mode=config.masking_mode)
+    save_model(final, result.params, adam_state=result.adam_state, extractor=extractor,
+               mode=config.masking_mode)
     result.run_log.to_jsonl(log_path)
     _write_manifest(args.out_dir, "finetune-hdr", resolved,
                     {"shard": args.shard, "records": len(records),
@@ -281,16 +283,15 @@ def cmd_finetune_hdr(args):
     return 0
 
 
-_RECON_DEFAULTS = {"alpha": 0.96, "mode": "FMask", "gamma": 2.0, "seed": 0}
+_RECON_DEFAULTS = {"alpha": 0.96, "gamma": 2.0}
 
 
-def cmd_reconstruct(args):
-    resolved = _resolve(args, _RECON_DEFAULTS)
+def cmd_reconstruct(args, resolved):
     ldr = formats.read_ldr(args.input)
     model = load_model(args.checkpoint)
     mask = exposure_mask(ldr.pixels, resolved["alpha"])
     y, _ = unet_forward(ldr.pixels[None], mask[None], model.params, model.config,
-                        mode=resolved["mode"])
+                        mode=model.mode)
     hdr = compose_hdr(ldr, mask, y.data[0], gamma=resolved["gamma"])
     formats.write_pfm(args.output, hdr)
     out_dir = os.path.dirname(os.path.abspath(args.output))
@@ -301,12 +302,10 @@ def cmd_reconstruct(args):
 
 
 _EVAL_DEFAULTS = {"patch": 64, "per_image": 8, "threshold": 0.0, "alpha": 0.96,
-                  "percentile": 93.0, "bins": 10, "seed": 0, "mode": "FMask",
-                  "dump_images": 0}
+                  "percentile": 93.0, "bins": 10, "seed": 0, "dump_images": 0}
 
 
-def cmd_eval(args):
-    resolved = _resolve(args, _EVAL_DEFAULTS)
+def cmd_eval(args, resolved):
     model = load_model(args.checkpoint)
     if args.shard:
         records = formats.read_dataset_shard(args.shard)
@@ -324,7 +323,7 @@ def cmd_eval(args):
                                           image_id=name))
         source = {"hdr_dir": args.hdr_dir, "images": len(images)}
     report = evaluate(records, model.params, model.config,
-                      mode=resolved["mode"], bins=int(resolved["bins"]))
+                      mode=model.mode, bins=int(resolved["bins"]))
     os.makedirs(args.out_dir, exist_ok=True)
     table_path = os.path.join(args.out_dir, "metrics.tsv")
     with open(table_path, "w") as fh:
@@ -343,11 +342,10 @@ def cmd_eval(args):
 _ABLATE_DEFAULTS = {"seeds": "0,1,2", "pretrain_steps": 240, "finetune_steps": 240,
                     "textures": 32, "train_scenes": 14, "test_scenes": 8,
                     "patch": 64, "per_image": 8, "threshold": 0.85,
-                    "batch": 4, "steps_per_epoch": 40, "seed": 0}
+                    "batch": 4, "steps_per_epoch": 40}
 
 
-def cmd_ablate(args):
-    resolved = _resolve(args, _ABLATE_DEFAULTS)
+def cmd_ablate(args, resolved):
     seeds = tuple(int(s) for s in str(resolved["seeds"]).split(","))
     scfg = SamplerConfig(patch_size=int(resolved["patch"]),
                          patches_per_image=int(resolved["per_image"]),
@@ -397,8 +395,7 @@ def cmd_ablate(args):
 _GRADCHECK_DEFAULTS = {"seed": 7, "epsilon": 1e-4, "threshold": 1e-3}
 
 
-def cmd_gradcheck(args):
-    resolved = _resolve(args, _GRADCHECK_DEFAULTS)
+def cmd_gradcheck(args, resolved):
     seed = int(resolved["seed"])
     rng = np.random.default_rng(seed)
     config = UNetConfig(levels=2, base_channels=4)
@@ -425,7 +422,7 @@ def cmd_gradcheck(args):
     return 0
 
 
-def cmd_formats(args):
+def cmd_formats(args, resolved):
     import tempfile
 
     rng = np.random.default_rng(0)
@@ -474,110 +471,62 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"hdrmask {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
+    def add(name, func, defaults, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, defaults=defaults)
         p.add_argument("--config", help="JSON config file (defaults < file < flags)")
+        for key, value in defaults.items():
+            # A None default (sample-patches' percentile) means "unset" for a float.
+            kind = {"choices": value} if isinstance(value, tuple) else \
+                {"type": float if value is None else type(value)}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **kind)
         return p
 
-    p = add("simulate-ldr", cmd_simulate_ldr, help="expose an HDR image to LDR")
+    p = add("simulate-ldr", cmd_simulate_ldr, _SIMULATE_DEFAULTS, "expose an HDR image to LDR")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--percentile", type=float)
-    p.add_argument("--bits", type=int)
-    p.add_argument("--curve", choices=("gamma", "sigmoid"))
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int)
 
-    p = add("mask", cmd_mask, help="exposure mask and per-layer mask dumps")
+    p = add("mask", cmd_mask, _MASK_DEFAULTS, "exposure mask and per-layer mask dumps")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--checkpoint")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--base-channels", dest="base_channels", type=int)
-    p.add_argument("--seed", type=int)
 
-    p = add("sample-patches", cmd_sample_patches, help="build a training shard")
+    p = add("sample-patches", cmd_sample_patches, _SAMPLE_DEFAULTS, "build a training shard")
     p.add_argument("--in-dir", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--patch", type=int)
-    p.add_argument("--per-image", dest="per_image", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--sigma-color", dest="sigma_color", type=float)
-    p.add_argument("--sigma-space", dest="sigma_space", type=float)
-    p.add_argument("--percentile", type=float)
-    p.add_argument("--seed", type=int)
 
-    p = add("gen-inpaint-masks", cmd_gen_inpaint_masks, help="hole masks for pre-training")
+    p = add("gen-inpaint-masks", cmd_gen_inpaint_masks, _GENMASK_DEFAULTS,
+            "hole masks for pre-training")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--count", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--min-coverage", dest="min_coverage", type=float)
-    p.add_argument("--max-coverage", dest="max_coverage", type=float)
-    p.add_argument("--seed", type=int)
 
-    for name, func in (("train-inpaint", cmd_train_inpaint),
-                       ("finetune-hdr", cmd_finetune_hdr)):
-        p = add(name, func, help=f"{name.replace('-', ' ')} stage")
-        p.add_argument("--out-dir", required=True)
-        if name == "train-inpaint":
-            p.add_argument("--texture-dir")
-            p.add_argument("--procedural", type=int)
-        else:
-            p.add_argument("--shard", required=True)
-            p.add_argument("--init", help="checkpoint to fine-tune from")
-        p.add_argument("--steps", type=int)
-        p.add_argument("--batch", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--mode", choices=MASKING_MODES)
-        p.add_argument("--levels", type=int)
-        p.add_argument("--base-channels", dest="base_channels", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--factor", type=float)
-        p.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int)
+    p = add("train-inpaint", cmd_train_inpaint, _INPAINT_DEFAULTS, "train inpaint stage")
+    p.add_argument("--out-dir", required=True)
+    p.add_argument("--texture-dir")
 
-    p = add("reconstruct", cmd_reconstruct, help="LDR to HDR with a checkpoint")
+    p = add("finetune-hdr", cmd_finetune_hdr, _FINETUNE_DEFAULTS, "finetune hdr stage")
+    p.add_argument("--out-dir", required=True)
+    p.add_argument("--shard", required=True)
+    p.add_argument("--init", help="checkpoint to fine-tune from")
+
+    p = add("reconstruct", cmd_reconstruct, _RECON_DEFAULTS,
+            "LDR to HDR with a checkpoint (its masking mode included)")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--mode", choices=MASKING_MODES)
-    p.add_argument("--gamma", type=float)
 
-    p = add("eval", cmd_eval, help="metrics table binned by saturation")
+    p = add("eval", cmd_eval, _EVAL_DEFAULTS, "metrics table binned by saturation")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--shard")
     p.add_argument("--hdr-dir")
-    p.add_argument("--patch", type=int)
-    p.add_argument("--per-image", dest="per_image", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--percentile", type=float)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--mode", choices=MASKING_MODES)
-    p.add_argument("--dump-images", dest="dump_images", type=int)
-    p.add_argument("--seed", type=int)
 
-    p = add("ablate", cmd_ablate, help="masking/pre-training matrix")
+    p = add("ablate", cmd_ablate, _ABLATE_DEFAULTS, "masking/pre-training matrix")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--texture-dir")
     p.add_argument("--hdr-dir")
-    p.add_argument("--seeds")
-    p.add_argument("--pretrain-steps", dest="pretrain_steps", type=int)
-    p.add_argument("--finetune-steps", dest="finetune_steps", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--seed", type=int)
 
-    p = add("gradcheck", cmd_gradcheck, help="finite-difference gradient audit")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epsilon", type=float)
-
-    p = add("formats", cmd_formats, help="file format round-trip self-test")
+    add("gradcheck", cmd_gradcheck, _GRADCHECK_DEFAULTS, "finite-difference gradient audit")
+    add("formats", cmd_formats, {}, "file format round-trip self-test")
     return parser
 
 
@@ -589,7 +538,7 @@ def dispatch(argv):
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        return args.func(args) or 0
+        return args.func(args, _resolve(args, args.defaults)) or 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -604,3 +553,7 @@ def dispatch(argv):
 
 def main():
     raise SystemExit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -330,19 +330,6 @@ def _rgbe_to_float(rgbe):
     return np.ascontiguousarray(rgb.transpose(2, 0, 1))
 
 
-# -- PNG (optional, behind Pillow) --------------------------------------------
-
-
-def write_png(path, image):
-    arr = np.asarray(image.pixels if hasattr(image, "pixels") else image)
-    try:
-        from PIL import Image
-    except ImportError as exc:
-        raise UnsupportedFormatError("PNG support requires Pillow") from exc
-    rgb = np.rint(np.clip(arr, 0, 1) * 255).astype(np.uint8).transpose(1, 2, 0)
-    Image.fromarray(rgb, "RGB").save(path, format="PNG")
-
-
 # -- checkpoints ---------------------------------------------------------------
 
 

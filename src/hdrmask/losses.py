@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .pipeline import DEFAULT_MU
 from .tensor import Tensor
 
@@ -140,8 +140,11 @@ class FeatureExtractor:
         return taps
 
 
-def _lift4(x, dtype=None):
-    """Promote an array/Tensor image to a 4-D (N,C,H,W) Tensor."""
+def _batch(x, dtype=None):
+    """Promote an image, array or Tensor to a 4-D (N,C,H,W) Tensor.
+
+    Arrays become constants of ``dtype``; Tensors keep their dtype.
+    """
     if hasattr(x, "pixels"):
         x = x.pixels
     t = x if isinstance(x, Tensor) else T.constant(np.asarray(x), dtype=dtype)
@@ -152,22 +155,11 @@ def _lift4(x, dtype=None):
     return t
 
 
-def _const4(x, dtype):
-    if hasattr(x, "pixels"):
-        x = x.pixels
-    a = np.asarray(x, dtype=dtype)
-    if a.ndim == 3:
-        a = a[None]
-    if a.ndim != 4:
-        raise DimensionError(f"expected an image or batch, got shape {a.shape}")
-    return a
-
-
 def reconstruction_loss(y_hat, hdr, mask):
     """Mean l1 distance to log radiance, restricted to saturated content."""
-    y = _lift4(y_hat)
-    h = _const4(hdr, y.data.dtype)
-    m = _const4(mask, y.data.dtype)
+    y = _batch(y_hat)
+    h = _batch(hdr, y.data.dtype).data
+    m = _batch(mask, y.data.dtype).data
     if h.shape != y.data.shape or m.shape != y.data.shape:
         raise DimensionError(
             f"shape mismatch: prediction {y.data.shape}, truth {h.shape}, mask {m.shape}")
@@ -184,9 +176,9 @@ def blend_with_ground_truth(hdr, y_hat, mask, literal_log=False):
     slightly negative where the prediction is; callers clamp as needed.
     """
     if isinstance(y_hat, Tensor):
-        y = _lift4(y_hat)
-        h = _const4(hdr, y.data.dtype)
-        m = _const4(mask, y.data.dtype)
+        y = _batch(y_hat)
+        h = _batch(hdr, y.data.dtype).data
+        m = _batch(mask, y.data.dtype).data
         pred = y if literal_log else y.exp() - 1.0
         return m * h + (1.0 - m) * pred
     h = np.asarray(hdr.pixels if hasattr(hdr, "pixels") else hdr)
@@ -199,23 +191,24 @@ def blend_with_ground_truth(hdr, y_hat, mask, literal_log=False):
 
 
 def gram_matrix(features):
-    """Channel covariance phi^T phi / (C*H*W) of a (H*W, C) feature matrix."""
-    if isinstance(features, Tensor):
-        if features.data.ndim != 2:
-            raise DimensionError(f"gram_matrix wants (HW, C), got {features.data.shape}")
-        k = features.data.size
-        return T.matmul(T.transpose(features, (1, 0)), features) / k
-    phi = np.asarray(features)
-    if phi.ndim != 2:
-        raise DimensionError(f"gram_matrix wants (HW, C), got {phi.shape}")
-    return phi.T @ phi / phi.size
+    """Channel Gram matrix normalized by the feature count C*H*W.
 
-
-def _batched_gram(t):
-    """(N,C,H,W) -> (N,C,C), each sample normalized by C*H*W."""
-    n, c, h, w = t.data.shape
-    flat = T.reshape(t, (n, c, h * w))
-    return T.matmul(flat, T.transpose(flat, (0, 2, 1))) / (c * h * w)
+    ``features`` is a (H*W, C) matrix, giving (C, C), or an (N,C,H,W)
+    batch, giving one (C, C) matrix per sample. Arrays give arrays and
+    Tensors give Tensors through the same operations, so a constant target
+    and a prediction with equal features have bit-identical Grams.
+    """
+    t = features if isinstance(features, Tensor) else T.constant(features)
+    if t.data.ndim == 2:
+        flat, flat_t, count = T.transpose(t, (1, 0)), t, t.data.size
+    elif t.data.ndim == 4:
+        n, c, h, w = t.data.shape
+        flat = T.reshape(t, (n, c, h * w))
+        flat_t, count = T.transpose(flat, (0, 2, 1)), c * h * w
+    else:
+        raise DimensionError(f"gram_matrix wants (HW, C) or (N,C,H,W), got {t.data.shape}")
+    gram = T.matmul(flat, flat_t) / count
+    return gram if isinstance(features, Tensor) else gram.data
 
 
 def _mu_law_node(x, mu):
@@ -232,8 +225,8 @@ def perceptual_loss(h_tilde, hdr, extractor, weights=None, norm_scale=None):
     Returns (vgg, style) as scalar Tensors.
     """
     weights = weights or LossWeights()
-    a = _lift4(h_tilde)
-    h = _const4(hdr, a.data.dtype)
+    a = _batch(h_tilde)
+    h = _batch(hdr, a.data.dtype).data
     if h.shape != a.data.shape:
         raise DimensionError(f"shape mismatch {a.data.shape} vs {h.shape}")
     scale = float(h.max()) if norm_scale is None else float(norm_scale)
@@ -250,7 +243,7 @@ def perceptual_loss(h_tilde, hdr, extractor, weights=None, norm_scale=None):
     style = None
     for fa, fb in zip(taps_a, taps_b):
         dv = T.tmean(T.absolute(fa - fb.data))
-        ds = T.tmean(T.absolute(_batched_gram(fa) - _batched_gram(fb).data))
+        ds = T.tmean(T.absolute(gram_matrix(fa) - gram_matrix(fb.data)))
         vgg = dv if vgg is None else vgg + dv
         style = ds if style is None else style + ds
     return vgg, style
@@ -263,7 +256,7 @@ def total_loss(y_hat, hdr, mask, extractor, weights=None):
     weight is zero, which is the pure-l1 ablation.
     """
     weights = weights or LossWeights()
-    y = _lift4(y_hat)
+    y = _batch(y_hat)
     rec = reconstruction_loss(y, hdr, mask)
     if weights.perceptual > 0:
         blend = blend_with_ground_truth(hdr, y, mask)
@@ -300,9 +293,9 @@ def inpainting_loss(predicted, truth, hole_mask, extractor, weights=None):
     charged on the composite over a one-pixel dilation of the hole region.
     """
     weights = weights or InpaintingLossWeights()
-    p = _lift4(predicted)
-    g = _const4(truth, p.data.dtype)
-    m = _const4(hole_mask, p.data.dtype)
+    p = _batch(predicted)
+    g = _batch(truth, p.data.dtype).data
+    m = _batch(hole_mask, p.data.dtype).data
     if g.shape != p.data.shape or m.shape != p.data.shape:
         raise DimensionError("shape mismatch in inpainting loss")
     if not np.all((m == 0) | (m == 1)):
@@ -319,7 +312,7 @@ def inpainting_loss(predicted, truth, hole_mask, extractor, weights=None):
     for img in (p, comp):
         for fa, fb in zip(extractor.features(img), taps_g):
             dv = T.tmean(T.absolute(fa - fb))
-            ds = T.tmean(T.absolute(_batched_gram(fa) - _gram_const(fb)))
+            ds = T.tmean(T.absolute(gram_matrix(fa) - gram_matrix(fb)))
             vgg = dv if vgg is None else vgg + dv
             style = ds if style is None else style + ds
 
@@ -341,8 +334,3 @@ def inpainting_loss(predicted, truth, hole_mask, extractor, weights=None):
     weighted = {k: getattr(weights, k) * v for k, v in components.items()}
     return LossReport(total=node.item(), components=components, weighted=weighted, node=node)
 
-
-def _gram_const(feat):
-    n, c, h, w = feat.shape
-    flat = feat.reshape(n, c, h * w)
-    return flat @ flat.transpose(0, 2, 1) / (c * h * w)

@@ -227,10 +227,10 @@ def unet_forward(ldr, mask, params, config=None, mode=MODE_FEATURE_MASK,
     "SConv" ignores masking entirely (plain convolutions). The returned
     stack holds one (name, mask array) entry per layer for visualization.
 
-    ``frozen_masks`` (a ``{layer name: mask}`` dict from a previous run's
-    stack) replaces mask propagation, pinning the masks while weights
+    ``frozen_masks`` (a ``{layer name: mask}`` dict from a previous FMask
+    run's stack) replaces mask propagation, pinning the masks while weights
     change; finite-difference audits need this because the analytic
-    gradient treats masks as constants.
+    gradient treats masks as constants. The other modes ignore it.
     """
     config = config or params.config
     if mode not in MASKING_MODES:
@@ -248,57 +248,50 @@ def unet_forward(ldr, mask, params, config=None, mode=MODE_FEATURE_MASK,
     if h % factor or w % factor:
         raise DimensionError(f"spatial extents {h}x{w} must be divisible by {factor}")
 
-    if mode == MODE_STANDARD_CONV:
-        m_in = np.ones_like(m)
-    elif mode == MODE_INPUT_MASK:
+    # The mode decides only the masks: IMask applies the mask to the input,
+    # then IMask and SConv run the same layers with every mask held at one.
+    if mode == MODE_INPUT_MASK:
         x = x * T.constant(m)
-        m_in = np.ones_like(m)
+    if mode == MODE_FEATURE_MASK:
+        frozen = frozen_masks or {}
+
+        def pin(spec, mask):
+            return frozen.get(spec.name)
     else:
-        m_in = m
+        m = np.ones_like(m)
+        pin = _ones_after
 
     pad = (config.kernel_size - 1) // 2
     plan = layer_plan(config)
-    stack = [("input", m_in)]
-    cur = MaskedFeature(x, m_in) if mode == MODE_FEATURE_MASK else _unmasked(x, m_in)
+    stack = [("input", m)]
+    cur = MaskedFeature(x, m)
     skips = []
 
     def run_layer(spec, inp):
         wt, bt = params.layers[spec.name]
-        if mode == MODE_FEATURE_MASK:
-            pinned = frozen_masks.get(spec.name) if frozen_masks else None
-            out = masked_conv_layer(inp, wt, bt, spec.stride, pad, spec.activation,
-                                    config.leaky_slope, mask_out=pinned)
-        else:
-            f = T.activation(T.conv2d(inp.features, wt, bt, spec.stride, pad, 0.0),
-                             spec.activation, config.leaky_slope)
-            out = _unmasked(f, np.ones(f.data.shape, dtype=f.data.dtype))
+        out = masked_conv_layer(inp, wt, bt, spec.stride, pad, spec.activation,
+                                config.leaky_slope, mask_out=pin(spec, inp.mask))
         stack.append((spec.name, out.mask))
         return out
 
-    idx = 0
-    for i in range(config.levels):
-        cur = run_layer(plan[idx], cur)
-        idx += 1
-        if i < config.levels - 1:
-            skips.append(cur)
-    for _ in range(config.levels - 1):
+    for spec in plan[:config.levels]:
+        cur = run_layer(spec, cur)
+        skips.append(cur)
+    skips.pop()
+    for spec in plan[config.levels:-1]:
         skip = skips.pop()
-        up_f = T.upsample_nearest(cur.features, 2)
-        up_m = T.upsample_nearest_array(cur.mask, 2)
-        feats = T.concat([up_f, skip.features], axis=1)
-        masks = np.concatenate([up_m, skip.mask], axis=1)
-        cur = run_layer(plan[idx], MaskedFeature(feats, masks) if mode == MODE_FEATURE_MASK
-                        else _unmasked(feats, masks))
-        idx += 1
-    cur = run_layer(plan[idx], cur)
+        feats = T.concat([T.upsample_nearest(cur.features, 2), skip.features], axis=1)
+        masks = np.concatenate([T.upsample_nearest_array(cur.mask, 2), skip.mask], axis=1)
+        cur = run_layer(spec, MaskedFeature(feats, masks))
+    cur = run_layer(plan[-1], cur)
     return cur.features, stack
 
 
-def _unmasked(features, mask):
-    mf = MaskedFeature.__new__(MaskedFeature)
-    mf.features = features
-    mf.mask = mask
-    return mf
+def _ones_after(spec, mask):
+    """All-ones mask shaped like the output of layer ``spec`` on ``mask``."""
+    n, _, h, w = mask.shape
+    s = spec.stride
+    return np.ones((n, spec.out_channels, -(-h // s), -(-w // s)), dtype=mask.dtype)
 
 
 def export_mask_images(mask_stack, channels=(0,)):

@@ -73,6 +73,9 @@ class LdrImage:
         return self.pixels.shape
 
 
+CURVE_KINDS = ("gamma", "sigmoid")
+
+
 @dataclass(frozen=True)
 class CameraCurve:
     """Mapping between linear values in [0,1] and display values in [0,1].
@@ -88,7 +91,7 @@ class CameraCurve:
     exposure: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("gamma", "sigmoid"):
+        if self.kind not in CURVE_KINDS:
             raise DomainError(f"unknown camera curve {self.kind!r}")
         if self.exposure <= 0:
             raise DomainError("exposure scale must be positive")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .network import exposure_mask
-from .pipeline import (CameraCurve, HdrImage, LdrImage, apply_exposure,
+from .pipeline import (HdrImage, LdrImage, apply_exposure,
                        exposure_scale, rgb_to_gray, saturation_percentage)
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0],

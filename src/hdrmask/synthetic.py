@@ -26,13 +26,6 @@ def _grating(rng, size, lo=0.0, hi=1.0):
     return lo + (hi - lo) * (0.5 + 0.5 * wave)
 
 
-def _checker(rng, size):
-    h, w = size
-    cell = int(rng.integers(3, 9))
-    yy, xx = np.mgrid[0:h, 0:w]
-    return (((yy // cell) + (xx // cell)) % 2).astype(np.float32)
-
-
 def _smooth_field(rng, size, octaves=3):
     """Low-frequency random field in [0,1] from upsampled noise."""
     h, w = size

@@ -84,10 +84,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def detach(self):
-        """The value as a plain array, severed from the graph."""
-        return self.data
-
     def zero_grad(self):
         self.grad = None
 

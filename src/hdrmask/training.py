@@ -42,13 +42,11 @@ class TrainConfig:
     max_steps: int = 500
     seed: int = 0
     masking_mode: str = MODE_FEATURE_MASK
-    pretrain_source: str = "inpainting"  # inpainting | hdr | none
     val_fraction: float = 0.1
     steps_per_epoch: int | None = None
     lr_floor: float = 1e-6
     improvement_rel: float = 0.01
     max_val_items: int = 16
-    carry_adam_state: bool = False
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -196,8 +194,7 @@ def _grad_arrays(params_map):
             for name, t in params_map.items()}
 
 
-def _optimize(stage, config, unet_config, params, adam, extractor, batch_fn,
-              val_fn, start_step=0):
+def _optimize(stage, config, params, adam, batch_fn, val_fn, start_step=0):
     """Shared optimization loop for both stages."""
     run_log = RunLog()
     sched = PlateauScheduler(config.lr, config.plateau_patience, config.plateau_factor,
@@ -210,12 +207,14 @@ def _optimize(stage, config, unet_config, params, adam, extractor, batch_fn,
     t0 = time.monotonic()
     for step in range(start_step + 1, config.max_steps + 1):
         report = batch_fn(step, params)
+        # Checked before the update so a diverged step leaves params and
+        # optimizer state untouched.
+        if not math.isfinite(report.total):
+            raise ContractError(f"non-finite loss at step {step}")
         for t in params_map.values():
             t.zero_grad()
         T.backward(report.node, parameters=params_map.values())
         T.adam_step(params_map, _grad_arrays(params_map), adam, lr)
-        if not math.isfinite(report.total):
-            raise ContractError(f"non-finite loss at step {step}")
         run_log.log_step(step, stage, dict(report.weighted), lr)
         if step % spe == 0 or step == config.max_steps:
             epoch = (step + spe - 1) // spe
@@ -280,8 +279,7 @@ def train_inpainting(images, config, unet_config=None, extractor=None,
                                           weights).total)
         return float(np.mean(losses))
 
-    return _optimize(STAGE_INPAINTING, cfg, unet_config, params, adam, extractor,
-                     batch_fn, val_fn, start_step)
+    return _optimize(STAGE_INPAINTING, cfg, params, adam, batch_fn, val_fn, start_step)
 
 
 # -- HDR fine-tuning -----------------------------------------------------------
@@ -323,8 +321,7 @@ def finetune_hdr(records, config, unet_config=None, extractor=None,
         return validation_mse(pool[:cfg.max_val_items], params, unet_config,
                               cfg.masking_mode)
 
-    return _optimize(STAGE_HDR, cfg, unet_config, params, adam, extractor,
-                     batch_fn, val_fn, start_step)
+    return _optimize(STAGE_HDR, cfg, params, adam, batch_fn, val_fn, start_step)
 
 
 def predict_log_hdr(record, params, unet_config, mode=MODE_FEATURE_MASK):
@@ -514,16 +511,47 @@ class LoadedModel:
     config: UNetConfig
     adam_state: AdamState | None
     extractor: FeatureExtractor | None
+    mode: str = MODE_FEATURE_MASK
 
 
-def save_model(path, params, adam_state=None, extractor=None):
-    """Checkpoint parameters (plus optimizer state and extractor weights)."""
+def _read_config_record(record):
+    """``(UNetConfig, mode)`` from a checkpoint's ``meta.config`` record.
+
+    The record holds levels, base channels, kernel size, in and out
+    channels, the masking-mode index and the leaky slope. A five-entry
+    record predates the last two and means FMask with slope 0.2.
+    """
+    values = [float(v) for v in np.ravel(record)]
+    if len(values) == 5:
+        values += [0.0, 0.2]
+    if len(values) != 7:
+        raise ContractError(f"checkpoint config record has {len(values)} entries, expected 5 or 7")
+    *ints, slope = values
+    if not all(v.is_integer() for v in ints):
+        raise ContractError(f"checkpoint config record has non-integral entries: {ints}")
+    *extents, mode_index = (int(v) for v in ints)
+    if not 0 <= mode_index < len(MASKING_MODES):
+        raise ContractError(f"checkpoint masking-mode index {mode_index} is out of range")
+    if not math.isfinite(slope):
+        raise ContractError(f"checkpoint leaky slope {slope} is not finite")
+    # The slope is stored as float32; its shortest float32 decimal gives
+    # back the value that was saved (0.2, not 0.20000000298).
+    slope = float(np.format_float_positional(np.float32(slope)))
+    levels, base, k, cin, cout = extents
+    config = UNetConfig(levels=levels, base_channels=base, kernel_size=k,
+                        in_channels=cin, out_channels=cout, leaky_slope=slope)
+    return config, MASKING_MODES[mode_index]
+
+
+def save_model(path, params, adam_state=None, extractor=None, mode=MODE_FEATURE_MASK):
+    """Checkpoint parameters, the masking mode they were trained with, and
+    optionally optimizer state and extractor weights."""
     from . import formats
 
     cfg = params.config
     extra = {"meta.config": np.array(
-        [cfg.levels, cfg.base_channels, cfg.kernel_size,
-         cfg.in_channels, cfg.out_channels], dtype=np.float32)}
+        [cfg.levels, cfg.base_channels, cfg.kernel_size, cfg.in_channels,
+         cfg.out_channels, MASKING_MODES.index(mode), cfg.leaky_slope], dtype=np.float32)}
     formats.save_checkpoint(path, params=params, adam_state=adam_state,
                             extractor=extractor, extra=extra)
 
@@ -535,13 +563,11 @@ def load_model(path, expected_config=None):
     arrays = formats.load_checkpoint(path)
     param_arrays, adam_arrays, extractor_arrays, extra = \
         formats.split_checkpoint_arrays(arrays)
-    if expected_config is not None:
-        config = expected_config
-    elif "meta.config" in extra:
-        levels, base, k, cin, cout = (int(v) for v in extra["meta.config"])
-        config = UNetConfig(levels=levels, base_channels=base, kernel_size=k,
-                            in_channels=cin, out_channels=cout)
-    else:
+    config, mode = expected_config, MODE_FEATURE_MASK
+    if "meta.config" in extra:
+        recorded, mode = _read_config_record(extra["meta.config"])
+        config = config or recorded
+    elif config is None:
         raise ContractError("checkpoint lacks a config record; pass expected_config")
     formats.validate_param_manifest(param_arrays, config)
     params = UNetParameters.from_arrays(config, param_arrays)
@@ -555,4 +581,4 @@ def load_model(path, expected_config=None):
                 state.v[key[2:]] = arr
         adam_state = state
     extractor = FeatureExtractor(arrays=extractor_arrays) if extractor_arrays else None
-    return LoadedModel(params, config, adam_state, extractor)
+    return LoadedModel(params, config, adam_state, extractor, mode)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, printed pass/fail.
 
-Each criterion runs at its stated tolerance. The desk-scale ablation
-(criterion 6) trains the tiny network for real and dominates the runtime;
-everything else completes in a few minutes.
+Each criterion runs at its stated tolerance. Criterion 6, the desk-scale
+masking/pre-training ablation, is absent: at desk scale the paper's
+ordering does not reproduce (ROADMAP item 5).
 """
 
 import math

@@ -1,12 +1,16 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
+from hdrmask import cli
 from hdrmask import formats as F
 from hdrmask.cli import dispatch
-from hdrmask.network import exposure_mask
+from hdrmask.network import UNetConfig, exposure_mask, unet_forward
+from hdrmask.pipeline import compose_hdr
+from hdrmask.training import initialize_parameters, save_model
 from hdrmask.synthetic import hdr_scene, make_texture_corpus
 
 
@@ -32,6 +36,35 @@ class TestDispatch:
 
     def test_no_command_prints_usage(self):
         assert dispatch([]) == 1
+
+
+class TestKnobFlags:
+    PATH_FLAGS = {"config", "input", "output", "out_dir", "in_dir", "checkpoint",
+                  "texture_dir", "shard", "init", "hdr_dir"}
+
+    def test_knob_flags_are_the_defaults_keys(self):
+        parser = cli._build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert len(subs.choices) == 11
+        for name, p in subs.choices.items():
+            table = p.get_default("defaults")
+            knobs = {a.dest: a.option_strings for a in p._actions
+                     if a.option_strings and a.dest != "help" and a.dest not in self.PATH_FLAGS}
+            assert set(knobs) == set(table), name
+            for key, options in knobs.items():
+                assert options == ["--" + key.replace("_", "-")], (name, key)
+
+    def test_flag_types_and_choices_follow_the_table(self, scene_pfm, tmp_path):
+        out = str(tmp_path / "s.ppm")
+        assert dispatch(["simulate-ldr", "--in", scene_pfm, "--out", out,
+                         "--curve", "linear"]) == 1
+        assert dispatch(["simulate-ldr", "--in", scene_pfm, "--out", out,
+                         "--bits", "6.5"]) == 1
+        assert dispatch(["simulate-ldr", "--in", scene_pfm, "--out", out,
+                         "--curve", "sigmoid"]) == 0
+        manifest = json.loads((tmp_path / "simulate_ldr_manifest.json").read_text())
+        assert manifest["resolved_config"]["curve"] == "sigmoid"
+        assert manifest["resolved_config"]["bits"] == 8
 
 
 class TestSimulateLdr:
@@ -118,6 +151,53 @@ class TestReconstructIdentity:
         mask = exposure_mask(ldr, 0.96)
         valid = mask == 1.0
         assert np.allclose(recon[valid], np.power(ldr, 2.0)[valid], atol=1e-6)
+
+
+class TestCheckpointMode:
+    CFG = UNetConfig(levels=2, base_channels=4)
+
+    @pytest.fixture()
+    def ldr_path(self, tmp_path, scene_pfm):
+        path = str(tmp_path / "in.ppm")
+        assert dispatch(["simulate-ldr", "--in", scene_pfm, "--out", path]) == 0
+        return path
+
+    def test_reconstruct_uses_the_checkpoint_mode(self, tmp_path, ldr_path):
+        params = initialize_parameters(self.CFG, 3)
+        ckpt = str(tmp_path / "sconv.ckpt")
+        save_model(ckpt, params, mode="SConv")
+        out = str(tmp_path / "recon.pfm")
+        assert dispatch(["reconstruct", "--in", ldr_path, "--checkpoint", ckpt,
+                         "--out", out]) == 0
+        ldr = F.read_ldr(ldr_path)
+        mask = exposure_mask(ldr.pixels, 0.96)
+        expected = {}
+        for mode in ("SConv", "FMask"):
+            y, _ = unet_forward(ldr.pixels[None], mask[None], params, self.CFG, mode=mode)
+            expected[mode] = compose_hdr(ldr, mask, y.data[0], gamma=2.0).pixels
+        got = F.read_pfm(out)
+        assert np.array_equal(got, expected["SConv"])
+        assert not np.array_equal(got, expected["FMask"])
+
+    def test_reconstruct_and_eval_have_no_mode_flag(self, tmp_path, ldr_path):
+        ckpt = str(tmp_path / "m.ckpt")
+        save_model(ckpt, initialize_parameters(self.CFG, 0))
+        assert dispatch(["reconstruct", "--in", ldr_path, "--checkpoint", ckpt,
+                         "--out", str(tmp_path / "r.pfm"), "--mode", "SConv"]) == 1
+        assert dispatch(["eval", "--checkpoint", ckpt, "--out-dir", str(tmp_path),
+                         "--mode", "SConv"]) == 1
+
+    @pytest.mark.parametrize("record", [
+        [2, 4, 3], [2, 4, 3, 3, 3, 0], [2, 4, 3, 3, 3, 0, 0.2, 1],
+        [2, 4.5, 3, 3, 3, 0, 0.2], [2, 4, 3, 3, 3, 3, 0.2], [2, 4, 3, 3, 3, -1, 0.2],
+        [2, 4, 3, 3, 3, 0, float("nan")]])
+    def test_malformed_config_record_exits_2(self, tmp_path, ldr_path, record):
+        ckpt = str(tmp_path / "bad.ckpt")
+        params = initialize_parameters(self.CFG, 0)
+        F.save_checkpoint(ckpt, params=params,
+                          extra={"meta.config": np.array(record, dtype=np.float32)})
+        assert dispatch(["reconstruct", "--in", ldr_path, "--checkpoint", ckpt,
+                         "--out", str(tmp_path / "r.pfm")]) == 2
 
 
 class TestMaskCommand:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hdrmask import formats as F
+from hdrmask import tensor as T
 from hdrmask import training as TR
 from hdrmask.errors import ContractError, DomainError
-from hdrmask.losses import FeatureExtractor
+from hdrmask.losses import FeatureExtractor, LossReport
 from hdrmask.network import UNetConfig, layer_plan, unet_forward
 from hdrmask.sampler import SamplerConfig, sample_patches
 from hdrmask.synthetic import make_hdr_corpus, make_texture_corpus
@@ -125,6 +127,25 @@ class TestTrainInpainting:
             train_inpainting([], TrainConfig(max_steps=1), UCFG, extractor)
 
 
+class TestOptimize:
+    def test_non_finite_loss_leaves_params_untouched(self):
+        params = initialize_parameters(UCFG, 2)
+        before = {k: v.copy() for k, v in params.named_arrays().items()}
+        adam = T.AdamState()
+
+        def batch_fn(step, params):
+            # A finite gradient that an update would apply, beside a diverged total.
+            node = T.tsum(params.layers["out"][0])
+            return LossReport(total=math.inf, components={}, weighted={}, node=node)
+
+        with pytest.raises(ContractError):
+            TR._optimize(TR.STAGE_HDR, TrainConfig(max_steps=1), params, adam,
+                         batch_fn, lambda params: 0.0)
+        for name, arr in params.named_arrays().items():
+            assert arr.tobytes() == before[name].tobytes(), name
+        assert adam.step == 0 and not adam.m
+
+
 class TestFinetuneHdr:
     def test_improves_over_init(self, records, extractor):
         cfg = TrainConfig(max_steps=30, batch_size=2, steps_per_epoch=10,
@@ -183,6 +204,33 @@ class TestCheckpointRoundTrip:
         save_model(path, params)
         with pytest.raises(CheckpointShapeError):
             load_model(path, expected_config=UNetConfig(levels=3, base_channels=4))
+
+
+    @pytest.mark.parametrize("mode", ["FMask", "IMask", "SConv"])
+    def test_mode_and_slope_round_trip(self, tmp_path, mode):
+        cfg = UNetConfig(levels=2, base_channels=4, leaky_slope=0.1)
+        path = tmp_path / "m.ckpt"
+        save_model(path, initialize_parameters(cfg, 0), mode=mode)
+        loaded = load_model(path)
+        assert loaded.mode == mode
+        assert loaded.config == cfg
+
+    def test_five_entry_record_loads_as_fmask(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        F.save_checkpoint(path, params=initialize_parameters(UCFG, 0), extra={
+            "meta.config": np.array([2, 4, 3, 3, 3], dtype=np.float32)})
+        loaded = load_model(path)
+        assert loaded.mode == "FMask"
+        assert loaded.config == UCFG and loaded.config.leaky_slope == 0.2
+
+    @pytest.mark.parametrize("record", [[2, 4, 3, 3], [2, 4, 3, 3, 3, 1.5, 0.2],
+                                        [2, 4, 3, 3, 3, 7, 0.2], [2, 4, 3, 3, 3, 0, np.inf]])
+    def test_malformed_record_rejected(self, tmp_path, record):
+        path = tmp_path / "bad.ckpt"
+        F.save_checkpoint(path, params=initialize_parameters(UCFG, 0), extra={
+            "meta.config": np.array(record, dtype=np.float32)})
+        with pytest.raises(ContractError):
+            load_model(path)
 
 
 class TestRunLog:
