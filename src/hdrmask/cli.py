@@ -148,7 +148,8 @@ def cmd_mask(args, resolved):
         config = _unet_config(resolved)
         params = initialize_parameters(config, int(resolved["seed"]))
         mode = MODE_FEATURE_MASK
-    _, stack = unet_forward(ldr.pixels[None], mask[None], params, config, mode=mode)
+    _, stack = unet_forward(ldr.pixels[None], mask[None], params.as_constants(), config,
+                            mode=mode)
     images = export_mask_images(stack)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {}
@@ -290,8 +291,8 @@ def cmd_reconstruct(args, resolved):
     ldr = formats.read_ldr(args.input)
     model = load_model(args.checkpoint)
     mask = exposure_mask(ldr.pixels, resolved["alpha"])
-    y, _ = unet_forward(ldr.pixels[None], mask[None], model.params, model.config,
-                        mode=model.mode)
+    y, _ = unet_forward(ldr.pixels[None], mask[None], model.params.as_constants(),
+                        model.config, mode=model.mode)
     hdr = compose_hdr(ldr, mask, y.data[0], gamma=resolved["gamma"])
     formats.write_pfm(args.output, hdr)
     out_dir = os.path.dirname(os.path.abspath(args.output))

@@ -183,6 +183,16 @@ class UNetParameters:
             out[f"{name}.bias"] = b
         return out
 
+    def as_constants(self):
+        """The same arrays as constant tensors under the same names.
+
+        A forward pass through them records no differentiation graph, so
+        inference holds no per-layer buffers for a backward that never runs.
+        """
+        return UNetParameters(self.config, {
+            name: (T.constant(w.data, name=w.name), T.constant(b.data, name=b.name))
+            for name, (w, b) in self.layers.items()})
+
     def copy(self):
         dup = {}
         for name, (w, b) in self.layers.items():

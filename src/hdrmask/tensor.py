@@ -1,9 +1,15 @@
 """Dense-tensor engine with reverse-mode differentiation.
 
 Just enough machinery for a small masked U-Net and its loss stack: NCHW
-convolution (im2col backed), nearest-neighbor upsampling, average pooling,
-the usual elementwise operations, full reductions, and batched matmul.
-Gradients are accumulated by a topological sweep from a scalar root.
+convolution, nearest-neighbor upsampling, average pooling, the usual
+elementwise operations, full reductions, and batched matmul. Gradients are
+accumulated by a topological sweep from a scalar root.
+
+Convolution builds no patch matrix. The input is padded once and split
+into its ``stride**2`` polyphase planes; every kernel tap is then one GEMM
+on a shifted view of one plane, and both gradients reuse the same taps.
+:func:`conv2d_raw` returns ``(out, planes)``; the planes, about the size
+of the padded input, are all the backward pass keeps besides the weights.
 
 Values live in numpy arrays. float32 is the working precision for training;
 gradient verification against finite differences should be run in float64,
@@ -319,36 +325,60 @@ def _swap_last(arr):
 # -- convolution ----------------------------------------------------------
 
 
+# Accumulator elements per column block of the forward: every tap adds into
+# one block while it is still in cache (512 KB at float32), instead of
+# streaming the whole (N, Co, oh*wq) accumulator through memory per tap.
+_ACC_BLOCK = 1 << 17
+
+
 def conv_output_extent(extent, kernel, stride, padding):
     return (extent + 2 * padding - kernel) // stride + 1
 
 
-def _pad_nchw(x, padding, pad_value):
-    if padding == 0:
-        return x
-    p = padding
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode="constant",
-                  constant_values=x.dtype.type(pad_value))
+def _plane_extent(extent, stride, padding):
+    """Extent of one polyphase plane of an input padded by ``padding``."""
+    return -(-(extent + 2 * padding) // stride)
 
 
-def _im2col(xp, kh, kw, stride, oh, ow):
-    """(N,C,Hp,Wp) -> (N, C*kh*kw, oh*ow) patch matrix (copies)."""
-    n, c, _, _ = xp.shape
-    s0, s1, s2, s3 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
-    return np.ascontiguousarray(windows).reshape(n, c * kh * kw, oh * ow)
+def _phase_planes(x, stride, padding, pad_value):
+    """Pad ``x`` once and split it into its ``stride**2`` polyphase planes.
+
+    Returns an array of shape (stride**2, N, C, hq*wq): plane ``a*stride + b``
+    holds rows ``a::stride`` and columns ``b::stride`` of the padded input,
+    flattened row-major. At stride 1 the only plane is the padded input.
+    """
+    n, c, h, w = x.shape
+    s, p = stride, padding
+    hq, wq = _plane_extent(h, s, p), _plane_extent(w, s, p)
+    xp = np.full((n, c, hq * s, wq * s), pad_value, dtype=x.dtype)
+    xp[:, :, p:p + h, p:p + w] = x
+    planes = xp.reshape(n, c, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4)
+    return planes.reshape(s * s, n, c, hq * wq)
+
+
+def _conv_taps(kh, kw, stride, wq):
+    """``(i, j, plane, offset)`` for every kernel tap.
+
+    Output ``(oy, ox)`` sits at column ``oy*wq + ox`` of a row-major
+    (oh, wq) grid, and tap ``(i, j)`` reads it from ``planes[plane]`` at that
+    column plus ``offset``; grid columns past ``ow`` are never kept.
+    """
+    s = stride
+    return [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s)
+            for i in range(kh) for j in range(kw)]
+
+
+def _tap_major(w):
+    """OIHW weights as a contiguous (kh, kw, O, I) stack: one GEMM operand per tap."""
+    return np.ascontiguousarray(np.transpose(w, (2, 3, 0, 1)))
 
 
 def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0):
     """Plain-numpy NCHW convolution (cross-correlation), no graph.
 
     Shared by the differentiable op below and by mask propagation, which
-    must stay outside the differentiation graph.
+    must stay outside the differentiation graph. Returns ``(out, planes)``
+    with ``planes`` from :func:`_phase_planes`.
     """
     x = np.asarray(x)
     w = np.asarray(w)
@@ -366,55 +396,65 @@ def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0):
     ow = conv_output_extent(wd, kw, stride, padding)
     if oh < 1 or ow < 1:
         raise DimensionError(f"kernel {kh}x{kw} does not fit input {h}x{wd} with padding {padding}")
-    xp = _pad_nchw(x, padding, pad_value)
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
-    out = np.matmul(w.reshape(co, ci * kh * kw), cols)
+    planes = _phase_planes(x, stride, padding, pad_value)
+    wq = _plane_extent(wd, stride, padding)
+    span = (oh - 1) * wq + ow
+    wt = _tap_major(w)
+    acc = np.zeros((n, co, oh * wq), dtype=np.result_type(planes, wt))
+    taps = _conv_taps(kh, kw, stride, wq)
+    step = max(1, _ACC_BLOCK // (n * co))
+    for q0 in range(0, span, step):
+        q1 = min(span, q0 + step)
+        block = acc[:, :, q0:q1]
+        for i, j, k, off in taps:
+            block += wt[i, j] @ planes[k, :, :, off + q0:off + q1]
+    out = acc.reshape(n, co, oh, wq)[:, :, :, :ow]
     if b is not None:
-        out = out + np.asarray(b).reshape(1, co, 1)
-    return out.reshape(n, co, oh, ow), cols
-
-
-def _conv2d_input_grad(g, w, x_shape, stride, padding):
-    """Gradient w.r.t. the (unpadded) input, via a zero-stuffed transposed conv."""
-    n, c, h, wd = x_shape
-    co, ci, kh, kw = w.shape
-    _, _, oh, ow = g.shape
-    if stride > 1:
-        gs = np.zeros((n, co, (oh - 1) * stride + 1, (ow - 1) * stride + 1), dtype=g.dtype)
-        gs[:, :, ::stride, ::stride] = g
-    else:
-        gs = g
-    gsp = np.pad(gs, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)), mode="constant")
-    # Kernel rotated 180 degrees with in/out channels swapped.
-    wrot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    dxp_partial, _ = conv2d_raw(gsp, np.ascontiguousarray(wrot), None, stride=1, padding=0)
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    dxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-    ph, pw = dxp_partial.shape[2], dxp_partial.shape[3]
-    dxp[:, :, :ph, :pw] = dxp_partial
-    if padding:
-        return dxp[:, :, padding:-padding, padding:-padding]
-    return dxp
+        return out + np.asarray(b).reshape(1, co, 1, 1), planes
+    return np.ascontiguousarray(out), planes
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0):
     """Differentiable NCHW convolution.
 
     ``pad_value`` pads the input with a constant that is treated as fixed:
-    feature maps pad with 0, validity masks pad with 1.
+    feature maps pad with 0, validity masks pad with 1. The backward pass
+    reuses the forward's taps and computes a gradient only for an operand
+    that requires one.
     """
     if b is not None and not isinstance(b, Tensor):
         b = constant(b)
     bias = None if b is None else b.data
-    out, cols = conv2d_raw(x.data, w.data, bias, stride, padding, pad_value)
+    out, planes = conv2d_raw(x.data, w.data, bias, stride, padding, pad_value)
     _require_finite(out, "conv2d")
-    co, ci, kh, kw = w.data.shape
     parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        gm = g.reshape(g.shape[0], co, -1)
-        dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(co, ci, kh, kw)
-        dx = _conv2d_input_grad(g, w.data, x.data.shape, stride, padding)
+        n, c, h, wd = x.data.shape
+        co, ci, kh, kw = w.data.shape
+        oh, ow = g.shape[2], g.shape[3]
+        s, p = stride, padding
+        hq, wq = _plane_extent(h, s, p), _plane_extent(wd, s, p)
+        span = (oh - 1) * wq + ow
+        taps = _conv_taps(kh, kw, s, wq)
+        # g on the forward's (oh, wq) grid; the columns past ow stay zero.
+        gq = np.zeros((n, co, oh, wq), dtype=g.dtype)
+        gq[:, :, :, :ow] = g
+        gq = gq.reshape(n, co, oh * wq)[:, :, :span]
+        dx = dw = None
+        if w.requires_grad:
+            dw = np.empty((kh, kw, co, ci), dtype=np.result_type(gq, planes))
+            for i, j, k, off in taps:
+                view = planes[k, :, :, off:off + span]
+                dw[i, j] = np.matmul(gq, view.transpose(0, 2, 1)).sum(axis=0)
+            dw = np.ascontiguousarray(dw.transpose(2, 3, 0, 1))
+        if x.requires_grad:
+            wt = _tap_major(w.data)
+            dplanes = np.zeros(planes.shape, dtype=g.dtype)
+            for i, j, k, off in taps:
+                dplanes[k, :, :, off:off + span] += wt[i, j].T @ gq
+            dxp = dplanes.reshape(s, s, n, c, hq, wq).transpose(2, 3, 4, 0, 5, 1)
+            dx = dxp.reshape(n, c, hq * s, wq * s)[:, :, p:p + h, p:p + wd]
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3)).reshape(np.shape(bias))

@@ -327,7 +327,7 @@ def finetune_hdr(records, config, unet_config=None, extractor=None,
 def predict_log_hdr(record, params, unet_config, mode=MODE_FEATURE_MASK):
     pred, _ = unet_forward(record.ldr.pixels[None].astype(np.float32),
                            record.mask[None].astype(np.float32),
-                           params, unet_config, mode=mode)
+                           params.as_constants(), unet_config, mode=mode)
     return pred.data[0]
 
 
@@ -566,6 +566,13 @@ def load_model(path, expected_config=None):
     config, mode = expected_config, MODE_FEATURE_MASK
     if "meta.config" in extra:
         recorded, mode = _read_config_record(extra["meta.config"])
+        # Layer widths double per level, so a bogus level count must be
+        # rejected before anything enumerates the layers.
+        encoders = sum(1 for key in param_arrays
+                       if key.startswith("enc") and key.endswith(".weight"))
+        if recorded.levels > encoders:
+            raise ContractError(f"checkpoint config record claims {recorded.levels} levels "
+                                f"but holds {encoders} encoder weights")
         config = config or recorded
     elif config is None:
         raise ContractError("checkpoint lacks a config record; pass expected_config")

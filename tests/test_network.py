@@ -240,6 +240,23 @@ class TestUNetForward:
             assert n1 == n2 and np.array_equal(m1, m2)
 
 
+    @pytest.mark.parametrize("mode", N.MASKING_MODES)
+    def test_constant_parameters_record_no_graph(self, mode):
+        cfg = N.UNetConfig(levels=3, base_channels=4)
+        params = tiny_params(cfg, seed=20)
+        x = rnd(21).random((1, 3, 16, 16)).astype(np.float32)
+        mask = N.exposure_mask(x, 0.8)
+        y_tape, stack_tape = N.unet_forward(x, mask, params, cfg, mode=mode)
+        frozen = params.as_constants()
+        y, stack = N.unet_forward(x, mask, frozen, cfg, mode=mode)
+        assert y_tape._parents and not y._parents and not y.requires_grad
+        assert np.array_equal(y.data, y_tape.data)
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(stack, stack_tape))
+        for name, t in frozen.named_tensors().items():
+            assert t.name == name and not t.requires_grad
+            assert t.data is params.named_tensors()[name].data
+
+
 class TestExportMaskImages:
     def test_extreme_values_map_to_byte_range(self):
         stack = [("a", np.ones((1, 2, 3, 3))), ("b", np.zeros((1, 2, 3, 3)))]

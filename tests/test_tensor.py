@@ -61,6 +61,31 @@ class TestConv2d:
         want = conv2d_loops(x, w, b, stride, padding, pad_value)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_polyphase_taps_forward_and_gradients(self, stride, k, padding):
+        # Odd and even, non-square extents leave a different remainder in
+        # every polyphase plane; the weighted sum is linear in each input,
+        # so central differences are exact up to rounding.
+        rng = rnd(100 + 9 * stride + 3 * k + padding)
+        for pad_value in (0.0, 1.0):
+            for h, wd in ((7, 9), (11, 6)):
+                x = T.parameter(rng.normal(size=(2, 2, h, wd)))
+                w = T.parameter(rng.normal(size=(3, 2, k, k)))
+                b = T.parameter(rng.normal(size=3))
+                want = conv2d_loops(x.data, w.data, b.data, stride, padding, pad_value)
+                got = T.conv2d(x, w, b, stride, padding, pad_value).data
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+                weights = T.constant(rng.normal(size=want.shape))
+
+                def fn(x, w, b):
+                    return T.tsum(T.conv2d(x, w, b, stride, padding, pad_value) * weights)
+
+                err = T.check_gradients(fn, [x, w, b], epsilon=1e-3, max_coords=32,
+                                        rng=rnd(stride * k + padding))
+                assert err < 1e-6, (pad_value, h, wd)
+
 
 class TestActivation:
     def test_relu_negative(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hdrmask import formats as F
+from hdrmask import network
 from hdrmask import tensor as T
 from hdrmask import training as TR
 from hdrmask.errors import ContractError, DomainError
@@ -222,6 +223,20 @@ class TestCheckpointRoundTrip:
         loaded = load_model(path)
         assert loaded.mode == "FMask"
         assert loaded.config == UCFG and loaded.config.leaky_slope == 0.2
+
+    def test_level_count_beyond_the_encoders_rejected_before_layer_plan(
+            self, tmp_path, monkeypatch):
+        # Widths double per level: a bogus count must never reach layer_plan.
+        path = tmp_path / "deep.ckpt"
+        F.save_checkpoint(path, params=initialize_parameters(UCFG, 0), extra={
+            "meta.config": np.array([50, 4, 3, 3, 3, 0, 0.2], dtype=np.float32)})
+
+        def refuse(config):
+            raise AssertionError("layer_plan ran on the recorded config")
+
+        monkeypatch.setattr(network, "layer_plan", refuse)
+        with pytest.raises(ContractError):
+            load_model(path)
 
     @pytest.mark.parametrize("record", [[2, 4, 3, 3], [2, 4, 3, 3, 3, 1.5, 0.2],
                                         [2, 4, 3, 3, 3, 7, 0.2], [2, 4, 3, 3, 3, 0, np.inf]])
