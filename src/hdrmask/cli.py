@@ -4,7 +4,8 @@ Every command resolves its knobs as defaults < config file < flags, writes
 a run manifest (the fully resolved configuration, seed, and paths) next to
 its outputs, and exits 0 on success, 1 on usage errors, 2 on runtime
 errors. Config files are flat JSON mappings of flag names (without the
-leading dashes, dashes may be written as underscores).
+leading dashes, dashes may be written as underscores); their values are
+parsed and checked exactly like flags.
 
 Each command's knobs are the keys of its ``_*_DEFAULTS`` table, and each
 key is both a config key and a flag (``base_channels`` is
@@ -30,7 +31,8 @@ from .losses import FeatureExtractor, LossWeights, total_loss
 from .network import (MASKING_MODES, MODE_FEATURE_MASK, UNetConfig, UNetParameters,
                       exposure_mask, export_mask_images, unet_forward)
 from .pipeline import CURVE_KINDS, CameraCurve, compose_hdr, simulate_ldr
-from .sampler import SamplerConfig, generate_inpainting_mask, sample_patches
+from .sampler import (SamplerConfig, generate_inpainting_mask, sample_corpus,
+                      sample_patches)
 from .synthetic import make_hdr_corpus, make_texture_corpus
 from .tensor import check_gradients
 from .training import (TrainConfig, evaluate, finetune_hdr, initialize_parameters,
@@ -51,30 +53,31 @@ def _utc_now():
     return datetime.now(timezone.utc).isoformat()
 
 
-def _resolve(args, defaults):
-    """defaults < config file < explicit flags."""
-    resolved = {key: value[0] if isinstance(value, tuple) else value
-                for key, value in defaults.items()}
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            with open(path) as fh:
-                file_conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ContractError(f"cannot read config file {path}: {exc}") from exc
-        # A run manifest is itself a valid config: re-running from one
-        # reproduces the original resolved configuration.
-        if "resolved_config" in file_conf:
-            file_conf = file_conf["resolved_config"]
-        for key, value in file_conf.items():
-            key = key.replace("-", "_")
-            if key in resolved:
-                resolved[key] = value
-    for key in resolved:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+def _config_tokens(path, defaults):
+    """The knobs a JSON config file sets, as ``--key=value`` flag tokens.
+
+    Parsing them as flags gives file values the same types and choices as
+    flags. The ``=`` form keeps a value that starts with ``-`` from being
+    read as a flag, and a ``null`` value leaves the knob at its default.
+    Keys that are not knobs of the command are ignored.
+    """
+    try:
+        with open(path) as fh:
+            file_conf = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ContractError(f"cannot read config file {path}: {exc}") from exc
+    # A run manifest is itself a valid config: re-running from one
+    # reproduces the original resolved configuration.
+    if isinstance(file_conf, dict) and "resolved_config" in file_conf:
+        file_conf = file_conf["resolved_config"]
+    if not isinstance(file_conf, dict):
+        raise ContractError(f"config file {path} is not a JSON object")
+    tokens = []
+    for key, value in file_conf.items():
+        key = key.replace("-", "_")
+        if key in defaults and value is not None:
+            tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
 def _write_manifest(out_dir, command, resolved, inputs, outputs):
@@ -95,8 +98,8 @@ def _write_manifest(out_dir, command, resolved, inputs, outputs):
 
 
 def _unet_config(resolved):
-    return UNetConfig(levels=int(resolved["levels"]),
-                      base_channels=int(resolved["base_channels"]))
+    return UNetConfig(levels=resolved["levels"],
+                      base_channels=resolved["base_channels"])
 
 
 def _load_hdr_dir(path):
@@ -124,7 +127,7 @@ _SIMULATE_DEFAULTS = {"percentile": 93.0, "bits": 8, "curve": CURVE_KINDS,
 def cmd_simulate_ldr(args, resolved):
     hdr = formats.read_hdr(args.input)
     curve = CameraCurve(kind=resolved["curve"], gamma=resolved["gamma"])
-    ldr = simulate_ldr(hdr, resolved["percentile"], curve, int(resolved["bits"]))
+    ldr = simulate_ldr(hdr, resolved["percentile"], curve, resolved["bits"])
     formats.write_ldr(args.output, ldr)
     mask = exposure_mask(ldr.pixels, resolved["alpha"])
     mask_path = args.output + ".mask.pgm"
@@ -146,7 +149,7 @@ def cmd_mask(args, resolved):
         params, config, mode = model.params, model.config, model.mode
     else:
         config = _unet_config(resolved)
-        params = initialize_parameters(config, int(resolved["seed"]))
+        params = initialize_parameters(config, resolved["seed"])
         mode = MODE_FEATURE_MASK
     _, stack = unet_forward(ldr.pixels[None], mask[None], params.as_constants(), config,
                             mode=mode)
@@ -170,13 +173,10 @@ def cmd_sample_patches(args, resolved):
     images = _load_hdr_dir(args.in_dir)
     cfg = SamplerConfig(
         color_sigma=resolved["sigma_color"], space_sigma=resolved["sigma_space"],
-        metric_threshold=resolved["threshold"], patch_size=int(resolved["patch"]),
-        patches_per_image=int(resolved["per_image"]), alpha=resolved["alpha"],
+        metric_threshold=resolved["threshold"], patch_size=resolved["patch"],
+        patches_per_image=resolved["per_image"], alpha=resolved["alpha"],
         fixed_percentile=resolved["percentile"])
-    records = []
-    for i, (name, hdr) in enumerate(images):
-        records.extend(sample_patches(hdr, cfg, seed=int(resolved["seed"]) + i,
-                                      image_id=name))
+    records = sample_corpus(images, cfg, resolved["seed"])
     if not records:
         raise ContractError("no patches passed the sampler; relax the threshold "
                             "or check the input exposure")
@@ -196,10 +196,10 @@ _GENMASK_DEFAULTS = {"count": 8, "height": 64, "width": 64, "seed": 0,
 def cmd_gen_inpaint_masks(args, resolved):
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {}
-    for i in range(int(resolved["count"])):
+    for i in range(resolved["count"]):
         mask = generate_inpainting_mask(
-            (int(resolved["height"]), int(resolved["width"])),
-            seed=int(resolved["seed"]) + i,
+            (resolved["height"], resolved["width"]),
+            seed=resolved["seed"] + i,
             coverage=(resolved["min_coverage"], resolved["max_coverage"]))
         path = os.path.join(args.out_dir, f"mask_{i:04d}.pgm")
         formats.write_gray8(path, mask)
@@ -214,42 +214,46 @@ _FINETUNE_DEFAULTS = {"steps": 500, "batch": 4, "lr": 2e-4, "seed": 0,
 _INPAINT_DEFAULTS = {**_FINETUNE_DEFAULTS, "procedural": 0}
 
 
-def _train_config(resolved, stage):
-    return TrainConfig(stage=stage, lr=resolved["lr"], batch_size=int(resolved["batch"]),
-                       plateau_patience=int(resolved["patience"]),
+def _train_config(resolved):
+    return TrainConfig(lr=resolved["lr"], batch_size=resolved["batch"],
+                       plateau_patience=resolved["patience"],
                        plateau_factor=resolved["factor"],
-                       max_steps=int(resolved["steps"]), seed=int(resolved["seed"]),
+                       max_steps=resolved["steps"], seed=resolved["seed"],
                        masking_mode=resolved["mode"],
-                       steps_per_epoch=int(resolved["steps_per_epoch"]))
+                       steps_per_epoch=resolved["steps_per_epoch"])
+
+
+def _write_run(out_dir, command, prefix, resolved, result, extractor, inputs,
+               extra_outputs=None):
+    """Write a training stage's ``<prefix>_best.ckpt``, ``<prefix>_final.ckpt``
+    (with the Adam state), ``<prefix>_runlog.jsonl`` and manifest."""
+    os.makedirs(out_dir, exist_ok=True)
+    best = os.path.join(out_dir, f"{prefix}_best.ckpt")
+    final = os.path.join(out_dir, f"{prefix}_final.ckpt")
+    log_path = os.path.join(out_dir, f"{prefix}_runlog.jsonl")
+    save_model(best, result.best_params, extractor=extractor, mode=resolved["mode"])
+    save_model(final, result.params, adam_state=result.adam_state, extractor=extractor,
+               mode=resolved["mode"])
+    result.run_log.to_jsonl(log_path)
+    _write_manifest(out_dir, command, resolved, inputs,
+                    {"best": best, "final": final, "runlog": log_path,
+                     "best_val": result.best_val, **(extra_outputs or {})})
 
 
 def cmd_train_inpaint(args, resolved):
     if args.texture_dir:
         images = _load_texture_dir(args.texture_dir)
     elif resolved["procedural"]:
-        images = make_texture_corpus(int(resolved["procedural"]),
-                                     seed=int(resolved["seed"]))
+        images = make_texture_corpus(resolved["procedural"], seed=resolved["seed"])
     else:
         raise UsageError("train-inpaint needs --texture-dir or --procedural N")
-    config = _train_config(resolved, "inpainting")
-    unet_config = _unet_config(resolved)
     extractor = FeatureExtractor()
-    result = train_inpainting(images, config, unet_config, extractor)
-    os.makedirs(args.out_dir, exist_ok=True)
-    best = os.path.join(args.out_dir, "inpaint_best.ckpt")
-    final = os.path.join(args.out_dir, "inpaint_final.ckpt")
-    log_path = os.path.join(args.out_dir, "inpaint_runlog.jsonl")
-    save_model(best, result.best_params, extractor=extractor, mode=config.masking_mode)
-    save_model(final, result.params, adam_state=result.adam_state, extractor=extractor,
-               mode=config.masking_mode)
-    result.run_log.to_jsonl(log_path)
-    _write_manifest(args.out_dir, "train-inpaint", resolved,
-                    {"images": len(images)},
-                    {"best": best, "final": final, "runlog": log_path,
-                     "best_val": result.best_val,
-                     "loss_drop": loss_drop(result.run_log)})
-    print(f"best validation loss {result.best_val:.5f}; "
-          f"loss drop {loss_drop(result.run_log):.3f}")
+    result = train_inpainting(images, _train_config(resolved), _unet_config(resolved),
+                              extractor)
+    drop = loss_drop(result.run_log)
+    _write_run(args.out_dir, "train-inpaint", "inpaint", resolved, result, extractor,
+               {"images": len(images)}, {"loss_drop": drop})
+    print(f"best validation loss {result.best_val:.5f}; loss drop {drop:.3f}")
     return 0
 
 
@@ -264,22 +268,10 @@ def cmd_finetune_hdr(args, resolved):
     else:
         unet_config = _unet_config(resolved)
     extractor = extractor or FeatureExtractor()
-    config = _train_config(resolved, "hdr_finetune")
-    result = finetune_hdr(records, config, unet_config, extractor,
+    result = finetune_hdr(records, _train_config(resolved), unet_config, extractor,
                           init_params=init_params)
-    os.makedirs(args.out_dir, exist_ok=True)
-    best = os.path.join(args.out_dir, "hdr_best.ckpt")
-    final = os.path.join(args.out_dir, "hdr_final.ckpt")
-    log_path = os.path.join(args.out_dir, "hdr_runlog.jsonl")
-    save_model(best, result.best_params, extractor=extractor, mode=config.masking_mode)
-    save_model(final, result.params, adam_state=result.adam_state, extractor=extractor,
-               mode=config.masking_mode)
-    result.run_log.to_jsonl(log_path)
-    _write_manifest(args.out_dir, "finetune-hdr", resolved,
-                    {"shard": args.shard, "records": len(records),
-                     "init": args.init},
-                    {"best": best, "final": final, "runlog": log_path,
-                     "best_val": result.best_val})
+    _write_run(args.out_dir, "finetune-hdr", "hdr", resolved, result, extractor,
+               {"shard": args.shard, "records": len(records), "init": args.init})
     print(f"best validation masked mse {result.best_val:.6f}")
     return 0
 
@@ -313,24 +305,21 @@ def cmd_eval(args, resolved):
         source = {"shard": args.shard}
     else:
         images = _load_hdr_dir(args.hdr_dir)
-        cfg = SamplerConfig(patch_size=int(resolved["patch"]),
-                            patches_per_image=int(resolved["per_image"]),
+        cfg = SamplerConfig(patch_size=resolved["patch"],
+                            patches_per_image=resolved["per_image"],
                             metric_threshold=resolved["threshold"],
                             alpha=resolved["alpha"],
                             fixed_percentile=resolved["percentile"])
-        records = []
-        for i, (name, hdr) in enumerate(images):
-            records.extend(sample_patches(hdr, cfg, seed=int(resolved["seed"]) + i,
-                                          image_id=name))
+        records = sample_corpus(images, cfg, resolved["seed"])
         source = {"hdr_dir": args.hdr_dir, "images": len(images)}
     report = evaluate(records, model.params, model.config,
-                      mode=model.mode, bins=int(resolved["bins"]))
+                      mode=model.mode, bins=resolved["bins"])
     os.makedirs(args.out_dir, exist_ok=True)
     table_path = os.path.join(args.out_dir, "metrics.tsv")
     with open(table_path, "w") as fh:
         fh.write(report.to_text())
     outputs = {"metrics": table_path, "records": len(records)}
-    if int(resolved["dump_images"]):
+    if resolved["dump_images"]:
         for i, rec in enumerate(report.per_record):
             path = os.path.join(args.out_dir, f"recon_{i:04d}.pfm")
             formats.write_pfm(path, rec["reconstruction"])
@@ -347,36 +336,37 @@ _ABLATE_DEFAULTS = {"seeds": "0,1,2", "pretrain_steps": 240, "finetune_steps": 2
 
 
 def cmd_ablate(args, resolved):
-    seeds = tuple(int(s) for s in str(resolved["seeds"]).split(","))
-    scfg = SamplerConfig(patch_size=int(resolved["patch"]),
-                         patches_per_image=int(resolved["per_image"]),
+    try:
+        seeds = tuple(int(s) for s in resolved["seeds"].split(","))
+    except ValueError:
+        raise UsageError(f"--seeds wants comma-separated integers, "
+                         f"got {resolved['seeds']!r}") from None
+    scfg = SamplerConfig(patch_size=resolved["patch"],
+                         patches_per_image=resolved["per_image"],
                          metric_threshold=resolved["threshold"])
     if args.texture_dir:
         textures = _load_texture_dir(args.texture_dir)
     else:
-        textures = make_texture_corpus(int(resolved["textures"]), seed=11)
+        textures = make_texture_corpus(resolved["textures"], seed=11)
     if args.hdr_dir:
         scenes = _load_hdr_dir(args.hdr_dir)
         split = max(1, len(scenes) * 2 // 3)
         train_scenes, test_scenes = scenes[:split], scenes[split:]
     else:
         train_scenes = [(f"train{i}", s) for i, s in enumerate(
-            make_hdr_corpus(int(resolved["train_scenes"]), seed=21, size=(96, 96)))]
+            make_hdr_corpus(resolved["train_scenes"], seed=21, size=(96, 96)))]
         test_scenes = [(f"test{i}", s) for i, s in enumerate(
-            make_hdr_corpus(int(resolved["test_scenes"]), seed=77, size=(96, 96)))]
-    train_records, test_records = [], []
-    for i, (name, scene) in enumerate(train_scenes):
-        train_records.extend(sample_patches(scene, scfg, seed=100 + i, image_id=name))
-    for i, (name, scene) in enumerate(test_scenes):
-        test_records.extend(sample_patches(scene, scfg, seed=900 + i, image_id=name))
+            make_hdr_corpus(resolved["test_scenes"], seed=77, size=(96, 96)))]
+    train_records = sample_corpus(train_scenes, scfg, 100)
+    test_records = sample_corpus(test_scenes, scfg, 900)
     if not train_records or not test_records:
         raise ContractError("ablation corpora produced no records")
-    base = TrainConfig(batch_size=int(resolved["batch"]),
-                       steps_per_epoch=int(resolved["steps_per_epoch"]),
+    base = TrainConfig(batch_size=resolved["batch"],
+                       steps_per_epoch=resolved["steps_per_epoch"],
                        max_val_items=8)
     results = run_ablation(textures, train_records, test_records, seeds,
-                           pretrain_steps=int(resolved["pretrain_steps"]),
-                           finetune_steps=int(resolved["finetune_steps"]),
+                           pretrain_steps=resolved["pretrain_steps"],
+                           finetune_steps=resolved["finetune_steps"],
                            base_config=base)
     os.makedirs(args.out_dir, exist_ok=True)
     table_path = os.path.join(args.out_dir, "ablation.tsv")
@@ -397,7 +387,7 @@ _GRADCHECK_DEFAULTS = {"seed": 7, "epsilon": 1e-4, "threshold": 1e-3}
 
 
 def cmd_gradcheck(args, resolved):
-    seed = int(resolved["seed"])
+    seed = resolved["seed"]
     rng = np.random.default_rng(seed)
     config = UNetConfig(levels=2, base_channels=4)
     arrays64 = {k: v.astype(np.float64) for k, v in
@@ -478,8 +468,8 @@ def _build_parser():
         p.add_argument("--config", help="JSON config file (defaults < file < flags)")
         for key, value in defaults.items():
             # A None default (sample-patches' percentile) means "unset" for a float.
-            kind = {"choices": value} if isinstance(value, tuple) else \
-                {"type": float if value is None else type(value)}
+            kind = {"choices": value, "default": value[0]} if isinstance(value, tuple) \
+                else {"type": float if value is None else type(value), "default": value}
             p.add_argument("--" + key.replace("_", "-"), dest=key, **kind)
         return p
 
@@ -539,7 +529,17 @@ def dispatch(argv):
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        return args.func(args, _resolve(args, args.defaults)) or 0
+        if args.config:
+            # File knobs go before the explicit flags, so the flags win. The
+            # flags parsed once already, so an error now is the file's.
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(args.config, args.defaults)
+            try:
+                args = parser.parse_args(argv[:at] + tokens + argv[at:])
+            except UsageError as exc:
+                raise UsageError(f"config file {args.config}: {exc}") from None
+        resolved = {key: getattr(args, key) for key in args.defaults}
+        return args.func(args, resolved) or 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

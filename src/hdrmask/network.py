@@ -20,6 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, DomainError
+from .formats import validate_param_manifest
 from .tensor import Tensor
 
 MASK_NORM_EPS = 1e-6
@@ -202,20 +203,17 @@ class UNetParameters:
 
     @classmethod
     def from_arrays(cls, config, arrays):
-        """Build parameters from ``{layer.weight / layer.bias: array}``."""
+        """Build parameters from ``{layer.weight / layer.bias: array}``.
+
+        Raises CheckpointShapeError listing every missing, misshapen or
+        unexpected array.
+        """
+        validate_param_manifest(arrays, config)
         params = cls(config, {})
         for spec in layer_plan(config):
             wk, bk = f"{spec.name}.weight", f"{spec.name}.bias"
-            if wk not in arrays or bk not in arrays:
-                raise DimensionError(f"missing arrays for layer {spec.name}")
-            w, b = arrays[wk], arrays[bk]
-            k = config.kernel_size
-            expected = (spec.out_channels, spec.in_channels, k, k)
-            if w.shape != expected or b.shape != (spec.out_channels,):
-                raise DimensionError(
-                    f"layer {spec.name}: got weight {w.shape}, bias {b.shape}, expected {expected}")
-            params.layers[spec.name] = (T.parameter(np.array(w), name=wk),
-                                        T.parameter(np.array(b), name=bk))
+            params.layers[spec.name] = (T.parameter(np.array(arrays[wk]), name=wk),
+                                        T.parameter(np.array(arrays[bk]), name=bk))
         return params
 
 

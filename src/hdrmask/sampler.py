@@ -59,10 +59,6 @@ class PatchRecord:
     offset: tuple = (0, 0)
 
 
-def _reflect_pad2d(arr, radius):
-    return np.pad(arr, radius, mode="reflect")
-
-
 def correlate2d_reflect(arr, kernel):
     """Same-size 2-D correlation with reflected borders (used for Sobel)."""
     kh, kw = kernel.shape
@@ -94,7 +90,7 @@ def bilateral_filter(luminance, color_sigma=100.0, space_sigma=10.0, radius=None
     if radius < 1:
         raise DomainError("bilateral radius must be >= 1")
     h, w = l.shape
-    p = _reflect_pad2d(l, radius)
+    p = np.pad(l, radius, mode="reflect")
     inv_2ss = 1.0 / (2.0 * space_sigma * space_sigma)
     inv_2cs = 1.0 / (2.0 * color_sigma * color_sigma)
     acc = np.zeros_like(l, dtype=np.float64)
@@ -173,6 +169,18 @@ def sample_patches(hdr, config=None, seed=0, image_id="", curve=None, exposure=N
         if score > config.metric_threshold:
             records.append(PatchRecord(scaled, ldr, mask, score, image_id, (oy, ox)))
     records.sort(key=lambda r: r.offset)
+    return records
+
+
+def sample_corpus(named_images, config=None, seed=0):
+    """``sample_patches`` over ``(name, hdr)`` pairs, concatenated in order.
+
+    Image ``i`` is sampled with ``seed + i`` and its records carry its name
+    as ``image_id``.
+    """
+    records = []
+    for i, (name, hdr) in enumerate(named_images):
+        records.extend(sample_patches(hdr, config, seed=seed + i, image_id=name))
     return records
 
 

@@ -622,11 +622,6 @@ class AdamState:
     v: dict = field(default_factory=dict)
     step: int = 0
 
-    def reset(self):
-        self.m.clear()
-        self.v.clear()
-        self.step = 0
-
 
 def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update with bias correction, applied in place.

@@ -23,7 +23,7 @@ from .network import (MODE_FEATURE_MASK, MASKING_MODES, UNetConfig,
                       UNetParameters, layer_plan, unet_forward)
 from .pipeline import (compose_hdr, masked_region_mse_gamma, mse_gamma,
                        saturation_percentage)
-from .sampler import generate_inpainting_mask
+from .sampler import SamplerConfig, generate_inpainting_mask, sample_corpus
 from .tensor import AdamState
 
 STAGE_INPAINTING = "inpainting"
@@ -34,7 +34,6 @@ _STAGE_TAG = {STAGE_INPAINTING: 1, STAGE_HDR: 2}
 
 @dataclass(frozen=True)
 class TrainConfig:
-    stage: str = STAGE_HDR
     lr: float = 2e-4
     batch_size: int = 4
     plateau_patience: int = 3
@@ -42,10 +41,7 @@ class TrainConfig:
     max_steps: int = 500
     seed: int = 0
     masking_mode: str = MODE_FEATURE_MASK
-    val_fraction: float = 0.1
-    steps_per_epoch: int | None = None
-    lr_floor: float = 1e-6
-    improvement_rel: float = 0.01
+    steps_per_epoch: int = 50
     max_val_items: int = 16
 
     def __post_init__(self):
@@ -53,6 +49,10 @@ class TrainConfig:
             raise DomainError("lr must be positive")
         if self.batch_size < 1:
             raise DomainError("batch size must be >= 1")
+        if self.max_steps < 0:
+            raise DomainError("max steps must be >= 0")
+        if self.steps_per_epoch < 1:
+            raise DomainError("steps per epoch must be >= 1")
         if self.plateau_factor <= 1:
             raise DomainError("plateau factor must exceed 1")
         if self.masking_mode not in MASKING_MODES:
@@ -178,7 +178,7 @@ def _step_rng(seed, stage, step, extra=0):
     return np.random.default_rng(np.random.SeedSequence([seed, _STAGE_TAG[stage], step, extra]))
 
 
-def _split_by_id(items, ids, val_fraction):
+def _split_by_id(items, ids, val_fraction=0.1):
     unique = sorted(set(ids))
     n_val = max(1, int(round(len(unique) * val_fraction))) if len(unique) > 1 else 0
     val_ids = set(unique[::max(1, len(unique) // n_val)][:n_val]) if n_val else set()
@@ -189,18 +189,12 @@ def _split_by_id(items, ids, val_fraction):
     return train, val
 
 
-def _grad_arrays(params_map):
-    return {name: t.grad if t.grad is not None else np.zeros_like(t.data)
-            for name, t in params_map.items()}
-
-
 def _optimize(stage, config, params, adam, batch_fn, val_fn, start_step=0):
     """Shared optimization loop for both stages."""
     run_log = RunLog()
-    sched = PlateauScheduler(config.lr, config.plateau_patience, config.plateau_factor,
-                             config.improvement_rel, config.lr_floor)
+    sched = PlateauScheduler(config.lr, config.plateau_patience, config.plateau_factor)
     params_map = params.named_tensors()
-    spe = config.steps_per_epoch or 50
+    spe = config.steps_per_epoch
     best_val = math.inf
     best_params = params.copy()
     lr = sched.lr
@@ -214,7 +208,8 @@ def _optimize(stage, config, params, adam, batch_fn, val_fn, start_step=0):
         for t in params_map.values():
             t.zero_grad()
         T.backward(report.node, parameters=params_map.values())
-        T.adam_step(params_map, _grad_arrays(params_map), adam, lr)
+        T.adam_step(params_map, {name: t.grad for name, t in params_map.items()},
+                    adam, lr)
         run_log.log_step(step, stage, dict(report.weighted), lr)
         if step % spe == 0 or step == config.max_steps:
             epoch = (step + spe - 1) // spe
@@ -230,6 +225,21 @@ def _optimize(stage, config, params, adam, batch_fn, val_fn, start_step=0):
     return TrainResult(params, best_params, adam, run_log, best_val)
 
 
+def _stage_setup(items, ids, what, config, unet_config, extractor, init_params,
+                 init_adam):
+    """What both stages start from: the model defaults, the initial
+    parameters and Adam state, and the train/validation split by ``ids``."""
+    if not items:
+        raise ContractError(f"{what} dataset is empty")
+    unet_config = unet_config or UNetConfig()
+    extractor = extractor or FeatureExtractor()
+    params = init_params if init_params is not None else \
+        initialize_parameters(unet_config, config.seed)
+    adam = init_adam if init_adam is not None else AdamState()
+    train, val = _split_by_id(items, ids)
+    return unet_config, extractor, params, adam, train, val
+
+
 # -- inpainting pre-training -------------------------------------------------
 
 
@@ -243,43 +253,37 @@ def train_inpainting(images, config, unet_config=None, extractor=None,
     """
     images = [np.asarray(im.pixels if hasattr(im, "pixels") else im, dtype=np.float32)
               for im in images]
-    if not images:
-        raise ContractError("inpainting dataset is empty")
-    unet_config = unet_config or UNetConfig()
-    extractor = extractor or FeatureExtractor()
-    cfg = replace(config, stage=STAGE_INPAINTING)
-    params = init_params if init_params is not None else \
-        initialize_parameters(unet_config, cfg.seed)
-    adam = init_adam if init_adam is not None else AdamState()
-    train, val = _split_by_id(images, list(range(len(images))), cfg.val_fraction)
+    unet_config, extractor, params, adam, train, val = _stage_setup(
+        images, range(len(images)), "inpainting", config, unet_config, extractor,
+        init_params, init_adam)
     weights = InpaintingLossWeights()
 
     def batch_fn(step, params):
-        rng = _step_rng(cfg.seed, STAGE_INPAINTING, step)
-        idx = rng.integers(0, len(train), size=cfg.batch_size)
+        rng = _step_rng(config.seed, STAGE_INPAINTING, step)
+        idx = rng.integers(0, len(train), size=config.batch_size)
         truth = np.stack([train[i] for i in idx])
         masks = np.stack([
             generate_inpainting_mask(train[i].shape,
                                      seed=int(rng.integers(0, 2 ** 31)))
             for i in idx])
         pred, _ = unet_forward(truth * masks, masks, params, unet_config,
-                               mode=cfg.masking_mode)
+                               mode=config.masking_mode)
         return inpainting_loss(pred, truth, masks, extractor, weights)
 
     def val_fn(params):
         if not val:
             return math.inf
         losses = []
-        for j, img in enumerate(val[:cfg.max_val_items]):
+        for j, img in enumerate(val[:config.max_val_items]):
             mask = generate_inpainting_mask(img.shape, seed=int(
-                np.random.default_rng(np.random.SeedSequence([cfg.seed, 99, j])).integers(0, 2 ** 31)))
+                np.random.default_rng(np.random.SeedSequence([config.seed, 99, j])).integers(0, 2 ** 31)))
             pred, _ = unet_forward((img * mask)[None], mask[None], params, unet_config,
-                                   mode=cfg.masking_mode)
+                                   mode=config.masking_mode)
             losses.append(inpainting_loss(pred, img[None], mask[None], extractor,
                                           weights).total)
         return float(np.mean(losses))
 
-    return _optimize(STAGE_INPAINTING, cfg, params, adam, batch_fn, val_fn, start_step)
+    return _optimize(STAGE_INPAINTING, config, params, adam, batch_fn, val_fn, start_step)
 
 
 # -- HDR fine-tuning -----------------------------------------------------------
@@ -295,33 +299,27 @@ def finetune_hdr(records, config, unet_config=None, extractor=None,
     so neighboring patches cannot leak across it.
     """
     records = list(records)
-    if not records:
-        raise ContractError("HDR dataset is empty")
-    unet_config = unet_config or UNetConfig()
-    extractor = extractor or FeatureExtractor()
-    cfg = replace(config, stage=STAGE_HDR)
-    params = init_params if init_params is not None else \
-        initialize_parameters(unet_config, cfg.seed)
-    adam = init_adam if init_adam is not None else AdamState()
+    unet_config, extractor, params, adam, train, val = _stage_setup(
+        records, [r.image_id for r in records], "HDR", config, unet_config, extractor,
+        init_params, init_adam)
     weights = loss_weights or LossWeights()
-    train, val = _split_by_id(records, [r.image_id for r in records], cfg.val_fraction)
 
     def batch_fn(step, params):
-        rng = _step_rng(cfg.seed, STAGE_HDR, step)
-        idx = rng.integers(0, len(train), size=cfg.batch_size)
+        rng = _step_rng(config.seed, STAGE_HDR, step)
+        idx = rng.integers(0, len(train), size=config.batch_size)
         batch = [train[i] for i in idx]
         x = np.stack([r.ldr.pixels for r in batch]).astype(np.float32)
         m = np.stack([r.mask for r in batch]).astype(np.float32)
         h = np.stack([r.hdr.pixels for r in batch]).astype(np.float32)
-        pred, _ = unet_forward(x, m, params, unet_config, mode=cfg.masking_mode)
+        pred, _ = unet_forward(x, m, params, unet_config, mode=config.masking_mode)
         return total_loss(pred, h, m, extractor, weights)
 
     def val_fn(params):
         pool = val if val else train
-        return validation_mse(pool[:cfg.max_val_items], params, unet_config,
-                              cfg.masking_mode)
+        return validation_mse(pool[:config.max_val_items], params, unet_config,
+                              config.masking_mode)
 
-    return _optimize(STAGE_HDR, cfg, params, adam, batch_fn, val_fn, start_step)
+    return _optimize(STAGE_HDR, config, params, adam, batch_fn, val_fn, start_step)
 
 
 def predict_log_hdr(record, params, unet_config, mode=MODE_FEATURE_MASK):
@@ -454,25 +452,16 @@ def run_ablation(texture_images, train_records, test_records, seeds,
         for seed in seeds:
             cfg = replace(base, seed=seed, masking_mode=mode)
             if pretrain == "inpainting":
-                pre = train_inpainting(
-                    texture_images, replace(cfg, max_steps=pretrain_steps),
-                    unet_config, extractor)
-                init = pre.best_params
-                pre_log = pre.run_log
-            elif pretrain == "hdr":
-                pre_records, _ = _pretrain_hdr_records(seed)
-                pre = finetune_hdr(pre_records, replace(cfg, max_steps=pretrain_steps),
-                                   unet_config, extractor)
-                init = pre.best_params
-                pre_log = pre.run_log
+                stage, data = train_inpainting, texture_images
             else:
-                init, pre_log = None, None
+                stage, data = finetune_hdr, _pretrain_hdr_records(seed)
+            pre = stage(data, replace(cfg, max_steps=pretrain_steps), unet_config, extractor)
             fine = finetune_hdr(train_records, replace(cfg, max_steps=finetune_steps),
-                                unet_config, extractor, init_params=init)
+                                unet_config, extractor, init_params=pre.best_params)
             test_mse = validation_mse(test_records, fine.best_params, unet_config, mode)
             results[(mode, pretrain, seed)] = {
                 "test_masked_mse": test_mse,
-                "pretrain_log": pre_log,
+                "pretrain_log": pre.run_log,
                 "finetune_log": fine.run_log,
             }
     return results
@@ -480,16 +469,12 @@ def run_ablation(texture_images, train_records, test_records, seeds,
 
 def _pretrain_hdr_records(seed):
     """Smooth-highlight HDR diet standing in for ordinary-photo pre-training."""
-    from .sampler import SamplerConfig, sample_patches
     from .synthetic import make_hdr_corpus
 
     scenes = make_hdr_corpus(12, seed=seed + 1000, textured_highlight=False)
     cfg = SamplerConfig(patch_size=64, patches_per_image=6, metric_threshold=0.0)
-    records = []
-    for i, scene in enumerate(scenes):
-        records.extend(sample_patches(scene, cfg, seed=seed * 997 + i,
-                                      image_id=f"smooth{i}"))
-    return records, scenes
+    return sample_corpus([(f"smooth{i}", scene) for i, scene in enumerate(scenes)],
+                         cfg, seed * 997)
 
 
 def loss_drop(run_log, head=25, tail=25):
@@ -576,7 +561,6 @@ def load_model(path, expected_config=None):
         config = config or recorded
     elif config is None:
         raise ContractError("checkpoint lacks a config record; pass expected_config")
-    formats.validate_param_manifest(param_arrays, config)
     params = UNetParameters.from_arrays(config, param_arrays)
     adam_state = None
     if adam_arrays:

@@ -10,7 +10,7 @@ from hdrmask import formats as F
 from hdrmask.cli import dispatch
 from hdrmask.network import UNetConfig, exposure_mask, unet_forward
 from hdrmask.pipeline import compose_hdr
-from hdrmask.training import initialize_parameters, save_model
+from hdrmask.training import RunLog, initialize_parameters, load_model, save_model
 from hdrmask.synthetic import hdr_scene, make_texture_corpus
 
 
@@ -101,6 +101,51 @@ class TestSimulateLdr:
         manifest = json.loads((tmp_path / "simulate_ldr_manifest.json").read_text())
         assert manifest["resolved_config"]["percentile"] == 90.0  # flag wins
         assert manifest["resolved_config"]["bits"] == 4           # file beats default
+
+
+class TestConfigFileTyping:
+    def _write(self, tmp_path, conf):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        return str(path)
+
+    @pytest.mark.parametrize("conf", [{"steps": "ten"}, {"mode": "Bogus"},
+                                      {"steps-per-epoch": 1.5}])
+    def test_bad_training_value_is_usage_error(self, tmp_path, conf):
+        # The shard does not exist: a usage error must come before any I/O.
+        assert dispatch(["finetune-hdr", "--shard", str(tmp_path / "none.mds"),
+                         "--out-dir", str(tmp_path / "run"),
+                         "--config", self._write(tmp_path, conf)]) == 1
+
+    def test_non_integral_int_is_usage_error(self, scene_pfm, tmp_path):
+        assert dispatch(["simulate-ldr", "--in", scene_pfm, "--out", str(tmp_path / "s.ppm"),
+                         "--config", self._write(tmp_path, {"bits": 6.5})]) == 1
+
+    def test_int_for_float_knob_resolves_to_float(self, scene_pfm, tmp_path):
+        assert dispatch(["simulate-ldr", "--in", scene_pfm, "--out", str(tmp_path / "s.ppm"),
+                         "--config", self._write(tmp_path, {"percentile": 50})]) == 0
+        manifest = json.loads((tmp_path / "simulate_ldr_manifest.json").read_text())
+        value = manifest["resolved_config"]["percentile"]
+        assert value == 50.0 and isinstance(value, float)
+
+    def test_config_that_is_not_an_object_is_runtime_error(self, scene_pfm, tmp_path):
+        assert dispatch(["simulate-ldr", "--in", scene_pfm, "--out", str(tmp_path / "s.ppm"),
+                         "--config", self._write(tmp_path, [93, 8])]) == 2
+
+    def test_manifest_with_null_knob_reruns(self, tmp_path):
+        hdr_dir = tmp_path / "hdr"
+        hdr_dir.mkdir()
+        F.write_pfm(hdr_dir / "s0.pfm", hdr_scene(30, size=(48, 48)).pixels)
+        first, second = str(tmp_path / "a.mds"), str(tmp_path / "b.mds")
+        assert dispatch(["sample-patches", "--in-dir", str(hdr_dir), "--out", first,
+                         "--patch", "16", "--per-image", "4", "--threshold", "0.0",
+                         "--seed", "3"]) == 0
+        manifest = tmp_path / "sample_patches_manifest.json"
+        assert json.loads(manifest.read_text())["resolved_config"]["percentile"] is None
+        assert dispatch(["sample-patches", "--in-dir", str(hdr_dir), "--out", second,
+                         "--config", str(manifest)]) == 0
+        with open(first, "rb") as f1, open(second, "rb") as f2:
+            assert f1.read() == f2.read()
 
 
 class TestSamplePatchesCommand:
@@ -223,6 +268,11 @@ class TestGenInpaintMasks:
         assert len(files) == 3
 
 
+class TestAblateCommand:
+    def test_non_integer_seeds_is_usage_error(self, tmp_path):
+        assert dispatch(["ablate", "--out-dir", str(tmp_path), "--seeds", "x"]) == 1
+
+
 class TestGradcheckCommand:
     def test_passes_at_default_threshold(self):
         assert dispatch(["gradcheck", "--seed", "7"]) == 0
@@ -270,3 +320,45 @@ class TestTrainSmoke:
         with open(os.path.join(eval_dir, "metrics.tsv")) as fh:
             table = fh.read()
         assert table.startswith("bin\t") and "overall" in table
+
+
+class TestTrainRunOutputs:
+    STEPS = 3
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        tex_dir = tmp_path / "tex"
+        tex_dir.mkdir()
+        for i, img in enumerate(make_texture_corpus(3, seed=1, size=(16, 16))):
+            F.write_ldr(tex_dir / f"t{i}.ppm", img)
+        hdr_dir = tmp_path / "hdr"
+        hdr_dir.mkdir()
+        for i in range(2):
+            F.write_pfm(hdr_dir / f"s{i}.pfm", hdr_scene(30 + i, size=(48, 48)).pixels)
+        shard = str(tmp_path / "train.mds")
+        assert dispatch(["sample-patches", "--in-dir", str(hdr_dir), "--out", shard,
+                         "--patch", "16", "--per-image", "4", "--threshold", "0.0"]) == 0
+        init = str(tmp_path / "init.ckpt")
+        save_model(init, initialize_parameters(UNetConfig(levels=2, base_channels=4), 0))
+        return {"train-inpaint": ["--texture-dir", str(tex_dir), "--levels", "2",
+                                  "--base-channels", "4"],
+                "finetune-hdr": ["--shard", shard, "--init", init]}
+
+    @pytest.mark.parametrize("command, prefix", [("train-inpaint", "inpaint"),
+                                                 ("finetune-hdr", "hdr")])
+    def test_checkpoints_runlog_and_manifest(self, tmp_path, inputs, command, prefix):
+        out = tmp_path / "run"
+        assert dispatch([command, "--out-dir", str(out), "--steps", str(self.STEPS),
+                         "--batch", "2", "--steps-per-epoch", "2", "--seed", "1",
+                         "--mode", "IMask"] + inputs[command]) == 0
+        paths = {name: str(out / f"{prefix}_{name}.{ext}") for name, ext in
+                 (("best", "ckpt"), ("final", "ckpt"), ("runlog", "jsonl"))}
+        assert load_model(paths["best"]).mode == "IMask"
+        final = load_model(paths["final"])
+        assert final.mode == "IMask"
+        assert final.adam_state.step == self.STEPS
+        assert final.extractor is not None
+        log = RunLog.from_jsonl(paths["runlog"])
+        assert [rec["step"] for rec in log.steps] == list(range(1, self.STEPS + 1))
+        manifest = json.loads((out / f"{command.replace('-', '_')}_manifest.json").read_text())
+        assert {k: manifest["outputs"][k] for k in paths} == paths

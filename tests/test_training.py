@@ -63,6 +63,17 @@ class TestInitializeParameters:
             assert np.array_equal(a.layers[name][0].data, b.layers[name][0].data)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("bad", [{"steps_per_epoch": 0}, {"steps_per_epoch": -1},
+                                     {"max_steps": -5}])
+    def test_step_counts_out_of_range_rejected(self, bad):
+        with pytest.raises(DomainError):
+            TrainConfig(**bad)
+
+    def test_zero_steps_allowed(self):
+        assert TrainConfig(max_steps=0, steps_per_epoch=1).max_steps == 0
+
+
 class TestPlateauScheduler:
     def test_strictly_improving_keeps_lr(self):
         lr = plateau_scheduler([1.0, 0.8, 0.6, 0.4], patience=2, lr=1e-3)
