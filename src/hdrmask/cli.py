@@ -49,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text):
+    """A ``seed`` knob's flag type: numpy's generators take no negative seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed wants an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def _utc_now():
     return datetime.now(timezone.utc).isoformat()
 
@@ -265,6 +276,9 @@ def cmd_finetune_hdr(args, resolved):
         model = load_model(args.init)
         init_params, extractor = model.params, model.extractor
         unet_config = model.config
+        # The checkpoint fixes the shape; the manifest records the model trained.
+        resolved = {**resolved, "levels": unet_config.levels,
+                    "base_channels": unet_config.base_channels}
     else:
         unet_config = _unet_config(resolved)
     extractor = extractor or FeatureExtractor()
@@ -337,9 +351,9 @@ _ABLATE_DEFAULTS = {"seeds": "0,1,2", "pretrain_steps": 240, "finetune_steps": 2
 
 def cmd_ablate(args, resolved):
     try:
-        seeds = tuple(int(s) for s in resolved["seeds"].split(","))
-    except ValueError:
-        raise UsageError(f"--seeds wants comma-separated integers, "
+        seeds = tuple(_seed(s) for s in resolved["seeds"].split(","))
+    except argparse.ArgumentTypeError:
+        raise UsageError(f"--seeds wants comma-separated non-negative integers, "
                          f"got {resolved['seeds']!r}") from None
     scfg = SamplerConfig(patch_size=resolved["patch"],
                          patches_per_image=resolved["per_image"],
@@ -470,6 +484,8 @@ def _build_parser():
             # A None default (sample-patches' percentile) means "unset" for a float.
             kind = {"choices": value, "default": value[0]} if isinstance(value, tuple) \
                 else {"type": float if value is None else type(value), "default": value}
+            if key == "seed":
+                kind["type"] = _seed
             p.add_argument("--" + key.replace("_", "-"), dest=key, **kind)
         return p
 

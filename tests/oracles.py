@@ -62,6 +62,8 @@ def avg_pool_loops(x, window):
 
 def _reflect_index(i, n):
     # numpy 'reflect' boundary: edge values are not repeated
+    if n == 1:
+        return 0
     while i < 0 or i >= n:
         if i < 0:
             i = -i
@@ -90,6 +92,27 @@ def bilateral_loops(img, color_sigma, space_sigma, radius):
                     den += wgt
             out[y, x] = num / den
     return out
+
+
+def bilateral_shifts(img, color_sigma, space_sigma, radius):
+    """The direct bilateral sum in float64, one numpy pass per window shift.
+
+    Same sums as ``bilateral_loops``, vectorized over pixels so that it is
+    fast enough for whole 64x64 patches.
+    """
+    img = np.asarray(img, dtype=np.float64)
+    h, w = img.shape
+    p = np.pad(img, radius, mode="reflect")
+    num = np.zeros_like(img)
+    den = np.zeros_like(img)
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            v = p[radius + dy:radius + dy + h, radius + dx:radius + dx + w]
+            wgt = math.exp(-(dy * dy + dx * dx) / (2 * space_sigma ** 2)) * \
+                np.exp(-((v - img) ** 2) / (2 * color_sigma ** 2))
+            num += wgt * v
+            den += wgt
+    return num / den
 
 
 def gaussian_blur_loops(img, space_sigma, radius):
@@ -129,14 +152,15 @@ def sobel_reflect_loops(img):
     return out
 
 
-def patch_metric_steps(hdr, mask, color_sigma=100.0, space_sigma=10.0, radius=None):
+def patch_metric_steps(hdr, mask, color_sigma=100.0, space_sigma=10.0, radius=None,
+                       bilateral=bilateral_loops):
     """Step-by-step textured-patch metric: gray, log, base/detail, Sobel, mean."""
     r, g, b = (np.asarray(hdr, dtype=np.float64)[i] for i in range(3))
     gray = 0.2126 * r + 0.7152 * g + 0.0722 * b
     log_lum = np.log(gray + 1.0)
     if radius is None:
         radius = int(math.ceil(2 * space_sigma))
-    base = bilateral_loops(log_lum, color_sigma, space_sigma, radius)
+    base = bilateral(log_lum, color_sigma, space_sigma, radius)
     detail = log_lum - base
     grad = sobel_reflect_loops(detail)
     weight = (1.0 - np.asarray(mask, dtype=np.float64)).max(axis=0)

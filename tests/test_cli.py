@@ -272,6 +272,38 @@ class TestAblateCommand:
     def test_non_integer_seeds_is_usage_error(self, tmp_path):
         assert dispatch(["ablate", "--out-dir", str(tmp_path), "--seeds", "x"]) == 1
 
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        assert dispatch(["ablate", "--out-dir", str(tmp_path), "--seeds", "0,-1"]) == 1
+
+
+class TestSeedKnob:
+    # Every command with a ``seed`` knob, with its required path flags. The
+    # paths do not exist: the usage error must come before any I/O.
+    COMMANDS = {
+        "mask": ["--in", "none.ppm", "--out-dir", "out"],
+        "sample-patches": ["--in-dir", "none", "--out", "out/x.mds"],
+        "gen-inpaint-masks": ["--out-dir", "out"],
+        "train-inpaint": ["--out-dir", "out", "--procedural", "2"],
+        "finetune-hdr": ["--shard", "none.mds", "--out-dir", "out"],
+        "eval": ["--checkpoint", "none.ckpt", "--out-dir", "out", "--hdr-dir", "none"],
+        "gradcheck": [],
+    }
+
+    def test_covers_every_seed_knob(self):
+        parser = cli._build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(self.COMMANDS) == {name for name, p in subs.choices.items()
+                                      if "seed" in p.get_default("defaults")}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "conf.json").write_text(json.dumps({"seed": -1}))
+        argv = [command] + self.COMMANDS[command]
+        assert dispatch(argv + ["--seed=-1"]) == 1
+        assert dispatch(argv + ["--config", "conf.json"]) == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestGradcheckCommand:
     def test_passes_at_default_threshold(self):
@@ -343,6 +375,19 @@ class TestTrainRunOutputs:
         return {"train-inpaint": ["--texture-dir", str(tex_dir), "--levels", "2",
                                   "--base-channels", "4"],
                 "finetune-hdr": ["--shard", shard, "--init", init]}
+
+    def test_init_manifest_records_the_checkpoint_shape(self, tmp_path, inputs):
+        argv = ["finetune-hdr", "--steps", "2", "--batch", "2", "--seed", "1"] + \
+            inputs["finetune-hdr"]
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert dispatch(argv + ["--out-dir", str(first)]) == 0
+        manifest = first / "finetune_hdr_manifest.json"
+        resolved = json.loads(manifest.read_text())["resolved_config"]
+        assert (resolved["levels"], resolved["base_channels"]) == (2, 4)
+        assert dispatch(["finetune-hdr", "--out-dir", str(second), "--config", str(manifest)]
+                        + inputs["finetune-hdr"]) == 0
+        for name in ("hdr_best.ckpt", "hdr_final.ckpt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     @pytest.mark.parametrize("command, prefix", [("train-inpaint", "inpaint"),
                                                  ("finetune-hdr", "hdr")])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from hdrmask import sampler as S
 from hdrmask.errors import DimensionError, DomainError
 from hdrmask.pipeline import HdrImage
-from hdrmask.synthetic import hdr_scene
+from hdrmask.synthetic import hdr_scene, make_hdr_corpus
 
-from oracles import bilateral_loops, gaussian_blur_loops, patch_metric_steps
+from oracles import (bilateral_loops, bilateral_shifts, gaussian_blur_loops,
+                     patch_metric_steps)
 
 
 def rnd(seed):
@@ -68,6 +71,62 @@ class TestBilateralFilter:
     def test_rejects_non_2d(self):
         with pytest.raises(DimensionError):
             S.bilateral_filter(np.zeros((3, 4, 4)), 1.0, 1.0)
+
+    # The sampler's regime: sigma_c = 100 on log-luminance, radius 20. A
+    # 16x16 image reflects more than once inside the window; a 1-pixel axis
+    # reflects onto itself.
+    @pytest.mark.parametrize("shape", [(24, 24), (16, 16), (1, 24), (24, 1)])
+    def test_production_regime_matches_loop_oracle(self, shape):
+        img = np.log1p(rnd(sum(shape)).random(shape) * 50.0)
+        want = bilateral_loops(img, 100.0, 10.0, 20)
+        got64 = S.bilateral_filter(img, 100.0, 10.0)
+        got32 = S.bilateral_filter(img.astype(np.float32), 100.0, 10.0)
+        assert got32.dtype == np.float32
+        assert np.max(np.abs(got64 - want)) <= 1e-12
+        assert np.max(np.abs(got32 - want)) <= 1e-6
+
+
+class TestBilateralSeriesTerms:
+    def _direct_calls(self, monkeypatch):
+        calls = []
+        direct = S._bilateral_direct
+
+        def spy(*args):
+            calls.append(args)
+            return direct(*args)
+
+        monkeypatch.setattr(S, "_bilateral_direct", spy)
+        return calls
+
+    def test_term_count_rule(self):
+        x = 2.0 / (2.0 * 100.0 ** 2) * 2.0 ** 2   # half-range 2 at sigma_c = 100
+        k = S._series_terms(x)
+        assert k is not None and k <= 6
+        assert x ** (k + 1) / math.factorial(k + 1) * math.exp(2 * x) <= 2.0 ** -53
+        assert S._series_terms(0.0) == 0
+        for wide in (5.0, float("inf"), float("nan")):
+            assert S._series_terms(wide) is None
+
+    def test_production_input_takes_the_series(self, monkeypatch):
+        calls = self._direct_calls(monkeypatch)
+        S.bilateral_filter(np.log1p(rnd(8).random((12, 12)) * 50), 100.0, 10.0)
+        assert calls == []
+
+    def test_narrow_sigma_takes_the_loop(self, monkeypatch):
+        calls = self._direct_calls(monkeypatch)
+        img = rnd(9).random((6, 6)) * 4
+        got = S.bilateral_filter(img, 0.2, 1.5, radius=2)
+        assert len(calls) == 1
+        assert np.max(np.abs(got - bilateral_loops(img, 0.2, 1.5, 2))) < 1e-12
+
+    def test_nan_takes_the_loop_and_propagates(self, monkeypatch):
+        calls = self._direct_calls(monkeypatch)
+        img = rnd(10).random((9, 9))
+        img[4, 4] = np.nan
+        got = S.bilateral_filter(img, 100.0, 1.0, radius=1)
+        assert len(calls) == 1
+        assert np.array_equal(np.isnan(got), np.isnan(bilateral_loops(img, 100.0, 1.0, 1)))
+        assert np.isnan(got[3:6, 3:6]).all() and np.isnan(got).sum() == 9
 
 
 class TestPatchMetric:
@@ -136,6 +195,26 @@ class TestSamplePatches:
                 assert rec.score > cfg.metric_threshold
                 assert saturation_percentage(rec.ldr, cfg.alpha) > 0
                 assert np.array_equal(rec.mask, exposure_mask(rec.ldr.pixels, cfg.alpha))
+
+    def test_corpus_kept_set_and_rank_order_match_direct_reference(self):
+        # Every saturated crop with a positive score, scored by the production
+        # metric and by the direct-sum reference: the default threshold keeps
+        # the same crops and the scores rank the same.
+        cfg = S.SamplerConfig()
+        named = [(f"c{i}", s) for i, s in
+                 enumerate(make_hdr_corpus(3, seed=151, size=(96, 96)))]
+        scored = S.sample_corpus(named, S.SamplerConfig(metric_threshold=0.0), seed=0)
+        kept = S.sample_corpus(named, cfg, seed=0)
+        got = np.array([r.score for r in scored])
+        want = np.array([patch_metric_steps(r.hdr.pixels, r.mask, cfg.color_sigma,
+                                            cfg.space_sigma, bilateral=bilateral_shifts)
+                         for r in scored])
+        assert len(scored) > len(kept) > 0
+        assert [(r.image_id, r.offset) for r in kept] == \
+            [(r.image_id, r.offset) for r, score in zip(scored, want)
+             if score > cfg.metric_threshold]
+        assert np.array_equal(np.argsort(got), np.argsort(want))
+        assert np.max(np.abs(got - want) / want) < 1e-6
 
     def test_image_smaller_than_patch_rejected(self):
         with pytest.raises(DimensionError):
