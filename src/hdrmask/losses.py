@@ -167,11 +167,11 @@ def reconstruction_loss(y_hat, hdr, mask):
     return T.tmean(T.absolute((y - target) * (1.0 - m)))
 
 
-def blend_with_ground_truth(hdr, y_hat, mask, literal_log=False):
+def blend_with_ground_truth(hdr, y_hat, mask):
     """Ground truth where valid, prediction where saturated.
 
     The prediction is mapped back to linear radiance with exp(y) - 1 before
-    blending; ``literal_log`` blends the raw log-domain values instead.
+    blending.
     Returns a Tensor when given a Tensor prediction, else an array. May be
     slightly negative where the prediction is; callers clamp as needed.
     """
@@ -179,15 +179,13 @@ def blend_with_ground_truth(hdr, y_hat, mask, literal_log=False):
         y = _batch(y_hat)
         h = _batch(hdr, y.data.dtype).data
         m = _batch(mask, y.data.dtype).data
-        pred = y if literal_log else y.exp() - 1.0
-        return m * h + (1.0 - m) * pred
+        return m * h + (1.0 - m) * (y.exp() - 1.0)
     h = np.asarray(hdr.pixels if hasattr(hdr, "pixels") else hdr)
     y = np.asarray(y_hat)
     m = np.asarray(mask)
     if h.shape != y.shape or m.shape != y.shape:
         raise DimensionError("shape mismatch in blend")
-    pred = y if literal_log else np.expm1(y)
-    return m * h + (1.0 - m) * pred
+    return m * h + (1.0 - m) * np.expm1(y)
 
 
 def gram_matrix(features):

@@ -10,6 +10,13 @@ during differentiation.
 Masks pad with 1 at image borders (outside counts as valid) while features
 pad with 0, so a network fed an all-valid mask behaves exactly like its
 unmasked twin.
+
+A decoder layer's input is the 2x nearest upsample of the level below
+concatenated with an encoder skip, but it is never built: because
+``upsample(f) * upsample(m) == upsample(f * m)``, the level below is masked
+and convolved at its own resolution with the four phase kernels of its
+weight slice, the skip with the rest, and the outputs are summed; masks take
+the same path.
 """
 
 from __future__ import annotations
@@ -32,11 +39,11 @@ MODE_STANDARD_CONV = "SConv"
 MASKING_MODES = (MODE_FEATURE_MASK, MODE_INPUT_MASK, MODE_STANDARD_CONV)
 
 
-def exposure_mask(image, alpha=DEFAULT_SATURATION_THRESHOLD, ramp="linear"):
+def exposure_mask(image, alpha=DEFAULT_SATURATION_THRESHOLD):
     """Per-channel well-exposedness score for a display-referred image.
 
-    1 up to the threshold ``alpha``, then a ramp down to 0 at full
-    saturation. ``ramp`` selects "linear" (default) or "smoothstep".
+    1 up to the threshold ``alpha``, then a linear ramp down to 0 at full
+    saturation.
     """
     t = image.pixels if hasattr(image, "pixels") else np.asarray(image)
     if not 0.0 < alpha < 1.0:
@@ -48,10 +55,6 @@ def exposure_mask(image, alpha=DEFAULT_SATURATION_THRESHOLD, ramp="linear"):
     a = t.dtype.type(alpha)
     one = t.dtype.type(1.0)
     v = np.clip((one - t) / (one - a), 0.0, 1.0).astype(t.dtype, copy=False)
-    if ramp == "smoothstep":
-        v = v * v * (3.0 - 2.0 * v)
-    elif ramp != "linear":
-        raise DomainError(f"unknown ramp {ramp!r}")
     return np.where(t <= a, one, v)
 
 
@@ -82,12 +85,16 @@ def mask_features(x, mask):
     return MaskedFeature(x * T.constant(mask.astype(x.data.dtype, copy=False)), mask)
 
 
-def propagate_mask(mask, weights, stride=1, padding=0, eps=MASK_NORM_EPS):
+def propagate_mask(mask, weights, stride=1, padding=0, eps=MASK_NORM_EPS, skip=None):
     """Carry a validity mask through a convolution.
 
     The kernel magnitudes are normalized per output channel to sum to
     (just under) one, so the result is a weighted average of mask values in
     each receptive field. Borders pad with 1; output is clamped to [0,1].
+
+    With ``skip`` the layer is a decoder layer (see
+    :func:`masked_conv_layer`): its input mask is the 2x nearest upsample of
+    ``mask`` followed by the channels of ``skip``.
     """
     w = weights.data if isinstance(weights, Tensor) else np.asarray(weights)
     w = np.abs(w)
@@ -97,24 +104,57 @@ def propagate_mask(mask, weights, stride=1, padding=0, eps=MASK_NORM_EPS):
     squeeze = m.ndim == 3
     if squeeze:
         m = m[None]
-    out, _ = T.conv2d_raw(m, wn, None, stride=stride, padding=padding, pad_value=1.0)
+    if skip is None:
+        out, _ = T.conv2d_raw(m, wn, None, stride=stride, padding=padding, pad_value=1.0)
+    else:
+        s = np.asarray(skip)
+        s = s[None] if squeeze else s
+        cu = m.shape[1]
+        kernels = T.upsample_kernels(T.constant(wn[:, :cu])).data
+        phases, _ = T.conv2d_raw(m, kernels, None, padding=padding, pad_value=1.0)
+        out = T.interleave_phases(T.constant(phases), padding).data
+        out += T.conv2d_raw(s, wn[:, cu:], None, padding=padding, pad_value=1.0)[0]
     out = np.clip(out, 0.0, 1.0)
     return out[0] if squeeze else out
 
 
+def _masked(inp):
+    return inp.features * T.constant(inp.mask.astype(inp.features.data.dtype, copy=False))
+
+
+def _named(t, name):
+    """``t`` under the layer weight's name, which per-layer profiles key on."""
+    t.name = name
+    return t
+
+
 def masked_conv_layer(inp, weights, bias, stride=1, padding=0,
-                      activation_kind="relu", slope=0.2, mask_out=None):
+                      activation_kind="relu", slope=0.2, mask_out=None, skip=None):
     """One masked convolution: mask the features, convolve, update the mask.
 
     Masks never enter the differentiation graph. ``mask_out`` overrides the
     propagated mask (used by gradient checks that hold the masks of a
     previous forward pass fixed while weights are perturbed).
+
+    With ``skip`` the layer is a decoder layer whose input is the 2x nearest
+    upsample of ``inp`` concatenated with ``skip`` along channels. Neither is
+    built: masking commutes with the upsample, so ``inp`` is masked at its
+    own resolution and convolved with the phase kernels of its slice of
+    ``weights`` (:func:`~hdrmask.tensor.upsample_kernels`), ``skip`` with the
+    rest, and the two outputs are summed.
     """
-    z = inp.features * T.constant(inp.mask.astype(inp.features.data.dtype, copy=False))
-    f = T.conv2d(z, weights, bias, stride=stride, padding=padding, pad_value=0.0)
+    if skip is None:
+        f = T.conv2d(_masked(inp), weights, bias, stride=stride, padding=padding)
+    else:
+        cu = inp.mask.shape[1]
+        kernels = _named(T.upsample_kernels(weights[:, :cu]), weights.name)
+        up = T.interleave_phases(T.conv2d(_masked(inp), kernels, padding=padding), padding)
+        f = up + T.conv2d(_masked(skip), _named(weights[:, cu:], weights.name), bias,
+                          padding=padding)
     f = T.activation(f, activation_kind, slope)
-    m = mask_out if mask_out is not None else \
-        propagate_mask(inp.mask, weights, stride=stride, padding=padding)
+    m = mask_out if mask_out is not None else propagate_mask(
+        inp.mask, weights, stride=stride, padding=padding,
+        skip=None if skip is None else skip.mask)
     return MaskedFeature(f, m)
 
 
@@ -150,8 +190,10 @@ class LayerSpec:
 def layer_plan(config):
     """Topology-ordered conv layers for the given configuration.
 
-    Encoder halves resolution with stride-2 convolutions; the decoder
-    upsamples and concatenates both skip features and skip masks.
+    Encoder halves resolution with stride-2 convolutions. Decoder layer
+    ``dec{i}`` reads the 2x nearest upsample of the level below (its first
+    ``widths[i+1]`` input channels) and encoder ``enc{i}``'s output (the
+    rest), features and masks alike.
     """
     widths = [config.base_channels * (2 ** i) for i in range(config.levels)]
     layers = [LayerSpec("enc0", config.in_channels, widths[0], 1, "leaky_relu")]
@@ -275,10 +317,11 @@ def unet_forward(ldr, mask, params, config=None, mode=MODE_FEATURE_MASK,
     cur = MaskedFeature(x, m)
     skips = []
 
-    def run_layer(spec, inp):
+    def run_layer(spec, inp, skip=None):
         wt, bt = params.layers[spec.name]
         out = masked_conv_layer(inp, wt, bt, spec.stride, pad, spec.activation,
-                                config.leaky_slope, mask_out=pin(spec, inp.mask))
+                                config.leaky_slope, skip=skip,
+                                mask_out=pin(spec, (inp if skip is None else skip).mask))
         stack.append((spec.name, out.mask))
         return out
 
@@ -287,10 +330,7 @@ def unet_forward(ldr, mask, params, config=None, mode=MODE_FEATURE_MASK,
         skips.append(cur)
     skips.pop()
     for spec in plan[config.levels:-1]:
-        skip = skips.pop()
-        feats = T.concat([T.upsample_nearest(cur.features, 2), skip.features], axis=1)
-        masks = np.concatenate([T.upsample_nearest_array(cur.mask, 2), skip.mask], axis=1)
-        cur = run_layer(spec, MaskedFeature(feats, masks))
+        cur = run_layer(spec, cur, skips.pop())
     cur = run_layer(plan[-1], cur)
     return cur.features, stack
 

@@ -145,12 +145,42 @@ def simulate_ldr(hdr, saturation_percentile=DEFAULT_SATURATION_PERCENTILE,
 
 def exposure_scale(hdr, saturation_percentile=DEFAULT_SATURATION_PERCENTILE, curve=None):
     """The multiplier simulate_ldr applies before clipping (for pairing targets)."""
-    curve = curve or CameraCurve()
     h = hdr.pixels if isinstance(hdr, HdrImage) else np.asarray(hdr)
     lum = rgb_to_gray(h)
-    pivot = np.percentile(lum, saturation_percentile)
+    return _scale_at_pivot(np.percentile(lum, saturation_percentile), lum.max(), curve)
+
+
+def exposure_scales(hdr, curve=None):
+    """``pct -> exposure_scale(hdr, pct, curve)``, bit for bit, for many
+    percentiles of one image.
+
+    The luminance is computed and sorted once; each call then interpolates
+    between two order statistics as np.percentile's default ("linear")
+    method does, instead of copying and partitioning the image again.
+    """
+    h = hdr.pixels if isinstance(hdr, HdrImage) else np.asarray(hdr)
+    lum = np.sort(rgb_to_gray(h), axis=None)
+    last = lum.size - 1
+
+    def scale(saturation_percentile):
+        if not 0 <= saturation_percentile <= 100:
+            raise DomainError(f"percentile must lie in [0,100], got {saturation_percentile}")
+        v = last * (saturation_percentile / 100)
+        i = int(v)
+        t = v - i
+        lo, hi = lum[i], lum[min(i + 1, last)]
+        step = hi - lo
+        pivot = hi - step * (1 - t) if t >= 0.5 else lo + step * t
+        return _scale_at_pivot(pivot, lum[last], curve)
+
+    return scale
+
+
+def _scale_at_pivot(pivot, peak, curve):
+    """Exposure that maps luminance ``pivot`` (``peak`` if that is not positive) to 1."""
+    curve = curve or CameraCurve()
     if pivot <= 0:
-        pivot = lum.max()
+        pivot = peak
     if pivot <= 0:
         raise DomainError("cannot expose an all-zero image")
     return curve.exposure / pivot

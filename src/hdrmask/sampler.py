@@ -27,12 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DimensionError, DomainError
 from .network import exposure_mask
 from .pipeline import (HdrImage, LdrImage, apply_exposure,
-                       exposure_scale, rgb_to_gray, saturation_percentage)
-
-SOBEL_X = np.array([[-1.0, 0.0, 1.0],
-                    [-2.0, 0.0, 2.0],
-                    [-1.0, 0.0, 1.0]])
-SOBEL_Y = SOBEL_X.T
+                       exposure_scales, rgb_to_gray, saturation_percentage)
 
 
 @dataclass(frozen=True)
@@ -68,19 +63,19 @@ class PatchRecord:
     offset: tuple = (0, 0)
 
 
-def correlate2d_reflect(arr, kernel):
-    """Same-size 2-D correlation with reflected borders (used for Sobel)."""
-    kh, kw = kernel.shape
-    ry, rx = kh // 2, kw // 2
-    p = np.pad(arr, ((ry, ry), (rx, rx)), mode="reflect")
-    out = np.zeros_like(arr, dtype=np.result_type(arr, kernel))
-    h, w = arr.shape
-    for dy in range(kh):
-        for dx in range(kw):
-            k = kernel[dy, dx]
-            if k != 0.0:
-                out += k * p[dy:dy + h, dx:dx + w]
-    return out
+def _sobel_magnitude(img):
+    """|Gx| + |Gy| of the 3x3 Sobel pair with reflected borders.
+
+    Both kernels are separable, Gx = [1,2,1]^T x [-1,0,1] and Gy its
+    transpose, so each is a 3-tap pass along one axis of one padded copy
+    followed by a 3-tap pass along the other.
+    """
+    p = np.pad(img, 1, mode="reflect")
+    diff_x = p[:, 2:] - p[:, :-2]
+    smooth_x = p[:, :-2] + 2.0 * p[:, 1:-1] + p[:, 2:]
+    gx = diff_x[:-2] + 2.0 * diff_x[1:-1] + diff_x[2:]
+    gy = smooth_x[2:] - smooth_x[:-2]
+    return np.abs(gx) + np.abs(gy)
 
 
 # Largest series order the fast bilateral path uses. It caps the range
@@ -212,9 +207,7 @@ def patch_metric(hdr, mask, config=None):
         raise DimensionError(f"mask shape {m.shape} != image shape {h.shape}")
     log_lum = np.log1p(rgb_to_gray(h))
     base = bilateral_filter(log_lum, config.color_sigma, config.space_sigma)
-    detail = log_lum - base
-    grad = np.abs(correlate2d_reflect(detail, SOBEL_X)) + \
-        np.abs(correlate2d_reflect(detail, SOBEL_Y))
+    grad = _sobel_magnitude(log_lum - base)
     weight = (1.0 - m).max(axis=0)
     return float(np.mean(grad * weight))
 
@@ -237,6 +230,7 @@ def sample_patches(hdr, config=None, seed=0, image_id="", curve=None, exposure=N
     if h.shape[1] < ps or h.shape[2] < ps:
         raise DimensionError(f"image {h.shape} smaller than patch size {ps}")
     rng = np.random.default_rng(seed)
+    scale_at = exposure_scales(h, curve) if exposure is None else None
     records = []
     for _ in range(config.patches_per_image):
         oy = int(rng.integers(0, h.shape[1] - ps + 1))
@@ -249,7 +243,7 @@ def sample_patches(hdr, config=None, seed=0, image_id="", curve=None, exposure=N
             else:
                 lo, hi = config.percentile_range
                 pct = float(rng.uniform(lo, hi))
-            scale = exposure_scale(h, pct, curve)
+            scale = scale_at(pct)
         patch = h[:, oy:oy + ps, ox:ox + ps]
         ldr = apply_exposure(patch, scale, curve=curve,
                              quantize_bits=config.quantize_bits)

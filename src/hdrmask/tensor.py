@@ -1,8 +1,9 @@
 """Dense-tensor engine with reverse-mode differentiation.
 
 Just enough machinery for a small masked U-Net and its loss stack: NCHW
-convolution, nearest-neighbor upsampling, average pooling, the usual
-elementwise operations, full reductions, and batched matmul. Gradients are
+convolution, convolution over a 2x nearest upsample (as four phase kernels
+at the input's resolution), average pooling, the usual elementwise
+operations, full reductions, and batched matmul. Gradients are
 accumulated by a topological sweep from a scalar root.
 
 Convolution builds no patch matrix. The input is padded once and split
@@ -286,20 +287,6 @@ def getitem(a, key):
     return _node(out, (a,), vjp)
 
 
-def concat(tensors, axis=1):
-    tensors = list(tensors)
-    if not tensors:
-        raise ContractError("concat of an empty sequence")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _node(out, tuple(tensors), vjp)
-
-
 def matmul(a, b):
     """Batched matrix product; leading batch dims must match exactly."""
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -462,7 +449,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0):
     return _node(out, parents, vjp)
 
 
-# -- pooling / resampling --------------------------------------------------
+# -- pooling ---------------------------------------------------------------
 
 
 def _block_sum(a, window):
@@ -497,25 +484,79 @@ def avg_pool(x, window):
     return _node(out, (x,), vjp)
 
 
-def upsample_nearest(x, factor):
-    """Replicate each spatial value into a factor x factor block."""
-    if factor < 1:
-        raise DimensionError("upsample factor must be >= 1")
-    if factor == 1:
-        return x
-    out = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
+# -- convolution over a 2x nearest upsample --------------------------------
+#
+# A same-padded k x k convolution, k = 2p + 1, of a 2x nearest-upsampled
+# input reads output row 2a + r from input rows a + (r - p + i) // 2 of the
+# original, i = 0..k-1: p + 1 distinct rows, each tap landing on the same row
+# summed. So per output phase (r, c) it is a (p+1) x (p+1) convolution at the
+# input's own resolution; stacked, the four phases are one conv2d with
+# padding p, whose phase (r, c) output sits at rows (p + r) // 2 and columns
+# (p + c) // 2 onwards. This is the resize-convolution of Odena, Dumoulin &
+# Olah (Distill 2016) in the sub-pixel form of Shi et al. (CVPR 2016). It is
+# exact for any constant padding value: a pad row of the upsampled input is a
+# pad row of the original.
+
+
+def _phase_map(k):
+    """(k*k, 4*t*t) 0/1 matrix from a flattened k x k kernel to its four
+    flattened t x t phase kernels, t = k // 2 + 1, phase (r, c) first.
+
+    Along one axis, phase r's tap i lands on phase tap (i + (p + r) % 2) // 2.
+    """
+    p = k // 2
+    taps = np.arange(k)
+    axis = np.zeros((2, p + 1, k))
+    for r in (0, 1):
+        axis[r, (taps + (p + r) % 2) // 2, taps] = 1.0
+    return np.einsum("ray,cbx->yxrcab", axis, axis).reshape(k * k, 4 * (p + 1) ** 2)
+
+
+def upsample_kernels(w):
+    """Phase kernels of a same-padded convolution over a 2x nearest upsample.
+
+    For OIHW ``w`` with odd square k = 2p + 1, returns the (4*Co, Ci, p+1,
+    p+1) kernels whose block ``2r + c`` of Co output channels is phase (r, c)
+    of that convolution; for k = 3 the rows are ``[w0, w1+w2]`` (r = 0) and
+    ``[w0+w1, w2]`` (r = 1), and the same along columns. Convolve them with
+    padding p over the input itself, then :func:`interleave_phases`. The map
+    is one product with a 0/1 matrix, so its gradient is the transposed
+    product.
+    """
+    co, ci, k, kw = w.data.shape
+    if k != kw or k % 2 == 0:
+        raise DimensionError(f"upsample_kernels needs an odd square kernel, got {k}x{kw}")
+    t = k // 2 + 1
+    # One (k*k, t*t) block per phase, so each phase's product lands
+    # contiguous in the (4*Co, Ci, t, t) layout.
+    phase_map = _phase_map(k).astype(w.data.dtype).reshape(k * k, 4, t * t).transpose(1, 0, 2)
+    out = w.data.reshape(1, co * ci, k * k) @ phase_map
 
     def vjp(g):
-        return (_block_sum(g, factor),)
+        dw = g.reshape(4, co * ci, t * t) @ phase_map.transpose(0, 2, 1)
+        return (dw.sum(axis=0).reshape(co, ci, k, k),)
+
+    return _node(out.reshape(4 * co, ci, t, t), (w,), vjp)
+
+
+def interleave_phases(x, padding):
+    """(N, 4*Co, h+p, w+p) phase outputs of an :func:`upsample_kernels`
+    convolution with padding p, as the (N, Co, 2h, 2w) upsampled-input output."""
+    n, c4, hp, wp = x.data.shape
+    co, h, w = c4 // 4, hp - padding, wp - padding
+    crops = [(r, c, (padding + r) // 2, (padding + c) // 2) for r in (0, 1) for c in (0, 1)]
+    phases = x.data.reshape(n, 2, 2, co, hp, wp)
+    out = np.empty((n, co, 2 * h, 2 * w), dtype=x.data.dtype)
+    for r, c, oy, ox in crops:
+        out[:, :, r::2, c::2] = phases[:, r, c, :, oy:oy + h, ox:ox + w]
+
+    def vjp(g):
+        dx = np.zeros(phases.shape, dtype=g.dtype)
+        for r, c, oy, ox in crops:
+            dx[:, r, c, :, oy:oy + h, ox:ox + w] = g[:, :, r::2, c::2]
+        return (dx.reshape(x.data.shape),)
 
     return _node(out, (x,), vjp)
-
-
-def upsample_nearest_array(arr, factor):
-    """Array-only nearest-neighbor upsampling (used for mask stacks)."""
-    if factor == 1:
-        return arr
-    return np.repeat(np.repeat(arr, factor, axis=-2), factor, axis=-1)
 
 
 # -- backward sweep --------------------------------------------------------

@@ -150,15 +150,6 @@ class PlateauScheduler:
         return self.lr
 
 
-def plateau_scheduler(validation_history, patience, factor=2.0, lr=2e-4,
-                      improvement_rel=0.01, floor=1e-6):
-    """Replay a validation history through the plateau rule; returns the final lr."""
-    sched = PlateauScheduler(lr, patience, factor, improvement_rel, floor)
-    for value in validation_history:
-        sched.update(value)
-    return sched.lr
-
-
 def initialize_parameters(config, seed=0):
     """Xavier-uniform weights (zero biases), deterministic per seed."""
     rng = np.random.default_rng(seed)

@@ -39,14 +39,43 @@ def conv2d_loops(x, w, b=None, stride=1, padding=0, pad_value=0.0):
     return out
 
 
-def upsample_map(x, factor):
-    """Index-map oracle for nearest-neighbor upsampling."""
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h * factor, w * factor), dtype=x.dtype)
-    for y in range(h * factor):
-        for xx in range(w * factor):
-            out[:, :, y, xx] = x[:, :, y // factor, xx // factor]
-    return out
+def masked_conv_loops(x, mask, w, b=None, stride=1, padding=0, eps=1e-6):
+    """One masked layer the long way: ``conv2d_loops`` of ``x * mask``, and the
+    mask convolved with ``|w|`` normalized per output channel (plus ``eps``)
+    at pad value 1, clipped to [0,1]. Returns ``(out, mask_out)``."""
+    wa = np.abs(np.asarray(w, dtype=np.float64))
+    wn = wa / (wa.sum(axis=(1, 2, 3), keepdims=True) + eps)
+    mask_out = conv2d_loops(mask, wn, stride=stride, padding=padding, pad_value=1.0)
+    return conv2d_loops(x * mask, w, b, stride, padding), np.clip(mask_out, 0.0, 1.0)
+
+
+def upsample_concat_conv(x, mask, skip, skip_mask, w, b=None, padding=1, grad=None):
+    """Decoder layer the long way: :func:`masked_conv_loops` over the channel
+    concat of the 2x nearest upsample of ``x`` and ``skip``, masks alike.
+
+    Returns ``(out, mask_out)``. With ``grad`` (dL/d out) also returns
+    ``(dw, dx, dskip)``: the gradient of the masked input is the transposed
+    convolution (flipped kernel, swapped channels) and the weight gradient
+    the correlation of the masked input with ``grad``, both by
+    ``conv2d_loops``; the upsample's gradient sums each 2x2 block.
+    """
+    def up(a):
+        return np.repeat(np.repeat(a, 2, axis=2), 2, axis=3)
+
+    z = np.concatenate([up(x), skip], axis=1)
+    mz = np.concatenate([up(mask), skip_mask], axis=1)
+    out, mask_out = masked_conv_loops(z, mz, w, b, padding=padding)
+    if grad is None:
+        return out, mask_out
+    k = w.shape[2]
+    dz = conv2d_loops(grad, np.flip(w, (2, 3)).transpose(1, 0, 2, 3), padding=k - 1 - padding)
+    dw = conv2d_loops((z * mz).transpose(1, 0, 2, 3), grad.transpose(1, 0, 2, 3),
+                      padding=padding).transpose(1, 0, 2, 3)
+    cu = x.shape[1]
+    dup = dz[:, :cu]
+    dx = mask * (dup[:, :, 0::2, 0::2] + dup[:, :, 0::2, 1::2] +
+                 dup[:, :, 1::2, 0::2] + dup[:, :, 1::2, 1::2])
+    return out, mask_out, dw, dx, skip_mask * dz[:, cu:]
 
 
 def avg_pool_loops(x, window):
@@ -152,8 +181,25 @@ def sobel_reflect_loops(img):
     return out
 
 
+def sobel_shifts(img):
+    """``sobel_reflect_loops`` vectorized over pixels: one numpy pass per
+    nonzero tap of the 3x3 pair, on a reflect-padded copy."""
+    kx = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+    img = np.asarray(img, dtype=np.float64)
+    h, w = img.shape
+    p = np.pad(img, 1, mode="reflect")
+    gx = np.zeros_like(img)
+    gy = np.zeros_like(img)
+    for dy in range(3):
+        for dx in range(3):
+            v = p[dy:dy + h, dx:dx + w]
+            gx += kx[dy, dx] * v
+            gy += kx[dx, dy] * v
+    return np.abs(gx) + np.abs(gy)
+
+
 def patch_metric_steps(hdr, mask, color_sigma=100.0, space_sigma=10.0, radius=None,
-                       bilateral=bilateral_loops):
+                       bilateral=bilateral_loops, sobel=sobel_reflect_loops):
     """Step-by-step textured-patch metric: gray, log, base/detail, Sobel, mean."""
     r, g, b = (np.asarray(hdr, dtype=np.float64)[i] for i in range(3))
     gray = 0.2126 * r + 0.7152 * g + 0.0722 * b
@@ -162,7 +208,7 @@ def patch_metric_steps(hdr, mask, color_sigma=100.0, space_sigma=10.0, radius=No
         radius = int(math.ceil(2 * space_sigma))
     base = bilateral(log_lum, color_sigma, space_sigma, radius)
     detail = log_lum - base
-    grad = sobel_reflect_loops(detail)
+    grad = sobel(detail)
     weight = (1.0 - np.asarray(mask, dtype=np.float64)).max(axis=0)
     return float((grad * weight).mean())
 

@@ -62,12 +62,6 @@ class TestBlend:
         out = L.blend_with_ground_truth(h, np.zeros_like(h), m)
         assert np.allclose(out, 1.0)
 
-    def test_literal_log_flag(self):
-        h = np.full((3, 1, 1), 2.0)
-        y = np.full_like(h, 0.3)
-        out = L.blend_with_ground_truth(h, y, np.zeros_like(h), literal_log=True)
-        assert np.allclose(out, 0.3)
-
     def test_tensor_path_matches_array_path(self):
         rng = rnd(5)
         h = rng.random((3, 4, 4)) * 3

@@ -6,7 +6,7 @@ from hdrmask import network as N
 from hdrmask import tensor as T
 from hdrmask.errors import DimensionError, DomainError
 
-from oracles import conv2d_loops
+from oracles import conv2d_loops, masked_conv_loops, upsample_concat_conv
 
 
 def rnd(seed):
@@ -27,12 +27,6 @@ class TestExposureMask:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             N.exposure_mask(np.array([[[1.2]]]))
-
-    def test_smoothstep_variant_endpoints(self):
-        t = np.array([[[0.96, 0.98, 1.0]]])
-        m = N.exposure_mask(t, 0.96, ramp="smoothstep")
-        assert m[0, 0, 0] == 1.0 and m[0, 0, 2] == 0.0
-        assert 0.0 < m[0, 0, 1] < 1.0
 
     @given(st.floats(0.0, 1.0), st.floats(0.05, 0.99))
     @settings(max_examples=60, deadline=None)
@@ -255,6 +249,109 @@ class TestUNetForward:
         for name, t in frozen.named_tensors().items():
             assert t.name == name and not t.requires_grad
             assert t.data is params.named_tensors()[name].data
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+class TestDecoderLayer:
+    TOL = {np.float64: 1e-12, np.float32: 1e-6}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_upsample_concat_conv(self, dtype):
+        # batch 2 and odd 5x3 half-resolution extents
+        rng = rnd(30)
+        x, m = rng.normal(size=(2, 3, 5, 3)), rng.random((2, 3, 5, 3))
+        s, ms = rng.normal(size=(2, 2, 10, 6)), rng.random((2, 2, 10, 6))
+        w, b = rng.normal(size=(4, 5, 3, 3)), rng.normal(size=4)
+        g = rng.normal(size=(2, 4, 10, 6))
+        x, m, s, ms, w, b, g = (a.astype(dtype) for a in (x, m, s, ms, w, b, g))
+        out, mask_out, dw, dx, ds = upsample_concat_conv(x, m, s, ms, w, b, 1, grad=g)
+        X, S = T.parameter(x), T.parameter(s)
+        W, B = T.parameter(w, name="dec0.weight"), T.parameter(b)
+        got = N.masked_conv_layer(N.MaskedFeature(X, m), W, B, 1, 1, "identity",
+                                  skip=N.MaskedFeature(S, ms))
+        T.backward(T.tsum(got.features * T.constant(g)), [X, S, W, B])
+        tol = self.TOL[dtype]
+        assert got.features.data.dtype == got.mask.dtype == dtype
+        for name, a, want in [("out", got.features.data, out), ("mask", got.mask, mask_out),
+                              ("dw", W.grad, dw), ("dx", X.grad, dx), ("dskip", S.grad, ds)]:
+            assert rel_err(a, want) <= tol, name
+        unbatched = N.propagate_mask(m[1], W, padding=1, skip=ms[1])
+        assert np.array_equal(unbatched, got.mask[1])
+
+
+def reference_unet(x, mask, arrays, config, mode):
+    """The masked U-Net the long way: loop convolutions, and every decoder
+    input built as the upsample of the level below concatenated with its skip."""
+    acts = {"leaky_relu": lambda v: np.where(v > 0, v, config.leaky_slope * v),
+            "relu": lambda v: np.maximum(v, 0.0), "identity": lambda v: v}
+    pad = config.kernel_size // 2
+    if mode == N.MODE_INPUT_MASK:
+        x = x * mask
+    if mode != N.MODE_FEATURE_MASK:
+        mask = np.ones_like(mask)
+    f, m, stack, skips = x, mask, [("input", mask)], []
+    for i, spec in enumerate(N.layer_plan(config)):
+        w, b = arrays[f"{spec.name}.weight"], arrays[f"{spec.name}.bias"]
+        if spec.name.startswith("dec"):
+            f, m_out = upsample_concat_conv(f, m, *skips.pop(), w, b, pad)
+        else:
+            f, m_out = masked_conv_loops(f, m, w, b, spec.stride, pad)
+        f = acts[spec.activation](f)
+        m = m_out if mode == N.MODE_FEATURE_MASK else np.ones_like(f)
+        stack.append((spec.name, m))
+        if i < config.levels - 1:
+            skips.append((f, m))
+    return f, stack
+
+
+class TestUNetAgainstReference:
+    # 40x24 at four levels: the bottom level is 5x3, so every decoder
+    # upsamples odd extents.
+    CFG = N.UNetConfig(levels=4, base_channels=1)
+    # Eight float32 layers in a row: rounding alone puts the output about
+    # 1e-6 from the float64 reference (the upsample-then-conv decoder read
+    # up to 1.2e-6 here too), so float32 gets twice the per-layer bound.
+    TOL = {np.float64: 1e-12, np.float32: 2e-6}
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        # Inputs exactly representable in float32, so that the float32 runs
+        # differ from the reference by their arithmetic alone.
+        def f32(a):
+            return a.astype(np.float32).astype(np.float64)
+
+        rng = rnd(31)
+        x = f32(rng.random((2, 3, 40, 24)))
+        mask = f32(N.exposure_mask(np.clip(x + 0.3, 0.0, 1.0), 0.9))
+        arrays = {k: f32(a) for k, a in
+                  tiny_params(self.CFG, seed=32, scale=0.5).named_arrays().items()}
+        return x, mask, arrays, {mode: reference_unet(x, mask, arrays, self.CFG, mode)
+                                 for mode in N.MASKING_MODES}
+
+    @pytest.mark.parametrize("mode", N.MASKING_MODES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_modes_match_reference(self, case, mode, dtype):
+        x, mask, arrays, refs = case
+        params = N.UNetParameters.from_arrays(
+            self.CFG, {k: a.astype(dtype) for k, a in arrays.items()})
+        y, stack = N.unet_forward(x.astype(dtype), mask.astype(dtype), params, mode=mode)
+        want_y, want_stack = refs[mode]
+        assert y.data.dtype == dtype
+        assert rel_err(y.data, want_y) <= self.TOL[dtype]
+        assert [n for n, _ in stack] == [n for n, _ in want_stack]
+        for (name, got), (_, want) in zip(stack, want_stack):
+            assert got.shape == want.shape and rel_err(got, want) <= self.TOL[dtype], name
+
+    def test_frozen_masks_match_reference(self, case):
+        x, mask, arrays, refs = case
+        params = N.UNetParameters.from_arrays(self.CFG, arrays)
+        want_y, want_stack = refs[N.MODE_FEATURE_MASK]
+        y, stack = N.unet_forward(x, mask, params, frozen_masks=dict(want_stack))
+        assert rel_err(y.data, want_y) <= self.TOL[np.float64]
+        assert all(got is want for (_, got), (_, want) in zip(stack[1:], want_stack[1:]))
 
 
 class TestExportMaskImages:

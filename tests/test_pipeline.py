@@ -63,6 +63,20 @@ class TestSimulateLdr:
         assert np.allclose(recovered, np.clip(h * scale, 0, 1), atol=1e-12)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sorted_scales_equal_exposure_scale(self, dtype):
+        h = (rnd(2).random((3, 13, 11)) ** 3 * 40).astype(dtype)
+        h[:, :5] = 0.0
+        scale_at = P.exposure_scales(h)
+        for pct in [0.0, 1.0, 30.0, 50.0, 85.0, 93.0, 96.9, 99.99, 100.0]:
+            got, want = scale_at(pct), P.exposure_scale(h, pct)
+            assert got == want and type(got) is type(want), pct
+
+    def test_sorted_scales_reject_out_of_range_percentile(self):
+        with pytest.raises(DomainError):
+            P.exposure_scales(np.ones((3, 4, 4)))(100.5)
+
+
 class TestComposeHdr:
     def test_valid_everywhere_is_linearized_input(self):
         t = np.full((3, 4, 4), 0.5)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hdrmask import pipeline as P
 from hdrmask import sampler as S
 from hdrmask.errors import DimensionError, DomainError
 from hdrmask.pipeline import HdrImage
 from hdrmask.synthetic import hdr_scene, make_hdr_corpus
 
 from oracles import (bilateral_loops, bilateral_shifts, gaussian_blur_loops,
-                     patch_metric_steps)
+                     patch_metric_steps, sobel_shifts)
 
 
 def rnd(seed):
@@ -162,8 +163,79 @@ class TestPatchMetric:
         m = rng.random((3, 12, 12))
         assert np.isclose(S.patch_metric(h, m), patch_metric_steps(h, m), rtol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(3, 16, 12), (3, 9, 20)])
+    def test_sobel_matches_step_oracle_to_rounding(self, shape):
+        # The oracle runs the production bilateral, so the two differ only in
+        # the Sobel pair (separable here, a 2-D tap loop there) and rounding.
+        rng = rnd(shape[2])
+        h = rng.random(shape) * 8
+        m = rng.random(shape)
+        want = patch_metric_steps(h, m, bilateral=S.bilateral_filter)
+        assert abs(S.patch_metric(h, m) - want) <= 1e-12 * want
+
+    def test_criterion5_corpus_keeps_the_same_crops(self):
+        # Criterion 5's corpus: every saturated crop scored by the production
+        # metric in float64 and by the step oracle (production bilateral, 2-D
+        # Sobel taps); the sampler's float32 scoring at the default threshold
+        # keeps exactly the oracle's crops. The detail layer cancels most of
+        # the log-luminance, which lifts the two paths' gray/log rounding to
+        # about 3e-9 of the score on these smooth scenes, with either Sobel.
+        corpus = make_hdr_corpus(50, seed=151, size=(96, 96))
+        cfg = S.SamplerConfig(patch_size=64, patches_per_image=4)
+        every = S.SamplerConfig(patch_size=64, patches_per_image=4, metric_threshold=0.0)
+        scored, kept = [], []
+        for i, scene in enumerate(corpus):
+            scored += S.sample_patches(scene, every, seed=i, image_id=f"c{i}")
+            kept += S.sample_patches(scene, cfg, seed=i, image_id=f"c{i}")
+        hdr64 = [r.hdr.pixels.astype(np.float64) for r in scored]
+        got = [S.patch_metric(h, r.mask) for h, r in zip(hdr64, scored)]
+        want = [patch_metric_steps(h, r.mask, bilateral=S.bilateral_filter, sobel=sobel_shifts)
+                for h, r in zip(hdr64, scored)]
+        assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-8
+        assert len(scored) > len(kept) > 0
+        assert [(r.image_id, r.offset) for r in kept] == \
+            [(r.image_id, r.offset) for r, w in zip(scored, want) if w > cfg.metric_threshold]
+
 
 class TestSamplePatches:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_crop_scale_is_exposure_scale(self, monkeypatch, dtype):
+        scene = hdr_scene(7, size=(96, 80)).pixels.astype(dtype)
+        curve = P.CameraCurve(exposure=1.5)
+        cfg = S.SamplerConfig(patch_size=32, patches_per_image=24)
+        calls = []
+        sorted_scales = S.exposure_scales
+
+        def spy(hdr, curve=None):
+            scale_at = sorted_scales(hdr, curve)
+
+            def scale(pct):
+                calls.append((pct, scale_at(pct)))
+                return calls[-1][1]
+            return scale
+
+        monkeypatch.setattr(S, "exposure_scales", spy)
+        S.sample_patches(scene, cfg, seed=3, curve=curve)
+        assert len(calls) == cfg.patches_per_image
+        for pct, got in calls:
+            want = P.exposure_scale(scene, pct, curve)
+            assert got == want and type(got) is type(want), pct
+
+    def test_corpus_records_byte_identical_to_per_crop_scales(self, monkeypatch):
+        named = [(f"c{i}", s) for i, s in enumerate(make_hdr_corpus(4, seed=23, size=(96, 96)))]
+        cfg = S.SamplerConfig(metric_threshold=0.0)
+        fast = S.sample_corpus(named, cfg, seed=5)
+        # The long way: a full exposure_scale per crop.
+        monkeypatch.setattr(S, "exposure_scales",
+                            lambda hdr, curve=None: lambda pct: P.exposure_scale(hdr, pct, curve))
+        slow = S.sample_corpus(named, cfg, seed=5)
+        assert len(fast) == len(slow) > 0
+        for a, b in zip(fast, slow):
+            assert (a.image_id, a.offset, a.score) == (b.image_id, b.offset, b.score)
+            for x, y in [(a.hdr.pixels, b.hdr.pixels), (a.ldr.pixels, b.ldr.pixels),
+                         (a.mask, b.mask)]:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
     def test_dim_exposure_keeps_nothing(self):
         scene = hdr_scene(0, size=(64, 64))
         cfg = S.SamplerConfig(patch_size=32, patches_per_image=8)

@@ -4,7 +4,7 @@ import pytest
 from hdrmask import tensor as T
 from hdrmask.errors import ContractError, DimensionError, GraphError, NumericError
 
-from oracles import adam_first_step, avg_pool_loops, conv2d_loops, upsample_map
+from oracles import adam_first_step, avg_pool_loops, conv2d_loops
 
 
 def rnd(seed):
@@ -104,19 +104,51 @@ class TestActivation:
             T.activation(T.constant(np.zeros(2)), "gelu")
 
 
+def upsample2(a):
+    return np.repeat(np.repeat(a, 2, axis=2), 2, axis=3)
+
+
 class TestUpsampleAndPool:
-    def test_upsample_factor_one_identity(self):
-        x = T.constant(rnd(2).normal(size=(1, 2, 3, 3)))
-        assert T.upsample_nearest(x, 1) is x
+    def test_phase_kernels_of_3x3_are_row_and_column_sums(self):
+        w = rnd(2).normal(size=(2, 3, 3, 3))
+        got = T.upsample_kernels(T.constant(w)).data.reshape(2, 2, 2, 3, 2, 2)
+        rows = [np.stack([w[:, :, 0], w[:, :, 1] + w[:, :, 2]], axis=2),
+                np.stack([w[:, :, 0] + w[:, :, 1], w[:, :, 2]], axis=2)]
+        for r in (0, 1):
+            cols = [np.stack([rows[r][..., 0], rows[r][..., 1] + rows[r][..., 2]], axis=-1),
+                    np.stack([rows[r][..., 0] + rows[r][..., 1], rows[r][..., 2]], axis=-1)]
+            for c in (0, 1):
+                assert np.allclose(got[r, c], cols[c], rtol=0, atol=1e-15 * np.abs(w).max())
 
-    def test_upsample_single_value(self):
-        out = T.upsample_nearest(T.constant(np.full((1, 1, 1, 1), 7.0)), 2)
-        assert np.array_equal(out.data, np.full((1, 1, 2, 2), 7.0))
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("pad_value", [0.0, 1.0])
+    def test_phase_conv_matches_conv_of_upsample(self, k, pad_value):
+        rng = rnd(3)
+        x = rng.normal(size=(2, 3, 5, 3))
+        w = rng.normal(size=(4, 3, k, k))
+        p = k // 2
+        phases, _ = T.conv2d_raw(x, T.upsample_kernels(T.constant(w)).data, padding=p,
+                                 pad_value=pad_value)
+        got = T.interleave_phases(T.constant(phases), p).data
+        want = conv2d_loops(upsample2(x), w, padding=p, pad_value=pad_value)
+        assert got.shape == want.shape == (2, 4, 10, 6)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_upsample_matches_index_map(self):
-        x = np.arange(1, 5, dtype=np.float64).reshape(1, 1, 2, 2)
-        out = T.upsample_nearest(T.constant(x), 2).data
-        assert np.array_equal(out, upsample_map(x, 2))
+    def test_phase_ops_gradients(self):
+        rng = rnd(4)
+        x = T.parameter(rng.normal(size=(1, 2, 3, 4)))
+        w = T.parameter(rng.normal(size=(2, 2, 3, 3)))
+        probe = T.constant(rng.normal(size=(1, 2, 6, 8)))
+
+        def fn(x, w):
+            out = T.interleave_phases(T.conv2d(x, T.upsample_kernels(w), padding=1), 1)
+            return T.tsum(out * out * probe)
+
+        assert T.check_gradients(fn, [x, w], epsilon=1e-6, max_coords=24, rng=rnd(5)) < 1e-6
+
+    def test_phase_kernels_need_odd_square_kernel(self):
+        with pytest.raises(DimensionError):
+            T.upsample_kernels(T.constant(np.zeros((1, 1, 2, 2))))
 
     def test_avg_pool_constant(self):
         out = T.avg_pool(T.constant(np.full((1, 2, 4, 4), 3.25)), 2)

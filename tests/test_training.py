@@ -14,8 +14,7 @@ from hdrmask.sampler import SamplerConfig, sample_patches
 from hdrmask.synthetic import make_hdr_corpus, make_texture_corpus
 from hdrmask.training import (PlateauScheduler, TrainConfig, evaluate,
                               finetune_hdr, initialize_parameters, load_model,
-                              plateau_scheduler, save_model, train_inpainting,
-                              validation_mse)
+                              save_model, train_inpainting, validation_mse)
 
 UCFG = UNetConfig(levels=2, base_channels=4)
 
@@ -74,24 +73,28 @@ class TestTrainConfig:
         assert TrainConfig(max_steps=0, steps_per_epoch=1).max_steps == 0
 
 
+def replay(sched, history):
+    """Feed a validation history to the scheduler; returns its final lr."""
+    for value in history:
+        sched.update(value)
+    return sched.lr
+
+
 class TestPlateauScheduler:
     def test_strictly_improving_keeps_lr(self):
-        lr = plateau_scheduler([1.0, 0.8, 0.6, 0.4], patience=2, lr=1e-3)
-        assert lr == 1e-3
+        assert replay(PlateauScheduler(1e-3, patience=2), [1.0, 0.8, 0.6, 0.4]) == 1e-3
 
     def test_flat_history_of_length_patience_halves(self):
-        lr = plateau_scheduler([0.5, 0.5, 0.5], patience=3, lr=1e-3)
-        assert lr == 5e-4
+        assert replay(PlateauScheduler(1e-3, patience=3), [0.5, 0.5, 0.5]) == 5e-4
 
     def test_two_plateaus_quarter(self):
         history = [0.5, 0.5, 0.5, 0.4, 0.4, 0.4, 0.4]
         # plateau at epochs 1-3, improvement at 4, plateau at 5-7
-        lr = plateau_scheduler(history, patience=3, lr=1e-3)
-        assert lr == 2.5e-4
+        assert replay(PlateauScheduler(1e-3, patience=3), history) == 2.5e-4
 
     def test_floor_respected(self):
-        lr = plateau_scheduler([1.0] * 200, patience=1, lr=1e-5, floor=1e-6)
-        assert lr == 1e-6
+        sched = PlateauScheduler(1e-5, patience=1, floor=1e-6)
+        assert replay(sched, [1.0] * 200) == 1e-6
 
     def test_improvement_must_exceed_one_percent(self):
         sched = PlateauScheduler(1e-3, patience=2)
