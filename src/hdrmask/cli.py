@@ -297,9 +297,15 @@ def cmd_reconstruct(args, resolved):
     ldr = formats.read_ldr(args.input)
     model = load_model(args.checkpoint)
     mask = exposure_mask(ldr.pixels, resolved["alpha"])
-    y, _ = unet_forward(ldr.pixels[None], mask[None], model.params.as_constants(),
-                        model.config, mode=model.mode)
-    hdr = compose_hdr(ldr, mask, y.data[0], gamma=resolved["gamma"])
+    # The U-Net takes extents divisible by its downsample factor: reflect-pad
+    # the bottom and right edges up to the next multiple, then crop.
+    _, h, w = mask.shape
+    factor = model.config.downsample_factor
+    pad = ((0, 0), (0, 0), (0, -h % factor), (0, -w % factor))
+    y, _ = unet_forward(np.pad(ldr.pixels[None], pad, mode="reflect"),
+                        np.pad(mask[None], pad, mode="reflect"),
+                        model.params.as_constants(), model.config, mode=model.mode)
+    hdr = compose_hdr(ldr, mask, y.data[0, :, :h, :w], gamma=resolved["gamma"])
     formats.write_pfm(args.output, hdr)
     out_dir = os.path.dirname(os.path.abspath(args.output))
     _write_manifest(out_dir, "reconstruct", resolved,

@@ -6,11 +6,16 @@ at the input's resolution), average pooling, the usual elementwise
 operations, full reductions, and batched matmul. Gradients are
 accumulated by a topological sweep from a scalar root.
 
-Convolution builds no patch matrix. The input is padded once and split
-into its ``stride**2`` polyphase planes; every kernel tap is then one GEMM
-on a shifted view of one plane, and both gradients reuse the same taps.
-:func:`conv2d_raw` returns ``(out, planes)``; the planes, about the size
-of the padded input, are all the backward pass keeps besides the weights.
+Convolution never builds the full patch matrix. The input is padded once
+and split into its ``stride**2`` polyphase planes, so every kernel tap reads
+a shifted window of one plane. The forward copies the kh*kw windows of one
+cache-sized block of output rows into a (kh*kw*Ci, rows*ow) stack and runs
+one GEMM per block against the (Co, kh*kw*Ci) weights, the bias riding
+along as one more column against a row of ones (the low-memory GEMM
+convolution of Anderson et al., arXiv 1709.03395). Both gradients run one
+GEMM per tap on the same planes. :func:`conv2d_raw` returns ``(out,
+planes)``; the planes, about the size of the padded input, are all the
+backward pass keeps besides the weights.
 
 Values live in numpy arrays. float32 is the working precision for training;
 gradient verification against finite differences should be run in float64,
@@ -312,10 +317,11 @@ def _swap_last(arr):
 # -- convolution ----------------------------------------------------------
 
 
-# Accumulator elements per column block of the forward: every tap adds into
-# one block while it is still in cache (512 KB at float32), instead of
-# streaming the whole (N, Co, oh*wq) accumulator through memory per tap.
-_ACC_BLOCK = 1 << 17
+# Elements in the forward's working set for one block of output rows: the
+# N*kh*kw*Ci*rows*ow stacked tap windows plus the N*Co*rows*ow output block,
+# 1 MB at float32, so a block is copied, multiplied and stored while it is
+# still in cache. rows = _BLOCK_ELEMS // (N*(kh*kw*Ci + Co)*ow), at least 1.
+_BLOCK_ELEMS = 1 << 18
 
 
 def conv_output_extent(extent, kernel, stride, padding):
@@ -333,13 +339,25 @@ def _phase_planes(x, stride, padding, pad_value):
     Returns an array of shape (stride**2, N, C, hq*wq): plane ``a*stride + b``
     holds rows ``a::stride`` and columns ``b::stride`` of the padded input,
     flattened row-major. At stride 1 the only plane is the padded input.
+    Each plane is written directly: its border strips get ``pad_value`` and
+    its interior a strided slice of ``x``, so no padded copy of the input is
+    built and nothing is written twice.
     """
     n, c, h, w = x.shape
     s, p = stride, padding
     hq, wq = _plane_extent(h, s, p), _plane_extent(w, s, p)
-    xp = np.full((n, c, hq * s, wq * s), pad_value, dtype=x.dtype)
-    xp[:, :, p:p + h, p:p + w] = x
-    planes = xp.reshape(n, c, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4)
+    planes = np.empty((s, s, n, c, hq, wq), dtype=x.dtype)
+    for a in range(s):
+        # Plane rows u0:u1 are padded rows a + s*u that fall inside x.
+        u0, u1 = -(-(p - a) // s), -(-(p + h - a) // s)
+        for b in range(s):
+            v0, v1 = -(-(p - b) // s), -(-(p + w - b) // s)
+            q = planes[a, b]
+            q[:, :, :u0] = pad_value
+            q[:, :, u1:] = pad_value
+            q[:, :, u0:u1, :v0] = pad_value
+            q[:, :, u0:u1, v1:] = pad_value
+            q[:, :, u0:u1, v0:v1] = x[:, :, a + s * u0 - p::s, b + s * v0 - p::s]
     return planes.reshape(s * s, n, c, hq * wq)
 
 
@@ -384,21 +402,30 @@ def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0):
     if oh < 1 or ow < 1:
         raise DimensionError(f"kernel {kh}x{kw} does not fit input {h}x{wd} with padding {padding}")
     planes = _phase_planes(x, stride, padding, pad_value)
-    wq = _plane_extent(wd, stride, padding)
-    span = (oh - 1) * wq + ow
-    wt = _tap_major(w)
-    acc = np.zeros((n, co, oh * wq), dtype=np.result_type(planes, wt))
-    taps = _conv_taps(kh, kw, stride, wq)
-    step = max(1, _ACC_BLOCK // (n * co))
-    for q0 in range(0, span, step):
-        q1 = min(span, q0 + step)
-        block = acc[:, :, q0:q1]
-        for i, j, k, off in taps:
-            block += wt[i, j] @ planes[k, :, :, off + q0:off + q1]
-    out = acc.reshape(n, co, oh, wq)[:, :, :, :ow]
+    s, taps = stride, kh * kw
+    grid = planes.reshape(s * s, n, c, _plane_extent(h, s, padding), _plane_extent(wd, s, padding))
+    dtype = np.result_type(x, w)
+    wk = np.transpose(w, (0, 2, 3, 1)).reshape(co, taps * ci)
     if b is not None:
-        return out + np.asarray(b).reshape(1, co, 1, 1), planes
-    return np.ascontiguousarray(out), planes
+        wk = np.concatenate([wk, np.asarray(b).reshape(co, 1)], axis=1)
+    wk = wk.astype(dtype, copy=False)
+    k = wk.shape[1]
+    out = np.empty((n, co, oh, ow), dtype=dtype)
+    flat = out.reshape(n, co, oh * ow)
+    rows = min(oh, max(1, _BLOCK_ELEMS // (n * (taps * ci + co) * ow)))
+    # One flat buffer; each block, the shorter last one included, is its
+    # contiguous leading part.
+    stack = np.empty(n * k * rows * ow, dtype=dtype)
+    for y0 in range(0, oh, rows):
+        r = min(rows, oh - y0)
+        block = stack[:n * k * r * ow].reshape(n, k, r * ow)
+        block[:, taps * ci:] = 1
+        windows = block[:, :taps * ci].reshape(n, taps, ci, r, ow)
+        for t, (i, j) in enumerate(np.ndindex(kh, kw)):
+            a, d = y0 + i // s, j // s
+            windows[:, t] = grid[(i % s) * s + j % s, :, :, a:a + r, d:d + ow]
+        np.matmul(wk, block, out=flat[:, :, y0 * ow:(y0 + r) * ow])
+    return out, planes
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0):

@@ -198,6 +198,45 @@ class TestReconstructIdentity:
         assert np.allclose(recon[valid], np.power(ldr, 2.0)[valid], atol=1e-6)
 
 
+class TestReconstructAnyExtent:
+    CFG = UNetConfig()  # downsample factor 8
+
+    @pytest.fixture()
+    def ckpt(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_model(path, initialize_parameters(self.CFG, 0))
+        return path
+
+    @pytest.mark.parametrize("h, w", [(29, 37), (3, 1)])
+    def test_indivisible_photo_reconstructs(self, tmp_path, ckpt, h, w):
+        rng = np.random.default_rng(h * w)
+        ldr_path, out = str(tmp_path / "in.ppm"), str(tmp_path / "r.pfm")
+        # A third of the pixels saturated, so both branches of the blend show.
+        pixels = np.where(rng.random((3, h, w)) < 0.3, 1.0, rng.random((3, h, w)) * 0.9)
+        F.write_ldr(ldr_path, pixels)
+        assert dispatch(["reconstruct", "--in", ldr_path, "--checkpoint", ckpt,
+                         "--out", out]) == 0
+        ldr = F.read_ldr(ldr_path).pixels
+        recon = F.read_pfm(out)
+        assert recon.shape == (3, h, w)
+        assert np.all(np.isfinite(recon)) and np.all(recon >= 0)
+        valid = exposure_mask(ldr, 0.96) == 1.0
+        assert np.array_equal(recon[valid], np.power(ldr, 2.0)[valid])
+
+    def test_divisible_photo_is_not_padded(self, tmp_path, ckpt, scene_pfm):
+        ldr_path, out = str(tmp_path / "in.ppm"), str(tmp_path / "r.pfm")
+        assert dispatch(["simulate-ldr", "--in", scene_pfm, "--out", ldr_path]) == 0
+        assert dispatch(["reconstruct", "--in", ldr_path, "--checkpoint", ckpt,
+                         "--out", out]) == 0
+        # The PFM the direct, unpadded forward writes.
+        ldr = F.read_ldr(ldr_path)
+        mask = exposure_mask(ldr.pixels, 0.96)
+        y, _ = unet_forward(ldr.pixels[None], mask[None], load_model(ckpt).params,
+                            self.CFG)
+        with open(out, "rb") as fh:
+            assert fh.read() == F.encode_pfm(compose_hdr(ldr, mask, y.data[0], gamma=2.0).pixels)
+
+
 class TestCheckpointMode:
     CFG = UNetConfig(levels=2, base_channels=4)
 

@@ -282,6 +282,46 @@ class TestDecoderLayer:
         assert np.array_equal(unbatched, got.mask[1])
 
 
+class TestRowBlockMasks:
+    """Mask propagation and the decoder layer with the conv forward's block
+    budget cut, so every convolution runs several row blocks, the last one
+    shorter."""
+    TOL = {np.float64: 1e-12, np.float32: 1e-6}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_propagate_mask(self, row_blocks, dtype, stride):
+        rng = rnd(80 + stride)
+        m = rng.random((2, 3, 11, 7)).astype(dtype)
+        w = rng.normal(size=(3, 3, 3, 3)).astype(dtype)
+        row_blocks([(m.shape, w.shape, stride, 1)], 4)
+        _, want = masked_conv_loops(np.zeros_like(m), m, w, stride=stride, padding=1)
+        got = N.propagate_mask(m, w, stride=stride, padding=1)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert rel_err(got, want) <= self.TOL[dtype]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_decoder_layer(self, row_blocks, dtype):
+        rng = rnd(90)
+        x, m = rng.normal(size=(2, 3, 5, 3)), rng.random((2, 3, 5, 3))
+        s, ms = rng.normal(size=(2, 2, 10, 6)), rng.random((2, 2, 10, 6))
+        w, b = rng.normal(size=(3, 5, 3, 3)), rng.normal(size=3)
+        g = rng.normal(size=(2, 3, 10, 6))
+        x, m, s, ms, w, b, g = (a.astype(dtype) for a in (x, m, s, ms, w, b, g))
+        # The half-resolution phase conv and the full-resolution skip conv.
+        row_blocks([(x.shape, (12, 3, 2, 2), 1, 1), (s.shape, (3, 2, 3, 3), 1, 1)], 4)
+        out, mask_out, dw, dx, ds = upsample_concat_conv(x, m, s, ms, w, b, 1, grad=g)
+        X, S = T.parameter(x), T.parameter(s)
+        W, B = T.parameter(w, name="dec0.weight"), T.parameter(b)
+        got = N.masked_conv_layer(N.MaskedFeature(X, m), W, B, 1, 1, "identity",
+                                  skip=N.MaskedFeature(S, ms))
+        T.backward(T.tsum(got.features * T.constant(g)), [X, S, W, B])
+        for name, a, want in [("out", got.features.data, out), ("mask", got.mask, mask_out),
+                              ("dw", W.grad, dw), ("dx", X.grad, dx), ("dskip", S.grad, ds)]:
+            assert a.dtype == dtype, name
+            assert rel_err(a, want) <= self.TOL[dtype], name
+
+
 def reference_unet(x, mask, arrays, config, mode):
     """The masked U-Net the long way: loop convolutions, and every decoder
     input built as the upsample of the level below concatenated with its skip."""

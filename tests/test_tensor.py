@@ -87,6 +87,83 @@ class TestConv2d:
                 assert err < 1e-6, (pad_value, h, wd)
 
 
+def padded_phase_split(x, stride, padding, pad_value):
+    """``np.pad`` out to the planes' extent, then every phase's rows and
+    columns picked out by strided slicing."""
+    n, c, h, w = x.shape
+    s, p = stride, padding
+    hq, wq = -(-(h + 2 * p) // s), -(-(w + 2 * p) // s)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, hq * s - h - p), (p, wq * s - w - p)),
+                constant_values=pad_value)
+    return np.stack([xp[:, :, a::s, b::s].reshape(n, c, hq * wq)
+                     for a in range(s) for b in range(s)])
+
+
+class TestPhasePlanes:
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("pad_value", [0.0, 1.0])
+    def test_equal_padded_input_split_by_phase(self, stride, pad_value):
+        rng = rnd(40 + stride)
+        for dtype in (np.float64, np.float32):
+            for h, w in ((7, 5), (5, 9), (1, 3), (11, 1)):
+                for padding in (0, 1, 2):
+                    x = rng.normal(size=(2, 3, h, w)).astype(dtype)
+                    got = T._phase_planes(x, stride, padding, pad_value)
+                    want = padded_phase_split(x, stride, padding, pad_value)
+                    assert got.dtype == dtype
+                    assert np.array_equal(got, want), (h, w, padding)
+
+
+class TestRowBlocks:
+    """The forward over several blocks of output rows, the last one ragged,
+    against the loop oracle: batch 2, Ci = Co = 3."""
+    TOL = {np.float64: 1e-12, np.float32: 1e-6}
+
+    def check(self, row_blocks, x, w, stride, padding, rows, rng):
+        row_blocks([(x.shape, w.shape, stride, padding)], rows)
+        tol = self.TOL[x.dtype.type]
+        for pad_value in (0.0, 1.0):
+            for b in (None, rng.normal(size=w.shape[0]).astype(x.dtype)):
+                got, _ = T.conv2d_raw(x, w, b, stride, padding, pad_value)
+                want = conv2d_loops(x, w, b, stride, padding, pad_value)
+                assert got.flags.c_contiguous and got.dtype == np.result_type(x, w)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_matches_loop_oracle(self, row_blocks, dtype, stride, k):
+        rng = rnd(50 + 4 * stride + k)
+        padding = k // 2
+        # The smallest height from 9 up whose output row count is odd, so
+        # blocks of two rows leave a one-row remainder.
+        h = next(h for h in range(9, 20)
+                 if T.conv_output_extent(h, k, stride, padding) % 2)
+        x = rng.normal(size=(2, 3, h, 7)).astype(dtype)
+        w = rng.normal(size=(3, 3, k, k)).astype(dtype)
+        self.check(row_blocks, x, w, stride, padding, 2, rng)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_phase_kernels(self, row_blocks, dtype, k):
+        # The (4*Co, Ci, k//2 + 1, k//2 + 1) kernels of a conv over a 2x upsample.
+        rng = rnd(60 + k)
+        x = rng.normal(size=(2, 3, 8, 5)).astype(dtype)
+        w = T.upsample_kernels(T.constant(rng.normal(size=(3, 3, k, k)).astype(dtype))).data
+        self.check(row_blocks, x, w, 1, k // 2, 4, rng)
+
+    def test_mixed_precision_output_dtype(self, row_blocks):
+        rng = rnd(70)
+        x = rng.normal(size=(2, 3, 9, 6)).astype(np.float32)
+        w = rng.normal(size=(3, 3, 3, 3))
+        row_blocks([(x.shape, w.shape, 1, 1)], 2)
+        got, _ = T.conv2d_raw(x, w, None, 1, 1)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        want = conv2d_loops(x, w, None, 1, 1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestActivation:
     def test_relu_negative(self):
         assert T.activation(T.constant(np.array([-1.5])), "relu").data[0] == 0.0
