@@ -29,7 +29,7 @@ from .errors import HdrMaskError, ContractError, DomainError
 from . import formats
 from .losses import FeatureExtractor, LossWeights, total_loss
 from .network import (MASKING_MODES, MODE_FEATURE_MASK, UNetConfig, UNetParameters,
-                      exposure_mask, export_mask_images, unet_forward)
+                      exposure_mask, export_mask_images, predict, unet_forward)
 from .pipeline import CURVE_KINDS, CameraCurve, compose_hdr, simulate_ldr
 from .sampler import (SamplerConfig, generate_inpainting_mask, sample_corpus,
                       sample_patches)
@@ -301,11 +301,12 @@ def cmd_reconstruct(args, resolved):
     # the bottom and right edges up to the next multiple, then crop.
     _, h, w = mask.shape
     factor = model.config.downsample_factor
-    pad = ((0, 0), (0, 0), (0, -h % factor), (0, -w % factor))
-    y, _ = unet_forward(np.pad(ldr.pixels[None], pad, mode="reflect"),
-                        np.pad(mask[None], pad, mode="reflect"),
-                        model.params.as_constants(), model.config, mode=model.mode)
-    hdr = compose_hdr(ldr, mask, y.data[0, :, :h, :w], gamma=resolved["gamma"])
+    x, m = ldr.pixels[None], mask[None]
+    if h % factor or w % factor:
+        pad = ((0, 0), (0, 0), (0, -h % factor), (0, -w % factor))
+        x, m = np.pad(x, pad, mode="reflect"), np.pad(m, pad, mode="reflect")
+    y = predict(x, m, model.params, model.config, mode=model.mode)
+    hdr = compose_hdr(ldr, mask, y[0, :, :h, :w], gamma=resolved["gamma"])
     formats.write_pfm(args.output, hdr)
     out_dir = os.path.dirname(os.path.abspath(args.output))
     _write_manifest(out_dir, "reconstruct", resolved,

@@ -204,7 +204,9 @@ def mul(a, b):
     out = a.data * b.data
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        # A constant factor (a feature mask, a loss weight) gets no gradient.
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), vjp)
 
@@ -328,12 +330,19 @@ def conv_output_extent(extent, kernel, stride, padding):
     return (extent + 2 * padding - kernel) // stride + 1
 
 
-def _plane_extent(extent, stride, padding):
-    """Extent of one polyphase plane of an input padded by ``padding``."""
-    return -(-(extent + 2 * padding) // stride)
+def _plane_extent(padded, stride):
+    """Extent of one polyphase plane of an input ``padded`` long once padded."""
+    return -(-padded // stride)
 
 
-def _phase_planes(x, stride, padding, pad_value):
+def _row_padding(padding, pad_rows):
+    top, bottom = (padding, padding) if pad_rows is None else pad_rows
+    if min(padding, top, bottom) < 0:
+        raise DimensionError("padding must be >= 0")
+    return top, bottom
+
+
+def _phase_planes(x, stride, padding, pad_value, pad_rows=None):
     """Pad ``x`` once and split it into its ``stride**2`` polyphase planes.
 
     Returns an array of shape (stride**2, N, C, hq*wq): plane ``a*stride + b``
@@ -341,15 +350,17 @@ def _phase_planes(x, stride, padding, pad_value):
     flattened row-major. At stride 1 the only plane is the padded input.
     Each plane is written directly: its border strips get ``pad_value`` and
     its interior a strided slice of ``x``, so no padded copy of the input is
-    built and nothing is written twice.
+    built and nothing is written twice. ``pad_rows`` is a ``(top, bottom)``
+    row padding in place of ``padding``.
     """
     n, c, h, w = x.shape
     s, p = stride, padding
-    hq, wq = _plane_extent(h, s, p), _plane_extent(w, s, p)
+    top, bottom = _row_padding(padding, pad_rows)
+    hq, wq = _plane_extent(h + top + bottom, s), _plane_extent(w + 2 * p, s)
     planes = np.empty((s, s, n, c, hq, wq), dtype=x.dtype)
     for a in range(s):
         # Plane rows u0:u1 are padded rows a + s*u that fall inside x.
-        u0, u1 = -(-(p - a) // s), -(-(p + h - a) // s)
+        u0, u1 = -(-(top - a) // s), -(-(top + h - a) // s)
         for b in range(s):
             v0, v1 = -(-(p - b) // s), -(-(p + w - b) // s)
             q = planes[a, b]
@@ -357,7 +368,7 @@ def _phase_planes(x, stride, padding, pad_value):
             q[:, :, u1:] = pad_value
             q[:, :, u0:u1, :v0] = pad_value
             q[:, :, u0:u1, v1:] = pad_value
-            q[:, :, u0:u1, v0:v1] = x[:, :, a + s * u0 - p::s, b + s * v0 - p::s]
+            q[:, :, u0:u1, v0:v1] = x[:, :, a + s * u0 - top::s, b + s * v0 - p::s]
     return planes.reshape(s * s, n, c, hq * wq)
 
 
@@ -378,32 +389,36 @@ def _tap_major(w):
     return np.ascontiguousarray(np.transpose(w, (2, 3, 0, 1)))
 
 
-def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0):
+def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
     """Plain-numpy NCHW convolution (cross-correlation), no graph.
 
     Shared by the differentiable op below and by mask propagation, which
     must stay outside the differentiation graph. Returns ``(out, planes)``
     with ``planes`` from :func:`_phase_planes`.
+
+    ``pad_rows``, a ``(top, bottom)`` pair, pads the rows by those counts
+    and leaves ``padding`` to the columns: a window of an image's rows is
+    padded only where it meets the image's edge.
     """
     x = np.asarray(x)
     w = np.asarray(w)
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects NCHW input and OIHW weights, got {x.shape} and {w.shape}")
-    if padding < 0:
-        raise DimensionError("padding must be >= 0")
+    top, bottom = _row_padding(padding, pad_rows)
     if stride < 1:
         raise DimensionError("stride must be >= 1")
     n, c, h, wd = x.shape
     co, ci, kh, kw = w.shape
     if c != ci:
         raise DimensionError(f"input has {c} channels but weights expect {ci}")
-    oh = conv_output_extent(h, kh, stride, padding)
+    oh = (h + top + bottom - kh) // stride + 1
     ow = conv_output_extent(wd, kw, stride, padding)
     if oh < 1 or ow < 1:
         raise DimensionError(f"kernel {kh}x{kw} does not fit input {h}x{wd} with padding {padding}")
-    planes = _phase_planes(x, stride, padding, pad_value)
+    planes = _phase_planes(x, stride, padding, pad_value, (top, bottom))
     s, taps = stride, kh * kw
-    grid = planes.reshape(s * s, n, c, _plane_extent(h, s, padding), _plane_extent(wd, s, padding))
+    grid = planes.reshape(s * s, n, c, _plane_extent(h + top + bottom, s),
+                          _plane_extent(wd + 2 * padding, s))
     dtype = np.result_type(x, w)
     wk = np.transpose(w, (0, 2, 3, 1)).reshape(co, taps * ci)
     if b is not None:
@@ -428,18 +443,20 @@ def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0):
     return out, planes
 
 
-def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0):
+def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
     """Differentiable NCHW convolution.
 
     ``pad_value`` pads the input with a constant that is treated as fixed:
-    feature maps pad with 0, validity masks pad with 1. The backward pass
-    reuses the forward's taps and computes a gradient only for an operand
-    that requires one.
+    feature maps pad with 0, validity masks pad with 1. ``pad_rows`` is a
+    ``(top, bottom)`` row padding, as in :func:`conv2d_raw`. The backward
+    pass reuses the forward's taps and computes a gradient only for an
+    operand that requires one.
     """
     if b is not None and not isinstance(b, Tensor):
         b = constant(b)
     bias = None if b is None else b.data
-    out, planes = conv2d_raw(x.data, w.data, bias, stride, padding, pad_value)
+    top, bottom = _row_padding(padding, pad_rows)
+    out, planes = conv2d_raw(x.data, w.data, bias, stride, padding, pad_value, (top, bottom))
     _require_finite(out, "conv2d")
     parents = (x, w) if b is None else (x, w, b)
 
@@ -448,7 +465,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0):
         co, ci, kh, kw = w.data.shape
         oh, ow = g.shape[2], g.shape[3]
         s, p = stride, padding
-        hq, wq = _plane_extent(h, s, p), _plane_extent(wd, s, p)
+        hq, wq = _plane_extent(h + top + bottom, s), _plane_extent(wd + 2 * p, s)
         span = (oh - 1) * wq + ow
         taps = _conv_taps(kh, kw, s, wq)
         # g on the forward's (oh, wq) grid; the columns past ow stay zero.
@@ -468,7 +485,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0):
             for i, j, k, off in taps:
                 dplanes[k, :, :, off:off + span] += wt[i, j].T @ gq
             dxp = dplanes.reshape(s, s, n, c, hq, wq).transpose(2, 3, 4, 0, 5, 1)
-            dx = dxp.reshape(n, c, hq * s, wq * s)[:, :, p:p + h, p:p + wd]
+            dx = dxp.reshape(n, c, hq * s, wq * s)[:, :, top:top + h, p:p + wd]
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3)).reshape(np.shape(bias))
@@ -566,13 +583,29 @@ def upsample_kernels(w):
     return _node(out.reshape(4 * co, ci, t, t), (w,), vjp)
 
 
+def _phase_crops(x, padding):
+    """``x`` as (N, 2, 2, Co, h+p, w+p) phases, the upsampled extents ``(h, w)``
+    and per phase ``(r, c, row, column)``: where its ``h x w`` crop starts."""
+    n, c4, hp, wp = x.shape
+    crops = [(r, c, (padding + r) // 2, (padding + c) // 2) for r in (0, 1) for c in (0, 1)]
+    return x.reshape(n, 2, 2, c4 // 4, hp, wp), (hp - padding, wp - padding), crops
+
+
+def add_phases(out, x, padding):
+    """Add the phase outputs ``x`` of an :func:`upsample_kernels` convolution
+    with padding p into the (N, Co, 2h, 2w) array ``out``, in place: the
+    graph-free :func:`interleave_phases` followed by ``+=``."""
+    phases, (h, w), crops = _phase_crops(x, padding)
+    for r, c, oy, ox in crops:
+        out[:, :, r::2, c::2] += phases[:, r, c, :, oy:oy + h, ox:ox + w]
+    return out
+
+
 def interleave_phases(x, padding):
     """(N, 4*Co, h+p, w+p) phase outputs of an :func:`upsample_kernels`
     convolution with padding p, as the (N, Co, 2h, 2w) upsampled-input output."""
-    n, c4, hp, wp = x.data.shape
-    co, h, w = c4 // 4, hp - padding, wp - padding
-    crops = [(r, c, (padding + r) // 2, (padding + c) // 2) for r in (0, 1) for c in (0, 1)]
-    phases = x.data.reshape(n, 2, 2, co, hp, wp)
+    phases, (h, w), crops = _phase_crops(x.data, padding)
+    n, co = phases.shape[0], phases.shape[3]
     out = np.empty((n, co, 2 * h, 2 * w), dtype=x.data.dtype)
     for r, c, oy, ox in crops:
         out[:, :, r::2, c::2] = phases[:, r, c, :, oy:oy + h, ox:ox + w]

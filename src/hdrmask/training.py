@@ -20,7 +20,7 @@ from .errors import ContractError, DomainError
 from .losses import (FeatureExtractor, InpaintingLossWeights, LossWeights,
                      inpainting_loss, total_loss)
 from .network import (MODE_FEATURE_MASK, MASKING_MODES, UNetConfig,
-                      UNetParameters, layer_plan, unet_forward)
+                      UNetParameters, layer_plan, predict, unet_forward)
 from .pipeline import (compose_hdr, masked_region_mse_gamma, mse_gamma,
                        saturation_percentage)
 from .sampler import SamplerConfig, generate_inpainting_mask, sample_corpus
@@ -314,10 +314,8 @@ def finetune_hdr(records, config, unet_config=None, extractor=None,
 
 
 def predict_log_hdr(record, params, unet_config, mode=MODE_FEATURE_MASK):
-    pred, _ = unet_forward(record.ldr.pixels[None].astype(np.float32),
-                           record.mask[None].astype(np.float32),
-                           params.as_constants(), unet_config, mode=mode)
-    return pred.data[0]
+    return predict(record.ldr.pixels[None].astype(np.float32),
+                   record.mask[None].astype(np.float32), params, unet_config, mode=mode)[0]
 
 
 def validation_mse(records, params, unet_config, mode=MODE_FEATURE_MASK):

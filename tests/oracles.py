@@ -10,12 +10,14 @@ import math
 import numpy as np
 
 
-def conv2d_loops(x, w, b=None, stride=1, padding=0, pad_value=0.0):
-    """Direct nested-loop NCHW convolution."""
+def conv2d_loops(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
+    """Direct nested-loop NCHW convolution; ``pad_rows`` is a ``(top, bottom)``
+    row padding in place of ``padding``."""
     n, c, h, wd = x.shape
     co, ci, kh, kw = w.shape
     assert c == ci
-    oh = (h + 2 * padding - kh) // stride + 1
+    top, bottom = (padding, padding) if pad_rows is None else pad_rows
+    oh = (h + top + bottom - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
     out = np.zeros((n, co, oh, ow), dtype=np.float64)
     for ni in range(n):
@@ -26,7 +28,7 @@ def conv2d_loops(x, w, b=None, stride=1, padding=0, pad_value=0.0):
                     for ii in range(ci):
                         for ky in range(kh):
                             for kx in range(kw):
-                                iy = oy * stride + ky - padding
+                                iy = oy * stride + ky - top
                                 ix = ox * stride + kx - padding
                                 if 0 <= iy < h and 0 <= ix < wd:
                                     v = float(x[ni, ii, iy, ix])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -392,6 +394,111 @@ class TestUNetAgainstReference:
         y, stack = N.unet_forward(x, mask, params, frozen_masks=dict(want_stack))
         assert rel_err(y.data, want_y) <= self.TOL[np.float64]
         assert all(got is want for (_, got), (_, want) in zip(stack[1:], want_stack[1:]))
+
+
+class TestPredict:
+    """``predict`` advances every layer a strip of output rows at a time. One
+    strip runs exactly unet_forward's operations; across strips a GEMM over
+    fewer columns may round differently, so several strips agree within the
+    bounds of TestUNetAgainstReference."""
+    CFG = N.UNetConfig(levels=4, base_channels=2)
+    TOL = {np.float64: 1e-12, np.float32: 2e-6}
+
+    def run(self, monkeypatch, h, w, dtype, mode, rows=None):
+        """predict and unet_forward at batch 2; ``rows`` cuts the strip budget
+        to that many rows at the deepest level. Returns both and the strip count."""
+        rng = rnd(40 + h + w)
+        x = rng.random((2, 3, h, w))
+        mask = N.exposure_mask(np.clip(x + 0.3, 0.0, 1.0), 0.9)
+        params = N.UNetParameters.from_arrays(self.CFG, {
+            k: a.astype(dtype) for k, a in
+            tiny_params(self.CFG, seed=41, scale=0.5).named_arrays().items()})
+        factor = self.CFG.downsample_factor
+        if rows is not None:
+            monkeypatch.setattr(N, "_STRIP_ELEMS",
+                                rows * 2 * self.CFG.base_channels * w * factor)
+        want, _ = N.unet_forward(x.astype(dtype), mask.astype(dtype), params, mode=mode)
+        strips = []
+        advance = N._Frontier.advance
+        monkeypatch.setattr(N._Frontier, "advance",
+                            lambda walk, end: strips.append(end) or advance(walk, end))
+        got = N.predict(x.astype(dtype), mask.astype(dtype), params, mode=mode)
+        return got, want.data, len(strips)
+
+    @pytest.mark.parametrize("mode", N.MASKING_MODES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_strip_is_exact(self, monkeypatch, mode, dtype):
+        got, want, strips = self.run(monkeypatch, 64, 64, dtype, mode)
+        assert strips == 1
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("extent", [(136, 40), (200, 24)])
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("mode", N.MASKING_MODES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_strips_agree(self, monkeypatch, extent, rows, mode, dtype):
+        # Two deepest rows per strip leave a one-row last strip at both extents.
+        h, w = extent
+        got, want, strips = self.run(monkeypatch, h, w, dtype, mode, rows)
+        step = rows * self.CFG.downsample_factor
+        assert strips == -(-h // step) and (rows == 1 or h % step)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert rel_err(got, want) <= self.TOL[dtype]
+
+    def test_output_mask_never_propagated(self, monkeypatch):
+        layers = []
+        propagate = N.propagate_mask
+
+        def spy(mask, weights, *args, **kwargs):
+            layers.append(weights.name)
+            return propagate(mask, weights, *args, **kwargs)
+
+        monkeypatch.setattr(N, "propagate_mask", spy)
+        monkeypatch.setattr(N, "_STRIP_ELEMS", 1)
+        x = rnd(42).random((1, 3, 32, 16))
+        N.predict(x, N.exposure_mask(x, 0.8), tiny_params(self.CFG, seed=43))
+        names = {f"{s.name}.weight" for s in N.layer_plan(self.CFG)}
+        assert set(layers) == names - {"out.weight"}
+
+    def test_peak_allocation_a_quarter_of_unet_forward(self):
+        # tracemalloc counts numpy's buffers, so the peaks are deterministic.
+        config = N.UNetConfig()
+        params = N.UNetParameters.from_arrays(config, {
+            k: a.astype(np.float32) for k, a in tiny_params(config, seed=44).named_arrays().items()})
+        x = rnd(45).random((1, 3, 512, 512)).astype(np.float32)
+        mask = N.exposure_mask(x)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = peak(lambda: N.unet_forward(x, mask, params.as_constants()))
+        streamed = peak(lambda: N.predict(x, mask, params))
+        assert streamed <= whole / 4, (streamed, whole)
+
+
+class TestPropagatedMaskRange:
+    """Layers no longer re-validate their masks; propagation alone must keep
+    them in [0,1], whatever the weights' signs and scale."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_layer_mask_in_unit_interval(self, dtype, seed):
+        cfg = N.UNetConfig(levels=3, base_channels=3)
+        params = N.UNetParameters.from_arrays(cfg, {
+            k: a.astype(dtype) for k, a in
+            tiny_params(cfg, seed=50 + seed, scale=[0.1, 1.0, 10.0, 100.0][seed])
+            .named_arrays().items()})
+        rng = rnd(60 + seed)
+        x = rng.random((2, 3, 24, 16)).astype(dtype)
+        mask = rng.choice([0.0, 0.5, 1.0], size=x.shape).astype(dtype)
+        _, stack = N.unet_forward(x, mask, params, cfg)
+        for name, m in stack:
+            assert m.dtype == dtype and np.all(m >= 0) and np.all(m <= 1), name
 
 
 class TestExportMaskImages:

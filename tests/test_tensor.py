@@ -87,6 +87,49 @@ class TestConv2d:
                 assert err < 1e-6, (pad_value, h, wd)
 
 
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("top", [0, 1, 2])
+    @pytest.mark.parametrize("bottom", [0, 1, 2])
+    def test_row_padding_forward(self, stride, top, bottom):
+        # A window of an image's rows pads only where it meets the image's
+        # edge; the columns keep the symmetric padding.
+        rng = rnd(200 + 9 * stride + 3 * top + bottom)
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
+            for pad_value in (0.0, 1.0):
+                for h, wd in ((7, 9), (10, 6)):
+                    x = rng.normal(size=(2, 2, h, wd)).astype(dtype)
+                    w = rng.normal(size=(3, 2, 3, 3)).astype(dtype)
+                    b = rng.normal(size=3).astype(dtype)
+                    want = conv2d_loops(x, w, b, stride, 1, pad_value, (top, bottom))
+                    got, _ = T.conv2d_raw(x, w, b, stride, 1, pad_value, (top, bottom))
+                    assert got.dtype == dtype and got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+                    tensor = T.conv2d(T.constant(x), T.constant(w), T.constant(b), stride, 1,
+                                      pad_value, pad_rows=(top, bottom)).data
+                    assert np.array_equal(tensor, got)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad_rows", [(0, 2), (2, 0), (1, 2)])
+    def test_row_padding_gradients(self, stride, pad_rows):
+        rng = rnd(300 + 7 * stride + sum(pad_rows))
+        x = T.parameter(rng.normal(size=(2, 2, 9, 7)))
+        w = T.parameter(rng.normal(size=(3, 2, 3, 3)))
+        b = T.parameter(rng.normal(size=3))
+        want = conv2d_loops(x.data, w.data, b.data, stride, 1, 1.0, pad_rows)
+        weights = T.constant(rng.normal(size=want.shape))
+
+        def fn(x, w, b):
+            return T.tsum(T.conv2d(x, w, b, stride, 1, 1.0, pad_rows) * weights)
+
+        err = T.check_gradients(fn, [x, w, b], epsilon=1e-3, max_coords=32, rng=rnd(stride))
+        assert err < 1e-6
+
+    def test_negative_row_padding_rejected(self):
+        with pytest.raises(DimensionError):
+            T.conv2d_raw(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 3, 3)), padding=1,
+                         pad_rows=(1, -1))
+
+
 def padded_phase_split(x, stride, padding, pad_value):
     """``np.pad`` out to the planes' extent, then every phase's rows and
     columns picked out by strided slicing."""
@@ -270,6 +313,18 @@ class TestBackward:
         unused = T.parameter(np.ones(4))
         T.backward(T.tsum(used), parameters=[used, unused])
         assert np.array_equal(unused.grad, np.zeros(4))
+
+    def test_constant_factor_gets_no_gradient(self):
+        rng = rnd(9)
+        x = T.parameter(rng.normal(size=(2, 3, 4, 4)))
+        m = T.constant(rng.random((2, 3, 4, 4)))
+        g = rng.normal(size=(2, 3, 4, 4))
+        T.backward(T.tsum(x * m * T.constant(g)), [x])
+        assert np.array_equal(x.grad, g * m.data)
+        assert m.grad is None
+        # The product for the constant is never formed, not just dropped.
+        gx, gm = (x * m)._vjp(g)
+        assert np.array_equal(gx, g * m.data) and gm is None
 
     def test_cycle_detection(self):
         a = T.parameter(np.ones(1))
