@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -109,8 +110,8 @@ def _write_manifest(out_dir, command, resolved, inputs, outputs):
 
 
 def _unet_config(resolved):
-    return UNetConfig(levels=resolved["levels"],
-                      base_channels=resolved["base_channels"])
+    return UNetConfig(levels=resolved["levels"], base_channels=resolved["base_channels"],
+                      mode=resolved.get("mode", MODE_FEATURE_MASK))
 
 
 def _load_hdr_dir(path):
@@ -156,14 +157,10 @@ def cmd_mask(args, resolved):
     ldr = formats.read_ldr(args.input)
     mask = exposure_mask(ldr.pixels, resolved["alpha"])
     if args.checkpoint:
-        model = load_model(args.checkpoint)
-        params, config, mode = model.params, model.config, model.mode
+        params = load_model(args.checkpoint).params
     else:
-        config = _unet_config(resolved)
-        params = initialize_parameters(config, resolved["seed"])
-        mode = MODE_FEATURE_MASK
-    _, stack = unet_forward(ldr.pixels[None], mask[None], params.as_constants(), config,
-                            mode=mode)
+        params = initialize_parameters(_unet_config(resolved), resolved["seed"])
+    _, stack = unet_forward(ldr.pixels[None], mask[None], params.as_constants())
     images = export_mask_images(stack)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {}
@@ -230,7 +227,6 @@ def _train_config(resolved):
                        plateau_patience=resolved["patience"],
                        plateau_factor=resolved["factor"],
                        max_steps=resolved["steps"], seed=resolved["seed"],
-                       masking_mode=resolved["mode"],
                        steps_per_epoch=resolved["steps_per_epoch"])
 
 
@@ -242,9 +238,8 @@ def _write_run(out_dir, command, prefix, resolved, result, extractor, inputs,
     best = os.path.join(out_dir, f"{prefix}_best.ckpt")
     final = os.path.join(out_dir, f"{prefix}_final.ckpt")
     log_path = os.path.join(out_dir, f"{prefix}_runlog.jsonl")
-    save_model(best, result.best_params, extractor=extractor, mode=resolved["mode"])
-    save_model(final, result.params, adam_state=result.adam_state, extractor=extractor,
-               mode=resolved["mode"])
+    save_model(best, result.best_params, extractor=extractor)
+    save_model(final, result.params, adam_state=result.adam_state, extractor=extractor)
     result.run_log.to_jsonl(log_path)
     _write_manifest(out_dir, command, resolved, inputs,
                     {"best": best, "final": final, "runlog": log_path,
@@ -274,15 +269,16 @@ def cmd_finetune_hdr(args, resolved):
     extractor = None
     if args.init:
         model = load_model(args.init)
-        init_params, extractor = model.params, model.extractor
-        unet_config = model.config
-        # The checkpoint fixes the shape; the manifest records the model trained.
-        resolved = {**resolved, "levels": unet_config.levels,
-                    "base_channels": unet_config.base_channels}
+        # The checkpoint fixes the shape and --mode the masking the model
+        # trains with; the manifest records the model trained.
+        config = replace(model.params.config, mode=resolved["mode"])
+        init_params, extractor = replace(model.params, config=config), model.extractor
+        resolved = {**resolved, "levels": config.levels,
+                    "base_channels": config.base_channels}
     else:
-        unet_config = _unet_config(resolved)
+        config = _unet_config(resolved)
     extractor = extractor or FeatureExtractor()
-    result = finetune_hdr(records, _train_config(resolved), unet_config, extractor,
+    result = finetune_hdr(records, _train_config(resolved), config, extractor,
                           init_params=init_params)
     _write_run(args.out_dir, "finetune-hdr", "hdr", resolved, result, extractor,
                {"shard": args.shard, "records": len(records), "init": args.init})
@@ -300,12 +296,12 @@ def cmd_reconstruct(args, resolved):
     # The U-Net takes extents divisible by its downsample factor: reflect-pad
     # the bottom and right edges up to the next multiple, then crop.
     _, h, w = mask.shape
-    factor = model.config.downsample_factor
+    factor = model.params.config.downsample_factor
     x, m = ldr.pixels[None], mask[None]
     if h % factor or w % factor:
         pad = ((0, 0), (0, 0), (0, -h % factor), (0, -w % factor))
         x, m = np.pad(x, pad, mode="reflect"), np.pad(m, pad, mode="reflect")
-    y = predict(x, m, model.params, model.config, mode=model.mode)
+    y = predict(x, m, model.params)
     hdr = compose_hdr(ldr, mask, y[0, :, :h, :w], gamma=resolved["gamma"])
     formats.write_pfm(args.output, hdr)
     out_dir = os.path.dirname(os.path.abspath(args.output))
@@ -333,8 +329,7 @@ def cmd_eval(args, resolved):
                             fixed_percentile=resolved["percentile"])
         records = sample_corpus(images, cfg, resolved["seed"])
         source = {"hdr_dir": args.hdr_dir, "images": len(images)}
-    report = evaluate(records, model.params, model.config,
-                      mode=model.mode, bins=resolved["bins"])
+    report = evaluate(records, model.params, bins=resolved["bins"])
     os.makedirs(args.out_dir, exist_ok=True)
     table_path = os.path.join(args.out_dir, "metrics.tsv")
     with open(table_path, "w") as fh:
@@ -419,11 +414,11 @@ def cmd_gradcheck(args, resolved):
     mask = exposure_mask(x, 0.9)
     hdr = rng.random((1, 3, 8, 8)) * 4.0
     inputs = list(params.named_tensors().values())
-    _, stack = unet_forward(x, mask, params, config)
+    _, stack = unet_forward(x, mask, params)
     frozen = dict(stack)
 
     def loss_fn(*tensors):
-        y, _ = unet_forward(x, mask, params, config, frozen_masks=frozen)
+        y, _ = unet_forward(x, mask, params, frozen_masks=frozen)
         return total_loss(y, hdr, mask, extractor, LossWeights()).node
 
     err = check_gradients(loss_fn, inputs, epsilon=resolved["epsilon"],

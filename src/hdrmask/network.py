@@ -106,8 +106,8 @@ def mask_features(x, mask):
     return MaskedFeature(x * T.constant(mask.astype(x.data.dtype, copy=False)), mask)
 
 
-def propagate_mask(mask, weights, stride=1, padding=0, eps=MASK_NORM_EPS, skip=None,
-                   pad_rows=None, skip_pad_rows=None):
+def propagate_mask(mask, weights, stride=1, padding=0, skip=None, pad_rows=None,
+                   skip_pad_rows=None):
     """Carry a validity mask through a convolution.
 
     The kernel magnitudes are normalized per output channel to sum to
@@ -122,7 +122,7 @@ def propagate_mask(mask, weights, stride=1, padding=0, eps=MASK_NORM_EPS, skip=N
     """
     w = weights.data if isinstance(weights, Tensor) else np.asarray(weights)
     w = np.abs(w)
-    norm = w.sum(axis=(1, 2, 3), keepdims=True) + w.dtype.type(eps)
+    norm = w.sum(axis=(1, 2, 3), keepdims=True) + w.dtype.type(MASK_NORM_EPS)
     wn = w / norm
     m = np.asarray(mask)
     squeeze = m.ndim == 3
@@ -195,14 +195,24 @@ def masked_conv_layer(inp, weights, bias, stride=1, padding=0, activation_kind="
 
 @dataclass(frozen=True)
 class UNetConfig:
+    """The whole description of a model: its shape, slope and masking mode.
+
+    ``mode`` selects the masking ablation: "FMask" threads the soft mask
+    through every layer, "IMask" multiplies it into the input only, and
+    "SConv" ignores masking entirely (plain convolutions).
+    """
+
     levels: int = 4
     base_channels: int = 16
     kernel_size: int = 3
     in_channels: int = 3
     out_channels: int = 3
     leaky_slope: float = 0.2
+    mode: str = MODE_FEATURE_MASK
 
     def __post_init__(self):
+        if self.mode not in MASKING_MODES:
+            raise DomainError(f"unknown masking mode {self.mode!r}")
         if self.levels < 1:
             raise DomainError("levels must be >= 1")
         if self.kernel_size % 2 == 0 or self.kernel_size < 1:
@@ -303,14 +313,12 @@ def _as_batched(arr, channels, what):
     return a
 
 
-def _prepare(ldr, mask, config, mode, frozen_masks=None):
-    """The batched input tensor and mask, checked, and ``mode``'s mask pin.
+def _prepare(ldr, mask, config, frozen_masks=None):
+    """The batched input tensor and mask, checked, and the mode's mask pin.
 
     ``pin(spec, shape)`` gives the mask a layer's output of ``shape`` takes
     instead of propagating one, or None to propagate.
     """
-    if mode not in MASKING_MODES:
-        raise DomainError(f"unknown masking mode {mode!r}")
     x = ldr if isinstance(ldr, Tensor) else T.constant(
         _as_batched(ldr.pixels if hasattr(ldr, "pixels") else ldr, config.in_channels, "input"))
     if x.data.ndim == 3:
@@ -326,9 +334,9 @@ def _prepare(ldr, mask, config, mode, frozen_masks=None):
 
     # The mode decides only the masks: IMask applies the mask to the input,
     # then IMask and SConv run the same layers with every mask held at one.
-    if mode == MODE_INPUT_MASK:
+    if config.mode == MODE_INPUT_MASK:
         x = x * T.constant(m)
-    if mode == MODE_FEATURE_MASK:
+    if config.mode == MODE_FEATURE_MASK:
         frozen = frozen_masks or {}
 
         def pin(spec, shape):
@@ -373,8 +381,9 @@ class _Frontier:
     only.
     """
 
-    def __init__(self, x, m, params, config, pin, out_mask=True):
-        self.params, self.config, self.pin, self.out_mask = params, config, pin, out_mask
+    def __init__(self, x, m, params, pin, out_mask=True):
+        self.config = config = params.config
+        self.params, self.pin, self.out_mask = params, pin, out_mask
         self.plan = layer_plan(config)
         self.pad = (config.kernel_size - 1) // 2
         n, _, h, w = x.data.shape
@@ -457,13 +466,10 @@ class _Frontier:
         self.features[v], self.masks[v], self.done[v] = f, m, b
 
 
-def unet_forward(ldr, mask, params, config=None, mode=MODE_FEATURE_MASK,
-                 frozen_masks=None):
+def unet_forward(ldr, mask, params, frozen_masks=None):
     """Run the masked U-Net; returns the log-domain prediction and mask stack.
 
-    ``mode`` selects the masking ablation: "FMask" threads the soft mask
-    through every layer, "IMask" multiplies it into the input only, and
-    "SConv" ignores masking entirely (plain convolutions). The returned
+    ``params.config`` gives the shape, slope and masking mode. The returned
     stack holds one (name, mask array) entry per layer for visualization.
 
     ``frozen_masks`` (a ``{layer name: mask}`` dict from a previous FMask
@@ -474,15 +480,14 @@ def unet_forward(ldr, mask, params, config=None, mode=MODE_FEATURE_MASK,
     Every layer runs once over the whole image, so the result is
     differentiable; :func:`predict` bounds the memory of inference instead.
     """
-    config = config or params.config
-    x, m, pin = _prepare(ldr, mask, config, mode, frozen_masks)
-    walk = _Frontier(x, m, params, config, pin)
+    x, m, pin = _prepare(ldr, mask, params.config, frozen_masks)
+    walk = _Frontier(x, m, params, pin)
     y = walk.advance(x.data.shape[2])
     return y, [("input", m)] + [(spec.name, mask)
                                 for spec, mask in zip(walk.plan, walk.masks[1:])]
 
 
-def predict(ldr, mask, params, config=None, mode=MODE_FEATURE_MASK):
+def predict(ldr, mask, params):
     """The log-domain prediction of :func:`unet_forward`, as an array.
 
     Runs on constant parameters a strip of output rows at a time, each layer
@@ -493,12 +498,12 @@ def predict(ldr, mask, params, config=None, mode=MODE_FEATURE_MASK):
     image runs the same operations as :func:`unet_forward`; across strip
     boundaries results agree to rounding.
     """
-    config = config or params.config
-    x, m, pin = _prepare(ldr, mask, config, mode)
+    config = params.config
+    x, m, pin = _prepare(ldr, mask, config)
     n, _, h, w = x.data.shape
     factor = config.downsample_factor
     strip = factor * max(1, _STRIP_ELEMS // (n * config.base_channels * w * factor))
-    walk = _Frontier(x, m, params.as_constants(), config, pin, out_mask=False)
+    walk = _Frontier(x, m, params.as_constants(), pin, out_mask=False)
     first = walk.advance(strip).data
     if first.shape[2] == h:
         return first

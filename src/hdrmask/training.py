@@ -19,8 +19,8 @@ from . import tensor as T
 from .errors import ContractError, DomainError
 from .losses import (FeatureExtractor, InpaintingLossWeights, LossWeights,
                      inpainting_loss, total_loss)
-from .network import (MODE_FEATURE_MASK, MASKING_MODES, UNetConfig,
-                      UNetParameters, layer_plan, predict, unet_forward)
+from .network import (MASKING_MODES, UNetConfig, UNetParameters, layer_plan, predict,
+                      unet_forward)
 from .pipeline import (compose_hdr, masked_region_mse_gamma, mse_gamma,
                        saturation_percentage)
 from .sampler import SamplerConfig, generate_inpainting_mask, sample_corpus
@@ -40,7 +40,6 @@ class TrainConfig:
     plateau_factor: float = 2.0
     max_steps: int = 500
     seed: int = 0
-    masking_mode: str = MODE_FEATURE_MASK
     steps_per_epoch: int = 50
     max_val_items: int = 16
 
@@ -55,8 +54,6 @@ class TrainConfig:
             raise DomainError("steps per epoch must be >= 1")
         if self.plateau_factor <= 1:
             raise DomainError("plateau factor must exceed 1")
-        if self.masking_mode not in MASKING_MODES:
-            raise DomainError(f"unknown masking mode {self.masking_mode!r}")
 
 
 @dataclass
@@ -218,17 +215,23 @@ def _optimize(stage, config, params, adam, batch_fn, val_fn, start_step=0):
 
 def _stage_setup(items, ids, what, config, unet_config, extractor, init_params,
                  init_adam):
-    """What both stages start from: the model defaults, the initial
-    parameters and Adam state, and the train/validation split by ``ids``."""
+    """What both stages start from: the extractor, the initial parameters
+    and Adam state, and the train/validation split by ``ids``.
+
+    ``unet_config`` only says what to initialise; parameters carry their
+    own config, and one given beside them must be theirs.
+    """
     if not items:
         raise ContractError(f"{what} dataset is empty")
-    unet_config = unet_config or UNetConfig()
+    if init_params is None:
+        init_params = initialize_parameters(unet_config or UNetConfig(), config.seed)
+    elif unet_config is not None and unet_config != init_params.config:
+        raise ContractError(f"unet_config {unet_config} disagrees with the initial "
+                            f"parameters' config {init_params.config}")
     extractor = extractor or FeatureExtractor()
-    params = init_params if init_params is not None else \
-        initialize_parameters(unet_config, config.seed)
     adam = init_adam if init_adam is not None else AdamState()
     train, val = _split_by_id(items, ids)
-    return unet_config, extractor, params, adam, train, val
+    return extractor, init_params, adam, train, val
 
 
 # -- inpainting pre-training -------------------------------------------------
@@ -244,7 +247,7 @@ def train_inpainting(images, config, unet_config=None, extractor=None,
     """
     images = [np.asarray(im.pixels if hasattr(im, "pixels") else im, dtype=np.float32)
               for im in images]
-    unet_config, extractor, params, adam, train, val = _stage_setup(
+    extractor, params, adam, train, val = _stage_setup(
         images, range(len(images)), "inpainting", config, unet_config, extractor,
         init_params, init_adam)
     weights = InpaintingLossWeights()
@@ -257,8 +260,7 @@ def train_inpainting(images, config, unet_config=None, extractor=None,
             generate_inpainting_mask(train[i].shape,
                                      seed=int(rng.integers(0, 2 ** 31)))
             for i in idx])
-        pred, _ = unet_forward(truth * masks, masks, params, unet_config,
-                               mode=config.masking_mode)
+        pred, _ = unet_forward(truth * masks, masks, params)
         return inpainting_loss(pred, truth, masks, extractor, weights)
 
     def val_fn(params):
@@ -268,8 +270,7 @@ def train_inpainting(images, config, unet_config=None, extractor=None,
         for j, img in enumerate(val[:config.max_val_items]):
             mask = generate_inpainting_mask(img.shape, seed=int(
                 np.random.default_rng(np.random.SeedSequence([config.seed, 99, j])).integers(0, 2 ** 31)))
-            pred, _ = unet_forward((img * mask)[None], mask[None], params, unet_config,
-                                   mode=config.masking_mode)
+            pred, _ = unet_forward((img * mask)[None], mask[None], params)
             losses.append(inpainting_loss(pred, img[None], mask[None], extractor,
                                           weights).total)
         return float(np.mean(losses))
@@ -290,7 +291,7 @@ def finetune_hdr(records, config, unet_config=None, extractor=None,
     so neighboring patches cannot leak across it.
     """
     records = list(records)
-    unet_config, extractor, params, adam, train, val = _stage_setup(
+    extractor, params, adam, train, val = _stage_setup(
         records, [r.image_id for r in records], "HDR", config, unet_config, extractor,
         init_params, init_adam)
     weights = loss_weights or LossWeights()
@@ -302,23 +303,22 @@ def finetune_hdr(records, config, unet_config=None, extractor=None,
         x = np.stack([r.ldr.pixels for r in batch]).astype(np.float32)
         m = np.stack([r.mask for r in batch]).astype(np.float32)
         h = np.stack([r.hdr.pixels for r in batch]).astype(np.float32)
-        pred, _ = unet_forward(x, m, params, unet_config, mode=config.masking_mode)
+        pred, _ = unet_forward(x, m, params)
         return total_loss(pred, h, m, extractor, weights)
 
     def val_fn(params):
         pool = val if val else train
-        return validation_mse(pool[:config.max_val_items], params, unet_config,
-                              config.masking_mode)
+        return validation_mse(pool[:config.max_val_items], params)
 
     return _optimize(STAGE_HDR, config, params, adam, batch_fn, val_fn, start_step)
 
 
-def predict_log_hdr(record, params, unet_config, mode=MODE_FEATURE_MASK):
+def predict_log_hdr(record, params):
     return predict(record.ldr.pixels[None].astype(np.float32),
-                   record.mask[None].astype(np.float32), params, unet_config, mode=mode)[0]
+                   record.mask[None].astype(np.float32), params)[0]
 
 
-def validation_mse(records, params, unet_config, mode=MODE_FEATURE_MASK):
+def validation_mse(records, params):
     """Mean masked-region display MSE of reconstructions over records.
 
     A diverged prediction (exp overflow in the composition) scores inf
@@ -329,7 +329,7 @@ def validation_mse(records, params, unet_config, mode=MODE_FEATURE_MASK):
 
     scores = []
     for rec in records:
-        y = predict_log_hdr(rec, params, unet_config, mode)
+        y = predict_log_hdr(rec, params)
         try:
             recon = compose_hdr(rec.ldr, rec.mask, y)
         except NumericError:
@@ -363,8 +363,7 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate(records, params=None, unet_config=None, mode=MODE_FEATURE_MASK,
-             predictor=None, bins=10):
+def evaluate(records, params=None, predictor=None, bins=10):
     """Score reconstructions on a test set, binned by input saturation.
 
     ``predictor`` overrides the network: a callable mapping a PatchRecord
@@ -377,10 +376,9 @@ def evaluate(records, params=None, unet_config=None, mode=MODE_FEATURE_MASK,
     if predictor is None:
         if params is None:
             raise ContractError("evaluate needs params or an explicit predictor")
-        unet_config = unet_config or params.config
 
         def predictor(rec):
-            return predict_log_hdr(rec, params, unet_config, mode)
+            return predict_log_hdr(rec, params)
 
     per_record = []
     for rec in records:
@@ -427,7 +425,8 @@ def run_ablation(texture_images, train_records, test_records, seeds,
     """Masking-mode / pre-training matrix at desk scale.
 
     Runs FMask, IMask, and SConv with inpainting pre-training, plus FMask
-    with the smooth-HDR pre-training diet, for each seed. Returns
+    with the smooth-HDR pre-training diet, for each seed; each job trains
+    ``unet_config`` in its own masking mode. Returns
     ``{(mode, pretrain, seed): result dict}`` where each entry carries the
     held-out masked-region MSE and the per-stage loss trajectories.
     """
@@ -438,16 +437,17 @@ def run_ablation(texture_images, train_records, test_records, seeds,
             ("SConv", "inpainting"), ("FMask", "hdr")]
     results = {}
     for mode, pretrain in jobs:
+        model = replace(unet_config, mode=mode)
         for seed in seeds:
-            cfg = replace(base, seed=seed, masking_mode=mode)
+            cfg = replace(base, seed=seed)
             if pretrain == "inpainting":
                 stage, data = train_inpainting, texture_images
             else:
                 stage, data = finetune_hdr, _pretrain_hdr_records(seed)
-            pre = stage(data, replace(cfg, max_steps=pretrain_steps), unet_config, extractor)
+            pre = stage(data, replace(cfg, max_steps=pretrain_steps), model, extractor)
             fine = finetune_hdr(train_records, replace(cfg, max_steps=finetune_steps),
-                                unet_config, extractor, init_params=pre.best_params)
-            test_mse = validation_mse(test_records, fine.best_params, unet_config, mode)
+                                model, extractor, init_params=pre.best_params)
+            test_mse = validation_mse(test_records, fine.best_params)
             results[(mode, pretrain, seed)] = {
                 "test_masked_mse": test_mse,
                 "pretrain_log": pre.run_log,
@@ -481,15 +481,13 @@ def loss_drop(run_log, head=25, tail=25):
 
 @dataclass
 class LoadedModel:
-    params: UNetParameters
-    config: UNetConfig
+    params: UNetParameters  # its config is the whole model, masking mode included
     adam_state: AdamState | None
     extractor: FeatureExtractor | None
-    mode: str = MODE_FEATURE_MASK
 
 
 def _read_config_record(record):
-    """``(UNetConfig, mode)`` from a checkpoint's ``meta.config`` record.
+    """The :class:`UNetConfig` of a checkpoint's ``meta.config`` record.
 
     The record holds levels, base channels, kernel size, in and out
     channels, the masking-mode index and the leaky slope. A five-entry
@@ -512,44 +510,40 @@ def _read_config_record(record):
     # back the value that was saved (0.2, not 0.20000000298).
     slope = float(np.format_float_positional(np.float32(slope)))
     levels, base, k, cin, cout = extents
-    config = UNetConfig(levels=levels, base_channels=base, kernel_size=k,
-                        in_channels=cin, out_channels=cout, leaky_slope=slope)
-    return config, MASKING_MODES[mode_index]
+    return UNetConfig(levels=levels, base_channels=base, kernel_size=k, in_channels=cin,
+                      out_channels=cout, leaky_slope=slope, mode=MASKING_MODES[mode_index])
 
 
-def save_model(path, params, adam_state=None, extractor=None, mode=MODE_FEATURE_MASK):
-    """Checkpoint parameters, the masking mode they were trained with, and
+def save_model(path, params, adam_state=None, extractor=None):
+    """Checkpoint parameters with their config (masking mode included), and
     optionally optimizer state and extractor weights."""
     from . import formats
 
     cfg = params.config
     extra = {"meta.config": np.array(
         [cfg.levels, cfg.base_channels, cfg.kernel_size, cfg.in_channels,
-         cfg.out_channels, MASKING_MODES.index(mode), cfg.leaky_slope], dtype=np.float32)}
+         cfg.out_channels, MASKING_MODES.index(cfg.mode), cfg.leaky_slope], dtype=np.float32)}
     formats.save_checkpoint(path, params=params, adam_state=adam_state,
                             extractor=extractor, extra=extra)
 
 
-def load_model(path, expected_config=None):
-    """Load a checkpoint, validating its manifest against the target config."""
+def load_model(path):
+    """Load a checkpoint, validating its arrays against its config record."""
     from . import formats
 
     arrays = formats.load_checkpoint(path)
     param_arrays, adam_arrays, extractor_arrays, extra = \
         formats.split_checkpoint_arrays(arrays)
-    config, mode = expected_config, MODE_FEATURE_MASK
-    if "meta.config" in extra:
-        recorded, mode = _read_config_record(extra["meta.config"])
-        # Layer widths double per level, so a bogus level count must be
-        # rejected before anything enumerates the layers.
-        encoders = sum(1 for key in param_arrays
-                       if key.startswith("enc") and key.endswith(".weight"))
-        if recorded.levels > encoders:
-            raise ContractError(f"checkpoint config record claims {recorded.levels} levels "
-                                f"but holds {encoders} encoder weights")
-        config = config or recorded
-    elif config is None:
-        raise ContractError("checkpoint lacks a config record; pass expected_config")
+    if "meta.config" not in extra:
+        raise ContractError("checkpoint lacks a config record")
+    config = _read_config_record(extra["meta.config"])
+    # Layer widths double per level, so a bogus level count must be
+    # rejected before anything enumerates the layers.
+    encoders = sum(1 for key in param_arrays
+                   if key.startswith("enc") and key.endswith(".weight"))
+    if config.levels > encoders:
+        raise ContractError(f"checkpoint config record claims {config.levels} levels "
+                            f"but holds {encoders} encoder weights")
     params = UNetParameters.from_arrays(config, param_arrays)
     adam_state = None
     if adam_arrays:
@@ -561,4 +555,4 @@ def load_model(path, expected_config=None):
                 state.v[key[2:]] = arr
         adam_state = state
     extractor = FeatureExtractor(arrays=extractor_arrays) if extractor_arrays else None
-    return LoadedModel(params, config, adam_state, extractor, mode)
+    return LoadedModel(params, adam_state, extractor)

@@ -2,7 +2,7 @@
 
 Each criterion runs at its stated tolerance. Criterion 6, the desk-scale
 masking/pre-training ablation, is absent: at desk scale the paper's
-ordering does not reproduce (ROADMAP item 5).
+ordering does not reproduce (ROADMAP item 2).
 """
 
 import math
@@ -24,7 +24,7 @@ from hdrmask.pipeline import (HdrImage, compose_hdr, mse_gamma, mu_law_compress,
 from hdrmask.sampler import SamplerConfig, sample_patches
 from hdrmask.synthetic import hdr_scene, make_hdr_corpus, make_texture_corpus
 from hdrmask.training import (TrainConfig, finetune_hdr, initialize_parameters,
-                              loss_drop, run_ablation, train_inpainting,
+                              loss_drop, train_inpainting,
                               validation_mse, evaluate)
 
 from oracles import bilateral_loops, conv2d_loops, patch_metric_steps
@@ -125,11 +125,11 @@ class TestCriterion2GradientSuite:
             params = float64_params(config, seed)
             x = rng.random((1, 3, 8, 8))
             mask = exposure_mask(x, 0.9)
-            _, stack = unet_forward(x, mask, params, config)
+            _, stack = unet_forward(x, mask, params)
             frozen = dict(stack)
 
             def unet_loss(*tensors):
-                yy, _ = unet_forward(x, mask, params, config, frozen_masks=frozen)
+                yy, _ = unet_forward(x, mask, params, frozen_masks=frozen)
                 return L.total_loss(yy, h[None], mask, extractor).node
 
             # epsilon 1e-5 for the composite network: at 1e-4 the secant can
@@ -160,8 +160,8 @@ class TestCriterion3MaskingIdentity:
         params = UNetParameters.from_arrays(config, arrays)
         x = rng.random((2, 3, 16, 16), dtype=np.float32)
         ones = np.ones_like(x)
-        y_masked, stack = unet_forward(x, ones, params, config, mode="FMask")
-        y_plain, _ = unet_forward(x, ones, params, config, mode="SConv")
+        y_masked, stack = unet_forward(x, ones, params)
+        y_plain, _ = unet_forward(x, ones, replace(params, config=replace(config, mode="SConv")))
         denom = max(float(np.max(np.abs(y_plain.data))), 1e-9)
         rel = float(np.max(np.abs(y_masked.data - y_plain.data))) / denom
         min_kernel_sum = min(float(np.abs(w.data).sum(axis=(1, 2, 3)).min())

@@ -1,12 +1,15 @@
 import argparse
+import itertools
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hdrmask import cli
 from hdrmask import formats as F
+from hdrmask import training
 from hdrmask.cli import dispatch
 from hdrmask.network import UNetConfig, exposure_mask, unet_forward
 from hdrmask.pipeline import compose_hdr
@@ -231,8 +234,7 @@ class TestReconstructAnyExtent:
         # The PFM the direct, unpadded forward writes.
         ldr = F.read_ldr(ldr_path)
         mask = exposure_mask(ldr.pixels, 0.96)
-        y, _ = unet_forward(ldr.pixels[None], mask[None], load_model(ckpt).params,
-                            self.CFG)
+        y, _ = unet_forward(ldr.pixels[None], mask[None], load_model(ckpt).params)
         with open(out, "rb") as fh:
             assert fh.read() == F.encode_pfm(compose_hdr(ldr, mask, y.data[0], gamma=2.0).pixels)
 
@@ -247,9 +249,9 @@ class TestCheckpointMode:
         return path
 
     def test_reconstruct_uses_the_checkpoint_mode(self, tmp_path, ldr_path):
-        params = initialize_parameters(self.CFG, 3)
+        params = initialize_parameters(replace(self.CFG, mode="SConv"), 3)
         ckpt = str(tmp_path / "sconv.ckpt")
-        save_model(ckpt, params, mode="SConv")
+        save_model(ckpt, params)
         out = str(tmp_path / "recon.pfm")
         assert dispatch(["reconstruct", "--in", ldr_path, "--checkpoint", ckpt,
                          "--out", out]) == 0
@@ -257,7 +259,8 @@ class TestCheckpointMode:
         mask = exposure_mask(ldr.pixels, 0.96)
         expected = {}
         for mode in ("SConv", "FMask"):
-            y, _ = unet_forward(ldr.pixels[None], mask[None], params, self.CFG, mode=mode)
+            y, _ = unet_forward(ldr.pixels[None], mask[None],
+                                replace(params, config=replace(self.CFG, mode=mode)))
             expected[mode] = compose_hdr(ldr, mask, y.data[0], gamma=2.0).pixels
         got = F.read_pfm(out)
         assert np.array_equal(got, expected["SConv"])
@@ -313,6 +316,31 @@ class TestAblateCommand:
 
     def test_negative_seed_is_usage_error(self, tmp_path):
         assert dispatch(["ablate", "--out-dir", str(tmp_path), "--seeds", "0,-1"]) == 1
+
+    def test_tiny_run_trains_each_job_in_its_mode(self, tmp_path, monkeypatch):
+        modes = []
+        forward = training.unet_forward
+
+        def spy(ldr, mask, params, *args, **kwargs):
+            modes.append(params.config.mode)
+            return forward(ldr, mask, params, *args, **kwargs)
+
+        monkeypatch.setattr(training, "unet_forward", spy)
+        assert dispatch([
+            "ablate", "--out-dir", str(tmp_path), "--seeds", "0", "--pretrain-steps", "2",
+            "--finetune-steps", "2", "--textures", "4", "--train-scenes", "2",
+            "--test-scenes", "1", "--patch", "32", "--per-image", "4", "--threshold", "0",
+            "--batch", "2", "--steps-per-epoch", "2"]) == 0
+        header, *rows = (tmp_path / "ablation.tsv").read_text().splitlines()
+        assert header == "mode\tpretrain\tseed\ttest_masked_mse"
+        assert [tuple(row.split("\t")[:3]) for row in rows] == [
+            ("FMask", "hdr", "0"), ("FMask", "inpainting", "0"),
+            ("IMask", "inpainting", "0"), ("SConv", "inpainting", "0")]
+        # Jobs run FMask, IMask, SConv with inpainting, then FMask with the
+        # HDR diet; each trains 2 + 2 steps, all under the job's mode.
+        runs = [(mode, len(list(calls))) for mode, calls in itertools.groupby(modes)]
+        assert [mode for mode, _ in runs] == ["FMask", "IMask", "SConv", "FMask"]
+        assert all(count >= 4 for _, count in runs), runs
 
 
 class TestSeedKnob:
@@ -437,9 +465,9 @@ class TestTrainRunOutputs:
                          "--mode", "IMask"] + inputs[command]) == 0
         paths = {name: str(out / f"{prefix}_{name}.{ext}") for name, ext in
                  (("best", "ckpt"), ("final", "ckpt"), ("runlog", "jsonl"))}
-        assert load_model(paths["best"]).mode == "IMask"
+        assert load_model(paths["best"]).params.config.mode == "IMask"
         final = load_model(paths["final"])
-        assert final.mode == "IMask"
+        assert final.params.config.mode == "IMask"
         assert final.adam_state.step == self.STEPS
         assert final.extractor is not None
         log = RunLog.from_jsonl(paths["runlog"])

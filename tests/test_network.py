@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,12 +158,17 @@ def tiny_params(config, seed=0, scale=0.3):
     return N.UNetParameters.from_arrays(config, arrays)
 
 
+def in_mode(params, mode):
+    """The same arrays under the same config in masking ``mode``."""
+    return replace(params, config=replace(params.config, mode=mode))
+
+
 class TestUNetForward:
     def test_output_shape_matches_input(self):
         cfg = N.UNetConfig(levels=3, base_channels=4)
         params = tiny_params(cfg)
         x = rnd(8).random((1, 3, 16, 16))
-        y, stack = N.unet_forward(x, np.ones_like(x), params, cfg)
+        y, stack = N.unet_forward(x, np.ones_like(x), params)
         assert y.data.shape == (1, 3, 16, 16)
         assert len(stack) == len(N.layer_plan(cfg)) + 1
 
@@ -171,15 +177,19 @@ class TestUNetForward:
         params = tiny_params(cfg)
         x = np.zeros((1, 3, 18, 18))
         with pytest.raises(DimensionError):
-            N.unet_forward(x, np.ones_like(x), params, cfg)
+            N.unet_forward(x, np.ones_like(x), params)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(DomainError):
+            N.UNetConfig(mode="PConv")
 
     def test_all_valid_mask_matches_unmasked_network(self):
         cfg = N.UNetConfig(levels=3, base_channels=4)
         params = tiny_params(cfg, seed=9)
         x = rnd(10).random((2, 3, 16, 16)).astype(np.float32)
         ones = np.ones_like(x)
-        y_masked, _ = N.unet_forward(x, ones, params, cfg, mode="FMask")
-        y_plain, _ = N.unet_forward(x, ones, params, cfg, mode="SConv")
+        y_masked, _ = N.unet_forward(x, ones, params)
+        y_plain, _ = N.unet_forward(x, ones, in_mode(params, "SConv"))
         denom = max(float(np.max(np.abs(y_plain.data))), 1e-9)
         assert np.max(np.abs(y_masked.data - y_plain.data)) / denom < 1e-3
 
@@ -188,7 +198,7 @@ class TestUNetForward:
         params = tiny_params(cfg, seed=11)
         x = rnd(12).random((1, 3, 32, 32))
         mask = N.exposure_mask(x)
-        _, stack = N.unet_forward(x, mask, params, cfg)
+        _, stack = N.unet_forward(x, mask, params)
         for name, m in stack:
             assert np.all(m >= 0.0) and np.all(m <= 1.0), name
 
@@ -217,9 +227,8 @@ class TestUNetForward:
         params = tiny_params(cfg, seed=15)
         x = rnd(16).random((1, 3, 8, 8))
         mask = np.clip(rnd(17).random((1, 3, 8, 8)), 0, 1)
-        y_imask, stack = N.unet_forward(x, mask, params, cfg, mode="IMask")
-        y_manual, _ = N.unet_forward(x * mask, np.ones_like(mask), params, cfg,
-                                     mode="SConv")
+        y_imask, stack = N.unet_forward(x, mask, in_mode(params, "IMask"))
+        y_manual, _ = N.unet_forward(x * mask, np.ones_like(mask), in_mode(params, "SConv"))
         assert np.allclose(y_imask.data, y_manual.data, atol=1e-12)
         for name, m in stack[1:]:
             assert np.all(m == 1.0)
@@ -229,8 +238,8 @@ class TestUNetForward:
         params = tiny_params(cfg, seed=18)
         x = rnd(19).random((1, 3, 8, 8))
         mask = N.exposure_mask(x, 0.9)
-        y1, stack = N.unet_forward(x, mask, params, cfg)
-        y2, stack2 = N.unet_forward(x, mask, params, cfg, frozen_masks=dict(stack))
+        y1, stack = N.unet_forward(x, mask, params)
+        y2, stack2 = N.unet_forward(x, mask, params, frozen_masks=dict(stack))
         assert np.array_equal(y1.data, y2.data)
         for (n1, m1), (n2, m2) in zip(stack, stack2):
             assert n1 == n2 and np.array_equal(m1, m2)
@@ -238,13 +247,12 @@ class TestUNetForward:
 
     @pytest.mark.parametrize("mode", N.MASKING_MODES)
     def test_constant_parameters_record_no_graph(self, mode):
-        cfg = N.UNetConfig(levels=3, base_channels=4)
-        params = tiny_params(cfg, seed=20)
+        params = tiny_params(N.UNetConfig(levels=3, base_channels=4, mode=mode), seed=20)
         x = rnd(21).random((1, 3, 16, 16)).astype(np.float32)
         mask = N.exposure_mask(x, 0.8)
-        y_tape, stack_tape = N.unet_forward(x, mask, params, cfg, mode=mode)
+        y_tape, stack_tape = N.unet_forward(x, mask, params)
         frozen = params.as_constants()
-        y, stack = N.unet_forward(x, mask, frozen, cfg, mode=mode)
+        y, stack = N.unet_forward(x, mask, frozen)
         assert y_tape._parents and not y._parents and not y.requires_grad
         assert np.array_equal(y.data, y_tape.data)
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(stack, stack_tape))
@@ -378,8 +386,8 @@ class TestUNetAgainstReference:
     def test_modes_match_reference(self, case, mode, dtype):
         x, mask, arrays, refs = case
         params = N.UNetParameters.from_arrays(
-            self.CFG, {k: a.astype(dtype) for k, a in arrays.items()})
-        y, stack = N.unet_forward(x.astype(dtype), mask.astype(dtype), params, mode=mode)
+            replace(self.CFG, mode=mode), {k: a.astype(dtype) for k, a in arrays.items()})
+        y, stack = N.unet_forward(x.astype(dtype), mask.astype(dtype), params)
         want_y, want_stack = refs[mode]
         assert y.data.dtype == dtype
         assert rel_err(y.data, want_y) <= self.TOL[dtype]
@@ -410,19 +418,19 @@ class TestPredict:
         rng = rnd(40 + h + w)
         x = rng.random((2, 3, h, w))
         mask = N.exposure_mask(np.clip(x + 0.3, 0.0, 1.0), 0.9)
-        params = N.UNetParameters.from_arrays(self.CFG, {
+        params = N.UNetParameters.from_arrays(replace(self.CFG, mode=mode), {
             k: a.astype(dtype) for k, a in
             tiny_params(self.CFG, seed=41, scale=0.5).named_arrays().items()})
         factor = self.CFG.downsample_factor
         if rows is not None:
             monkeypatch.setattr(N, "_STRIP_ELEMS",
                                 rows * 2 * self.CFG.base_channels * w * factor)
-        want, _ = N.unet_forward(x.astype(dtype), mask.astype(dtype), params, mode=mode)
+        want, _ = N.unet_forward(x.astype(dtype), mask.astype(dtype), params)
         strips = []
         advance = N._Frontier.advance
         monkeypatch.setattr(N._Frontier, "advance",
                             lambda walk, end: strips.append(end) or advance(walk, end))
-        got = N.predict(x.astype(dtype), mask.astype(dtype), params, mode=mode)
+        got = N.predict(x.astype(dtype), mask.astype(dtype), params)
         return got, want.data, len(strips)
 
     @pytest.mark.parametrize("mode", N.MASKING_MODES)
@@ -496,7 +504,7 @@ class TestPropagatedMaskRange:
         rng = rnd(60 + seed)
         x = rng.random((2, 3, 24, 16)).astype(dtype)
         mask = rng.choice([0.0, 0.5, 1.0], size=x.shape).astype(dtype)
-        _, stack = N.unet_forward(x, mask, params, cfg)
+        _, stack = N.unet_forward(x, mask, params)
         for name, m in stack:
             assert m.dtype == dtype and np.all(m >= 0) and np.all(m <= 1), name
 

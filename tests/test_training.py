@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ class TestFinetuneHdr:
         cfg = TrainConfig(max_steps=30, batch_size=2, steps_per_epoch=10,
                           seed=0, lr=1e-3, max_val_items=4)
         init = initialize_parameters(UCFG, 0)
-        before = validation_mse(records[:4], init, UCFG)
+        before = validation_mse(records[:4], init)
         res = finetune_hdr(records, cfg, UCFG, extractor, init_params=init.copy())
         assert res.best_val < before
 
@@ -187,6 +188,34 @@ class TestFinetuneHdr:
         assert all(b <= a for a, b in zip(hist, hist[1:]))
 
 
+class TestInitParamsConfig:
+    """Parameters carry their own config; a ``unet_config`` beside them must
+    be theirs, else training would run a sub-network of them."""
+    DEEP = UNetConfig(levels=4, base_channels=4)
+
+    def test_disagreeing_unet_config_rejected(self, records, textures, extractor):
+        cfg = TrainConfig(max_steps=1, batch_size=2)
+        deep = initialize_parameters(self.DEEP, 0)
+        with pytest.raises(ContractError):
+            train_inpainting(textures, cfg, UCFG, extractor, init_params=deep)
+        with pytest.raises(ContractError):
+            finetune_hdr(records, cfg, UCFG, extractor, init_params=deep)
+        with pytest.raises(ContractError):
+            finetune_hdr(records, cfg, replace(self.DEEP, mode="SConv"), extractor,
+                         init_params=deep)
+
+    def test_init_params_alone_train_their_model(self, records, textures, extractor):
+        cfg = TrainConfig(max_steps=1, batch_size=2, max_val_items=1)
+        deep = initialize_parameters(self.DEEP, 0)
+        for res in (train_inpainting(textures, cfg, extractor=extractor,
+                                     init_params=deep.copy()),
+                    finetune_hdr(records, cfg, extractor=extractor, init_params=deep.copy())):
+            assert res.params.config == self.DEEP
+            for name, arr in deep.named_arrays().items():
+                if name.endswith(".weight"):
+                    assert not np.array_equal(res.params.named_arrays()[name], arr), name
+
+
 class TestCheckpointRoundTrip:
     def test_forward_bit_identical_after_reload(self, tmp_path, records):
         params = initialize_parameters(UCFG, 11)
@@ -195,8 +224,8 @@ class TestCheckpointRoundTrip:
         loaded = load_model(path)
         x = records[0].ldr.pixels[None].astype(np.float32)
         m = records[0].mask[None].astype(np.float32)
-        y1, _ = unet_forward(x, m, params, UCFG)
-        y2, _ = unet_forward(x, m, loaded.params, loaded.config)
+        y1, _ = unet_forward(x, m, params)
+        y2, _ = unet_forward(x, m, loaded.params)
         assert np.array_equal(y1.data, y2.data)
 
     def test_adam_and_extractor_round_trip(self, tmp_path, textures, extractor):
@@ -214,29 +243,41 @@ class TestCheckpointRoundTrip:
     def test_wrong_config_lists_mismatches(self, tmp_path):
         from hdrmask.errors import CheckpointShapeError
 
-        params = initialize_parameters(UCFG, 0)
+        # A record claiming base 8 over the arrays of base 4: every array but
+        # the output bias (3 channels either way) is the wrong shape.
         path = tmp_path / "m.ckpt"
-        save_model(path, params)
-        with pytest.raises(CheckpointShapeError):
-            load_model(path, expected_config=UNetConfig(levels=3, base_channels=4))
+        F.save_checkpoint(path, params=initialize_parameters(UCFG, 0), extra={
+            "meta.config": np.array([2, 8, 3, 3, 3, 0, 0.2], dtype=np.float32)})
+        with pytest.raises(CheckpointShapeError) as info:
+            load_model(path)
+        assert "enc0.weight: shape (4, 3, 3, 3) != expected (8, 3, 3, 3)" in info.value.mismatches
+        assert sorted(m.split(":")[0] for m in info.value.mismatches) == sorted(
+            f"{layer}.{kind}" for layer in ("enc0", "enc1", "dec0", "out")
+            for kind in ("weight", "bias") if (layer, kind) != ("out", "bias"))
 
+    def test_config_record_bytes_pinned(self, tmp_path):
+        cfg = UNetConfig(levels=2, base_channels=4, leaky_slope=0.1, mode="IMask")
+        path = tmp_path / "m.ckpt"
+        save_model(path, initialize_parameters(cfg, 0))
+        record = F.load_checkpoint(path)["meta.config"]
+        assert record.dtype == np.float32
+        assert record.tobytes() == np.array([2, 4, 3, 3, 3, 1, 0.1], dtype=np.float32).tobytes()
 
     @pytest.mark.parametrize("mode", ["FMask", "IMask", "SConv"])
     def test_mode_and_slope_round_trip(self, tmp_path, mode):
-        cfg = UNetConfig(levels=2, base_channels=4, leaky_slope=0.1)
+        cfg = UNetConfig(levels=2, base_channels=4, leaky_slope=0.1, mode=mode)
         path = tmp_path / "m.ckpt"
-        save_model(path, initialize_parameters(cfg, 0), mode=mode)
-        loaded = load_model(path)
-        assert loaded.mode == mode
-        assert loaded.config == cfg
+        save_model(path, initialize_parameters(cfg, 0))
+        loaded = load_model(path).params.config
+        assert loaded == cfg
+        assert (loaded.mode, loaded.leaky_slope) == (mode, 0.1)
 
     def test_five_entry_record_loads_as_fmask(self, tmp_path):
         path = tmp_path / "old.ckpt"
         F.save_checkpoint(path, params=initialize_parameters(UCFG, 0), extra={
             "meta.config": np.array([2, 4, 3, 3, 3], dtype=np.float32)})
-        loaded = load_model(path)
-        assert loaded.mode == "FMask"
-        assert loaded.config == UCFG and loaded.config.leaky_slope == 0.2
+        loaded = load_model(path).params.config
+        assert loaded == UCFG and loaded.mode == "FMask" and loaded.leaky_slope == 0.2
 
     def test_level_count_beyond_the_encoders_rejected_before_layer_plan(
             self, tmp_path, monkeypatch):
