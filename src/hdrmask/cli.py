@@ -111,7 +111,7 @@ def _write_manifest(out_dir, command, resolved, inputs, outputs):
 
 def _unet_config(resolved):
     return UNetConfig(levels=resolved["levels"], base_channels=resolved["base_channels"],
-                      mode=resolved.get("mode", MODE_FEATURE_MASK))
+                      mode=resolved.get("mode") or MODE_FEATURE_MASK)
 
 
 def _load_hdr_dir(path):
@@ -269,14 +269,15 @@ def cmd_finetune_hdr(args, resolved):
     extractor = None
     if args.init:
         model = load_model(args.init)
-        # The checkpoint fixes the shape and --mode the masking the model
-        # trains with; the manifest records the model trained.
-        config = replace(model.params.config, mode=resolved["mode"])
+        # The checkpoint fixes the shape and, unless --mode is given, the
+        # masking the model trains with.
+        config = replace(model.params.config, mode=resolved["mode"] or model.params.config.mode)
         init_params, extractor = replace(model.params, config=config), model.extractor
-        resolved = {**resolved, "levels": config.levels,
-                    "base_channels": config.base_channels}
     else:
         config = _unet_config(resolved)
+    # The manifest records the model trained.
+    resolved = {**resolved, "levels": config.levels,
+                "base_channels": config.base_channels, "mode": config.mode}
     extractor = extractor or FeatureExtractor()
     result = finetune_hdr(records, _train_config(resolved), config, extractor,
                           init_params=init_params)
@@ -513,6 +514,8 @@ def _build_parser():
     p.add_argument("--texture-dir")
 
     p = add("finetune-hdr", cmd_finetune_hdr, _FINETUNE_DEFAULTS, "finetune hdr stage")
+    # Unset, --mode means FMask, or with --init the checkpoint's mode.
+    p.set_defaults(mode=None)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--shard", required=True)
     p.add_argument("--init", help="checkpoint to fine-tune from")

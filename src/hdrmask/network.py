@@ -70,11 +70,17 @@ def exposure_mask(image, alpha=DEFAULT_SATURATION_THRESHOLD):
     if np.any(t < 0) or np.any(t > 1):
         raise DomainError("exposure_mask input must lie in [0,1]")
     # Evaluate in the input's precision so float32 masks reproduce exactly
-    # across processes and file round-trips.
+    # across processes and file round-trips, and in place: the result is
+    # the only image-sized array (integer input divides into a float one).
     a = t.dtype.type(alpha)
     one = t.dtype.type(1.0)
-    v = np.clip((one - t) / (one - a), 0.0, 1.0).astype(t.dtype, copy=False)
-    return np.where(t <= a, one, v)
+    if not a < one:
+        raise DomainError(f"alpha {alpha} rounds to 1 in {t.dtype}")
+    # Rounding is monotonic, so the ramp is at least 1 wherever t <= a and
+    # the clip alone sets the well-exposed pixels to exactly 1.
+    v = one - t
+    v = np.divide(v, one - a, out=v if v.dtype.kind == "f" else None)
+    return np.clip(v, 0.0, 1.0, out=v).astype(t.dtype, copy=False)
 
 
 @dataclass

@@ -204,8 +204,20 @@ def compose_hdr(ldr, mask, y_hat, gamma=DEFAULT_GAMMA):
     if not np.all(np.isfinite(e)):
         bad = np.argwhere(~np.isfinite(e))[0]
         raise NumericError(f"exp overflow in prediction at index {tuple(int(i) for i in bad)}")
-    hdr = m * np.power(t, gamma) + (1.0 - m) * (e - 1.0)
-    return HdrImage(np.maximum(hdr, 0.0))
+    # m * t**gamma + (1 - m) * (e - 1), evaluated in place: each buffer is
+    # first widened to the result type of its operation, so every step
+    # rounds and promotes as the out-of-place expression does.
+    e -= 1.0
+    keep = 1.0 - m
+    e = e.astype(np.result_type(e, keep), copy=False)
+    e *= keep
+    del keep
+    hdr = np.power(t, gamma)
+    hdr = hdr.astype(np.result_type(hdr, m), copy=False)
+    hdr *= m
+    hdr = hdr.astype(np.result_type(hdr, e), copy=False)
+    hdr += e
+    return HdrImage(np.maximum(hdr, 0.0, out=hdr))
 
 
 def mu_law_compress(values, mu=DEFAULT_MU):

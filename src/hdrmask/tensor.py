@@ -14,8 +14,14 @@ one GEMM per block against the (Co, kh*kw*Ci) weights, the bias riding
 along as one more column against a row of ones (the low-memory GEMM
 convolution of Anderson et al., arXiv 1709.03395). Both gradients run one
 GEMM per tap on the same planes. :func:`conv2d_raw` returns ``(out,
-planes)``; the planes, about the size of the padded input, are all the
-backward pass keeps besides the weights.
+planes)``; the planes, about the size of the padded input, are kept for the
+backward pass only when the weights need a gradient.
+
+The graph keeps each node's data, which is what the vjps read; the only
+large array a vjp saves beside it is a convolution's planes. :func:`backward`
+releases each interior gradient as soon as its vjp has consumed it, so a
+sweep holds the graph plus the gradients still in flight, and only leaves
+keep ``grad``.
 
 Values live in numpy arrays. float32 is the working precision for training;
 gradient verification against finite differences should be run in float64,
@@ -65,7 +71,7 @@ class Tensor:
 
     Leaves are parameters (``requires_grad=True``) or constants; interior
     nodes remember their parents and a closure that maps the output gradient
-    to parent gradients. ``grad`` is materialized lazily by :func:`backward`.
+    to parent gradients. :func:`backward` sets ``grad`` on leaves only.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
@@ -233,6 +239,10 @@ def absolute(a):
     return _node(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
 
 
+def _leaky_factor(x, slope):
+    return np.where(x > 0, x.dtype.type(1.0), x.dtype.type(slope))
+
+
 def activation(a, kind="relu", slope=0.2):
     """Elementwise relu / leaky_relu(slope) / identity."""
     if kind == "identity":
@@ -241,8 +251,9 @@ def activation(a, kind="relu", slope=0.2):
         out = np.maximum(a.data, 0)
         return _node(out, (a,), lambda g: (g * (a.data > 0).astype(a.data.dtype),))
     if kind == "leaky_relu":
-        factor = np.where(a.data > 0, a.data.dtype.type(1.0), a.data.dtype.type(slope))
-        return _node(a.data * factor, (a,), lambda g: (g * factor,))
+        # The vjp derives the factor again rather than keep it in the graph.
+        return _node(a.data * _leaky_factor(a.data, slope), (a,),
+                     lambda g: (g * _leaky_factor(a.data, slope),))
     raise ContractError(f"unknown activation kind {kind!r}")
 
 
@@ -372,15 +383,14 @@ def _phase_planes(x, stride, padding, pad_value, pad_rows=None):
     return planes.reshape(s * s, n, c, hq * wq)
 
 
-def _conv_taps(kh, kw, stride, wq):
-    """``(i, j, plane, offset)`` for every kernel tap.
+def _conv_taps(kh, kw, stride):
+    """``(i, j, plane, dy, dx)`` for every kernel tap, row-major.
 
-    Output ``(oy, ox)`` sits at column ``oy*wq + ox`` of a row-major
-    (oh, wq) grid, and tap ``(i, j)`` reads it from ``planes[plane]`` at that
-    column plus ``offset``; grid columns past ``ow`` are never kept.
+    Tap ``(i, j)`` reads output ``(oy, ox)`` from row ``oy + dy`` and column
+    ``ox + dx`` of polyphase plane ``plane``.
     """
     s = stride
-    return [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s)
+    return [(i, j, (i % s) * s + j % s, i // s, j // s)
             for i in range(kh) for j in range(kw)]
 
 
@@ -427,6 +437,7 @@ def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
     k = wk.shape[1]
     out = np.empty((n, co, oh, ow), dtype=dtype)
     flat = out.reshape(n, co, oh * ow)
+    reads = _conv_taps(kh, kw, s)
     rows = min(oh, max(1, _BLOCK_ELEMS // (n * (taps * ci + co) * ow)))
     # One flat buffer; each block, the shorter last one included, is its
     # contiguous leading part.
@@ -436,9 +447,8 @@ def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
         block = stack[:n * k * r * ow].reshape(n, k, r * ow)
         block[:, taps * ci:] = 1
         windows = block[:, :taps * ci].reshape(n, taps, ci, r, ow)
-        for t, (i, j) in enumerate(np.ndindex(kh, kw)):
-            a, d = y0 + i // s, j // s
-            windows[:, t] = grid[(i % s) * s + j % s, :, :, a:a + r, d:d + ow]
+        for t, (_, _, plane, dy, dx) in enumerate(reads):
+            windows[:, t] = grid[plane, :, :, y0 + dy:y0 + dy + r, dx:dx + ow]
         np.matmul(wk, block, out=flat[:, :, y0 * ow:(y0 + r) * ow])
     return out, planes
 
@@ -449,8 +459,8 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
     ``pad_value`` pads the input with a constant that is treated as fixed:
     feature maps pad with 0, validity masks pad with 1. ``pad_rows`` is a
     ``(top, bottom)`` row padding, as in :func:`conv2d_raw`. The backward
-    pass reuses the forward's taps and computes a gradient only for an
-    operand that requires one.
+    pass reuses the forward's planes, kept only when ``w`` needs a gradient,
+    and computes a gradient only for an operand that requires one.
     """
     if b is not None and not isinstance(b, Tensor):
         b = constant(b)
@@ -458,6 +468,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
     top, bottom = _row_padding(padding, pad_rows)
     out, planes = conv2d_raw(x.data, w.data, bias, stride, padding, pad_value, (top, bottom))
     _require_finite(out, "conv2d")
+    planes = planes if w.requires_grad else None
     parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
@@ -467,7 +478,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
         s, p = stride, padding
         hq, wq = _plane_extent(h + top + bottom, s), _plane_extent(wd + 2 * p, s)
         span = (oh - 1) * wq + ow
-        taps = _conv_taps(kh, kw, s, wq)
+        taps = [(i, j, k, dy * wq + dx) for i, j, k, dy, dx in _conv_taps(kh, kw, s)]
         # g on the forward's (oh, wq) grid; the columns past ow stay zero.
         gq = np.zeros((n, co, oh, wq), dtype=g.dtype)
         gq[:, :, :, :ow] = g
@@ -481,7 +492,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
             dw = np.ascontiguousarray(dw.transpose(2, 3, 0, 1))
         if x.requires_grad:
             wt = _tap_major(w.data)
-            dplanes = np.zeros(planes.shape, dtype=g.dtype)
+            dplanes = np.zeros((s * s, n, c, hq * wq), dtype=g.dtype)
             for i, j, k, off in taps:
                 dplanes[k, :, :, off:off + span] += wt[i, j].T @ gq
             dxp = dplanes.reshape(s, s, n, c, hq, wq).transpose(2, 3, 4, 0, 5, 1)
@@ -647,10 +658,13 @@ def _toposort(root):
 
 
 def backward(root, parameters=()):
-    """Populate ``grad`` on everything reachable from a scalar ``root``.
+    """Populate ``grad`` on the leaves reachable from a scalar ``root``.
 
-    Parameters that the root does not depend on get a zero gradient, so the
-    optimizer can treat the result uniformly.
+    Only leaves (parameters, and inputs that require a gradient) keep
+    ``grad``: an interior node's gradient is released as soon as its vjp has
+    consumed it, so the sweep never holds a gradient for every node of the
+    graph. Parameters that the root does not depend on get a zero gradient,
+    so the optimizer can treat the result uniformly.
     """
     if root.data.size != 1:
         raise ContractError(f"backward requires a scalar root, got shape {root.data.shape}")
@@ -664,6 +678,7 @@ def backward(root, parameters=()):
         if node._vjp is None:
             continue
         grads = node._vjp(node.grad)
+        node.grad = None
         for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue

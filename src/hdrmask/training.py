@@ -199,6 +199,8 @@ def _optimize(stage, config, params, adam, batch_fn, val_fn, start_step=0):
         T.adam_step(params_map, {name: t.grad for name, t in params_map.items()},
                     adam, lr)
         run_log.log_step(step, stage, dict(report.weighted), lr)
+        # Free this step's graph before validation and the next forward.
+        report = None
         if step % spe == 0 or step == config.max_steps:
             epoch = (step + spe - 1) // spe
             value = val_fn(params)

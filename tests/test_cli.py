@@ -456,6 +456,22 @@ class TestTrainRunOutputs:
         for name in ("hdr_best.ckpt", "hdr_final.ckpt"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    @pytest.mark.parametrize("flags, trained", [([], "IMask"), (["--mode", "SConv"], "SConv"),
+                                                (["--mode", "FMask"], "FMask")])
+    def test_init_trains_in_the_checkpoint_mode_unless_overridden(self, tmp_path, inputs,
+                                                                  flags, trained):
+        init = str(tmp_path / "imask.ckpt")
+        save_model(init, initialize_parameters(
+            UNetConfig(levels=2, base_channels=4, mode="IMask"), 0))
+        out = tmp_path / "run"
+        shard = inputs["finetune-hdr"][:2]
+        assert dispatch(["finetune-hdr", "--out-dir", str(out), "--steps", "2", "--batch", "2",
+                         "--init", init] + shard + flags) == 0
+        for name in ("hdr_best.ckpt", "hdr_final.ckpt"):
+            assert load_model(str(out / name)).params.config.mode == trained
+        manifest = json.loads((out / "finetune_hdr_manifest.json").read_text())
+        assert manifest["resolved_config"]["mode"] == trained
+
     @pytest.mark.parametrize("command, prefix", [("train-inpaint", "inpaint"),
                                                  ("finetune-hdr", "hdr")])
     def test_checkpoints_runlog_and_manifest(self, tmp_path, inputs, command, prefix):

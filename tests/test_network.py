@@ -31,6 +31,32 @@ class TestExposureMask:
         with pytest.raises(DomainError):
             N.exposure_mask(np.array([[[1.2]]]))
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.9, 0.96, 0.999])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_equals_the_thresholded_ramp_bitwise(self, dtype, alpha):
+        t = rnd(6).random((3, 40, 40)).astype(dtype)
+        a, one = dtype(alpha), dtype(1.0)
+        t[0, 0, :6] = [0.0, a, np.nextafter(a, one), np.nextafter(a, 0), 1.0, np.nan]
+        t[1] = one - (one - a) * rnd(7).random((40, 40)).astype(dtype)
+        want = np.where(t <= a, one, np.clip((one - t) / (one - a), 0.0, 1.0))
+        got = N.exposure_mask(t, alpha)
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_alpha_that_rounds_to_one_rejected(self):
+        with pytest.raises(DomainError):
+            N.exposure_mask(np.full((3, 1, 1), 0.5, dtype=np.float16), 0.9999)
+
+    def test_result_is_the_only_image_sized_array(self):
+        t = rnd(7).random((3, 256, 256)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = N.exposure_mask(t, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The range check's boolean temporaries are freed before it exists.
+        assert peak <= 1.25 * out.nbytes, peak / out.nbytes
+
     @given(st.floats(0.0, 1.0), st.floats(0.05, 0.99))
     @settings(max_examples=60, deadline=None)
     def test_always_in_unit_interval(self, value, alpha):

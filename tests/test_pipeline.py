@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,37 @@ class TestComposeHdr:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             P.compose_hdr(np.zeros((3, 2, 2)), np.zeros((3, 2, 3)), np.zeros((3, 2, 2)))
+
+    @pytest.mark.parametrize("dtypes", [(np.float32,) * 3, (np.float64,) * 3,
+                                        (np.float32, np.float64, np.float32),
+                                        (np.float64, np.float32, np.float32),
+                                        (np.float32, np.float32, np.float64),
+                                        (np.float32, np.float16, np.float32)])
+    def test_equals_the_out_of_place_blend_bitwise(self, dtypes):
+        rng = np.random.default_rng(4)
+        t, m, y = (a.astype(d) for a, d in zip(
+            (rng.random((3, 9, 7)), rng.random((3, 9, 7)), rng.normal(0, 2, (3, 9, 7))),
+            dtypes))
+        m[0, :3] = 1.0
+        m[1, :3] = 0.0
+        want = np.maximum(m * np.power(t, 2.0) + (1.0 - m) * (np.exp(y) - 1.0), 0.0)
+        got = P.compose_hdr(t, m, y, gamma=2.0).pixels
+        assert got.dtype == want.dtype == np.result_type(*dtypes)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_is_three_images(self):
+        rng = np.random.default_rng(5)
+        t = rng.random((3, 256, 256)).astype(np.float32)
+        m = rng.random(t.shape).astype(np.float32)
+        y = rng.normal(size=t.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = P.compose_hdr(t, m, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The output included.
+        assert peak <= 3 * out.pixels.nbytes, peak / out.pixels.nbytes
 
 
 class TestMuLaw:

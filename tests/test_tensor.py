@@ -223,6 +223,20 @@ class TestActivation:
         with pytest.raises(ContractError):
             T.activation(T.constant(np.zeros(2)), "gelu")
 
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 0.2, 1.0, 3.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_is_the_factor_product(self, slope, dtype):
+        x = rnd(2).normal(size=(3, 50)).astype(dtype)
+        x[0, :4] = [0.0, -0.0, np.finfo(dtype).tiny, -np.finfo(dtype).tiny]
+        factor = np.where(x > 0, dtype(1.0), dtype(slope))
+        out = T.leaky_relu(T.parameter(x), slope)
+        assert out.data.dtype == dtype and out.data.tobytes() == (x * factor).tobytes()
+        g = rnd(3).normal(size=x.shape).astype(dtype)
+        assert out._vjp(g)[0].tobytes() == (g * factor).tobytes()
+        # The graph holds no array beyond the input's own data.
+        cells = [c.cell_contents for c in out._vjp.__closure__]
+        assert not any(isinstance(c, np.ndarray) for c in cells)
+
 
 def upsample2(a):
     return np.repeat(np.repeat(a, 2, axis=2), 2, axis=3)
@@ -372,6 +386,72 @@ class TestBackward:
         w.zero_grad()
         T.backward(loss_a(w) + loss_b(w))
         assert np.allclose(w.grad, ga + gb, atol=1e-12)
+
+
+def _conv_pool_graph():
+    """A float32 conv / activation / pool / mask graph: its leaves, its interior
+    nodes in forward order, and its scalar root."""
+    rng = rnd(31)
+    x = T.parameter(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
+    w1 = T.parameter(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
+    b1 = T.parameter(rng.normal(size=4).astype(np.float32))
+    w2 = T.parameter(rng.normal(size=(2, 4, 3, 3)).astype(np.float32))
+    mask = T.constant((rng.random((2, 4, 8, 8)) > 0.3).astype(np.float32))
+    h = T.conv2d(x, w1, b1, padding=1)
+    a = T.leaky_relu(h, 0.2)
+    m = a * mask
+    p = T.avg_pool(m, 2)
+    c = T.conv2d(p, w2, None, stride=2, padding=1)
+    r = T.relu(c)
+    sq = r * r
+    root = T.tmean(sq) + T.tmean(T.absolute(h))
+    return [x, w1, b1, w2], [h, a, m, p, c, r, sq], root
+
+
+def _retained_sweep(root):
+    """Every node's gradient by the sweep that keeps them all: the reference
+    the releasing sweep must reproduce bit for bit on the leaves."""
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(T._toposort(root)):
+        if node._vjp is None:
+            continue
+        for parent, g in zip(node._parents, node._vjp(grads[id(node)])):
+            if g is None or not parent.requires_grad:
+                continue
+            grads[id(parent)] = g if id(parent) not in grads else grads[id(parent)] + g
+    return grads
+
+
+class TestBackwardReleasesGradients:
+    def test_leaf_gradients_match_the_retaining_sweep_bitwise(self):
+        leaves, _, root = _conv_pool_graph()
+        want = _retained_sweep(root)
+        T.backward(root, leaves)
+        for leaf in leaves:
+            assert leaf.grad.dtype == want[id(leaf)].dtype
+            assert leaf.grad.tobytes() == want[id(leaf)].tobytes()
+
+    def test_only_leaves_keep_a_gradient(self):
+        leaves, interior, root = _conv_pool_graph()
+        T.backward(root, leaves)
+        assert all(leaf.grad is not None for leaf in leaves)
+        assert root.grad is None
+        assert [n.grad for n in interior] == [None] * len(interior)
+
+    def test_constant_weight_conv_keeps_no_planes(self):
+        rng = rnd(32)
+        x = T.parameter(rng.normal(size=(1, 3, 8, 8)))
+        w = rng.normal(size=(2, 3, 3, 3))
+        dx = []
+        for weight, kept in ((T.constant(w), False), (T.parameter(w), True)):
+            out = T.conv2d(x, weight, None, stride=2, padding=1)
+            cells = [c.cell_contents for c in out._vjp.__closure__]
+            assert any(isinstance(c, np.ndarray) and c.ndim == 4 for c in cells) == kept
+            x.zero_grad()
+            T.backward(T.tsum(out * out), [x])
+            dx.append(x.grad)
+        # The input gradient never read them.
+        assert dx[0].tobytes() == dx[1].tobytes()
 
 
 class TestCheckGradients:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -186,6 +188,47 @@ class TestFinetuneHdr:
         res = finetune_hdr(records, cfg, UCFG, extractor)
         hist = res.run_log.lr_history
         assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+
+class TestStepMemory:
+    """Training holds one step's graph: the previous step's is freed before
+    the next forward, and backward keeps no interior gradients."""
+
+    CFG = TrainConfig(max_steps=5, batch_size=4, steps_per_epoch=100, seed=3)
+
+    def test_previous_graph_dead_when_next_loss_is_built(self, records, extractor,
+                                                         monkeypatch):
+        real, roots, alive = TR.total_loss, [], []
+
+        def spy(*args, **kwargs):
+            alive.append([root() is not None for root in roots])
+            report = real(*args, **kwargs)
+            # A Tensor takes no weak reference; its data dies with it.
+            roots.append(weakref.ref(report.node.data))
+            return report
+
+        monkeypatch.setattr(TR, "total_loss", spy)
+        finetune_hdr(records, self.CFG, UCFG, extractor)
+        assert alive == [[False] * k for k in range(self.CFG.max_steps)]
+
+    def test_later_steps_peak_like_the_first(self, records, extractor, monkeypatch):
+        real, peaks = TR.unet_forward, []
+
+        def spy(*args, **kwargs):
+            # The peak since the previous step's forward: that step's own.
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(TR, "unet_forward", spy)
+        tracemalloc.start()
+        try:
+            finetune_hdr(records, self.CFG, UCFG, extractor)
+        finally:
+            tracemalloc.stop()
+        first, *later = peaks[1:self.CFG.max_steps]
+        assert len(later) == 3
+        assert max(later) <= 1.15 * first, (first, later)
 
 
 class TestInitParamsConfig:
