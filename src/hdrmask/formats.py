@@ -127,18 +127,24 @@ def write_pfm(path, image):
         raise DimensionError(f"PFM wants (1|3,H,W), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ContractError("PFM payload must be finite")
-    data = encode_pfm(arr)
+    header, payload = _pfm_parts(arr)
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.write(header)
+        fh.write(payload)
 
 
-def encode_pfm(arr):
+def _pfm_parts(arr):
+    """A (C,H,W) array's PFM header and its payload: rows bottom-up, pixels
+    interleaved, little-endian float32, in one copy."""
     c, h, w = arr.shape
     magic = b"PF\n" if c == 3 else b"Pf\n"
     header = magic + f"{w} {h}\n".encode() + b"-1.0\n"
-    hwc = np.ascontiguousarray(arr.transpose(1, 2, 0).astype("<f4", copy=False))
-    rows_bottom_up = hwc[::-1]
-    return header + np.ascontiguousarray(rows_bottom_up).tobytes()
+    return header, np.ascontiguousarray(arr.transpose(1, 2, 0)[::-1], dtype="<f4")
+
+
+def encode_pfm(arr):
+    header, payload = _pfm_parts(arr)
+    return header + payload.tobytes()
 
 
 def read_pfm(path_or_bytes):

@@ -30,10 +30,24 @@ parameters for inference, so its memory grows with the image's width rather
 than with its area times the number of layers; it agrees with
 :func:`unet_forward` to rounding, and exactly when one strip covers the
 image.
+
+Where no saturated pixel is in reach, a mask conv only repeats the layer's
+all-valid mask. So in FMask the walk carries a dirty map beside each
+layer's rows: the pixels whose receptive field reaches a mask value below 1
+or the image's edge, dilated layer by layer by the rows and columns each
+convolution reads. A mask conv runs on the tiles of its window that the map
+touches, gathered side by side into one convolution, and fills the others
+with the all-valid mask (the gather and scatter of SBNet, Ren et al., CVPR
+2018, with the block mask exact instead of thresholded). That mask repeats
+every 2**k pixels, one for an encoder and doubling at each decoder's
+upsample, and the first clean tile a walk computes gives it. The masks are
+the dense ones: bit for bit where the GEMM rounds a gathered output as it
+rounds the dense one (float32 here), within rounding otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +65,12 @@ DEFAULT_SATURATION_THRESHOLD = 0.96
 # downsample factor, whose strip fits (one factor at least): 64 rows of a
 # 512-wide photo, 2 MB at float32.
 _STRIP_ELEMS = 1 << 19
+
+# A gathered tile's mask conv costs about 1.5 times its share of the dense
+# one (halo columns, the gather and the fill; measured on 512x512 photos and
+# 64x64 training batches), so a window with more than two thirds of its
+# tiles dirty makes the dense call.
+_DENSE_SHARE = 2 / 3
 
 MODE_FEATURE_MASK = "FMask"
 MODE_INPUT_MASK = "IMask"
@@ -112,8 +132,126 @@ def mask_features(x, mask):
     return MaskedFeature(x * T.constant(mask.astype(x.data.dtype, copy=False)), mask)
 
 
+@dataclass(frozen=True)
+class CleanTiles:
+    """Where a layer's mask conv may be skipped, for one window of its output rows.
+
+    ``dirty`` is the (N, 1, rows, W) map of the output pixels whose receptive
+    field reaches a mask value below 1 or the image's edge; every other pixel
+    takes the layer's all-valid mask, which repeats every ``period`` image
+    rows and columns. ``row`` is the image row of the window's first row,
+    and ``side`` the width of a tile and the most rows it spans.
+    ``pattern`` holds that (Co, period, period) mask, indexed by image row and
+    column modulo ``period``, once one clean tile has been computed: a
+    one-element list the caller keeps for every window of one layer.
+    """
+
+    dirty: np.ndarray
+    row: int
+    side: int
+    period: int
+    pattern: list
+
+
+def _gather(a, pad_rows, padding, runs, step, rows, widths, tail):
+    """The input rectangles of runs of output tiles, side by side in one image.
+
+    Run ``k`` reads ``rows`` rows from padded input row ``band[k] * step[0]``
+    and ``widths[k]`` columns from padded column ``first[k] * step[1]`` of
+    image ``n[k]``; ``a`` holds the padded input from row ``pad_rows[0]``
+    and column ``padding``. The pad, and whatever lies past ``a`` (only
+    outputs outside the window read it), is 1, and so are ``tail`` more
+    columns. One wide image keeps the convolution's row copies long and its
+    GEMMs as wide as the dense ones, so that they round alike; the tail,
+    never read, takes the narrower kernel of a GEMM's last columns.
+    """
+    n, band, first, _ = runs
+    h, w = a.shape[2:]
+    img = np.ones((1, a.shape[1], rows, int(widths.sum()) + tail), dtype=a.dtype)
+    x = 0
+    for k, width in enumerate(widths.tolist()):
+        r0, c0 = int(band[k]) * step[0] - pad_rows[0], int(first[k]) * step[1] - padding
+        r1, c1, r2, c2 = max(r0, 0), max(c0, 0), min(r0 + rows, h), min(c0 + width, w)
+        img[0, :, r1 - r0:r2 - r0, x + c1 - c0:x + c2 - c0] = a[n[k], :, r1:r2, c1:c2]
+        x += width
+    return img
+
+
+def _sparse_mask(m, wn, stride, padding, skip, pad_rows, skip_pad_rows, tiles):
+    """The window's propagated mask from its dirty tiles only, or None for a
+    window left to the dense call (see :func:`propagate_mask`)."""
+    n, _, rows, width = tiles.dirty.shape
+    side, period, up = tiles.side, tiles.period, skip is not None
+    # Bands of rows as equal as the window allows (even for a decoder, whose
+    # phase convolutions read whole row pairs), columns cut at the image origin.
+    bands = -(-rows // side)
+    h = -(-rows // bands)
+    if up:
+        h += h % 2
+    across = -(-width // side)
+    cells = np.zeros((n, bands * h, across * side), dtype=bool)
+    cells[:, :rows, :width] = tiles.dirty[:, 0]
+    todo = cells.reshape(n, bands, h, -1).any(axis=2).reshape(n, bands, across, side).any(axis=3)
+    if todo.mean() > _DENSE_SHARE:
+        return None
+    pattern, sample = tiles.pattern[0], None
+    if pattern is None:
+        # One clean tile wholly in the window, to take the pattern from.
+        inside = np.zeros((bands, across), dtype=bool)
+        if min(h, side) >= period:
+            inside[:rows // h, :width // side] = True
+        clean = np.flatnonzero(~todo & inside)
+        if not clean.size:
+            return None
+        sample = np.unravel_index(clean[0], todo.shape)
+        todo[sample] = True
+    # Runs of consecutive tiles to compute along each band: (n, band, first, end).
+    flags = np.zeros((n, bands, across + 2), dtype=np.int8)
+    flags[:, :, 1:-1] = todo
+    edges = flags[:, :, 1:] - flags[:, :, :-1]
+    runs = np.nonzero(edges == 1) + (np.nonzero(edges == -1)[2],)
+    cols = (runs[3] - runs[2]) * side
+    ks, tail = wn.shape[2], 16
+    if up:
+        # The skip runs 4p columns apart and the phase runs half that, so one
+        # add_phases interleaves every run at once.
+        cu, p = m.shape[1], padding
+        kernels = T.upsample_kernels(T.constant(wn[:, :cu])).data
+        img = _gather(skip, skip_pad_rows, p, runs, (h, side), h + 2 * p, cols + 4 * p, tail)
+        out, _ = T.conv2d_raw(img, wn[:, cu:], None, 1, 0, 1.0)
+        img = _gather(m, pad_rows, p, runs, (h // 2, side // 2), h // 2 + 2 * p,
+                      cols // 2 + 2 * p, tail // 2 + p)
+        T.add_phases(out, T.conv2d_raw(img, kernels, None, 1, 0, 1.0)[0], p)
+        pitch = cols + 4 * p
+    else:
+        extra = -(-(ks - stride) // stride)
+        img = _gather(m, pad_rows, padding, runs, (stride * h, stride * side),
+                      stride * (h - 1) + ks, stride * (cols + extra), stride * tail)
+        out, _ = T.conv2d_raw(img, wn, None, stride, 0, 1.0)
+        pitch = cols + extra
+    np.clip(out, 0.0, 1.0, out=out)
+    starts = (np.cumsum(pitch) - pitch).tolist()
+    if sample is not None:
+        k = int(np.flatnonzero((runs[0] == sample[0]) & (runs[1] == sample[1])
+                               & (runs[2] <= sample[2]) & (sample[2] < runs[3]))[0])
+        x = starts[k] + (sample[2] - runs[2][k]) * side
+        shift = ((tiles.row + sample[1] * h) % period, (sample[2] * side) % period)
+        pattern = tiles.pattern[0] = np.roll(out[0, :, :period, x:x + period], shift, axis=(1, 2))
+    # Fill whole periods of rows from the image's origin, cut the window out
+    # and put the computed runs in.
+    co, offset, full_cols = out.shape[1], tiles.row % period, across * side
+    periods = -(-(offset + bands * h) // period)
+    full = np.empty((n, co, periods, period, full_cols), dtype=out.dtype)
+    full[:] = np.tile(pattern, -(-full_cols // period))[None, :, None, :, :full_cols]
+    window = full.reshape(n, co, periods * period, full_cols)[:, :, offset:offset + bands * h]
+    for k, x in enumerate(starts):
+        i, j = int(runs[1][k]) * h, int(runs[2][k]) * side
+        window[runs[0][k], :, i:i + h, j:j + cols[k]] = out[0, :, :, x:x + cols[k]]
+    return window[:, :, :rows, :width]
+
+
 def propagate_mask(mask, weights, stride=1, padding=0, skip=None, pad_rows=None,
-                   skip_pad_rows=None):
+                   skip_pad_rows=None, tiles=None):
     """Carry a validity mask through a convolution.
 
     The kernel magnitudes are normalized per output channel to sum to
@@ -125,6 +263,18 @@ def propagate_mask(mask, weights, stride=1, padding=0, skip=None, pad_rows=None,
     ``mask`` followed by the channels of ``skip``. ``pad_rows`` and
     ``skip_pad_rows`` are ``(top, bottom)`` row paddings of ``mask`` and
     ``skip`` (:func:`~hdrmask.tensor.conv2d_raw`).
+
+    ``tiles`` (:class:`CleanTiles`) computes only where saturation reaches.
+    The output is cut into tiles: bands of at most ``tiles.side`` rows, and
+    columns of ``tiles.side`` from the image's origin. Each run of adjacent
+    dirty tiles along a band, with its halo, is copied into one image side
+    by side with the others and goes through the same convolutions as the
+    dense call; every clean tile is filled from the layer's all-valid
+    pattern, which the first clean tile the caller's walk computes gives. A
+    window whose dirty tiles are more than two thirds of it makes the dense
+    call. Each output is the same sum over its own receptive field either
+    way, so the two agree bit for bit wherever the GEMM rounds an output
+    alike in both, and to rounding elsewhere.
     """
     w = weights.data if isinstance(weights, Tensor) else np.asarray(weights)
     w = np.abs(w)
@@ -134,11 +284,18 @@ def propagate_mask(mask, weights, stride=1, padding=0, skip=None, pad_rows=None,
     squeeze = m.ndim == 3
     if squeeze:
         m = m[None]
-    if skip is None:
+    s = None if skip is None else np.asarray(skip)
+    if squeeze and s is not None:
+        s = s[None]
+    if tiles is not None:
+        rows, skip_rows = ((padding, padding) if p is None else p
+                           for p in (pad_rows, skip_pad_rows))
+        out = _sparse_mask(m, wn, stride, padding, s, rows, skip_rows, tiles)
+        if out is not None:
+            return out[0] if squeeze else out
+    if s is None:
         out, _ = T.conv2d_raw(m, wn, None, stride, padding, 1.0, pad_rows)
     else:
-        s = np.asarray(skip)
-        s = s[None] if squeeze else s
         cu = m.shape[1]
         out, _ = T.conv2d_raw(s, wn[:, cu:], None, 1, padding, 1.0, skip_pad_rows)
         kernels = T.upsample_kernels(T.constant(wn[:, :cu])).data
@@ -173,7 +330,8 @@ def masked_conv(inp, weights, bias, stride=1, padding=0, activation_kind="relu",
 
 
 def masked_conv_layer(inp, weights, bias, stride=1, padding=0, activation_kind="relu",
-                      slope=0.2, mask_out=None, skip=None, pad_rows=None, skip_pad_rows=None):
+                      slope=0.2, mask_out=None, skip=None, pad_rows=None, skip_pad_rows=None,
+                      tiles=None):
     """One masked convolution: mask the features, convolve, update the mask.
 
     Masks never enter the differentiation graph. ``mask_out`` overrides the
@@ -189,13 +347,14 @@ def masked_conv_layer(inp, weights, bias, stride=1, padding=0, activation_kind="
 
     ``pad_rows`` and ``skip_pad_rows`` are ``(top, bottom)`` row paddings of
     ``inp`` and ``skip`` in place of ``padding``, for a window of rows that
-    is padded only where it meets the image's edge.
+    is padded only where it meets the image's edge. ``tiles`` restricts the
+    mask conv to where saturation reaches (:func:`propagate_mask`).
     """
     f = masked_conv(inp, weights, bias, stride, padding, activation_kind, slope, skip,
                     pad_rows, skip_pad_rows)
     m = mask_out if mask_out is not None else propagate_mask(
         inp.mask, weights, stride, padding, skip=None if skip is None else skip.mask,
-        pad_rows=pad_rows, skip_pad_rows=skip_pad_rows)
+        pad_rows=pad_rows, skip_pad_rows=skip_pad_rows, tiles=tiles)
     return MaskedFeature(f, m)
 
 
@@ -369,22 +528,43 @@ def _edge_rows(edge, a, b, pad):
     return stride * a - pad, stride * (b - 1) + pad + 1
 
 
+def _dilate(d, kernel, stride, rows, cols):
+    """``out[..., y, x] = any(d[..., s*y:s*y+k, s*x:s*x+k])`` for the first
+    ``rows`` x ``cols`` outputs of a ``kernel``-tap, ``stride`` window."""
+    def taps(n, i):
+        return slice(i, i + stride * (n - 1) + 1, stride)
+
+    along = d[:, :, taps(rows, 0)].copy()
+    for i in range(1, kernel):
+        along |= d[:, :, taps(rows, i)]
+    out = along[:, :, :, taps(cols, 0)].copy()
+    for j in range(1, kernel):
+        out |= along[:, :, :, taps(cols, j)]
+    return out
+
+
 class _Frontier:
     """Each layer's computed rows in one U-Net pass, advanced on demand.
 
     Node 0 is the input and node ``j + 1`` layer ``j`` of :func:`layer_plan`.
     A node reads ``(source node, stride, up)`` edges: the node before it (2x
     upsampled when ``up``, into a decoder) and a decoder's encoder skip. Each
-    node holds its features and mask for rows ``[keep, done)`` only.
-    :meth:`advance` first drops the rows no consumer reads again, then works
-    out from the last layer backwards how far each layer must get for the
-    requested output rows, and runs the layers forwards that far. A layer
+    node holds its features, mask and dirty map for rows ``[keep, done)``
+    only. :meth:`advance` first drops the rows no consumer reads again, then
+    works out from the last layer backwards how far each layer must get for
+    the requested output rows, and runs the layers forwards that far. A layer
     reads a window of its source's rows, padded only where it meets the
     image's edge; a window that is all of the source is the source itself,
     so one advance over the whole image runs the whole-image operations and
-    records the same graph. Several advances concatenate and slice arrays
-    outside the differentiation graph, so they are for constant parameters
-    only.
+    records the same graph. Later advances write into row buffers outside
+    the differentiation graph, so they are for constant parameters only.
+
+    The dirty map marks the pixels whose receptive field reaches a mask
+    value below 1 or the image's edge (in FMask, where masks propagate).
+    Everywhere else a layer's mask is its all-valid mask, which repeats with
+    the node's ``period``: 1 for an encoder, doubled by each decoder's
+    upsample. Each layer keeps that pattern once it has computed it, and its
+    mask conv runs on dirty tiles only (:class:`CleanTiles`).
     """
 
     def __init__(self, x, m, params, pin, out_mask=True):
@@ -394,7 +574,7 @@ class _Frontier:
         self.pad = (config.kernel_size - 1) // 2
         n, _, h, w = x.data.shape
         self.batch = n
-        self.edges, self.extents = [()], [(h, w)]
+        self.edges, self.extents, self.period = [()], [(h, w)], [1]
         for j, spec in enumerate(self.plan):
             rows, cols = self.extents[j]
             if config.levels <= j < len(self.plan) - 1:
@@ -404,10 +584,21 @@ class _Frontier:
                 s = spec.stride
                 self.edges.append(((j, s, False),))
                 self.extents.append((-(-rows // s), -(-cols // s)))
-        self.keep = [0] * len(self.edges)
+            self.period.append(math.lcm(*(
+                2 * self.period[src] if up else self.period[src] // math.gcd(self.period[src], s)
+                for src, s, up in self.edges[-1])))
+        # A tile holds whole periods of every layer's pattern (the longest is
+        # the downsample factor); 8 ran faster than 16 or 32 on 512x512 photos.
+        self.side = max(8, config.downsample_factor)
+        nodes = len(self.edges)
+        self.patterns = [[None] for _ in range(nodes)]
+        self.keep = [0] * nodes
         self.done = [h] + [0] * len(self.plan)
         self.features = [x] + [None] * len(self.plan)
         self.masks = [m] + [None] * len(self.plan)
+        self.dirty = [(m < 1).any(axis=1, keepdims=True)
+                      if config.mode == MODE_FEATURE_MASK else None] + [None] * len(self.plan)
+        self.buffers, self.start = [None] * nodes, [None] * nodes
 
     def advance(self, rows):
         """Compute the output rows before ``rows``; returns the new ones."""
@@ -441,7 +632,33 @@ class _Frontier:
                 self.features[v] = T.constant(self.features[v].data[:, :, cut:])
                 if self.masks[v] is not None:
                     self.masks[v] = self.masks[v][:, :, cut:]
+                if self.dirty[v] is not None:
+                    self.dirty[v] = self.dirty[v][:, :, cut:]
                 self.keep[v] += cut
+                if self.start[v] is not None:
+                    self.start[v] += cut
+
+    def _reach(self, v, a, b):
+        """Node ``v``'s (N, 1, b - a, W) dirty map of rows ``[a, b)``: each
+        source's map, the image's edge counted dirty, dilated by the rows and
+        columns the layer reads there; None where a source's map is unknown."""
+        p, reach = self.pad, None
+        for edge in self.edges[v]:
+            src, stride, up = edge
+            if self.dirty[src] is None:
+                return None
+            lo, hi = _edge_rows(edge, a, b, p)
+            r0, r1 = max(lo, 0), min(hi, self.extents[src][0])
+            width = self.extents[src][1]
+            held = np.ones((self.batch, 1, hi - lo, width + 2 * p), dtype=bool)
+            held[:, :, r0 - lo:r1 - lo, p:p + width] = \
+                self.dirty[src][:, :, r0 - self.keep[src]:r1 - self.keep[src]]
+            if up:
+                # The phase convolutions read as the k x k kernel over the 2x upsample.
+                held, stride = held.repeat(2, axis=2).repeat(2, axis=3)[:, :, p:, p:], 1
+            d = _dilate(held, self.config.kernel_size, stride, b - a, self.extents[v][1])
+            reach = d if reach is None else reach | d
+        return reach
 
     def _compute(self, v, b):
         """Run node ``v``'s layer for rows ``[done, b)`` and append them."""
@@ -460,16 +677,53 @@ class _Frontier:
         weights, bias = self.params.layers[spec.name]
         args = (inp, weights, bias, spec.stride, self.pad, spec.activation,
                 self.config.leaky_slope)
+        d = tiles = None
         if v == len(self.plan) and not self.out_mask:
             f, m = masked_conv(*args, skip, pad_rows, skip_pad_rows), None
         else:
             shape = (self.batch, spec.out_channels, b - a, self.extents[v][1])
-            out = masked_conv_layer(*args, self.pin(spec, shape), skip, pad_rows, skip_pad_rows)
+            pinned = self.pin(spec, shape)
+            if pinned is None:
+                d = self._reach(v, a, b)
+            if d is not None:
+                tiles = CleanTiles(d, a, self.side, self.period[v], self.patterns[v])
+            out = masked_conv_layer(*args, pinned, skip, pad_rows, skip_pad_rows, tiles)
             f, m = out.features, out.mask
-        if self.done[v] > self.keep[v]:
-            f = T.constant(np.concatenate([self.features[v].data, f.data], axis=2))
-            m = np.concatenate([self.masks[v], m], axis=2)
-        self.features[v], self.masks[v], self.done[v] = f, m, b
+        self._store(v, f, m, d)
+        self.done[v] = b
+
+    def _store(self, v, f, m, d):
+        """Hold node ``v``'s new rows after its rows ``[keep, done)``.
+
+        Rows that follow none are held as computed, so a one-strip walk keeps
+        its graph. Otherwise they go to the node's row buffers (features,
+        mask, dirty map), which move the held rows to their front only when
+        the new ones do not fit behind them: no strip allocates.
+        """
+        held = self.done[v] - self.keep[v]
+        if held == 0:
+            self.features[v], self.masks[v], self.dirty[v] = f, m, d
+            self.start[v] = None
+            return
+        new = (f.data, m, d)
+        total = held + f.data.shape[2]
+        buf, start = self.buffers[v], self.start[v]
+        if buf is None or buf[0].shape[2] < total:
+            buf = self.buffers[v] = [
+                None if a is None else np.empty(a.shape[:2] + (total,) + a.shape[3:], a.dtype)
+                for a in new]
+            start = None
+        if start is None or start + total > buf[0].shape[2]:
+            for to, a in zip(buf, (self.features[v].data, self.masks[v], self.dirty[v])):
+                if to is not None:
+                    to[:, :, :held] = a
+            start = 0
+        for to, a in zip(buf, new):
+            if to is not None:
+                to[:, :, start + held:start + total] = a
+        f, m, d = (None if to is None else to[:, :, start:start + total] for to in buf)
+        self.features[v], self.masks[v], self.dirty[v] = T.constant(f), m, d
+        self.start[v] = start
 
 
 def unet_forward(ldr, mask, params, frozen_masks=None):

@@ -41,6 +41,37 @@ def conv2d_loops(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None
     return out
 
 
+def conv2d_terms(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
+    """NCHW convolution summing every output's terms in one fixed order.
+
+    One elementwise multiply and add per (input channel, kernel row, kernel
+    column) over all outputs at once, so each output rounds the same
+    wherever it sits and however large the array is; a GEMM's rounding can
+    depend on both. Takes ``tensor.conv2d_raw``'s arguments and returns its
+    ``(out, planes)`` pair, with no planes.
+    """
+    x, w = np.asarray(x), np.asarray(w)
+    n, c, h, wd = x.shape
+    co, ci, kh, kw = w.shape
+    assert c == ci
+    top, bottom = (padding, padding) if pad_rows is None else pad_rows
+    dtype = np.result_type(x, w)
+    xp = np.full((n, c, h + top + bottom, wd + 2 * padding), pad_value, dtype=dtype)
+    xp[:, :, top:top + h, padding:padding + wd] = x
+    oh = (h + top + bottom - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, co, oh, ow), dtype=dtype)
+    for i in range(ci):
+        for ky in range(kh):
+            for kx in range(kw):
+                tap = xp[:, i:i + 1, ky:ky + stride * (oh - 1) + 1:stride,
+                         kx:kx + stride * (ow - 1) + 1:stride]
+                out += w[:, i, ky, kx].astype(dtype)[None, :, None, None] * tap
+    if b is not None:
+        out += np.asarray(b, dtype=dtype).reshape(1, co, 1, 1)
+    return out, None
+
+
 def masked_conv_loops(x, mask, w, b=None, stride=1, padding=0, eps=1e-6):
     """One masked layer the long way: ``conv2d_loops`` of ``x * mask``, and the
     mask convolved with ``|w|`` normalized per output channel (plus ``eps``)

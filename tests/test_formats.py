@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,28 @@ class TestPfm:
         data = b"PF\n999999 999999\n-1.0\n" + b"\x00" * 64
         with pytest.raises(FormatError):
             F.read_pfm(data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, ">f4"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_file_is_the_documented_layout(self, tmp_path, dtype, channels):
+        # Header, then rows bottom-up of interleaved little-endian float32.
+        img = (rnd(3).random((channels, 5, 7)) * 1e3).astype(dtype)
+        path = tmp_path / "x.pfm"
+        F.write_pfm(path, img)
+        hwc = img.transpose(1, 2, 0)[::-1].astype("<f4")
+        magic = b"PF" if channels == 3 else b"Pf"
+        want = magic + b"\n7 5\n-1.0\n" + hwc.tobytes()
+        assert path.read_bytes() == want == F.encode_pfm(img)
+
+    def test_write_holds_one_payload_copy(self, tmp_path):
+        img = rnd(4).random((3, 1024, 1024)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            F.write_pfm(tmp_path / "big.pfm", img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * img.nbytes, peak / img.nbytes
 
 
 class TestPpm:

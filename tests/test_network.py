@@ -9,7 +9,7 @@ from hdrmask import network as N
 from hdrmask import tensor as T
 from hdrmask.errors import DimensionError, DomainError
 
-from oracles import conv2d_loops, masked_conv_loops, upsample_concat_conv
+from oracles import conv2d_loops, conv2d_terms, masked_conv_loops, upsample_concat_conv
 
 
 def rnd(seed):
@@ -513,6 +513,173 @@ class TestPredict:
         whole = peak(lambda: N.unet_forward(x, mask, params.as_constants()))
         streamed = peak(lambda: N.predict(x, mask, params))
         assert streamed <= whole / 4, (streamed, whole)
+
+
+def dense_masks(mask, params):
+    """Every layer's mask by :func:`N.propagate_mask` over the whole image, untiled."""
+    config = params.config
+    pad, m, masks, skips = config.kernel_size // 2, mask, {}, []
+    for i, spec in enumerate(N.layer_plan(config)):
+        w = params.layers[spec.name][0]
+        if spec.name.startswith("dec"):
+            m = N.propagate_mask(m, w, padding=pad, skip=skips.pop())
+        else:
+            m = N.propagate_mask(m, w, spec.stride, pad)
+        masks[spec.name] = m
+        if i < config.levels - 1:
+            skips.append(m)
+    return masks
+
+
+class TestCleanTiles:
+    """predict's walk runs each mask conv on the tiles saturation reaches and
+    fills the others with the layer's all-valid pattern. Under a convolution
+    that rounds every output alike (``conv2d_terms``) its masks equal the
+    dense ones bit for bit, so a pixel wrongly taken for clean, or a pattern
+    laid a row or a column off, shows as a changed bit."""
+    CFG = N.UNetConfig(levels=4, base_channels=2)
+    TOL = {np.float64: 1e-12, np.float32: 2e-6}
+
+    @pytest.fixture()
+    def exact_conv(self, monkeypatch):
+        monkeypatch.setattr(T, "conv2d_raw", conv2d_terms)
+
+    def walk_masks(self, monkeypatch, x, mask, params, rows=None):
+        """predict's masks per layer, joined from the windows it propagates;
+        ``rows`` cuts the strips to that many rows at the deepest level."""
+        got = {}
+        propagate, strip = N.propagate_mask, N._STRIP_ELEMS
+
+        def spy(m, weights, *args, **kwargs):
+            out = propagate(m, weights, *args, **kwargs)
+            got.setdefault(weights.name[:-len(".weight")], []).append(np.array(out))
+            return out
+
+        monkeypatch.setattr(N, "propagate_mask", spy)
+        if rows is not None:
+            config = params.config
+            monkeypatch.setattr(N, "_STRIP_ELEMS", rows * x.shape[0] * config.base_channels
+                                * x.shape[3] * config.downsample_factor)
+        N.predict(x, mask, params)
+        monkeypatch.setattr(N, "propagate_mask", propagate)
+        monkeypatch.setattr(N, "_STRIP_ELEMS", strip)
+        return {name: np.concatenate(parts, axis=2) for name, parts in got.items()}
+
+    def params(self, dtype, config=None):
+        config = config or self.CFG
+        return N.UNetParameters.from_arrays(config, {
+            k: a.astype(dtype) for k, a in tiny_params(config, seed=71).named_arrays().items()})
+
+    @staticmethod
+    def case(name, h=64, w=96):
+        """An input and its mask: all valid, all saturated, one pixel below 1
+        in the interior, on a tile corner or one pixel from the edge, or a
+        photo's exposure mask."""
+        x = rnd(70).random((1, 3, h, w))
+        mask = np.ones_like(x)
+        if name == "saturated":
+            mask[:] = 0.0
+        elif name == "interior":
+            mask[0, 1, 37, 45] = 0.25
+        elif name == "corner":
+            mask[0, 0, 24, 40] = 0.5
+        elif name == "border":
+            mask[0, 2, 1, 50] = 0.0
+        elif name == "photo":
+            mask = N.exposure_mask(np.clip(x + 0.25 * (x > 0.8), 0.0, 1.0), 0.9)
+        return x, mask
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", ["valid", "saturated", "interior", "corner", "border",
+                                      "photo"])
+    def test_walk_masks_equal_dense_masks(self, monkeypatch, exact_conv, name, dtype, rows):
+        x, mask = (a.astype(dtype) for a in self.case(name))
+        params = self.params(dtype)
+        want = dense_masks(mask, params)
+        got = self.walk_masks(monkeypatch, x, mask, params, rows)
+        assert set(got) == set(want) - {"out"}
+        for layer, m in got.items():
+            assert m.dtype == dtype and np.array_equal(m, want[layer]), layer
+
+    @pytest.mark.parametrize("kernel,levels", [(1, 3), (5, 3), (3, 2)])
+    @pytest.mark.parametrize("name", ["valid", "photo"])
+    def test_other_kernels_and_depths(self, monkeypatch, exact_conv, kernel, levels, name):
+        # A 1x1 kernel reads no padding, so an all-valid photo has no dirty tile.
+        config = N.UNetConfig(levels=levels, base_channels=2, kernel_size=kernel)
+        params = self.params(np.float64, config)
+        x, mask = self.case(name)
+        want = dense_masks(mask, params)
+        for layer, m in self.walk_masks(monkeypatch, x, mask, params, 1).items():
+            assert np.array_equal(m, want[layer]), layer
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_odd_extents_through_the_reflect_pad(self, monkeypatch, exact_conv, dtype):
+        # reconstruct's pad: the bottom and right edges reflected up to the factor.
+        x, mask = self.case("photo", 45, 61)
+        pad = ((0, 0), (0, 0), (0, 3), (0, 3))
+        x, mask = (np.pad(a, pad, mode="reflect").astype(dtype) for a in (x, mask))
+        params = self.params(dtype)
+        want = dense_masks(mask, params)
+        for layer, m in self.walk_masks(monkeypatch, x, mask, params, 1).items():
+            assert np.array_equal(m, want[layer]), layer
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gemm_masks_within_predict_tolerance(self, monkeypatch, dtype, rows):
+        # With the GEMM convolution a gathered tile may round apart from the
+        # dense pass, never by more than predict's own bounds.
+        x, mask = (a.astype(dtype) for a in self.case("photo"))
+        params = self.params(dtype)
+        want = dense_masks(mask, params)
+        for layer, m in self.walk_masks(monkeypatch, x, mask, params, rows).items():
+            assert rel_err(m, want[layer]) <= self.TOL[dtype], layer
+
+    def test_all_valid_photo_computes_only_the_border_band(self, monkeypatch):
+        # Masks pad with 1 but count as dirty past the edge, so on an all-valid
+        # photo a layer's dirty pixels are the ring its receptive field reaches
+        # past the edge: one pixel at every encoder, 2r + 1 at a decoder over a
+        # ring of r. Each layer computes the tiles on that ring, and one more
+        # the first time a window has a clean tile, to take its pattern from.
+        config = N.UNetConfig()
+        params = tiny_params(config, seed=72)
+        h, w = 192, 256
+        x = rnd(73).random((1, 3, h, w)) * 0.5
+        mask = N.exposure_mask(x)
+        assert np.all(mask == 1)
+        state, seen = {}, {}
+        propagate, gather = N.propagate_mask, N._gather
+
+        def spy_propagate(m, weights, *args, **kwargs):
+            state.update(layer=weights.name[:-len(".weight")], tiles=kwargs["tiles"])
+            return propagate(m, weights, *args, **kwargs)
+
+        def spy_gather(a, pad_rows, padding, runs, step, rows, widths, tail):
+            tiles = state["tiles"]
+            band = step[0] * tiles.side // step[1]
+            for _, i, first, end in zip(*runs):
+                for j in range(first, end):
+                    seen.setdefault(state["layer"], set()).add((tiles.row + i * band, band, j))
+            return gather(a, pad_rows, padding, runs, step, rows, widths, tail)
+
+        monkeypatch.setattr(N, "propagate_mask", spy_propagate)
+        monkeypatch.setattr(N, "_gather", spy_gather)
+        N.predict(x, mask, params)
+        side = config.downsample_factor
+        ring = {f"enc{i}": 1 for i in range(config.levels)}
+        for i in range(config.levels - 2, -1, -1):
+            ring[f"dec{i}"] = 2 * ring[f"dec{i + 1}" if i < config.levels - 2 else
+                                       f"enc{config.levels - 1}"] + 1
+        assert set(seen) == set(ring)
+        for layer, tiles in seen.items():
+            level = int(layer[3:])
+            rows, cols = h >> level, w >> level
+            edge = -(-ring[layer] // side) * side
+            inner = [(r, j) for r, band, j in tiles
+                     if edge <= r and r + band <= rows - edge
+                     and edge <= j * side and (j + 1) * side <= cols - edge]
+            assert len(inner) <= 1, (layer, inner)
+            assert len(tiles) < -(-rows // side) * -(-cols // side), layer
 
 
 class TestPropagatedMaskRange:
