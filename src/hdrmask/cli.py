@@ -114,6 +114,16 @@ def _unet_config(resolved):
                       mode=resolved.get("mode") or MODE_FEATURE_MASK)
 
 
+def _padded(x, m, factor):
+    """An (N, C, H, W) input and mask reflect-padded at the bottom and right
+    edges up to the next multiple of ``factor``, the extents the U-Net takes."""
+    h, w = x.shape[2:]
+    if h % factor or w % factor:
+        pad = ((0, 0), (0, 0), (0, -h % factor), (0, -w % factor))
+        x, m = np.pad(x, pad, mode="reflect"), np.pad(m, pad, mode="reflect")
+    return x, m
+
+
 def _load_hdr_dir(path):
     names = sorted(f for f in os.listdir(path)
                    if f.lower().endswith((".pfm", ".hdr")))
@@ -160,8 +170,13 @@ def cmd_mask(args, resolved):
         params = load_model(args.checkpoint).params
     else:
         params = initialize_parameters(_unet_config(resolved), resolved["seed"])
-    _, stack = unet_forward(ldr.pixels[None], mask[None], params.as_constants())
-    images = export_mask_images(stack)
+    x, m = _padded(ldr.pixels[None], mask[None], params.config.downsample_factor)
+    _, stack = unet_forward(x, m, params.as_constants())
+    # A layer at level l covers ceil(H / 2**l) x ceil(W / 2**l) of the photo.
+    _, h, w = mask.shape
+    images = export_mask_images([(name, a[:, :, :-(-h * a.shape[2] // x.shape[2]),
+                                          :-(-w * a.shape[3] // x.shape[3])])
+                                 for name, a in stack])
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {}
     for (layer, channel), img in images.items():
@@ -294,15 +309,9 @@ def cmd_reconstruct(args, resolved):
     ldr = formats.read_ldr(args.input)
     model = load_model(args.checkpoint)
     mask = exposure_mask(ldr.pixels, resolved["alpha"])
-    # The U-Net takes extents divisible by its downsample factor: reflect-pad
-    # the bottom and right edges up to the next multiple, then crop.
-    _, h, w = mask.shape
-    factor = model.params.config.downsample_factor
-    x, m = ldr.pixels[None], mask[None]
-    if h % factor or w % factor:
-        pad = ((0, 0), (0, 0), (0, -h % factor), (0, -w % factor))
-        x, m = np.pad(x, pad, mode="reflect"), np.pad(m, pad, mode="reflect")
+    x, m = _padded(ldr.pixels[None], mask[None], model.params.config.downsample_factor)
     y = predict(x, m, model.params)
+    _, h, w = mask.shape
     hdr = compose_hdr(ldr, mask, y[0, :, :h, :w], gamma=resolved["gamma"])
     formats.write_pfm(args.output, hdr)
     out_dir = os.path.dirname(os.path.abspath(args.output))
@@ -318,7 +327,7 @@ _EVAL_DEFAULTS = {"patch": 64, "per_image": 8, "threshold": 0.0, "alpha": 0.96,
 
 def cmd_eval(args, resolved):
     model = load_model(args.checkpoint)
-    if args.shard:
+    if args.shard is not None:
         records = formats.read_dataset_shard(args.shard)
         source = {"shard": args.shard}
     else:
@@ -529,8 +538,9 @@ def _build_parser():
     p = add("eval", cmd_eval, _EVAL_DEFAULTS, "metrics table binned by saturation")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--shard")
-    p.add_argument("--hdr-dir")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--shard")
+    source.add_argument("--hdr-dir")
 
     p = add("ablate", cmd_ablate, _ABLATE_DEFAULTS, "masking/pre-training matrix")
     p.add_argument("--out-dir", required=True)

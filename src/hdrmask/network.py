@@ -32,14 +32,16 @@ than with its area times the number of layers; it agrees with
 image.
 
 Where no saturated pixel is in reach, a mask conv only repeats the layer's
-all-valid mask. So in FMask the walk carries a dirty map beside each
-layer's rows: the pixels whose receptive field reaches a mask value below 1
-or the image's edge, dilated layer by layer by the rows and columns each
-convolution reads. A mask conv runs on the tiles of its window that the map
-touches, gathered side by side into one convolution, and fills the others
-with the all-valid mask (the gather and scatter of SBNet, Ren et al., CVPR
-2018, with the block mask exact instead of thresholded). That mask repeats
-every 2**k pixels, one for an encoder and doubling at each decoder's
+all-valid mask. So in FMask the walk cuts each window of a layer's output
+into tiles and reads off the input which of them saturation reaches: a
+tile's rows and columns map down the layer graph to the input rectangle its
+receptive field covers, a summed-area table of the input's saturated pixels
+tells whether that rectangle holds one, and a tile whose receptive field
+passes the image's edge counts as reached too. A mask conv runs on the
+reached tiles only, gathered side by side into one convolution, and fills
+the others with the all-valid mask (the gather and scatter of SBNet, Ren et
+al., CVPR 2018, with the block mask exact instead of thresholded). That mask
+repeats every 2**k pixels, one for an encoder and doubling at each decoder's
 upsample, and the first clean tile a walk computes gives it. The masks are
 the dense ones: bit for bit where the GEMM rounds a gathered output as it
 rounds the dense one (float32 here), within rounding otherwise.
@@ -136,18 +138,22 @@ def mask_features(x, mask):
 class CleanTiles:
     """Where a layer's mask conv may be skipped, for one window of its output rows.
 
-    ``dirty`` is the (N, 1, rows, W) map of the output pixels whose receptive
-    field reaches a mask value below 1 or the image's edge; every other pixel
-    takes the layer's all-valid mask, which repeats every ``period`` image
-    rows and columns. ``row`` is the image row of the window's first row,
-    and ``side`` the width of a tile and the most rows it spans.
-    ``pattern`` holds that (Co, period, period) mask, indexed by image row and
-    column modulo ``period``, once one clean tile has been computed: a
-    one-element list the caller keeps for every window of one layer.
+    The window is ``shape`` (rows, columns) from image row ``row``, cut into
+    tiles: bands of ``band`` rows from its first row, and columns of
+    ``side`` from the image's origin. ``flags`` is the (N, bands, columns)
+    map of the tiles whose receptive field, as the input rectangle that
+    bounds it, holds a saturated pixel or passes the image's edge; every
+    other tile takes the layer's all-valid mask, which repeats every
+    ``period`` image rows and columns. ``pattern`` holds that (Co, period,
+    period) mask, indexed by image row and column modulo ``period``, once
+    one clean tile has been computed: a one-element list the caller keeps
+    for every window of one layer.
     """
 
-    dirty: np.ndarray
+    flags: np.ndarray
     row: int
+    shape: tuple
+    band: int
     side: int
     period: int
     pattern: list
@@ -178,20 +184,11 @@ def _gather(a, pad_rows, padding, runs, step, rows, widths, tail):
 
 
 def _sparse_mask(m, wn, stride, padding, skip, pad_rows, skip_pad_rows, tiles):
-    """The window's propagated mask from its dirty tiles only, or None for a
+    """The window's propagated mask from its flagged tiles only, or None for a
     window left to the dense call (see :func:`propagate_mask`)."""
-    n, _, rows, width = tiles.dirty.shape
-    side, period, up = tiles.side, tiles.period, skip is not None
-    # Bands of rows as equal as the window allows (even for a decoder, whose
-    # phase convolutions read whole row pairs), columns cut at the image origin.
-    bands = -(-rows // side)
-    h = -(-rows // bands)
-    if up:
-        h += h % 2
-    across = -(-width // side)
-    cells = np.zeros((n, bands * h, across * side), dtype=bool)
-    cells[:, :rows, :width] = tiles.dirty[:, 0]
-    todo = cells.reshape(n, bands, h, -1).any(axis=2).reshape(n, bands, across, side).any(axis=3)
+    todo, (rows, width) = tiles.flags, tiles.shape
+    n, bands, across = todo.shape
+    h, side, period, up = tiles.band, tiles.side, tiles.period, skip is not None
     if todo.mean() > _DENSE_SHARE:
         return None
     pattern, sample = tiles.pattern[0], None
@@ -204,11 +201,12 @@ def _sparse_mask(m, wn, stride, padding, skip, pad_rows, skip_pad_rows, tiles):
         if not clean.size:
             return None
         sample = np.unravel_index(clean[0], todo.shape)
+        todo = todo.copy()
         todo[sample] = True
     # Runs of consecutive tiles to compute along each band: (n, band, first, end).
-    flags = np.zeros((n, bands, across + 2), dtype=np.int8)
-    flags[:, :, 1:-1] = todo
-    edges = flags[:, :, 1:] - flags[:, :, :-1]
+    padded = np.zeros((n, bands, across + 2), dtype=np.int8)
+    padded[:, :, 1:-1] = todo
+    edges = padded[:, :, 1:] - padded[:, :, :-1]
     runs = np.nonzero(edges == 1) + (np.nonzero(edges == -1)[2],)
     cols = (runs[3] - runs[2]) * side
     ks, tail = wn.shape[2], 16
@@ -265,16 +263,14 @@ def propagate_mask(mask, weights, stride=1, padding=0, skip=None, pad_rows=None,
     ``skip`` (:func:`~hdrmask.tensor.conv2d_raw`).
 
     ``tiles`` (:class:`CleanTiles`) computes only where saturation reaches.
-    The output is cut into tiles: bands of at most ``tiles.side`` rows, and
-    columns of ``tiles.side`` from the image's origin. Each run of adjacent
-    dirty tiles along a band, with its halo, is copied into one image side
-    by side with the others and goes through the same convolutions as the
-    dense call; every clean tile is filled from the layer's all-valid
-    pattern, which the first clean tile the caller's walk computes gives. A
-    window whose dirty tiles are more than two thirds of it makes the dense
-    call. Each output is the same sum over its own receptive field either
-    way, so the two agree bit for bit wherever the GEMM rounds an output
-    alike in both, and to rounding elsewhere.
+    Each run of adjacent flagged tiles along a band, with its halo, is
+    copied into one image side by side with the others and goes through the
+    same convolutions as the dense call; every other tile is filled from the
+    layer's all-valid pattern, which the first clean tile the caller's walk
+    computes gives. A window whose flagged tiles are more than two thirds of
+    it makes the dense call. Each output is the same sum over its own
+    receptive field either way, so the two agree bit for bit wherever the
+    GEMM rounds an output alike in both, and to rounding elsewhere.
     """
     w = weights.data if isinstance(weights, Tensor) else np.asarray(weights)
     w = np.abs(w)
@@ -478,12 +474,9 @@ def _as_batched(arr, channels, what):
     return a
 
 
-def _prepare(ldr, mask, config, frozen_masks=None):
-    """The batched input tensor and mask, checked, and the mode's mask pin.
-
-    ``pin(spec, shape)`` gives the mask a layer's output of ``shape`` takes
-    instead of propagating one, or None to propagate.
-    """
+def _prepare(ldr, mask, config):
+    """The batched input tensor and mask, checked; IMask applies the mask to
+    the input, and IMask and SConv then hold every mask at one."""
     x = ldr if isinstance(ldr, Tensor) else T.constant(
         _as_batched(ldr.pixels if hasattr(ldr, "pixels") else ldr, config.in_channels, "input"))
     if x.data.ndim == 3:
@@ -496,22 +489,11 @@ def _prepare(ldr, mask, config, frozen_masks=None):
     factor = config.downsample_factor
     if h % factor or w % factor:
         raise DimensionError(f"spatial extents {h}x{w} must be divisible by {factor}")
-
-    # The mode decides only the masks: IMask applies the mask to the input,
-    # then IMask and SConv run the same layers with every mask held at one.
     if config.mode == MODE_INPUT_MASK:
         x = x * T.constant(m)
-    if config.mode == MODE_FEATURE_MASK:
-        frozen = frozen_masks or {}
-
-        def pin(spec, shape):
-            return frozen.get(spec.name)
-    else:
+    if config.mode != MODE_FEATURE_MASK:
         m = np.ones_like(m)
-
-        def pin(spec, shape):
-            return np.ones(shape, dtype=m.dtype)
-    return x, m, pin
+    return x, m
 
 
 def _edge_rows(edge, a, b, pad):
@@ -528,48 +510,35 @@ def _edge_rows(edge, a, b, pad):
     return stride * a - pad, stride * (b - 1) + pad + 1
 
 
-def _dilate(d, kernel, stride, rows, cols):
-    """``out[..., y, x] = any(d[..., s*y:s*y+k, s*x:s*x+k])`` for the first
-    ``rows`` x ``cols`` outputs of a ``kernel``-tap, ``stride`` window."""
-    def taps(n, i):
-        return slice(i, i + stride * (n - 1) + 1, stride)
-
-    along = d[:, :, taps(rows, 0)].copy()
-    for i in range(1, kernel):
-        along |= d[:, :, taps(rows, i)]
-    out = along[:, :, :, taps(cols, 0)].copy()
-    for j in range(1, kernel):
-        out |= along[:, :, :, taps(cols, j)]
-    return out
-
-
 class _Frontier:
     """Each layer's computed rows in one U-Net pass, advanced on demand.
 
     Node 0 is the input and node ``j + 1`` layer ``j`` of :func:`layer_plan`.
     A node reads ``(source node, stride, up)`` edges: the node before it (2x
     upsampled when ``up``, into a decoder) and a decoder's encoder skip. Each
-    node holds its features, mask and dirty map for rows ``[keep, done)``
-    only. :meth:`advance` first drops the rows no consumer reads again, then
-    works out from the last layer backwards how far each layer must get for
-    the requested output rows, and runs the layers forwards that far. A layer
+    node holds its features and mask for rows ``[keep, done)`` only.
+    :meth:`advance` first drops the rows no consumer reads again, then works
+    out from the last layer backwards how far each layer must get for the
+    requested output rows, and runs the layers forwards that far. A layer
     reads a window of its source's rows, padded only where it meets the
     image's edge; a window that is all of the source is the source itself,
     so one advance over the whole image runs the whole-image operations and
     records the same graph. Later advances write into row buffers outside
     the differentiation graph, so they are for constant parameters only.
 
-    The dirty map marks the pixels whose receptive field reaches a mask
-    value below 1 or the image's edge (in FMask, where masks propagate).
-    Everywhere else a layer's mask is its all-valid mask, which repeats with
-    the node's ``period``: 1 for an encoder, doubled by each decoder's
-    upsample. Each layer keeps that pattern once it has computed it, and its
-    mask conv runs on dirty tiles only (:class:`CleanTiles`).
+    ``frozen`` (``{layer name: mask}``) pins FMask layers' masks; IMask and
+    SConv pin every mask to ones. Where FMask masks propagate, every other
+    pixel's mask is its layer's all-valid mask, which repeats with the
+    node's ``period``: 1 for an encoder, doubled by each decoder's upsample.
+    The walk then keeps a summed-area ``table`` of the input's saturated
+    pixels and, per node, the input bound of every row and every column
+    (:meth:`_bounds`), so that each window's :class:`CleanTiles` is a few
+    lookups; each layer keeps its pattern once it has computed it.
     """
 
-    def __init__(self, x, m, params, pin, out_mask=True):
+    def __init__(self, x, m, params, frozen=None, out_mask=True):
         self.config = config = params.config
-        self.params, self.pin, self.out_mask = params, pin, out_mask
+        self.params, self.frozen, self.out_mask = params, frozen or {}, out_mask
         self.plan = layer_plan(config)
         self.pad = (config.kernel_size - 1) // 2
         n, _, h, w = x.data.shape
@@ -596,9 +565,17 @@ class _Frontier:
         self.done = [h] + [0] * len(self.plan)
         self.features = [x] + [None] * len(self.plan)
         self.masks = [m] + [None] * len(self.plan)
-        self.dirty = [(m < 1).any(axis=1, keepdims=True)
-                      if config.mode == MODE_FEATURE_MASK else None] + [None] * len(self.plan)
         self.buffers, self.start = [None] * nodes, [None] * nodes
+        self.table = None
+        if config.mode == MODE_FEATURE_MASK and not self.frozen:
+            table = self.table = np.zeros((n, h + 1, w + 1),
+                                          dtype=np.int32 if h * w < 2 ** 31 else np.int64)
+            np.cumsum((m < 1).any(axis=1), axis=1, dtype=table.dtype, out=table[:, 1:, 1:])
+            np.cumsum(table[:, 1:, 1:], axis=2, out=table[:, 1:, 1:])
+            self.bounds = [[(np.arange(e), np.arange(1, e + 1), np.zeros(e, dtype=bool))
+                            for e in (h, w)]]
+            for v in range(1, nodes):
+                self.bounds.append([self._bounds(v, axis) for axis in (0, 1)])
 
     def advance(self, rows):
         """Compute the output rows before ``rows``; returns the new ones."""
@@ -632,33 +609,51 @@ class _Frontier:
                 self.features[v] = T.constant(self.features[v].data[:, :, cut:])
                 if self.masks[v] is not None:
                     self.masks[v] = self.masks[v][:, :, cut:]
-                if self.dirty[v] is not None:
-                    self.dirty[v] = self.dirty[v][:, :, cut:]
                 self.keep[v] += cut
                 if self.start[v] is not None:
                     self.start[v] += cut
 
-    def _reach(self, v, a, b):
-        """Node ``v``'s (N, 1, b - a, W) dirty map of rows ``[a, b)``: each
-        source's map, the image's edge counted dirty, dilated by the rows and
-        columns the layer reads there; None where a source's map is unknown."""
-        p, reach = self.pad, None
-        for edge in self.edges[v]:
-            src, stride, up = edge
-            if self.dirty[src] is None:
-                return None
-            lo, hi = _edge_rows(edge, a, b, p)
-            r0, r1 = max(lo, 0), min(hi, self.extents[src][0])
-            width = self.extents[src][1]
-            held = np.ones((self.batch, 1, hi - lo, width + 2 * p), dtype=bool)
-            held[:, :, r0 - lo:r1 - lo, p:p + width] = \
-                self.dirty[src][:, :, r0 - self.keep[src]:r1 - self.keep[src]]
+    def _bounds(self, v, axis):
+        """For each output row (``axis`` 0) or column (1) of node ``v``, the
+        input bound ``[lo, hi)`` it reads and whether the reading passes a
+        source's edge on the way. Every map on the way is monotone in the
+        position, so a range of a source's positions is bounded by its ends."""
+        i, p, out = np.arange(self.extents[v][axis]), self.pad, None
+        for src, stride, up in self.edges[v]:
+            # A decoder's k x k kernel reads the 2x upsample of its source, whose
+            # rows [lo, hi) repeat the source's [lo // 2, (hi + 1) // 2).
+            limit = self.extents[src][axis] * (2 if up else 1)
+            lo, hi = stride * i - p, stride * i + p + 1
+            past = (lo < 0) | (hi > limit)
+            lo, hi = np.maximum(lo, 0), np.minimum(hi, limit)
             if up:
-                # The phase convolutions read as the k x k kernel over the 2x upsample.
-                held, stride = held.repeat(2, axis=2).repeat(2, axis=3)[:, :, p:, p:], 1
-            d = _dilate(held, self.config.kernel_size, stride, b - a, self.extents[v][1])
-            reach = d if reach is None else reach | d
-        return reach
+                lo, hi = lo // 2, (hi + 1) // 2
+            src_lo, src_hi, src_past = self.bounds[src][axis]
+            past |= src_past[lo] | src_past[hi - 1]
+            lo, hi = src_lo[lo], src_hi[hi - 1]
+            out = (lo, hi, past) if out is None else (
+                np.minimum(out[0], lo), np.maximum(out[1], hi), out[2] | past)
+        return out
+
+    def _tiles(self, v, a, b):
+        """Node ``v``'s :class:`CleanTiles` for rows ``[a, b)``.
+
+        Bands start at ``a`` and, for a decoder, whose phase convolutions
+        read whole row pairs, hold an even number of rows.
+        """
+        rows, (width, side) = b - a, (self.extents[v][1], self.side)
+        bands = -(-rows // side)
+        band = -(-rows // bands)
+        if self.edges[v][0][2]:
+            band += band % 2
+        top, left = np.arange(a, b, band), np.arange(0, width, side)
+        bottom, right = np.minimum(top + band, b) - 1, np.minimum(left + side, width) - 1
+        (lo, hi, past), (clo, chi, cpast) = self.bounds[v]
+        r0, r1, c0, c1 = lo[top, None], hi[bottom, None], clo[left], chi[right]
+        t = self.table
+        count = t[:, r1, c1] - t[:, r0, c1] - t[:, r1, c0] + t[:, r0, c0]
+        flags = (count > 0) | (past[top] | past[bottom])[:, None] | cpast[left] | cpast[right]
+        return CleanTiles(flags, a, (rows, width), band, side, self.period[v], self.patterns[v])
 
     def _compute(self, v, b):
         """Run node ``v``'s layer for rows ``[done, b)`` and append them."""
@@ -677,53 +672,45 @@ class _Frontier:
         weights, bias = self.params.layers[spec.name]
         args = (inp, weights, bias, spec.stride, self.pad, spec.activation,
                 self.config.leaky_slope)
-        d = tiles = None
         if v == len(self.plan) and not self.out_mask:
             f, m = masked_conv(*args, skip, pad_rows, skip_pad_rows), None
         else:
-            shape = (self.batch, spec.out_channels, b - a, self.extents[v][1])
-            pinned = self.pin(spec, shape)
-            if pinned is None:
-                d = self._reach(v, a, b)
-            if d is not None:
-                tiles = CleanTiles(d, a, self.side, self.period[v], self.patterns[v])
+            pinned = self.frozen.get(spec.name) if self.config.mode == MODE_FEATURE_MASK else \
+                np.ones((self.batch, spec.out_channels, b - a, self.extents[v][1]),
+                        dtype=self.masks[0].dtype)
+            tiles = None if self.table is None else self._tiles(v, a, b)
             out = masked_conv_layer(*args, pinned, skip, pad_rows, skip_pad_rows, tiles)
             f, m = out.features, out.mask
-        self._store(v, f, m, d)
+        self._store(v, f, m)
         self.done[v] = b
 
-    def _store(self, v, f, m, d):
+    def _store(self, v, f, m):
         """Hold node ``v``'s new rows after its rows ``[keep, done)``.
 
         Rows that follow none are held as computed, so a one-strip walk keeps
-        its graph. Otherwise they go to the node's row buffers (features,
-        mask, dirty map), which move the held rows to their front only when
-        the new ones do not fit behind them: no strip allocates.
+        its graph. Otherwise they go to the node's row buffers (features and
+        mask), which move the held rows to their front only when the new ones
+        do not fit behind them: no strip allocates.
         """
         held = self.done[v] - self.keep[v]
         if held == 0:
-            self.features[v], self.masks[v], self.dirty[v] = f, m, d
-            self.start[v] = None
+            self.features[v], self.masks[v], self.start[v] = f, m, None
             return
-        new = (f.data, m, d)
-        total = held + f.data.shape[2]
+        new = (f.data, m)
+        total = held + m.shape[2]
         buf, start = self.buffers[v], self.start[v]
         if buf is None or buf[0].shape[2] < total:
-            buf = self.buffers[v] = [
-                None if a is None else np.empty(a.shape[:2] + (total,) + a.shape[3:], a.dtype)
-                for a in new]
+            buf = self.buffers[v] = [np.empty(a.shape[:2] + (total,) + a.shape[3:], a.dtype)
+                                     for a in new]
             start = None
         if start is None or start + total > buf[0].shape[2]:
-            for to, a in zip(buf, (self.features[v].data, self.masks[v], self.dirty[v])):
-                if to is not None:
-                    to[:, :, :held] = a
+            for to, a in zip(buf, (self.features[v].data, self.masks[v])):
+                to[:, :, :held] = a
             start = 0
         for to, a in zip(buf, new):
-            if to is not None:
-                to[:, :, start + held:start + total] = a
-        f, m, d = (None if to is None else to[:, :, start:start + total] for to in buf)
-        self.features[v], self.masks[v], self.dirty[v] = T.constant(f), m, d
-        self.start[v] = start
+            to[:, :, start + held:start + total] = a
+        f, m = (to[:, :, start:start + total] for to in buf)
+        self.features[v], self.masks[v], self.start[v] = T.constant(f), m, start
 
 
 def unet_forward(ldr, mask, params, frozen_masks=None):
@@ -740,8 +727,8 @@ def unet_forward(ldr, mask, params, frozen_masks=None):
     Every layer runs once over the whole image, so the result is
     differentiable; :func:`predict` bounds the memory of inference instead.
     """
-    x, m, pin = _prepare(ldr, mask, params.config, frozen_masks)
-    walk = _Frontier(x, m, params, pin)
+    x, m = _prepare(ldr, mask, params.config)
+    walk = _Frontier(x, m, params, frozen_masks)
     y = walk.advance(x.data.shape[2])
     return y, [("input", m)] + [(spec.name, mask)
                                 for spec, mask in zip(walk.plan, walk.masks[1:])]
@@ -759,11 +746,11 @@ def predict(ldr, mask, params):
     boundaries results agree to rounding.
     """
     config = params.config
-    x, m, pin = _prepare(ldr, mask, config)
+    x, m = _prepare(ldr, mask, config)
     n, _, h, w = x.data.shape
     factor = config.downsample_factor
     strip = factor * max(1, _STRIP_ELEMS // (n * config.base_channels * w * factor))
-    walk = _Frontier(x, m, params.as_constants(), pin, out_mask=False)
+    walk = _Frontier(x, m, params.as_constants(), out_mask=False)
     first = walk.advance(strip).data
     if first.shape[2] == h:
         return first

@@ -111,6 +111,33 @@ def upsample_concat_conv(x, mask, skip, skip_mask, w, b=None, padding=1, grad=No
     return out, mask_out, dw, dx, skip_mask * dz[:, cu:]
 
 
+def dirty_maps(saturated, levels, kernel):
+    """Each U-Net layer's map of the outputs whose receptive field reaches a
+    saturated input pixel or the image's edge: ``{layer name: (N, H, W) bool}``.
+
+    ``saturated`` is the (N, H, W) input deficit, 1 where a pixel is
+    saturated. It goes through the layer plan as a mask does, densely, with
+    all-ones kernels and the padding at 1: ``enc0``, the stride-2 encoders,
+    each decoder over the 2x nearest upsample of the level below plus its
+    encoder skip, and ``out``. Every output then sums its receptive field,
+    padding included, so it is positive exactly where the layer is dirty.
+    """
+    ones = np.ones((1, 1, kernel, kernel))
+
+    def conv(d, stride=1):
+        return conv2d_terms(d, ones, stride=stride, padding=kernel // 2, pad_value=1.0)[0]
+
+    d = np.asarray(saturated, dtype=np.float64)[:, None]
+    maps, skips = {}, []
+    for i in range(levels):
+        d = maps[f"enc{i}"] = conv(d, 1 if i == 0 else 2)
+        skips.append(d)
+    for i in range(levels - 2, -1, -1):
+        d = maps[f"dec{i}"] = conv(np.repeat(np.repeat(d, 2, axis=2), 2, axis=3)) + conv(skips[i])
+    maps["out"] = conv(d)
+    return {name: m[:, 0] > 0 for name, m in maps.items()}
+
+
 def avg_pool_loops(x, window):
     n, c, h, w = x.shape
     oh, ow = h // window, w // window

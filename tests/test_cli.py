@@ -11,7 +11,7 @@ from hdrmask import cli
 from hdrmask import formats as F
 from hdrmask import training
 from hdrmask.cli import dispatch
-from hdrmask.network import UNetConfig, exposure_mask, unet_forward
+from hdrmask.network import UNetConfig, exposure_mask, export_mask_images, unet_forward
 from hdrmask.pipeline import compose_hdr
 from hdrmask.training import RunLog, initialize_parameters, load_model, save_model
 from hdrmask.synthetic import hdr_scene, make_texture_corpus
@@ -23,6 +23,14 @@ def scene_pfm(tmp_path):
     path = tmp_path / "scene.pfm"
     F.write_pfm(path, scene.pixels)
     return str(path)
+
+
+@pytest.fixture()
+def small_ckpt(tmp_path):
+    """A checkpoint of a freshly initialised levels-2, base-4 U-Net."""
+    path = str(tmp_path / "small.ckpt")
+    save_model(path, initialize_parameters(UNetConfig(levels=2, base_channels=4), 0))
+    return path
 
 
 class TestDispatch:
@@ -298,6 +306,57 @@ class TestMaskCommand:
         files = sorted(os.listdir(out_dir))
         assert any(f.startswith("mask_input") for f in files)
         assert any(f.startswith("mask_out") for f in files)
+
+    def test_odd_photo_exports_each_level_at_its_extent(self, tmp_path, small_ckpt):
+        # The photo is padded to the downsample factor 2 and each layer's mask
+        # cropped back to ceil(H / 2**level) x ceil(W / 2**level).
+        rng = np.random.default_rng(13)
+        ldr_path, out_dir = str(tmp_path / "in.ppm"), tmp_path / "masks"
+        F.write_ldr(ldr_path, np.where(rng.random((3, 13, 21)) < 0.3, 1.0,
+                                       rng.random((3, 13, 21)) * 0.9))
+        assert dispatch(["mask", "--in", ldr_path, "--out-dir", str(out_dir),
+                         "--checkpoint", small_ckpt]) == 0
+        extents = {}
+        for name in os.listdir(out_dir):
+            if name.endswith(".pgm"):
+                w, h = map(int, (out_dir / name).read_bytes().split(b"\n")[1].split())
+                extents[name[len("mask_"):-len("_c0.pgm")]] = (h, w)
+        assert extents == {"input": (13, 21), "enc0": (13, 21), "enc1": (7, 11),
+                           "dec0": (13, 21), "out": (13, 21)}
+
+    def test_divisible_photo_pgms_unchanged(self, tmp_path, small_ckpt, scene_pfm):
+        ldr_path, out_dir = str(tmp_path / "in.ppm"), tmp_path / "masks"
+        assert dispatch(["simulate-ldr", "--in", scene_pfm, "--out", ldr_path]) == 0
+        assert dispatch(["mask", "--in", ldr_path, "--out-dir", str(out_dir),
+                         "--checkpoint", small_ckpt]) == 0
+        ldr = F.read_ldr(ldr_path).pixels
+        _, stack = unet_forward(ldr[None], exposure_mask(ldr, 0.96)[None],
+                                load_model(small_ckpt).params.as_constants())
+        want = tmp_path / "want.pgm"
+        for (layer, channel), img in export_mask_images(stack).items():
+            F.write_gray8(want, img)
+            assert (out_dir / f"mask_{layer}_c{channel}.pgm").read_bytes() == \
+                want.read_bytes(), layer
+
+
+class TestEvalDataSource:
+    """eval reads exactly one of --shard and --hdr-dir; anything else is a
+    usage error before any file is read."""
+
+    def test_neither_source(self, tmp_path, monkeypatch, small_ckpt):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["eval", "--checkpoint", small_ckpt, "--out-dir", "out"]) == 1
+
+    def test_neither_source_with_a_pfm_in_the_working_directory(self, tmp_path, monkeypatch,
+                                                                small_ckpt):
+        monkeypatch.chdir(tmp_path)
+        F.write_pfm(tmp_path / "s0.pfm", hdr_scene(30, size=(48, 48)).pixels)
+        assert dispatch(["eval", "--checkpoint", small_ckpt, "--out-dir", "out"]) == 1
+
+    def test_both_sources(self, tmp_path, monkeypatch, small_ckpt):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["eval", "--checkpoint", small_ckpt, "--out-dir", "out",
+                         "--shard", "none.mds", "--hdr-dir", "none"]) == 1
 
 
 class TestGenInpaintMasks:

@@ -9,7 +9,8 @@ from hdrmask import network as N
 from hdrmask import tensor as T
 from hdrmask.errors import DimensionError, DomainError
 
-from oracles import conv2d_loops, conv2d_terms, masked_conv_loops, upsample_concat_conv
+from oracles import (conv2d_loops, conv2d_terms, dirty_maps, masked_conv_loops,
+                     upsample_concat_conv)
 
 
 def rnd(seed):
@@ -635,12 +636,62 @@ class TestCleanTiles:
         for layer, m in self.walk_masks(monkeypatch, x, mask, params, rows).items():
             assert rel_err(m, want[layer]) <= self.TOL[dtype], layer
 
+    @staticmethod
+    def coarsen(dirty, tiles):
+        """The (N, H, W) pixel map ``dirty`` over the tiles of ``tiles``' window."""
+        (rows, width), (n, bands, across) = tiles.shape, tiles.flags.shape
+        cells = np.zeros((n, bands * tiles.band, across * tiles.side), dtype=bool)
+        cells[:, :rows, :width] = dirty[:, tiles.row:tiles.row + rows, :width]
+        return cells.reshape(n, bands, tiles.band, across, tiles.side).any(axis=(2, 4))
+
+    @pytest.mark.parametrize("kernel,levels", [(3, 4), (3, 3), (5, 3), (5, 2), (1, 3)])
+    @pytest.mark.parametrize("walk", ["unet_forward", "predict", "predict-1-row"])
+    def test_tile_flags_match_the_oracle(self, monkeypatch, kernel, levels, walk):
+        # The flags come from input rectangles, the oracle from the layers'
+        # receptive fields pixel by pixel. They agree wherever a receptive
+        # field is a rectangle; a stride-2 1x1 conv reads every other row and
+        # column, so with kernel 1 the rectangle may flag a few tiles more.
+        config = N.UNetConfig(levels=levels, base_channels=2, kernel_size=kernel)
+        params = self.params(np.float64, config)
+        cases = [self.case(name) for name in ("valid", "interior", "corner", "border")]
+        x, mask = (np.concatenate(parts) for parts in zip(*cases))
+        mask[3, 0, 60, 7] = 0.5
+        want = dirty_maps((mask < 1).any(axis=1), levels, kernel)
+        windows = []
+        propagate = N.propagate_mask
+
+        def spy(m, weights, *args, **kwargs):
+            windows.append((weights.name[:-len(".weight")], kwargs["tiles"]))
+            return propagate(m, weights, *args, **kwargs)
+
+        monkeypatch.setattr(N, "propagate_mask", spy)
+        if walk == "unet_forward":
+            N.unet_forward(x, mask, params)
+        else:
+            if walk == "predict-1-row":
+                monkeypatch.setattr(N, "_STRIP_ELEMS", x.shape[0] * config.base_channels
+                                    * x.shape[3] * config.downsample_factor)
+            N.predict(x, mask, params)
+        layers = {spec.name for spec in N.layer_plan(config)}
+        assert {name for name, _ in windows} == (
+            layers if walk == "unet_forward" else layers - {"out"})
+        clean = 0
+        for name, tiles in windows:
+            oracle = self.coarsen(want[name], tiles)
+            if kernel == 1:
+                assert np.all(tiles.flags >= oracle), name
+            else:
+                assert np.array_equal(tiles.flags, oracle), (name, tiles.row)
+            clean += np.count_nonzero(~tiles.flags)
+        assert clean
+
     def test_all_valid_photo_computes_only_the_border_band(self, monkeypatch):
-        # Masks pad with 1 but count as dirty past the edge, so on an all-valid
-        # photo a layer's dirty pixels are the ring its receptive field reaches
-        # past the edge: one pixel at every encoder, 2r + 1 at a decoder over a
-        # ring of r. Each layer computes the tiles on that ring, and one more
-        # the first time a window has a clean tile, to take its pattern from.
+        # Masks pad with 1 but a receptive field past the edge flags its tile,
+        # so on an all-valid photo a layer's flagged tiles hold the ring its
+        # receptive field reaches past the edge: one pixel at every encoder,
+        # 2r + 1 at a decoder over a ring of r. Each layer computes the tiles
+        # on that ring, and one more the first time a window has a clean tile,
+        # to take its pattern from.
         config = N.UNetConfig()
         params = tiny_params(config, seed=72)
         h, w = 192, 256
@@ -656,10 +707,10 @@ class TestCleanTiles:
 
         def spy_gather(a, pad_rows, padding, runs, step, rows, widths, tail):
             tiles = state["tiles"]
-            band = step[0] * tiles.side // step[1]
             for _, i, first, end in zip(*runs):
                 for j in range(first, end):
-                    seen.setdefault(state["layer"], set()).add((tiles.row + i * band, band, j))
+                    seen.setdefault(state["layer"], set()).add(
+                        (tiles.row + i * tiles.band, tiles.band, j))
             return gather(a, pad_rows, padding, runs, step, rows, widths, tail)
 
         monkeypatch.setattr(N, "propagate_mask", spy_propagate)

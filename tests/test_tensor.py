@@ -38,6 +38,8 @@ class TestConv2d:
             T.conv2d(T.constant(np.zeros((1, 2, 4, 4))),
                      T.constant(np.zeros((1, 3, 3, 3))), None)
 
+    # The product overflows on purpose, and numpy's matmul warns as it does.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_nonfinite_result(self):
         x = T.constant(np.full((1, 1, 3, 3), 1e300))
         w = T.constant(np.full((1, 1, 3, 3), 1e300))
