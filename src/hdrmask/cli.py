@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -440,8 +441,6 @@ def cmd_gradcheck(args, resolved):
 
 
 def cmd_formats(args, resolved):
-    import tempfile
-
     rng = np.random.default_rng(0)
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -458,7 +457,7 @@ def cmd_formats(args, resolved):
         arrays = {"enc0.weight": rng.normal(size=(2, 3, 3, 3)).astype(np.float32),
                   "enc0.bias": np.zeros(2, dtype=np.float32)}
         c = os.path.join(tmp, "t.ckpt")
-        formats.save_checkpoint(c, params=arrays)
+        formats.save_checkpoint(c, arrays)
         loaded = formats.load_checkpoint(c)
         if not all(np.array_equal(loaded[k], v) for k, v in arrays.items()):
             failures.append("checkpoint round trip")

@@ -18,6 +18,10 @@ Checkpoint (".ckpt")
                | float32 values[prod(extents)]
     trailer: u64 checksum = first 8 bytes (LE) of SHA-256 over everything
     before it.
+    Entries are named float32 arrays, stored in the order given, each name
+    once. ``training.save_model`` names them, in this order: the parameters,
+    "adam.step", "adam.m.*", "adam.v.*", "extractor.*" (each group sorted)
+    and "meta.config".
 
 Dataset shard (".mds")
     magic "MDS1" | u32 version=1 | u32 record_count | f32 mask_alpha
@@ -42,9 +46,11 @@ import struct
 
 import numpy as np
 
-from .errors import (ChecksumError, CheckpointShapeError, ContractError,
-                     DimensionError, FormatError, UnsupportedFormatError,
-                     VersionError)
+from .errors import (ChecksumError, ContractError, DimensionError, FormatError,
+                     UnsupportedFormatError, VersionError)
+from .network import exposure_mask
+from .pipeline import HdrImage, LdrImage
+from .sampler import PatchRecord
 
 _MAX_HEADER_TOKEN = 32
 _MAX_DIMENSION = 1 << 20
@@ -232,14 +238,11 @@ def read_ldr(path_or_bytes):
     payload = cur.take(w * h * 3, "pixel payload")
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
     pixels = np.ascontiguousarray((raw.astype(np.float32) / np.float32(255.0)).transpose(2, 0, 1))
-    from .pipeline import LdrImage
     return LdrImage(pixels)
 
 
 def read_hdr(path_or_bytes):
     """Read a color PFM (or Radiance .hdr by suffix) as an HdrImage."""
-    from .pipeline import HdrImage
-
     if not isinstance(path_or_bytes, (bytes, bytearray)) and \
             str(path_or_bytes).lower().endswith(".hdr"):
         return HdrImage(read_rgbe(path_or_bytes))
@@ -339,11 +342,15 @@ def _rgbe_to_float(rgbe):
 # -- checkpoints ---------------------------------------------------------------
 
 
-def _encode_entries(entries):
+def save_checkpoint(path, arrays):
+    """Write a ``{name: float32 array}`` mapping, in its order, with an
+    integrity checksum."""
+    if not arrays:
+        raise ContractError("refusing to write an empty checkpoint")
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<II", CHECKPOINT_VERSION, len(entries)))
-    for name, arr in entries:
+    buf.write(struct.pack("<II", CHECKPOINT_VERSION, len(arrays)))
+    for name, arr in arrays.items():
         nb = name.encode()
         arr = np.asarray(arr)
         if arr.dtype != np.float32:
@@ -354,39 +361,12 @@ def _encode_entries(entries):
         buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         buf.write(arr.astype("<f4", copy=False).tobytes())
     payload = buf.getvalue()
-    digest = hashlib.sha256(payload).digest()[:8]
-    return payload + digest
-
-
-def save_checkpoint(path, params=None, adam_state=None, extractor=None, extra=None):
-    """Serialize named float32 arrays with an integrity checksum.
-
-    ``params`` is a UNetParameters (or a plain name->array mapping);
-    ``adam_state`` and ``extractor`` arrays are stored under "adam." and
-    "extractor." prefixes.
-    """
-    entries = []
-    if params is not None:
-        arrays = params.named_arrays() if hasattr(params, "named_arrays") else dict(params)
-        entries.extend(sorted(arrays.items()))
-    if adam_state is not None:
-        entries.append(("adam.step", np.asarray([adam_state.step], dtype=np.float32)))
-        for key, arr in sorted(adam_state.m.items()):
-            entries.append((f"adam.m.{key}", arr))
-        for key, arr in sorted(adam_state.v.items()):
-            entries.append((f"adam.v.{key}", arr))
-    if extractor is not None:
-        entries.extend(sorted(extractor.to_arrays().items()))
-    if extra:
-        entries.extend(sorted(extra.items()))
-    if not entries:
-        raise ContractError("refusing to write an empty checkpoint")
     with open(path, "wb") as fh:
-        fh.write(_encode_entries(entries))
+        fh.write(payload + hashlib.sha256(payload).digest()[:8])
 
 
 def load_checkpoint(path_or_bytes):
-    """Parse a checkpoint into a flat name->float32-array dict."""
+    """Parse a checkpoint into a ``{name: float32 array}`` dict in file order."""
     data = _read_bytes(path_or_bytes)
     if len(data) < 8 + 4 + 8:
         raise FormatError("file too short for a checkpoint", offset=len(data))
@@ -404,8 +384,11 @@ def load_checkpoint(path_or_bytes):
         raise VersionError(f"unsupported checkpoint version {version}", offset=4)
     arrays = {}
     for _ in range(count):
+        start = cur.pos
         (name_len,) = cur.unpack("<H", "name length")
         name = cur.take(name_len, "name").decode("utf-8", errors="replace")
+        if name in arrays:
+            raise FormatError(f"repeated checkpoint entry {name!r}", offset=start)
         (rank,) = cur.unpack("<B", "rank")
         if rank > 8:
             raise FormatError(f"implausible rank {rank} for {name}", offset=cur.pos - 1)
@@ -422,45 +405,6 @@ def load_checkpoint(path_or_bytes):
     return arrays
 
 
-def split_checkpoint_arrays(arrays):
-    """Partition a flat checkpoint dict into (params, adam, extractor, extra)."""
-    params, adam, extractor, extra = {}, {}, {}, {}
-    for name, arr in arrays.items():
-        if name.startswith("adam."):
-            adam[name[len("adam."):]] = arr
-        elif name.startswith("extractor."):
-            extractor[name] = arr
-        elif name.startswith("meta."):
-            extra[name] = arr
-        else:
-            params[name] = arr
-    return params, adam, extractor, extra
-
-
-def validate_param_manifest(arrays, config):
-    """Check checkpoint arrays against a UNetConfig; raise listing mismatches."""
-    from .network import layer_plan
-
-    problems = []
-    seen = set()
-    k = config.kernel_size
-    for spec in layer_plan(config):
-        wk, bk = f"{spec.name}.weight", f"{spec.name}.bias"
-        expected_w = (spec.out_channels, spec.in_channels, k, k)
-        for key, expected in ((wk, expected_w), (bk, (spec.out_channels,))):
-            seen.add(key)
-            if key not in arrays:
-                problems.append(f"{key}: missing (expected {expected})")
-            elif tuple(arrays[key].shape) != expected:
-                problems.append(f"{key}: shape {tuple(arrays[key].shape)} != expected {expected}")
-    for key in sorted(set(arrays) - seen):
-        problems.append(f"{key}: unexpected entry")
-    if problems:
-        raise CheckpointShapeError(
-            "checkpoint does not fit the target configuration:\n  " + "\n  ".join(problems),
-            mismatches=problems)
-
-
 # -- dataset shards -------------------------------------------------------------
 
 
@@ -472,8 +416,6 @@ def write_dataset_shard(path, records, alpha=0.96):
     readers reproduce it bit-exactly. Records whose mask is not the
     exposure mask of their LDR input are rejected.
     """
-    from .network import exposure_mask
-
     records = list(records)
     if not records:
         raise ContractError("refusing to write an empty dataset shard")
@@ -515,10 +457,6 @@ def write_dataset_shard(path, records, alpha=0.96):
 
 def read_dataset_shard(path_or_bytes):
     """Parse a dataset shard back into PatchRecords."""
-    from .network import exposure_mask
-    from .pipeline import HdrImage
-    from .sampler import PatchRecord
-
     data = _read_bytes(path_or_bytes)
     if len(data) < 24:
         raise FormatError("file too short for a shard", offset=len(data))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, DomainError
+from .errors import ContractError, DimensionError, DomainError
 from .pipeline import DEFAULT_MU
 from .tensor import Tensor
 
@@ -86,12 +86,19 @@ class FeatureExtractor:
                  seed=0, arrays=None):
         self.stages = []
         if arrays is not None:
-            n_stages = sum(1 for k in arrays if k.endswith(".weight"))
-            if n_stages == 0:
-                raise DimensionError("no extractor stages in arrays")
+            n_stages = len(arrays) // 2
+            names = {f"extractor.stage{i}.{kind}" for i in range(n_stages)
+                     for kind in ("weight", "bias")}
+            if not names or arrays.keys() != names:
+                raise ContractError(f"extractor arrays {sorted(arrays)} are not whole "
+                                    f"stages numbered from 0")
             for i in range(n_stages):
                 w = np.array(arrays[f"extractor.stage{i}.weight"], dtype=np.float64)
                 b = np.array(arrays[f"extractor.stage{i}.bias"], dtype=np.float64)
+                if w.ndim != 4 or b.shape != w.shape[:1] or \
+                        (self.stages and w.shape[1] != self.stages[-1][0].shape[0]):
+                    raise DimensionError(f"extractor stage{i} has weight {w.shape} and "
+                                         f"bias {b.shape}, which do not fit")
                 self._add_stage(w, b)
             self.channels = tuple(w.shape[0] for w, _ in self.stages)
             self.kernel_size = self.stages[0][0].shape[2]

@@ -55,8 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, DomainError
-from .formats import validate_param_manifest
+from .errors import CheckpointShapeError, DimensionError, DomainError
 from .tensor import Tensor
 
 MASK_NORM_EPS = 1e-6
@@ -409,6 +408,28 @@ def layer_plan(config):
         layers.append(LayerSpec(f"dec{i}", widths[i + 1] + widths[i], widths[i], 1, "relu"))
     layers.append(LayerSpec("out", widths[0], config.out_channels, 1, "identity"))
     return layers
+
+
+def validate_param_manifest(arrays, config):
+    """Check named arrays against a UNetConfig; raise listing mismatches."""
+    problems = []
+    seen = set()
+    k = config.kernel_size
+    for spec in layer_plan(config):
+        wk, bk = f"{spec.name}.weight", f"{spec.name}.bias"
+        expected_w = (spec.out_channels, spec.in_channels, k, k)
+        for key, expected in ((wk, expected_w), (bk, (spec.out_channels,))):
+            seen.add(key)
+            if key not in arrays:
+                problems.append(f"{key}: missing (expected {expected})")
+            elif tuple(arrays[key].shape) != expected:
+                problems.append(f"{key}: shape {tuple(arrays[key].shape)} != expected {expected}")
+    for key in sorted(set(arrays) - seen):
+        problems.append(f"{key}: unexpected entry")
+    if problems:
+        raise CheckpointShapeError(
+            "checkpoint does not fit the target configuration:\n  " + "\n  ".join(problems),
+            mismatches=problems)
 
 
 @dataclass

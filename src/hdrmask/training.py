@@ -9,14 +9,16 @@ held-out split keyed by source image.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import formats
 from . import tensor as T
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, NumericError
 from .losses import (FeatureExtractor, InpaintingLossWeights, LossWeights,
                      inpainting_loss, total_loss)
 from .network import (MASKING_MODES, UNetConfig, UNetParameters, layer_plan, predict,
@@ -24,6 +26,7 @@ from .network import (MASKING_MODES, UNetConfig, UNetParameters, layer_plan, pre
 from .pipeline import (compose_hdr, masked_region_mse_gamma, mse_gamma,
                        saturation_percentage)
 from .sampler import SamplerConfig, generate_inpainting_mask, sample_corpus
+from .synthetic import make_hdr_corpus
 from .tensor import AdamState
 
 STAGE_INPAINTING = "inpainting"
@@ -78,7 +81,6 @@ class RunLog:
         self.validations.append({"epoch": epoch, "step": step, "value": value})
 
     def to_jsonl(self, path):
-        import json
         with open(path, "w") as fh:
             for rec in self.steps:
                 fh.write(json.dumps({"type": "step", **rec}) + "\n")
@@ -89,7 +91,6 @@ class RunLog:
 
     @classmethod
     def from_jsonl(cls, path):
-        import json
         log = cls()
         with open(path) as fh:
             for line in fh:
@@ -268,6 +269,7 @@ def train_inpainting(images, config, unet_config=None, extractor=None,
     def val_fn(params):
         if not val:
             return math.inf
+        params = params.as_constants()
         losses = []
         for j, img in enumerate(val[:config.max_val_items]):
             mask = generate_inpainting_mask(img.shape, seed=int(
@@ -327,8 +329,6 @@ def validation_mse(records, params):
     rather than aborting the run, so the scheduler and best-checkpoint
     logic see it as what it is: a very bad epoch.
     """
-    from .errors import NumericError
-
     scores = []
     for rec in records:
         y = predict_log_hdr(rec, params)
@@ -460,8 +460,6 @@ def run_ablation(texture_images, train_records, test_records, seeds,
 
 def _pretrain_hdr_records(seed):
     """Smooth-highlight HDR diet standing in for ordinary-photo pre-training."""
-    from .synthetic import make_hdr_corpus
-
     scenes = make_hdr_corpus(12, seed=seed + 1000, textured_highlight=False)
     cfg = SamplerConfig(patch_size=64, patches_per_image=6, metric_threshold=0.0)
     return sample_corpus([(f"smooth{i}", scene) for i, scene in enumerate(scenes)],
@@ -518,43 +516,67 @@ def _read_config_record(record):
 
 def save_model(path, params, adam_state=None, extractor=None):
     """Checkpoint parameters with their config (masking mode included), and
-    optionally optimizer state and extractor weights."""
-    from . import formats
+    optionally optimizer state and extractor weights.
 
+    Entries, in this order: the parameters, ``adam.step``, ``adam.m.*``,
+    ``adam.v.*``, ``extractor.*`` (each group sorted by name) and
+    ``meta.config``.
+    """
+    arrays = dict(sorted(params.named_arrays().items()))
+    if adam_state is not None:
+        arrays["adam.step"] = np.asarray([adam_state.step], dtype=np.float32)
+        arrays.update((f"adam.m.{key}", arr) for key, arr in sorted(adam_state.m.items()))
+        arrays.update((f"adam.v.{key}", arr) for key, arr in sorted(adam_state.v.items()))
+    if extractor is not None:
+        arrays.update(sorted(extractor.to_arrays().items()))
     cfg = params.config
-    extra = {"meta.config": np.array(
+    arrays["meta.config"] = np.array(
         [cfg.levels, cfg.base_channels, cfg.kernel_size, cfg.in_channels,
-         cfg.out_channels, MASKING_MODES.index(cfg.mode), cfg.leaky_slope], dtype=np.float32)}
-    formats.save_checkpoint(path, params=params, adam_state=adam_state,
-                            extractor=extractor, extra=extra)
+         cfg.out_channels, MASKING_MODES.index(cfg.mode), cfg.leaky_slope], dtype=np.float32)
+    formats.save_checkpoint(path, arrays)
+
+
+def _take(arrays, prefix):
+    """Remove the entries named ``prefix...`` from ``arrays`` and return them."""
+    return {name: arrays.pop(name) for name in [n for n in arrays if n.startswith(prefix)]}
+
+
+def _read_adam_state(arrays, params):
+    """The AdamState of ``adam.step`` and, for parameters it has seen, the
+    pair ``adam.m.<p>``, ``adam.v.<p>`` shaped like parameter ``<p>``."""
+    step = arrays.pop("adam.step", np.zeros(1, dtype=np.float32))
+    if step.shape != (1,) or not (step[0] >= 0 and float(step[0]).is_integer()):
+        raise ContractError(f"checkpoint Adam step {step} is not one count")
+    state = AdamState(step=int(step[0]))
+    for name, arr in params.named_arrays().items():
+        m, v = (arrays.pop(f"adam.{kind}.{name}", None) for kind in "mv")
+        if m is None and v is None:
+            continue
+        if m is None or v is None or m.shape != arr.shape or v.shape != arr.shape:
+            raise ContractError(f"checkpoint Adam moments of {name} are not a pair "
+                                f"shaped {arr.shape}")
+        state.m[name], state.v[name] = m, v
+    if arrays:
+        raise ContractError(f"checkpoint entries {sorted(arrays)} name no Adam moment "
+                            f"of a parameter")
+    return state
 
 
 def load_model(path):
-    """Load a checkpoint, validating its arrays against its config record."""
-    from . import formats
-
+    """Load a checkpoint written by :func:`save_model`: parameters checked
+    against the config record, Adam moments against the parameters, extractor
+    stages for completeness, and an entry under any other name rejected."""
     arrays = formats.load_checkpoint(path)
-    param_arrays, adam_arrays, extractor_arrays, extra = \
-        formats.split_checkpoint_arrays(arrays)
-    if "meta.config" not in extra:
-        raise ContractError("checkpoint lacks a config record")
-    config = _read_config_record(extra["meta.config"])
+    meta, adam, stages = (_take(arrays, prefix) for prefix in ("meta.", "adam.", "extractor."))
+    if meta.keys() != {"meta.config"}:
+        raise ContractError(f"checkpoint holds meta entries {sorted(meta)}, not one config record")
+    config = _read_config_record(meta["meta.config"])
     # Layer widths double per level, so a bogus level count must be
     # rejected before anything enumerates the layers.
-    encoders = sum(1 for key in param_arrays
-                   if key.startswith("enc") and key.endswith(".weight"))
+    encoders = sum(1 for key in arrays if key.startswith("enc") and key.endswith(".weight"))
     if config.levels > encoders:
         raise ContractError(f"checkpoint config record claims {config.levels} levels "
                             f"but holds {encoders} encoder weights")
-    params = UNetParameters.from_arrays(config, param_arrays)
-    adam_state = None
-    if adam_arrays:
-        state = AdamState(step=int(adam_arrays.get("step", [0])[0]))
-        for key, arr in adam_arrays.items():
-            if key.startswith("m."):
-                state.m[key[2:]] = arr
-            elif key.startswith("v."):
-                state.v[key[2:]] = arr
-        adam_state = state
-    extractor = FeatureExtractor(arrays=extractor_arrays) if extractor_arrays else None
-    return LoadedModel(params, adam_state, extractor)
+    params = UNetParameters.from_arrays(config, arrays)
+    return LoadedModel(params, _read_adam_state(adam, params) if adam else None,
+                       FeatureExtractor(arrays=stages) if stages else None)

@@ -287,7 +287,7 @@ class TestCriterion8FormatIntegrity:
             arrays = {"enc0.weight": rng.normal(size=(4, 3, 3, 3)).astype(np.float32),
                       "enc0.bias": np.zeros(4, dtype=np.float32)}
             c = os.path.join(tmp, "i.ckpt")
-            F.save_checkpoint(c, params=arrays)
+            F.save_checkpoint(c, arrays)
             loaded = F.load_checkpoint(c)
             ok &= all(np.array_equal(loaded[k], v) for k, v in arrays.items())
             recs = sample_patches(hdr_scene(85, size=(96, 96)),

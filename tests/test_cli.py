@@ -11,6 +11,7 @@ from hdrmask import cli
 from hdrmask import formats as F
 from hdrmask import training
 from hdrmask.cli import dispatch
+from hdrmask.losses import FeatureExtractor
 from hdrmask.network import UNetConfig, exposure_mask, export_mask_images, unet_forward
 from hdrmask.pipeline import compose_hdr
 from hdrmask.training import RunLog, initialize_parameters, load_model, save_model
@@ -289,8 +290,18 @@ class TestCheckpointMode:
     def test_malformed_config_record_exits_2(self, tmp_path, ldr_path, record):
         ckpt = str(tmp_path / "bad.ckpt")
         params = initialize_parameters(self.CFG, 0)
-        F.save_checkpoint(ckpt, params=params,
-                          extra={"meta.config": np.array(record, dtype=np.float32)})
+        F.save_checkpoint(ckpt, {**params.named_arrays(),
+                                 "meta.config": np.array(record, dtype=np.float32)})
+        assert dispatch(["reconstruct", "--in", ldr_path, "--checkpoint", ckpt,
+                         "--out", str(tmp_path / "r.pfm")]) == 2
+
+    def test_extractor_stage_without_bias_exits_2(self, tmp_path, ldr_path):
+        ckpt = str(tmp_path / "bad.ckpt")
+        save_model(ckpt, initialize_parameters(self.CFG, 0),
+                   extractor=FeatureExtractor(channels=(4, 8), seed=0))
+        arrays = F.load_checkpoint(ckpt)
+        del arrays["extractor.stage1.bias"]
+        F.save_checkpoint(ckpt, arrays)
         assert dispatch(["reconstruct", "--in", ldr_path, "--checkpoint", ckpt,
                          "--out", str(tmp_path / "r.pfm")]) == 2
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import struct
 import tracemalloc
@@ -7,14 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdrmask import formats as F
-from hdrmask.errors import (ChecksumError, CheckpointShapeError, ContractError,
-                            DimensionError, FormatError, UnsupportedFormatError,
-                            VersionError)
-from hdrmask.network import UNetConfig
+from hdrmask.errors import (ChecksumError, ContractError, DimensionError, FormatError,
+                            UnsupportedFormatError, VersionError)
 from hdrmask.pipeline import HdrImage
 from hdrmask.sampler import SamplerConfig, sample_patches
 from hdrmask.synthetic import hdr_scene
-from hdrmask.tensor import AdamState
 from hdrmask.errors import HdrMaskError
 
 
@@ -177,18 +175,38 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         arrays = self._arrays()
         path = tmp_path / "m.ckpt"
-        F.save_checkpoint(path, params=arrays,
-                          adam_state=AdamState(m={"enc0.weight": np.ones((4, 3, 3, 3), np.float32)},
-                                               v={"enc0.weight": np.ones((4, 3, 3, 3), np.float32)},
-                                               step=3))
+        F.save_checkpoint(path, {**arrays,
+                                 "adam.step": np.array([3], np.float32),
+                                 "adam.m.enc0.weight": np.ones((4, 3, 3, 3), np.float32),
+                                 "adam.v.enc0.weight": np.ones((4, 3, 3, 3), np.float32)})
         loaded = F.load_checkpoint(path)
-        params, adam, _, _ = F.split_checkpoint_arrays(loaded)
-        assert np.array_equal(params["enc0.weight"], arrays["enc0.weight"])
-        assert adam["step"][0] == 3.0
+        assert np.array_equal(loaded["enc0.weight"], arrays["enc0.weight"])
+        assert loaded["adam.step"][0] == 3.0
+
+    def test_entries_stored_in_the_order_given(self, tmp_path):
+        arrays = {"b": np.ones(2, np.float32), "a": np.zeros((1, 2), np.float32)}
+        path = tmp_path / "m.ckpt"
+        F.save_checkpoint(path, arrays)
+        assert list(F.load_checkpoint(path)) == ["b", "a"]
+        raw = path.read_bytes()
+        assert raw.index(b"\x01\x00b") < raw.index(b"\x01\x00a")
+
+    def test_repeated_name_rejected_at_its_entry(self):
+        def entry(name, values):
+            return (struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, len(values))
+                    + np.asarray(values, "<f4").tobytes())
+
+        first = entry(b"enc0.bias", [0.0, 0.0])
+        body = F.CHECKPOINT_MAGIC + struct.pack("<II", F.CHECKPOINT_VERSION, 2) + first \
+            + entry(b"enc0.bias", [1.0, 1.0])
+        with pytest.raises(FormatError) as err:
+            F.load_checkpoint(body + hashlib.sha256(body).digest()[:8])
+        assert err.value.offset == 12 + len(first)
+        assert "enc0.bias" in str(err.value)
 
     def test_flipped_payload_byte_fails_checksum(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        F.save_checkpoint(path, params=self._arrays())
+        F.save_checkpoint(path, self._arrays())
         raw = bytearray(path.read_bytes())
         raw[40] ^= 0x5A
         with pytest.raises(ChecksumError):
@@ -196,41 +214,21 @@ class TestCheckpoint:
 
     def test_unknown_version(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        F.save_checkpoint(path, params=self._arrays())
+        F.save_checkpoint(path, self._arrays())
         raw = bytearray(path.read_bytes())
         raw[4] = 99  # version field
         body = bytes(raw[:-8])
-        import hashlib
         digest = hashlib.sha256(body).digest()[:8]
         with pytest.raises(VersionError):
             F.load_checkpoint(body + digest)
 
-    def test_shape_mismatch_lists_layers(self):
-        config = UNetConfig(levels=2, base_channels=4)
-        arrays = {"enc0.weight": np.zeros((4, 3, 3, 3), dtype=np.float32)}
-        with pytest.raises(CheckpointShapeError) as err:
-            F.validate_param_manifest(arrays, config)
-        message = str(err.value)
-        assert "enc0.bias" in message and "missing" in message
-        assert len(err.value.mismatches) > 0
-
-    def test_wrong_level_count_flags_layers(self):
-        from hdrmask.training import initialize_parameters
-
-        params4 = initialize_parameters(UNetConfig(levels=4, base_channels=4), 0)
-        with pytest.raises(CheckpointShapeError) as err:
-            F.validate_param_manifest(params4.named_arrays(),
-                                      UNetConfig(levels=5, base_channels=4))
-        assert "enc4" in str(err.value)
-
     def test_float64_rejected(self, tmp_path):
         with pytest.raises(ContractError):
-            F.save_checkpoint(tmp_path / "bad.ckpt",
-                              params={"w": np.zeros(3, dtype=np.float64)})
+            F.save_checkpoint(tmp_path / "bad.ckpt", {"w": np.zeros(3, dtype=np.float64)})
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ContractError):
-            F.save_checkpoint(tmp_path / "e.ckpt")
+            F.save_checkpoint(tmp_path / "e.ckpt", {})
 
 
 def _records():

@@ -5,7 +5,7 @@ import pytest
 
 from hdrmask import losses as L
 from hdrmask import tensor as T
-from hdrmask.errors import DimensionError, DomainError
+from hdrmask.errors import ContractError, DimensionError, DomainError
 
 from oracles import gram_loops
 
@@ -250,3 +250,20 @@ class TestFeatureExtractor:
         ex = L.FeatureExtractor(channels=(4, 8, 16), seed=3)
         taps = ex.features(np.ones((1, 3, 16, 16)))
         assert [t.data.shape for t in taps] == [(1, 4, 8, 8), (1, 8, 4, 4), (1, 16, 2, 2)]
+
+    @pytest.mark.parametrize("tamper, error", [
+        (lambda a: a.pop("extractor.stage0.bias"), ContractError),
+        (lambda a: a.update({"extractor.stage3.weight": np.zeros((4, 8, 3, 3), np.float32),
+                             "extractor.stage3.bias": np.zeros(4, np.float32)}), ContractError),
+        (lambda a: a.update({"extractor.stage0.weight": np.zeros((4, 27), np.float32)}),
+         DimensionError),
+        (lambda a: a.update({"extractor.stage1.weight": np.zeros((8, 5, 3, 3), np.float32)}),
+         DimensionError),
+    ], ids=["stage-without-bias", "stage-numbers-gap", "weight-not-rank-4",
+            "stage-misreads-channels"])
+    def test_loaded_arrays_must_be_whole_chained_stages(self, tamper, error):
+        arrays = L.FeatureExtractor(channels=(4, 8), seed=0).to_arrays()
+        assert L.FeatureExtractor(arrays=dict(arrays)).channels == (4, 8)
+        tamper(arrays)
+        with pytest.raises(error):
+            L.FeatureExtractor(arrays=arrays)

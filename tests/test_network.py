@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hdrmask import network as N
 from hdrmask import tensor as T
-from hdrmask.errors import DimensionError, DomainError
+from hdrmask.errors import CheckpointShapeError, DimensionError, DomainError
 
 from oracles import (conv2d_loops, conv2d_terms, dirty_maps, masked_conv_loops,
                      upsample_concat_conv)
@@ -188,6 +188,26 @@ def tiny_params(config, seed=0, scale=0.3):
 def in_mode(params, mode):
     """The same arrays under the same config in masking ``mode``."""
     return replace(params, config=replace(params.config, mode=mode))
+
+
+class TestParamManifest:
+    def test_shape_mismatch_lists_layers(self):
+        config = N.UNetConfig(levels=2, base_channels=4)
+        arrays = {"enc0.weight": np.zeros((4, 3, 3, 3), dtype=np.float32)}
+        with pytest.raises(CheckpointShapeError) as err:
+            N.validate_param_manifest(arrays, config)
+        message = str(err.value)
+        assert "enc0.bias" in message and "missing" in message
+        assert len(err.value.mismatches) > 0
+
+    def test_wrong_level_count_flags_layers(self):
+        from hdrmask.training import initialize_parameters
+
+        params4 = initialize_parameters(N.UNetConfig(levels=4, base_channels=4), 0)
+        with pytest.raises(CheckpointShapeError) as err:
+            N.validate_param_manifest(params4.named_arrays(),
+                                      N.UNetConfig(levels=5, base_channels=4))
+        assert "enc4" in str(err.value)
 
 
 class TestUNetForward:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import weakref
@@ -144,6 +145,22 @@ class TestTrainInpainting:
         with pytest.raises(ContractError):
             train_inpainting([], TrainConfig(max_steps=1), UCFG, extractor)
 
+    def test_validation_forward_records_no_graph(self, textures, extractor, monkeypatch):
+        real, graphs = TR.unet_forward, []
+
+        def spy(*args, **kwargs):
+            y, stack = real(*args, **kwargs)
+            graphs.append(bool(y._parents))
+            return y, stack
+
+        monkeypatch.setattr(TR, "unet_forward", spy)
+        cfg = TrainConfig(max_steps=2, batch_size=2, steps_per_epoch=2, seed=0)
+        res = train_inpainting(textures, cfg, UCFG, extractor)
+        assert len(res.run_log.validations) == 1
+        # Two training forwards, then the validation forwards.
+        assert graphs[:2] == [True, True]
+        assert len(graphs) > 2 and not any(graphs[2:])
+
 
 class TestOptimize:
     def test_non_finite_loss_leaves_params_untouched(self):
@@ -280,8 +297,48 @@ class TestCheckpointRoundTrip:
         assert loaded.adam_state.step == res.adam_state.step
         for key, arr in res.adam_state.m.items():
             assert np.array_equal(loaded.adam_state.m[key], arr)
+        assert loaded.adam_state.v.keys() == res.adam_state.v.keys()
+        for key, arr in res.adam_state.v.items():
+            assert np.array_equal(loaded.adam_state.v[key], arr)
         for (w1, _), (w2, _) in zip(extractor.stages, loaded.extractor.stages):
             assert np.array_equal(np.float32(w1), np.float32(w2))
+
+    def test_checkpoint_bytes_pinned(self, tmp_path):
+        # Parameters sorted, adam.step, adam.m.*, adam.v.*, extractor.*, meta.config.
+        cfg = UNetConfig(levels=3, base_channels=4, leaky_slope=0.1, mode="IMask")
+        params = initialize_parameters(cfg, 5)
+        rng = np.random.default_rng(7)
+        adam = T.AdamState(step=7)
+        for name, arr in reversed(params.named_arrays().items()):
+            adam.m[name] = rng.normal(size=arr.shape).astype(np.float32)
+            adam.v[name] = rng.random(arr.shape).astype(np.float32)
+        path = tmp_path / "m.ckpt"
+        save_model(path, params, adam_state=adam,
+                   extractor=FeatureExtractor(channels=(4, 8), seed=0))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "48c019fb83ab86cabc87e8af22bc17d8ffd70d5daed4d3b489edec56474a2c0a"
+
+    @pytest.mark.parametrize("tamper", [
+        lambda a: a.pop("extractor.stage1.bias"),
+        lambda a: a.update({"adam.m.nosuch": np.zeros(4, np.float32)}),
+        lambda a: a.update({"adam.m.enc0.bias": np.zeros(3, np.float32)}),
+        lambda a: a.update({"meta.other": np.zeros(1, np.float32)}),
+        lambda a: a.pop("adam.v.enc0.bias"),
+        lambda a: a.update({"adam.step": np.array([1.5], np.float32)}),
+    ], ids=["extractor-stage-without-bias", "adam-moment-of-no-parameter",
+            "adam-moment-misshapen", "unknown-meta-entry", "adam-moment-without-its-pair",
+            "adam-step-not-a-count"])
+    def test_unknown_or_misfit_entry_rejected(self, tmp_path, extractor, tamper):
+        params = initialize_parameters(UCFG, 0)
+        zeros = {name: np.zeros_like(arr) for name, arr in params.named_arrays().items()}
+        path = tmp_path / "m.ckpt"
+        save_model(path, params, adam_state=T.AdamState(dict(zeros), dict(zeros), 1),
+                   extractor=extractor)
+        arrays = F.load_checkpoint(path)
+        tamper(arrays)
+        F.save_checkpoint(path, arrays)
+        with pytest.raises(ContractError):
+            load_model(path)
 
     def test_wrong_config_lists_mismatches(self, tmp_path):
         from hdrmask.errors import CheckpointShapeError
@@ -289,8 +346,8 @@ class TestCheckpointRoundTrip:
         # A record claiming base 8 over the arrays of base 4: every array but
         # the output bias (3 channels either way) is the wrong shape.
         path = tmp_path / "m.ckpt"
-        F.save_checkpoint(path, params=initialize_parameters(UCFG, 0), extra={
-            "meta.config": np.array([2, 8, 3, 3, 3, 0, 0.2], dtype=np.float32)})
+        F.save_checkpoint(path, {**initialize_parameters(UCFG, 0).named_arrays(),
+                                 "meta.config": np.array([2, 8, 3, 3, 3, 0, 0.2], dtype=np.float32)})
         with pytest.raises(CheckpointShapeError) as info:
             load_model(path)
         assert "enc0.weight: shape (4, 3, 3, 3) != expected (8, 3, 3, 3)" in info.value.mismatches
@@ -317,8 +374,8 @@ class TestCheckpointRoundTrip:
 
     def test_five_entry_record_loads_as_fmask(self, tmp_path):
         path = tmp_path / "old.ckpt"
-        F.save_checkpoint(path, params=initialize_parameters(UCFG, 0), extra={
-            "meta.config": np.array([2, 4, 3, 3, 3], dtype=np.float32)})
+        F.save_checkpoint(path, {**initialize_parameters(UCFG, 0).named_arrays(),
+                                 "meta.config": np.array([2, 4, 3, 3, 3], dtype=np.float32)})
         loaded = load_model(path).params.config
         assert loaded == UCFG and loaded.mode == "FMask" and loaded.leaky_slope == 0.2
 
@@ -326,8 +383,8 @@ class TestCheckpointRoundTrip:
             self, tmp_path, monkeypatch):
         # Widths double per level: a bogus count must never reach layer_plan.
         path = tmp_path / "deep.ckpt"
-        F.save_checkpoint(path, params=initialize_parameters(UCFG, 0), extra={
-            "meta.config": np.array([50, 4, 3, 3, 3, 0, 0.2], dtype=np.float32)})
+        F.save_checkpoint(path, {**initialize_parameters(UCFG, 0).named_arrays(),
+                                 "meta.config": np.array([50, 4, 3, 3, 3, 0, 0.2], dtype=np.float32)})
 
         def refuse(config):
             raise AssertionError("layer_plan ran on the recorded config")
@@ -340,8 +397,8 @@ class TestCheckpointRoundTrip:
                                         [2, 4, 3, 3, 3, 7, 0.2], [2, 4, 3, 3, 3, 0, np.inf]])
     def test_malformed_record_rejected(self, tmp_path, record):
         path = tmp_path / "bad.ckpt"
-        F.save_checkpoint(path, params=initialize_parameters(UCFG, 0), extra={
-            "meta.config": np.array(record, dtype=np.float32)})
+        F.save_checkpoint(path, {**initialize_parameters(UCFG, 0).named_arrays(),
+                                 "meta.config": np.array(record, dtype=np.float32)})
         with pytest.raises(ContractError):
             load_model(path)
 
