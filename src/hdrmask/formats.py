@@ -344,7 +344,11 @@ def _rgbe_to_float(rgbe):
 
 def save_checkpoint(path, arrays):
     """Write a ``{name: float32 array}`` mapping, in its order, with an
-    integrity checksum."""
+    integrity checksum.
+
+    An entry :func:`load_checkpoint` would refuse (a name over 65535 UTF-8
+    bytes, a rank over 8, an extent below 1 or above ``_MAX_DIMENSION``) is
+    refused with :class:`ContractError` before any byte is written."""
     if not arrays:
         raise ContractError("refusing to write an empty checkpoint")
     buf = io.BytesIO()
@@ -355,6 +359,13 @@ def save_checkpoint(path, arrays):
         arr = np.asarray(arr)
         if arr.dtype != np.float32:
             raise ContractError(f"checkpoint entry {name} must be float32, got {arr.dtype}")
+        if len(nb) > 0xFFFF:
+            raise ContractError(f"checkpoint entry name of {len(nb)} bytes exceeds 65535")
+        if arr.ndim > 8:
+            raise ContractError(f"checkpoint entry {name} has rank {arr.ndim}, above 8")
+        if any(not 1 <= ext <= _MAX_DIMENSION for ext in arr.shape):
+            raise ContractError(f"checkpoint entry {name} has shape {arr.shape}: each extent "
+                                f"must lie in [1, {_MAX_DIMENSION}]")
         buf.write(struct.pack("<H", len(nb)))
         buf.write(nb)
         buf.write(struct.pack("<B", arr.ndim))

@@ -141,7 +141,7 @@ class FeatureExtractor:
         for w, b in self.stages:
             wt = T.constant(w.astype(t.data.dtype, copy=False))
             bt = T.constant(b.astype(t.data.dtype, copy=False))
-            t = T.relu(T.conv2d(t, wt, bt, stride=1, padding=pad, pad_value=0.0))
+            t = T.conv2d(t, wt, bt, padding=pad, activation_kind="relu")
             t = T.avg_pool(t, 2)
             taps.append(t)
         return taps

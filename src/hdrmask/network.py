@@ -213,7 +213,7 @@ def _sparse_mask(m, wn, stride, padding, skip, pad_rows, skip_pad_rows, tiles):
         # The skip runs 4p columns apart and the phase runs half that, so one
         # add_phases interleaves every run at once.
         cu, p = m.shape[1], padding
-        kernels = T.upsample_kernels(T.constant(wn[:, :cu])).data
+        kernels = T.upsample_kernels(wn[:, :cu])
         img = _gather(skip, skip_pad_rows, p, runs, (h, side), h + 2 * p, cols + 4 * p, tail)
         out, _ = T.conv2d_raw(img, wn[:, cu:], None, 1, 0, 1.0)
         img = _gather(m, pad_rows, p, runs, (h // 2, side // 2), h // 2 + 2 * p,
@@ -293,52 +293,43 @@ def propagate_mask(mask, weights, stride=1, padding=0, skip=None, pad_rows=None,
     else:
         cu = m.shape[1]
         out, _ = T.conv2d_raw(s, wn[:, cu:], None, 1, padding, 1.0, skip_pad_rows)
-        kernels = T.upsample_kernels(T.constant(wn[:, :cu])).data
+        kernels = T.upsample_kernels(wn[:, :cu])
         T.add_phases(out, T.conv2d_raw(m, kernels, None, 1, padding, 1.0, pad_rows)[0], padding)
     np.clip(out, 0.0, 1.0, out=out)
     return out[0] if squeeze else out
 
 
-def _masked(inp):
-    return inp.features * T.constant(inp.mask.astype(inp.features.data.dtype, copy=False))
-
-
-def _named(t, name):
-    """``t`` under the layer weight's name, which per-layer profiles key on."""
-    t.name = name
-    return t
-
-
 def masked_conv(inp, weights, bias, stride=1, padding=0, activation_kind="relu", slope=0.2,
                 skip=None, pad_rows=None, skip_pad_rows=None):
-    """The output features of :func:`masked_conv_layer`, with no mask carried on."""
-    if skip is None:
-        f = T.conv2d(_masked(inp), weights, bias, stride, padding, pad_rows=pad_rows)
-    else:
-        cu = inp.mask.shape[1]
-        kernels = _named(T.upsample_kernels(weights[:, :cu]), weights.name)
-        up = T.interleave_phases(T.conv2d(_masked(inp), kernels, padding=padding,
-                                          pad_rows=pad_rows), padding)
-        f = up + T.conv2d(_masked(skip), _named(weights[:, cu:], weights.name), bias,
-                          padding=padding, pad_rows=skip_pad_rows)
-    return T.activation(f, activation_kind, slope)
+    """The output features of :func:`masked_conv_layer`, with no mask carried
+    on: one :func:`~hdrmask.tensor.conv2d` node, called with the layer's
+    whole weight."""
+    return T.conv2d(inp.features, weights, bias, stride, padding, pad_rows=pad_rows,
+                    scale=inp.mask, skip=None if skip is None else skip.features,
+                    skip_scale=None if skip is None else skip.mask,
+                    skip_pad_rows=skip_pad_rows, activation_kind=activation_kind, slope=slope)
 
 
 def masked_conv_layer(inp, weights, bias, stride=1, padding=0, activation_kind="relu",
                       slope=0.2, mask_out=None, skip=None, pad_rows=None, skip_pad_rows=None,
                       tiles=None):
-    """One masked convolution: mask the features, convolve, update the mask.
+    """One masked convolution: mask the features, convolve, activate, update
+    the mask.
 
-    Masks never enter the differentiation graph. ``mask_out`` overrides the
-    propagated mask (used by gradient checks that hold the masks of a
-    previous forward pass fixed while weights are perturbed).
+    The features are one node of the differentiation graph
+    (:func:`~hdrmask.tensor.conv2d`): the mask product is written into the
+    convolution's planes, the activation is applied in place, and the node
+    keeps only the planes (when the weights need a gradient) and its
+    output. Masks never enter the differentiation graph. ``mask_out``
+    overrides the propagated mask (used by gradient checks that hold the
+    masks of a previous forward pass fixed while weights are perturbed).
 
     With ``skip`` the layer is a decoder layer whose input is the 2x nearest
     upsample of ``inp`` concatenated with ``skip`` along channels. Neither is
     built: masking commutes with the upsample, so ``inp`` is masked at its
     own resolution and convolved with the phase kernels of its slice of
-    ``weights`` (:func:`~hdrmask.tensor.upsample_kernels`), ``skip`` with the
-    rest, and the two outputs are summed.
+    ``weights`` (:func:`~hdrmask.tensor.upsample_kernels`), and the result is
+    added in place into the convolution of ``skip`` with the rest.
 
     ``pad_rows`` and ``skip_pad_rows`` are ``(top, bottom)`` row paddings of
     ``inp`` and ``skip`` in place of ``padding``, for a window of rows that
@@ -359,7 +350,8 @@ class UNetConfig:
 
     ``mode`` selects the masking ablation: "FMask" threads the soft mask
     through every layer, "IMask" multiplies it into the input only, and
-    "SConv" ignores masking entirely (plain convolutions).
+    "SConv" ignores masking entirely (plain convolutions). ``leaky_slope``
+    must be finite and >= 0.
     """
 
     levels: int = 4
@@ -377,6 +369,10 @@ class UNetConfig:
             raise DomainError("levels must be >= 1")
         if self.kernel_size % 2 == 0 or self.kernel_size < 1:
             raise DomainError("kernel_size must be odd and positive")
+        # The encoders' leaky relu takes its derivative from its output,
+        # which keeps the input's sign only for a slope >= 0.
+        if not 0.0 <= self.leaky_slope < math.inf:
+            raise DomainError(f"leaky_slope must be finite and >= 0, got {self.leaky_slope}")
 
     @property
     def downsample_factor(self):
@@ -523,7 +519,7 @@ def _edge_rows(edge, a, b, pad):
     Rows before 0 or past the source's end are padding. An upsampled edge is
     read by the phase convolution, a (pad+1)-tap kernel at the source's
     resolution whose output rows ``[a/2, b/2 + pad)`` interleave into
-    ``[a, b)`` (``a`` and ``b`` even; see :func:`~hdrmask.tensor.interleave_phases`).
+    ``[a, b)`` (``a`` and ``b`` even; see :func:`~hdrmask.tensor.add_phases`).
     """
     _, stride, up = edge
     if up:

@@ -17,6 +17,14 @@ GEMM per tap on the same planes. :func:`conv2d_raw` returns ``(out,
 planes)``; the planes, about the size of the padded input, are kept for the
 backward pass only when the weights need a gradient.
 
+:func:`conv2d` is a whole masked layer in one node: the constant mask
+product is written into the planes as they are filled, a decoder's 2x
+upsampled half is convolved at its own resolution and added into the skip
+convolution's output in place, and the activation is applied in place, its
+derivative read off the output. So a conv node keeps its output and, when
+the weights need a gradient, its planes, which already hold the masked
+input; the masks it multiplies ``dx`` by are the caller's.
+
 The graph keeps each node's data, which is what the vjps read; the only
 large array a vjp saves beside it is a convolution's planes. :func:`backward`
 releases each interior gradient as soon as its vjp has consumed it, so a
@@ -35,6 +43,7 @@ parameter ``data`` in place only between optimization steps.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -353,16 +362,17 @@ def _row_padding(padding, pad_rows):
     return top, bottom
 
 
-def _phase_planes(x, stride, padding, pad_value, pad_rows=None):
+def _phase_planes(x, stride, padding, pad_value, pad_rows=None, scale=None):
     """Pad ``x`` once and split it into its ``stride**2`` polyphase planes.
 
     Returns an array of shape (stride**2, N, C, hq*wq): plane ``a*stride + b``
     holds rows ``a::stride`` and columns ``b::stride`` of the padded input,
     flattened row-major. At stride 1 the only plane is the padded input.
     Each plane is written directly: its border strips get ``pad_value`` and
-    its interior a strided slice of ``x``, so no padded copy of the input is
-    built and nothing is written twice. ``pad_rows`` is a ``(top, bottom)``
-    row padding in place of ``padding``.
+    its interior a strided slice of ``x``, or of ``x * scale`` when ``scale``
+    (shaped like ``x``, of its dtype) is given, so no padded or scaled copy of
+    the input is built and nothing is written twice. ``pad_rows`` is a
+    ``(top, bottom)`` row padding in place of ``padding``.
     """
     n, c, h, w = x.shape
     s, p = stride, padding
@@ -379,7 +389,12 @@ def _phase_planes(x, stride, padding, pad_value, pad_rows=None):
             q[:, :, u1:] = pad_value
             q[:, :, u0:u1, :v0] = pad_value
             q[:, :, u0:u1, v1:] = pad_value
-            q[:, :, u0:u1, v0:v1] = x[:, :, a + s * u0 - top::s, b + s * v0 - p::s]
+            inside = (slice(None), slice(None), slice(a + s * u0 - top, None, s),
+                      slice(b + s * v0 - p, None, s))
+            if scale is None:
+                q[:, :, u0:u1, v0:v1] = x[inside]
+            else:
+                np.multiply(x[inside], scale[inside], out=q[:, :, u0:u1, v0:v1])
     return planes.reshape(s * s, n, c, hq * wq)
 
 
@@ -399,7 +414,7 @@ def _tap_major(w):
     return np.ascontiguousarray(np.transpose(w, (2, 3, 0, 1)))
 
 
-def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
+def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scale=None):
     """Plain-numpy NCHW convolution (cross-correlation), no graph.
 
     Shared by the differentiable op below and by mask propagation, which
@@ -408,12 +423,18 @@ def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
 
     ``pad_rows``, a ``(top, bottom)`` pair, pads the rows by those counts
     and leaves ``padding`` to the columns: a window of an image's rows is
-    padded only where it meets the image's edge.
+    padded only where it meets the image's edge. ``scale``, an array shaped
+    like ``x``, convolves ``x * scale`` (in ``x``'s dtype) instead of ``x``:
+    the product is written straight into the planes, which then hold it.
     """
     x = np.asarray(x)
     w = np.asarray(w)
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects NCHW input and OIHW weights, got {x.shape} and {w.shape}")
+    if scale is not None:
+        scale = np.asarray(scale).astype(x.dtype, copy=False)
+        if scale.shape != x.shape:
+            raise DimensionError(f"scale shape {scale.shape} != input shape {x.shape}")
     top, bottom = _row_padding(padding, pad_rows)
     if stride < 1:
         raise DimensionError("stride must be >= 1")
@@ -425,7 +446,7 @@ def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
     ow = conv_output_extent(wd, kw, stride, padding)
     if oh < 1 or ow < 1:
         raise DimensionError(f"kernel {kh}x{kw} does not fit input {h}x{wd} with padding {padding}")
-    planes = _phase_planes(x, stride, padding, pad_value, (top, bottom))
+    planes = _phase_planes(x, stride, padding, pad_value, (top, bottom), scale)
     s, taps = stride, kh * kw
     grid = planes.reshape(s * s, n, c, _plane_extent(h + top + bottom, s),
                           _plane_extent(wd + 2 * padding, s))
@@ -453,53 +474,269 @@ def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
     return out, planes
 
 
-def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
-    """Differentiable NCHW convolution.
+# -- convolution over a 2x nearest upsample --------------------------------
+#
+# A same-padded k x k convolution, k = 2p + 1, of a 2x nearest-upsampled
+# input reads output row 2a + r from input rows a + (r - p + i) // 2 of the
+# original, i = 0..k-1: p + 1 distinct rows, each tap landing on the same row
+# summed. So per output phase (r, c) it is a (p+1) x (p+1) convolution at the
+# input's own resolution; stacked, the four phases are one conv2d with
+# padding p, whose phase (r, c) output sits at rows (p + r) // 2 and columns
+# (p + c) // 2 onwards. This is the resize-convolution of Odena, Dumoulin &
+# Olah (Distill 2016) in the sub-pixel form of Shi et al. (CVPR 2016). It is
+# exact for any constant padding value: a pad row of the upsampled input is a
+# pad row of the original.
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_map(k, dtype):
+    """The 0/1 map from a flattened k x k kernel to its four flattened t x t
+    phase kernels, t = k // 2 + 1, as (4, k*k, t*t): one block per phase
+    (r, c), so each phase's product lands contiguous. Read-only: every call
+    with the same ``k`` and ``dtype`` shares it.
+
+    Along one axis, phase r's tap i lands on phase tap (i + (p + r) % 2) // 2.
+    """
+    p, t = k // 2, k // 2 + 1
+    taps = np.arange(k)
+    axis = np.zeros((2, t, k))
+    for r in (0, 1):
+        axis[r, (taps + (p + r) % 2) // 2, taps] = 1.0
+    flat = np.einsum("ray,cbx->yxrcab", axis, axis).astype(dtype)
+    flat.setflags(write=False)
+    return flat.reshape(k * k, 4, t * t).transpose(1, 0, 2)
+
+
+def upsample_kernels(w):
+    """Phase kernels of a same-padded convolution over a 2x nearest upsample.
+
+    For OIHW ``w`` with odd square k = 2p + 1, returns the (4*Co, Ci, p+1,
+    p+1) kernels whose block ``2r + c`` of Co output channels is phase (r, c)
+    of that convolution; for k = 3 the rows are ``[w0, w1+w2]`` (r = 0) and
+    ``[w0+w1, w2]`` (r = 1), and the same along columns. Convolve them with
+    padding p over the input itself, then :func:`add_phases`. The map is one
+    product with a 0/1 matrix, so its gradient is the transposed product
+    (:func:`_upsample_kernels_grad`).
+    """
+    w = np.asarray(w)
+    co, ci, k, kw = w.shape
+    if k != kw or k % 2 == 0:
+        raise DimensionError(f"upsample_kernels needs an odd square kernel, got {k}x{kw}")
+    t = k // 2 + 1
+    return (w.reshape(1, co * ci, k * k) @ _phase_map(k, w.dtype)).reshape(4 * co, ci, t, t)
+
+
+def _upsample_kernels_grad(g, k, dtype):
+    """The gradient of :func:`upsample_kernels`' k x k kernel (of ``dtype``)
+    from ``g``, the gradient of its phase kernels."""
+    co, ci, t = g.shape[0] // 4, g.shape[1], g.shape[2]
+    dw = g.reshape(4, co * ci, t * t) @ _phase_map(k, dtype).transpose(0, 2, 1)
+    return dw.sum(axis=0).reshape(co, ci, k, k)
+
+
+def _phase_crops(shape, padding):
+    """For (N, 4*Co, h+p, w+p) phase outputs of an :func:`upsample_kernels`
+    convolution with padding p: the upsampled extents ``(h, w)`` and, per
+    phase, ``(r, c, row, column)``, where its ``h x w`` crop starts."""
+    crops = [(r, c, (padding + r) // 2, (padding + c) // 2) for r in (0, 1) for c in (0, 1)]
+    return (shape[2] - padding, shape[3] - padding), crops
+
+
+def add_phases(out, x, padding):
+    """Add the phase outputs ``x`` of an :func:`upsample_kernels` convolution
+    with padding p into the (N, Co, 2h, 2w) array ``out``, in place: the
+    convolution over the 2x upsample, interleaved."""
+    n, c4, hp, wp = x.shape
+    phases = x.reshape(n, 2, 2, c4 // 4, hp, wp)
+    (h, w), crops = _phase_crops(x.shape, padding)
+    if out.shape[2:] != (2 * h, 2 * w):
+        raise DimensionError(f"phase outputs {x.shape} upsample to {2 * h}x{2 * w}, "
+                             f"not {out.shape[2]}x{out.shape[3]}")
+    for r, c, oy, ox in crops:
+        out[:, :, r::2, c::2] += phases[:, r, c, :, oy:oy + h, ox:ox + w]
+    return out
+
+
+# -- the differentiable convolution: one masked layer per node ---------------
+
+
+_ACTIVATIONS = ("identity", "relu", "leaky_relu")
+
+
+def _activate(y, kind, slope):
+    """Apply activation ``kind`` to ``y`` in place: :func:`activation`'s
+    values, bit for bit."""
+    if kind == "relu":
+        np.maximum(y, 0, out=y)
+    elif kind == "leaky_relu":
+        # For 0 <= slope <= 1, y * slope lies between 0 and y, so the larger
+        # of the two is y above 0 and y * slope below; a slope over 1 swaps
+        # them. One product and one comparison, far faster than np.where.
+        s = y.dtype.type(slope)
+        (np.maximum if s <= 1 else np.minimum)(y, y * s, out=y)
+
+
+def _activation_grad(g, y, kind, slope):
+    """``g`` times the derivative of activation ``kind`` where it output
+    ``y``. A relu or leaky relu with slope >= 0 keeps its input's sign (a
+    zero stays zero), so its output gives the derivative and the input need
+    not be kept (as in In-Place Activated BatchNorm, Rota Bulo et al., CVPR
+    2018)."""
+    if kind == "relu":
+        return g * (y > 0)
+    if kind == "leaky_relu":
+        # The factor is 1 above 0 and the slope below: max(y > 0, slope) for
+        # a slope <= 1.
+        s, one = g.dtype.type(slope), g.dtype.type(1)
+        return g * (np.maximum(y > 0, s) if s <= 1 else np.where(y > 0, one, s))
+    return g
+
+
+def _zero_grid(x_shape, out_shape, stride, padding, dtype):
+    """Zeros on a convolution's (N, Co, oh, wq) output grid, whose rows have
+    the pitch ``wq`` of its planes: an output gradient goes in its first
+    ``ow`` columns for :func:`_conv_grads`."""
+    wq = _plane_extent(x_shape[3] + 2 * padding, stride)
+    return np.zeros(tuple(out_shape[:3]) + (wq,), dtype=dtype)
+
+
+def _conv_grads(gq, ow, x_shape, w, planes, stride, padding, rows, dx_scale, need_dx):
+    """``(dx, dw)`` of a convolution from its output gradient ``gq`` on the
+    :func:`_zero_grid`, zero past column ``ow``.
+
+    ``dw`` (None without ``planes``) runs one GEMM per tap against the
+    forward's planes. ``dx`` (None unless ``need_dx``) scatters one GEMM per
+    tap into zeroed planes, and is a view of them, multiplied in place by
+    ``dx_scale`` when that is given.
+    """
+    n, c, h, wd = x_shape
+    co, ci, kh, kw = w.shape
+    oh, wq = gq.shape[2], gq.shape[3]
+    s, p, top = stride, padding, rows[0]
+    hq = _plane_extent(h + rows[0] + rows[1], s)
+    span = (oh - 1) * wq + ow
+    taps = [(i, j, k, dy * wq + dx) for i, j, k, dy, dx in _conv_taps(kh, kw, s)]
+    gq = gq.reshape(n, co, oh * wq)[:, :, :span]
+    dx = dw = None
+    if planes is not None:
+        dw = np.empty((kh, kw, co, ci), dtype=np.result_type(gq, planes))
+        for i, j, k, off in taps:
+            view = planes[k, :, :, off:off + span]
+            dw[i, j] = np.matmul(gq, view.transpose(0, 2, 1)).sum(axis=0)
+        dw = np.ascontiguousarray(dw.transpose(2, 3, 0, 1))
+    if need_dx:
+        wt = _tap_major(w)
+        dplanes = np.zeros((s * s, n, c, hq * wq), dtype=gq.dtype)
+        for i, j, k, off in taps:
+            dplanes[k, :, :, off:off + span] += wt[i, j].T @ gq
+        dxp = dplanes.reshape(s, s, n, c, hq, wq).transpose(2, 3, 4, 0, 5, 1)
+        dx = dxp.reshape(n, c, hq * s, wq * s)[:, :, top:top + h, p:p + wd]
+        if dx_scale is not None:
+            np.multiply(dx, dx_scale, out=dx)
+    return dx, dw
+
+
+def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scale=None,
+           skip=None, skip_scale=None, skip_pad_rows=None, activation_kind="identity",
+           slope=0.2):
+    """Differentiable NCHW convolution, optionally a whole masked layer in one node.
 
     ``pad_value`` pads the input with a constant that is treated as fixed:
     feature maps pad with 0, validity masks pad with 1. ``pad_rows`` is a
-    ``(top, bottom)`` row padding, as in :func:`conv2d_raw`. The backward
-    pass reuses the forward's planes, kept only when ``w`` needs a gradient,
-    and computes a gradient only for an operand that requires one.
+    ``(top, bottom)`` row padding, as in :func:`conv2d_raw`.
+
+    A masked U-Net layer is one call, and one node:
+
+    - ``scale``, a constant array shaped like ``x`` (a feature mask),
+      multiplies ``x`` as its planes are filled; the vjp multiplies ``dx``
+      by it.
+    - With ``skip``, ``x`` is the half-resolution source of ``w``'s first
+      ``x.shape[1]`` input channels, which read its 2x nearest upsample:
+      it is convolved with :func:`upsample_kernels` of that slice and added
+      in place into the stride-1 convolution of ``skip`` (scaled by
+      ``skip_scale``, row-padded by ``skip_pad_rows``) with the rest of
+      ``w`` and the bias.
+    - ``activation_kind`` (``identity``, ``relu`` or ``leaky_relu`` with
+      ``slope`` >= 0) is applied to the output in place, and its
+      derivative taken from the output.
+
+    The node keeps its output, and the planes (which hold the scaled
+    input) only when ``w`` needs a gradient; it computes a gradient only
+    for an operand that requires one.
     """
+    if activation_kind not in _ACTIVATIONS:
+        raise ContractError(f"unknown activation kind {activation_kind!r}")
+    if activation_kind == "leaky_relu" and not 0.0 <= slope < np.inf:
+        raise ContractError(f"a leaky relu's slope must be finite and >= 0, got {slope}")
     if b is not None and not isinstance(b, Tensor):
         b = constant(b)
     bias = None if b is None else b.data
-    top, bottom = _row_padding(padding, pad_rows)
-    out, planes = conv2d_raw(x.data, w.data, bias, stride, padding, pad_value, (top, bottom))
+    rows = _row_padding(padding, pad_rows)
+    if scale is not None:
+        scale = np.asarray(scale).astype(x.data.dtype, copy=False)
+    parents = [x, w] + ([] if b is None else [b])
+    up_planes = phase_shape = skip_rows = None
+    if skip is None:
+        out, planes = conv2d_raw(x.data, w.data, bias, stride, padding, pad_value, rows, scale)
+    else:
+        if stride != 1:
+            raise DimensionError("a convolution over a 2x upsample has stride 1")
+        cu, skip_rows = x.data.shape[1], _row_padding(padding, skip_pad_rows)
+        if skip_scale is not None:
+            skip_scale = np.asarray(skip_scale).astype(skip.data.dtype, copy=False)
+        out, planes = conv2d_raw(skip.data, w.data[:, cu:], bias, 1, padding, pad_value,
+                                 skip_rows, skip_scale)
+        kernels = upsample_kernels(w.data[:, :cu])
+        phases, up_planes = conv2d_raw(x.data, kernels, None, 1, padding, pad_value, rows, scale)
+        phase_shape = phases.shape
+        add_phases(out, phases, padding)
+        del phases
+        parents.append(skip)
     _require_finite(out, "conv2d")
-    planes = planes if w.requires_grad else None
-    parents = (x, w) if b is None else (x, w, b)
+    _activate(out, activation_kind, slope)
+    # Only what the vjp reads stays referenced: the output for the
+    # activation's derivative, the planes for dw, a scale for its dx.
+    y = None if activation_kind == "identity" else out
+    if not w.requires_grad:
+        planes = up_planes = None
+    if not x.requires_grad:
+        scale = None
+    if skip is not None and not skip.requires_grad:
+        skip_scale = None
 
     def vjp(g):
-        n, c, h, wd = x.data.shape
-        co, ci, kh, kw = w.data.shape
-        oh, ow = g.shape[2], g.shape[3]
-        s, p = stride, padding
-        hq, wq = _plane_extent(h + top + bottom, s), _plane_extent(wd + 2 * p, s)
-        span = (oh - 1) * wq + ow
-        taps = [(i, j, k, dy * wq + dx) for i, j, k, dy, dx in _conv_taps(kh, kw, s)]
-        # g on the forward's (oh, wq) grid; the columns past ow stay zero.
-        gq = np.zeros((n, co, oh, wq), dtype=g.dtype)
-        gq[:, :, :, :ow] = g
-        gq = gq.reshape(n, co, oh * wq)[:, :, :span]
-        dx = dw = None
+        g = _activation_grad(g, y, activation_kind, slope)
+        db = g.sum(axis=(0, 2, 3)).reshape(np.shape(bias)) if b is not None and b.requires_grad \
+            else None
+        ow = g.shape[3]
+        if skip is None:
+            grid = _zero_grid(x.data.shape, g.shape, stride, padding, g.dtype)
+            grid[:, :, :, :ow] = g
+            del g
+            dx, dw = _conv_grads(grid, ow, x.data.shape, w.data, planes, stride, padding, rows,
+                                 scale, x.requires_grad)
+            return (dx, dw) + (() if b is None else (db,))
+        cu = x.data.shape[1]
+        grid = _zero_grid(skip.data.shape, g.shape, 1, padding, g.dtype)
+        grid[:, :, :, :ow] = g
+        dskip, dw_skip = _conv_grads(grid, ow, skip.data.shape, w.data[:, cu:], planes, 1,
+                                     padding, skip_rows, skip_scale, skip.requires_grad)
+        # The phase outputs' gradient: each phase's crop of the interleaved g.
+        n, c4, hp, wp = phase_shape
+        grid = _zero_grid(x.data.shape, phase_shape, 1, padding, g.dtype)
+        phases = grid.reshape(n, 2, 2, c4 // 4, hp, grid.shape[3])
+        (h, wd), crops = _phase_crops(phase_shape, padding)
+        for r, c, oy, ox in crops:
+            phases[:, r, c, :, oy:oy + h, ox:ox + wd] = g[:, :, r::2, c::2]
+        del g, phases
+        dx, dk = _conv_grads(grid, wp, x.data.shape, upsample_kernels(w.data[:, :cu]), up_planes,
+                             1, padding, rows, scale, x.requires_grad)
+        dw = None
         if w.requires_grad:
-            dw = np.empty((kh, kw, co, ci), dtype=np.result_type(gq, planes))
-            for i, j, k, off in taps:
-                view = planes[k, :, :, off:off + span]
-                dw[i, j] = np.matmul(gq, view.transpose(0, 2, 1)).sum(axis=0)
-            dw = np.ascontiguousarray(dw.transpose(2, 3, 0, 1))
-        if x.requires_grad:
-            wt = _tap_major(w.data)
-            dplanes = np.zeros((s * s, n, c, hq * wq), dtype=g.dtype)
-            for i, j, k, off in taps:
-                dplanes[k, :, :, off:off + span] += wt[i, j].T @ gq
-            dxp = dplanes.reshape(s, s, n, c, hq, wq).transpose(2, 3, 4, 0, 5, 1)
-            dx = dxp.reshape(n, c, hq * s, wq * s)[:, :, top:top + h, p:p + wd]
-        if b is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=(0, 2, 3)).reshape(np.shape(bias))
+            dw = np.zeros_like(w.data)
+            dw[:, :cu] += _upsample_kernels_grad(dk, w.data.shape[2], w.data.dtype)
+            dw[:, cu:] += dw_skip
+        return (dx, dw) + (() if b is None else (db,)) + (dskip,)
 
     return _node(out, parents, vjp)
 
@@ -535,97 +772,6 @@ def avg_pool(x, window):
         scale = np.asarray(1.0 / (window * window), dtype=g.dtype)
         gx = np.repeat(np.repeat(g * scale, window, axis=2), window, axis=3)
         return (gx,)
-
-    return _node(out, (x,), vjp)
-
-
-# -- convolution over a 2x nearest upsample --------------------------------
-#
-# A same-padded k x k convolution, k = 2p + 1, of a 2x nearest-upsampled
-# input reads output row 2a + r from input rows a + (r - p + i) // 2 of the
-# original, i = 0..k-1: p + 1 distinct rows, each tap landing on the same row
-# summed. So per output phase (r, c) it is a (p+1) x (p+1) convolution at the
-# input's own resolution; stacked, the four phases are one conv2d with
-# padding p, whose phase (r, c) output sits at rows (p + r) // 2 and columns
-# (p + c) // 2 onwards. This is the resize-convolution of Odena, Dumoulin &
-# Olah (Distill 2016) in the sub-pixel form of Shi et al. (CVPR 2016). It is
-# exact for any constant padding value: a pad row of the upsampled input is a
-# pad row of the original.
-
-
-def _phase_map(k):
-    """(k*k, 4*t*t) 0/1 matrix from a flattened k x k kernel to its four
-    flattened t x t phase kernels, t = k // 2 + 1, phase (r, c) first.
-
-    Along one axis, phase r's tap i lands on phase tap (i + (p + r) % 2) // 2.
-    """
-    p = k // 2
-    taps = np.arange(k)
-    axis = np.zeros((2, p + 1, k))
-    for r in (0, 1):
-        axis[r, (taps + (p + r) % 2) // 2, taps] = 1.0
-    return np.einsum("ray,cbx->yxrcab", axis, axis).reshape(k * k, 4 * (p + 1) ** 2)
-
-
-def upsample_kernels(w):
-    """Phase kernels of a same-padded convolution over a 2x nearest upsample.
-
-    For OIHW ``w`` with odd square k = 2p + 1, returns the (4*Co, Ci, p+1,
-    p+1) kernels whose block ``2r + c`` of Co output channels is phase (r, c)
-    of that convolution; for k = 3 the rows are ``[w0, w1+w2]`` (r = 0) and
-    ``[w0+w1, w2]`` (r = 1), and the same along columns. Convolve them with
-    padding p over the input itself, then :func:`interleave_phases`. The map
-    is one product with a 0/1 matrix, so its gradient is the transposed
-    product.
-    """
-    co, ci, k, kw = w.data.shape
-    if k != kw or k % 2 == 0:
-        raise DimensionError(f"upsample_kernels needs an odd square kernel, got {k}x{kw}")
-    t = k // 2 + 1
-    # One (k*k, t*t) block per phase, so each phase's product lands
-    # contiguous in the (4*Co, Ci, t, t) layout.
-    phase_map = _phase_map(k).astype(w.data.dtype).reshape(k * k, 4, t * t).transpose(1, 0, 2)
-    out = w.data.reshape(1, co * ci, k * k) @ phase_map
-
-    def vjp(g):
-        dw = g.reshape(4, co * ci, t * t) @ phase_map.transpose(0, 2, 1)
-        return (dw.sum(axis=0).reshape(co, ci, k, k),)
-
-    return _node(out.reshape(4 * co, ci, t, t), (w,), vjp)
-
-
-def _phase_crops(x, padding):
-    """``x`` as (N, 2, 2, Co, h+p, w+p) phases, the upsampled extents ``(h, w)``
-    and per phase ``(r, c, row, column)``: where its ``h x w`` crop starts."""
-    n, c4, hp, wp = x.shape
-    crops = [(r, c, (padding + r) // 2, (padding + c) // 2) for r in (0, 1) for c in (0, 1)]
-    return x.reshape(n, 2, 2, c4 // 4, hp, wp), (hp - padding, wp - padding), crops
-
-
-def add_phases(out, x, padding):
-    """Add the phase outputs ``x`` of an :func:`upsample_kernels` convolution
-    with padding p into the (N, Co, 2h, 2w) array ``out``, in place: the
-    graph-free :func:`interleave_phases` followed by ``+=``."""
-    phases, (h, w), crops = _phase_crops(x, padding)
-    for r, c, oy, ox in crops:
-        out[:, :, r::2, c::2] += phases[:, r, c, :, oy:oy + h, ox:ox + w]
-    return out
-
-
-def interleave_phases(x, padding):
-    """(N, 4*Co, h+p, w+p) phase outputs of an :func:`upsample_kernels`
-    convolution with padding p, as the (N, Co, 2h, 2w) upsampled-input output."""
-    phases, (h, w), crops = _phase_crops(x.data, padding)
-    n, co = phases.shape[0], phases.shape[3]
-    out = np.empty((n, co, 2 * h, 2 * w), dtype=x.data.dtype)
-    for r, c, oy, ox in crops:
-        out[:, :, r::2, c::2] = phases[:, r, c, :, oy:oy + h, ox:ox + w]
-
-    def vjp(g):
-        dx = np.zeros(phases.shape, dtype=g.dtype)
-        for r, c, oy, ox in crops:
-            dx[:, r, c, :, oy:oy + h, ox:ox + w] = g[:, :, r::2, c::2]
-        return (dx.reshape(x.data.shape),)
 
     return _node(out, (x,), vjp)
 

@@ -510,8 +510,11 @@ def _read_config_record(record):
     # back the value that was saved (0.2, not 0.20000000298).
     slope = float(np.format_float_positional(np.float32(slope)))
     levels, base, k, cin, cout = extents
-    return UNetConfig(levels=levels, base_channels=base, kernel_size=k, in_channels=cin,
-                      out_channels=cout, leaky_slope=slope, mode=MASKING_MODES[mode_index])
+    try:
+        return UNetConfig(levels=levels, base_channels=base, kernel_size=k, in_channels=cin,
+                          out_channels=cout, leaky_slope=slope, mode=MASKING_MODES[mode_index])
+    except DomainError as exc:
+        raise ContractError(f"checkpoint config record describes no model: {exc}") from exc
 
 
 def save_model(path, params, adam_state=None, extractor=None):

@@ -41,16 +41,19 @@ def conv2d_loops(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None
     return out
 
 
-def conv2d_terms(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None):
+def conv2d_terms(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scale=None):
     """NCHW convolution summing every output's terms in one fixed order.
 
     One elementwise multiply and add per (input channel, kernel row, kernel
     column) over all outputs at once, so each output rounds the same
     wherever it sits and however large the array is; a GEMM's rounding can
-    depend on both. Takes ``tensor.conv2d_raw``'s arguments and returns its
-    ``(out, planes)`` pair, with no planes.
+    depend on both. Takes ``tensor.conv2d_raw``'s arguments (``scale``
+    multiplies ``x`` in its dtype) and returns its ``(out, planes)`` pair,
+    with no planes.
     """
     x, w = np.asarray(x), np.asarray(w)
+    if scale is not None:
+        x = x * np.asarray(scale, dtype=x.dtype)
     n, c, h, wd = x.shape
     co, ci, kh, kw = w.shape
     assert c == ci

@@ -295,6 +295,16 @@ class TestCheckpointMode:
         assert dispatch(["reconstruct", "--in", ldr_path, "--checkpoint", ckpt,
                          "--out", str(tmp_path / "r.pfm")]) == 2
 
+    def test_negative_slope_record_exits_2(self, tmp_path, ldr_path, capsys):
+        ckpt = str(tmp_path / "bad.ckpt")
+        F.save_checkpoint(ckpt, {**initialize_parameters(self.CFG, 0).named_arrays(),
+                                 "meta.config": np.array([2, 4, 3, 3, 3, 0, -0.1],
+                                                         dtype=np.float32)})
+        assert dispatch(["reconstruct", "--in", ldr_path, "--checkpoint", ckpt,
+                         "--out", str(tmp_path / "r.pfm")]) == 2
+        assert "leaky_slope" in capsys.readouterr().err
+        assert not (tmp_path / "r.pfm").exists()
+
     def test_extractor_stage_without_bias_exits_2(self, tmp_path, ldr_path):
         ckpt = str(tmp_path / "bad.ckpt")
         save_model(ckpt, initialize_parameters(self.CFG, 0),

@@ -230,6 +230,29 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             F.save_checkpoint(tmp_path / "e.ckpt", {})
 
+    # The writer refuses what the reader would refuse, before writing a byte.
+    @pytest.mark.parametrize("arrays", [
+        {"w": np.zeros((1,) * 9, np.float32)},
+        {"w": np.zeros((2, 0), np.float32)},
+        {"w": np.zeros(2 ** 21, np.float32)},
+        {"\u00e9" * 32768: np.zeros(1, np.float32)},
+    ], ids=["rank-9", "extent-0", "extent-2**21", "name-65536-bytes"])
+    def test_unreadable_entry_refused_and_nothing_written(self, tmp_path, arrays):
+        path = tmp_path / "bad.ckpt"
+        with pytest.raises(ContractError):
+            F.save_checkpoint(path, {"enc0.bias": np.zeros(4, np.float32), **arrays})
+        assert not path.exists()
+
+    def test_entries_at_the_reader_limits_round_trip(self, tmp_path):
+        arrays = {"a" * 0xFFFF: np.ones(1, np.float32),
+                  "rank8": np.ones((1,) * 7 + (2,), np.float32),
+                  "long": np.arange(F._MAX_DIMENSION, dtype=np.float32)}
+        path = tmp_path / "m.ckpt"
+        F.save_checkpoint(path, arrays)
+        loaded = F.load_checkpoint(path)
+        assert list(loaded) == list(arrays)
+        assert all(np.array_equal(loaded[k], a) for k, a in arrays.items())
+
 
 def _records():
     scene = hdr_scene(5, size=(96, 96))

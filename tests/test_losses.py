@@ -122,6 +122,37 @@ class TestPerceptualLoss:
             extractor.features(np.zeros((1, 4, 8, 8)))
 
 
+class TestExtractorReluNode:
+    """Each extractor stage's relu is applied inside its conv2d node; the
+    loss values and the input gradient equal those of a separate relu node."""
+
+    @staticmethod
+    def separate_relu_features(extractor, x):
+        t = x if isinstance(x, T.Tensor) else T.constant(x)
+        taps = []
+        for w, b in extractor.stages:
+            wt = T.constant(w.astype(t.data.dtype, copy=False))
+            bt = T.constant(b.astype(t.data.dtype, copy=False))
+            t = T.avg_pool(T.relu(T.conv2d(t, wt, bt, padding=extractor.kernel_size // 2)), 2)
+            taps.append(t)
+        return taps
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_losses_and_gradient_bit_identical(self, monkeypatch, extractor, dtype):
+        rng = rnd(16)
+        h = (rng.random((2, 3, 16, 16)) * 4).astype(dtype)
+        blend = (h + rng.normal(size=h.shape) * 0.5).astype(dtype)
+        runs = []
+        for separate in (False, True):
+            if separate:
+                monkeypatch.setattr(L.FeatureExtractor, "features", self.separate_relu_features)
+            a = T.parameter(blend.copy())
+            vgg, style = L.perceptual_loss(a, h, extractor)
+            T.backward(vgg + style, [a])
+            runs.append((vgg.data.tobytes(), style.data.tobytes(), a.grad.tobytes()))
+        assert runs[0] == runs[1]
+
+
 class TestTotalLoss:
     def test_perfect_prediction_in_saturated_region(self, extractor):
         h = rnd(12).random((3, 8, 8)) * 3

@@ -230,6 +230,12 @@ class TestUNetForward:
         with pytest.raises(DomainError):
             N.UNetConfig(mode="PConv")
 
+    @pytest.mark.parametrize("slope", [-0.1, np.nan, np.inf])
+    def test_slope_negative_or_not_finite_rejected(self, slope):
+        # The leaky relu's derivative is read off its output, exact for slope >= 0.
+        with pytest.raises(DomainError):
+            N.UNetConfig(leaky_slope=slope)
+
     def test_all_valid_mask_matches_unmasked_network(self):
         cfg = N.UNetConfig(levels=3, base_channels=4)
         params = tiny_params(cfg, seed=9)
@@ -310,6 +316,62 @@ class TestUNetForward:
 
 def rel_err(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+class TestLayerGraphMemory:
+    @pytest.mark.parametrize("mode", N.MASKING_MODES)
+    def test_one_conv2d_call_per_layer_with_its_whole_weight(self, monkeypatch, mode):
+        params = tiny_params(N.UNetConfig(levels=3, base_channels=2, mode=mode), seed=48)
+        calls, conv2d = [], T.conv2d
+
+        def spy(x, w, *args, **kwargs):
+            calls.append(w)
+            return conv2d(x, w, *args, **kwargs)
+
+        monkeypatch.setattr(T, "conv2d", spy)
+        x = rnd(49).random((1, 3, 16, 16))
+        N.unet_forward(x, N.exposure_mask(x, 0.8), params)
+        assert [id(w) for w in calls] == [id(params.layers[s.name][0])
+                                          for s in N.layer_plan(params.config)]
+
+    def test_graph_holds_each_layers_planes_and_output(self):
+        # Each layer is one node that keeps its convolutions' planes and its
+        # output; the masks it multiplies by are the stack unet_forward returns.
+        config = N.UNetConfig(levels=2, base_channels=4)
+        params = N.UNetParameters.from_arrays(config, {
+            k: a.astype(np.float32) for k, a in tiny_params(config, seed=46).named_arrays().items()})
+        rng = rnd(47)
+        x = rng.random((2, 3, 16, 16)).astype(np.float32)
+        # Saturation everywhere: every mask conv runs dense.
+        mask = rng.random(x.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            y, stack = N.unet_forward(x, mask, params)
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        finally:
+            tracemalloc.stop()
+        # The bytes of the numpy arrays still alive, less the returned masks.
+        held = sum(s.size for s in arrays.statistics("filename"))
+        held -= sum(m.nbytes for _, m in stack[1:])
+        n, item, extents = x.shape[0], 4, {0: 16, 1: 8}
+
+        def planes(c, level, stride=1):
+            side = extents[level] + 2
+            return n * c * stride ** 2 * (-(-side // stride)) ** 2 * item
+
+        want = 0
+        for spec in N.layer_plan(config):
+            level = int(spec.name[3:]) if spec.name != "out" else 0
+            out = n * spec.out_channels * extents[level] ** 2 * item
+            if spec.name.startswith("dec"):
+                skip = spec.out_channels  # a decoder outputs its skip's width
+                want += planes(skip, level) + planes(spec.in_channels - skip, level + 1) + out
+            else:
+                source = level - 1 if spec.stride == 2 else level
+                want += planes(spec.in_channels, source, spec.stride) + out
+        assert y.data.dtype == np.float32
+        assert held <= 1.1 * want, (held, want)
 
 
 class TestDecoderLayer:

@@ -195,7 +195,7 @@ class TestRowBlocks:
         # The (4*Co, Ci, k//2 + 1, k//2 + 1) kernels of a conv over a 2x upsample.
         rng = rnd(60 + k)
         x = rng.normal(size=(2, 3, 8, 5)).astype(dtype)
-        w = T.upsample_kernels(T.constant(rng.normal(size=(3, 3, k, k)).astype(dtype))).data
+        w = T.upsample_kernels(rng.normal(size=(3, 3, k, k)).astype(dtype))
         self.check(row_blocks, x, w, 1, k // 2, 4, rng)
 
     def test_mixed_precision_output_dtype(self, row_blocks):
@@ -247,7 +247,7 @@ def upsample2(a):
 class TestUpsampleAndPool:
     def test_phase_kernels_of_3x3_are_row_and_column_sums(self):
         w = rnd(2).normal(size=(2, 3, 3, 3))
-        got = T.upsample_kernels(T.constant(w)).data.reshape(2, 2, 2, 3, 2, 2)
+        got = T.upsample_kernels(w).reshape(2, 2, 2, 3, 2, 2)
         rows = [np.stack([w[:, :, 0], w[:, :, 1] + w[:, :, 2]], axis=2),
                 np.stack([w[:, :, 0] + w[:, :, 1], w[:, :, 2]], axis=2)]
         for r in (0, 1):
@@ -263,28 +263,31 @@ class TestUpsampleAndPool:
         x = rng.normal(size=(2, 3, 5, 3))
         w = rng.normal(size=(4, 3, k, k))
         p = k // 2
-        phases, _ = T.conv2d_raw(x, T.upsample_kernels(T.constant(w)).data, padding=p,
-                                 pad_value=pad_value)
-        got = T.interleave_phases(T.constant(phases), p).data
+        phases, _ = T.conv2d_raw(x, T.upsample_kernels(w), padding=p, pad_value=pad_value)
+        got = T.add_phases(np.zeros((2, 4, 10, 6)), phases, p)
         want = conv2d_loops(upsample2(x), w, padding=p, pad_value=pad_value)
         assert got.shape == want.shape == (2, 4, 10, 6)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_phase_ops_gradients(self):
+        # The phase path of a decoder node: x's 2x upsample convolved with
+        # w's first two input channels, the skip with the third.
         rng = rnd(4)
         x = T.parameter(rng.normal(size=(1, 2, 3, 4)))
-        w = T.parameter(rng.normal(size=(2, 2, 3, 3)))
+        skip = T.parameter(rng.normal(size=(1, 1, 6, 8)))
+        w = T.parameter(rng.normal(size=(2, 3, 3, 3)))
         probe = T.constant(rng.normal(size=(1, 2, 6, 8)))
 
-        def fn(x, w):
-            out = T.interleave_phases(T.conv2d(x, T.upsample_kernels(w), padding=1), 1)
+        def fn(x, skip, w):
+            out = T.conv2d(x, w, padding=1, skip=skip)
             return T.tsum(out * out * probe)
 
-        assert T.check_gradients(fn, [x, w], epsilon=1e-6, max_coords=24, rng=rnd(5)) < 1e-6
+        assert T.check_gradients(fn, [x, skip, w], epsilon=1e-6, max_coords=24,
+                                 rng=rnd(5)) < 1e-6
 
     def test_phase_kernels_need_odd_square_kernel(self):
         with pytest.raises(DimensionError):
-            T.upsample_kernels(T.constant(np.zeros((1, 1, 2, 2))))
+            T.upsample_kernels(np.zeros((1, 1, 2, 2)))
 
     def test_avg_pool_constant(self):
         out = T.avg_pool(T.constant(np.full((1, 2, 4, 4), 3.25)), 2)
@@ -306,6 +309,116 @@ class TestUpsampleAndPool:
         x = rnd(4).normal(size=(2, 3, 6, 6))
         got = T.avg_pool(T.constant(x), 3).data
         assert np.allclose(got, avg_pool_loops(x, 3), atol=1e-12)
+
+
+def _phase_interleave(x, padding):
+    """The unfused decoder's interleave node: (N, 4*Co, h+p, w+p) phase outputs
+    of a convolution over a 2x upsample as its (N, Co, 2h, 2w) output."""
+    n, c4, hp, wp = x.data.shape
+    h, w = hp - padding, wp - padding
+    crops = [(r, c, (padding + r) // 2, (padding + c) // 2) for r in (0, 1) for c in (0, 1)]
+    phases = x.data.reshape(n, 2, 2, c4 // 4, hp, wp)
+    out = np.empty((n, c4 // 4, 2 * h, 2 * w), dtype=x.data.dtype)
+    for r, c, oy, ox in crops:
+        out[:, :, r::2, c::2] = phases[:, r, c, :, oy:oy + h, ox:ox + w]
+
+    def vjp(g):
+        dx = np.zeros(phases.shape, dtype=g.dtype)
+        for r, c, oy, ox in crops:
+            dx[:, r, c, :, oy:oy + h, ox:ox + w] = g[:, :, r::2, c::2]
+        return (dx.reshape(x.data.shape),)
+
+    return T._node(out, (x,), vjp)
+
+
+def _composed_layer(x, m, w, b, stride, pad_rows, kind, slope, skip=None, ms=None,
+                    skip_pad_rows=None):
+    """One masked layer as separate nodes: the mask products, plain
+    convolutions, the decoder's kernel map, phase interleave and sum, and the
+    activation."""
+    xm = x * T.constant(m)
+    if skip is None:
+        f = T.conv2d(xm, w, b, stride, 1, pad_rows=pad_rows)
+    else:
+        cu = x.data.shape[1]
+        wu = w[:, :cu]
+        kernels = T._node(T.upsample_kernels(wu.data), (wu,), lambda g: (
+            T._upsample_kernels_grad(g, wu.data.shape[2], wu.data.dtype),))
+        up = _phase_interleave(T.conv2d(xm, kernels, padding=1, pad_rows=pad_rows), 1)
+        f = up + T.conv2d(skip * T.constant(ms), w[:, cu:], b, padding=1,
+                          pad_rows=skip_pad_rows)
+    return T.activation(f, kind, slope)
+
+
+class TestMaskedLayerNode:
+    """A masked layer is one conv2d node; its output and every gradient equal
+    those of the same layer built from separate nodes, bit for bit."""
+
+    @staticmethod
+    def case(layer, dtype):
+        rng = rnd({"stride1": 100, "stride2": 101, "decoder": 102}[layer])
+        if layer == "decoder":
+            # A window of rows padded only at its top: 4 source rows and 7
+            # skip rows give 6 output rows.
+            x, m = rng.normal(size=(2, 3, 4, 3)), rng.random((2, 3, 4, 3))
+            s, ms = rng.normal(size=(2, 2, 7, 6)), rng.random((2, 2, 7, 6))
+            w = rng.normal(size=(4, 5, 3, 3))
+            extra = dict(skip=s, ms=ms, skip_pad_rows=(1, 0))
+            stride, pad_rows, out_rows = 1, (1, 0), 6
+        else:
+            stride = 2 if layer == "stride2" else 1
+            x, m = rng.normal(size=(2, 3, 9, 7)), rng.random((2, 3, 9, 7))
+            w = rng.normal(size=(4, 3, 3, 3))
+            extra, pad_rows = {}, (0, 1)
+            out_rows = (9 + 1 - 3) // stride + 1
+        m[:, :, 0, :2] = 0.0
+        cast = {k: v.astype(dtype) if isinstance(v, np.ndarray) else v for k, v in extra.items()}
+        return (x.astype(dtype), m.astype(dtype), w.astype(dtype),
+                rng.normal(size=4).astype(dtype), stride, pad_rows, cast, out_rows)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layer", ["stride1", "stride2", "decoder"])
+    @pytest.mark.parametrize("kind,slope", [("relu", 0.2), ("leaky_relu", 0.2),
+                                            ("leaky_relu", 0.0), ("leaky_relu", 1.5),
+                                            ("identity", 0.2)])
+    def test_equals_the_composed_nodes_bitwise(self, kind, slope, layer, dtype):
+        x, m, w, b, stride, pad_rows, extra, out_rows = self.case(layer, dtype)
+        runs = []
+        for fused in (True, False):
+            leaves = [T.parameter(a.copy()) for a in (x, w, b)]
+            skip = T.parameter(extra["skip"].copy()) if extra else None
+            X, W, B = leaves
+            if fused:
+                out = T.conv2d(X, W, B, stride, 1, 0.0, pad_rows, m, skip, extra.get("ms"),
+                               extra.get("skip_pad_rows"), kind, slope)
+            else:
+                out = _composed_layer(X, m, W, B, stride, pad_rows, kind, slope, skip,
+                                      extra.get("ms"), extra.get("skip_pad_rows"))
+            assert out.data.shape[2] == out_rows
+            probe = rnd(7).normal(size=out.data.shape).astype(dtype)
+            leaves += [skip] if skip is not None else []
+            T.backward(T.tsum(out * T.constant(probe)), leaves)
+            runs.append([out.data] + [t.grad for t in leaves])
+        for name, got, want in zip(["out", "dx", "dW", "db", "dskip"], *runs):
+            assert got.dtype == want.dtype == dtype, name
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    def test_one_node_keeps_its_output_and_planes_only(self):
+        x, m, w, b, stride, pad_rows, extra, _ = self.case("decoder", np.float32)
+        X, W, B, skip = T.parameter(x), T.parameter(w), T.constant(b), T.parameter(extra["skip"])
+        out = T.conv2d(X, W, B, 1, 1, 0.0, pad_rows, m, skip, extra["ms"],
+                       extra["skip_pad_rows"], "relu")
+        assert out._parents == (X, W, B, skip)
+        cells = [c.cell_contents for c in out._vjp.__closure__]
+        big = [c for c in cells if isinstance(c, np.ndarray) and c.size >= x.size]
+        # The output, the two convolutions' planes and the two masks.
+        assert sum(c is out.data for c in big) == 1 and len(big) == 5
+
+    @pytest.mark.parametrize("slope", [-0.1, np.nan, np.inf])
+    def test_slope_the_output_cannot_invert_rejected(self, slope):
+        with pytest.raises(ContractError):
+            T.conv2d(T.constant(np.ones((1, 1, 3, 3))), T.constant(np.ones((1, 1, 3, 3))),
+                     padding=1, activation_kind="leaky_relu", slope=slope)
 
 
 class TestBackward:

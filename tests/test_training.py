@@ -402,6 +402,15 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ContractError):
             load_model(path)
 
+    @pytest.mark.parametrize("slope", [-0.1, np.nan, np.inf])
+    def test_slope_the_config_refuses_rejected(self, tmp_path, slope):
+        path = tmp_path / "bad.ckpt"
+        F.save_checkpoint(path, {**initialize_parameters(UCFG, 0).named_arrays(),
+                                 "meta.config": np.array([2, 4, 3, 3, 3, 0, slope],
+                                                         dtype=np.float32)})
+        with pytest.raises(ContractError):
+            load_model(path)
+
 
 class TestRunLog:
     def test_jsonl_round_trip(self, tmp_path, textures, extractor):
