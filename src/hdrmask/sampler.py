@@ -14,12 +14,17 @@ blurs of powers of the image. K is the smallest order whose truncation bound
 is at most 2**-53, about 4 on log-luminance at color_sigma = 100. Where no K
 up to ``_MAX_SERIES_TERMS`` meets the bound (a color_sigma narrow for the
 image's range) or the image is not finite, the direct window sum runs.
+The blur matrices depend only on an axis's extent, the window radius and
+space_sigma, so each is built once and cached: the sampler's 64-pixel crops
+share one 32 KB matrix, and the cache holds at most 16 MB
+(``_BLUR_CACHE_SIZE`` matrices of extent up to ``_BLUR_CACHE_EXTENT``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from math import ceil, exp, ldexp
+from math import ceil, exp, isfinite, ldexp
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,12 +48,23 @@ class SamplerConfig:
     quantize_bits: int = 8
 
     def __post_init__(self):
-        if self.color_sigma <= 0 or self.space_sigma <= 0:
-            raise DomainError("bilateral sigmas must be positive")
+        _check_sigmas(self.color_sigma, self.space_sigma)
         if self.metric_threshold < 0:
             raise DomainError("metric threshold must be non-negative")
         if self.patch_size < 1 or self.patches_per_image < 1:
             raise DomainError("patch size and count must be positive")
+
+
+def _check_sigmas(color_sigma, space_sigma):
+    """Raise DomainError unless both sigmas are positive with a positive
+    2 sigma**2, and space_sigma is finite. color_sigma = inf is the
+    Gaussian-blur limit and stays valid; NaN never is."""
+    for name, sigma in (("color_sigma", color_sigma), ("space_sigma", space_sigma)):
+        s = float(sigma)
+        if not (s > 0 and 2.0 * s * s > 0):
+            raise DomainError(f"bilateral {name} must be positive, got {sigma}")
+    if not isfinite(space_sigma):
+        raise DomainError(f"bilateral space_sigma must be finite, got {space_sigma}")
 
 
 @dataclass
@@ -100,15 +116,38 @@ def _series_terms(x):
     return None
 
 
-def _reflect_blur_matrix(n, radius, taps):
-    """(n, n) matrix of a 1-D correlation with ``taps`` under np.pad's
-    'reflect' border, repeated reflection for radius >= n included."""
+# The blur-matrix cache: at most _BLUR_CACHE_SIZE float64 (n, n) matrices,
+# each of extent n <= _BLUR_CACHE_EXTENT, so it holds at most 16 MB (8 n**2
+# bytes each: 32 KB at n = 64). Larger extents, whole images, build theirs
+# per call and keep nothing. Keys are typed: a numpy float32 space_sigma
+# rounds the taps otherwise than the equal Python float.
+_BLUR_CACHE_SIZE = 8
+_BLUR_CACHE_EXTENT = 512
+
+
+@functools.lru_cache(maxsize=_BLUR_CACHE_SIZE, typed=True)
+def _reflect_blur_matrix(n, radius, space_sigma):
+    """(n, n) matrix of a 1-D correlation with the Gaussian taps
+    exp(-d**2 / (2 space_sigma**2)), |d| <= radius, under np.pad's 'reflect'
+    border, repeated reflection for radius >= n included. Read-only: every
+    call with the same arguments (of the same types) shares it."""
+    d = np.arange(-radius, radius + 1)
+    taps = np.exp(-(d * d) * (1.0 / (2.0 * space_sigma * space_sigma)))
     cols = sliding_window_view(np.pad(np.arange(n), radius, mode="reflect"), taps.size)
     rows = np.arange(n)[:, None]
     flat = np.bincount((rows * n + cols).ravel(),
                        weights=np.broadcast_to(taps, cols.shape).ravel(),
                        minlength=n * n)
+    flat.setflags(write=False)
     return flat.reshape(n, n)
+
+
+def _blur_matrix(n, radius, space_sigma):
+    """:func:`_reflect_blur_matrix`, from the cache for ``n`` up to
+    ``_BLUR_CACHE_EXTENT``."""
+    if n <= _BLUR_CACHE_EXTENT:
+        return _reflect_blur_matrix(n, radius, space_sigma)
+    return _reflect_blur_matrix.__wrapped__(n, radius, space_sigma)
 
 
 def bilateral_filter(luminance, color_sigma=100.0, space_sigma=10.0, radius=None):
@@ -135,11 +174,18 @@ def bilateral_filter(luminance, color_sigma=100.0, space_sigma=10.0, radius=None
     (K is about 4 at the sampler's defaults). When no K up to
     ``_MAX_SERIES_TERMS`` meets the bound (a narrow ``color_sigma`` for
     the image's range) or the image is not finite, the direct window sum
-    runs instead.
+    runs instead. G's two blur matrices are cached per extent, radius and
+    ``space_sigma``, in a cache that holds at most 16 MB; an extent over
+    ``_BLUR_CACHE_EXTENT`` builds its matrix per call.
+
+    Raises DomainError for a ``color_sigma`` that is NaN or not positive
+    and a ``space_sigma`` that is not finite and positive;
+    ``color_sigma = inf`` is the Gaussian blur.
     """
     l = np.asarray(luminance)
     if l.ndim != 2:
         raise DimensionError(f"bilateral_filter wants a 2-D image, got {l.shape}")
+    _check_sigmas(color_sigma, space_sigma)
     if radius is None:
         radius = int(ceil(2.0 * space_sigma))
     if radius < 1:
@@ -155,16 +201,13 @@ def bilateral_filter(luminance, color_sigma=100.0, space_sigma=10.0, radius=None
     if terms is None:
         return _bilateral_direct(l, radius, inv_2ss, inv_2cs)
     h, w = l.shape
-    d = np.arange(-radius, radius + 1)
-    taps = np.exp(-(d * d) * inv_2ss)
     v = l64 - mid
     layers = np.empty((terms + 2, h, w))
     layers[0] = np.exp(-inv_2cs * v * v)
     for k in range(1, terms + 2):
         np.multiply(layers[k - 1], v, out=layers[k])
-    blur_y = _reflect_blur_matrix(h, radius, taps)
-    blur_x = blur_y if w == h else _reflect_blur_matrix(w, radius, taps)
-    blurred = blur_y @ layers @ blur_x.T
+    blurred = (_blur_matrix(h, radius, space_sigma) @ layers
+               @ _blur_matrix(w, radius, space_sigma).T)
     num = np.zeros_like(v)
     den = np.zeros_like(v)
     coef = np.ones_like(v)

@@ -379,23 +379,33 @@ def _phase_planes(x, stride, padding, pad_value, pad_rows=None, scale=None):
     top, bottom = _row_padding(padding, pad_rows)
     hq, wq = _plane_extent(h + top + bottom, s), _plane_extent(w + 2 * p, s)
     planes = np.empty((s, s, n, c, hq, wq), dtype=x.dtype)
+    for a, b, (u0, u1, v0, v1), inside in _plane_interiors(s, top, h, p, w):
+        q = planes[a, b]
+        q[:, :, :u0] = pad_value
+        q[:, :, u1:] = pad_value
+        q[:, :, u0:u1, :v0] = pad_value
+        q[:, :, u0:u1, v1:] = pad_value
+        if scale is None:
+            q[:, :, u0:u1, v0:v1] = x[inside]
+        else:
+            np.multiply(x[inside], scale[inside], out=q[:, :, u0:u1, v0:v1])
+    return planes.reshape(s * s, n, c, hq * wq)
+
+
+def _plane_interiors(stride, top, h, left, w):
+    """Per polyphase plane ``(a, b)`` of an (h, w) input padded by ``top``
+    rows and ``left`` columns: ``(a, b, (u0, u1, v0, v1), inside)``, where
+    plane rows u0:u1 and columns v0:v1 are the padded pixels that fall
+    inside the input, and ``inside`` indexes them in an NCHW input."""
+    s = stride
     for a in range(s):
         # Plane rows u0:u1 are padded rows a + s*u that fall inside x.
         u0, u1 = -(-(top - a) // s), -(-(top + h - a) // s)
         for b in range(s):
-            v0, v1 = -(-(p - b) // s), -(-(p + w - b) // s)
-            q = planes[a, b]
-            q[:, :, :u0] = pad_value
-            q[:, :, u1:] = pad_value
-            q[:, :, u0:u1, :v0] = pad_value
-            q[:, :, u0:u1, v1:] = pad_value
+            v0, v1 = -(-(left - b) // s), -(-(left + w - b) // s)
             inside = (slice(None), slice(None), slice(a + s * u0 - top, None, s),
-                      slice(b + s * v0 - p, None, s))
-            if scale is None:
-                q[:, :, u0:u1, v0:v1] = x[inside]
-            else:
-                np.multiply(x[inside], scale[inside], out=q[:, :, u0:u1, v0:v1])
-    return planes.reshape(s * s, n, c, hq * wq)
+                      slice(b + s * v0 - left, None, s))
+            yield a, b, (u0, u1, v0, v1), inside
 
 
 def _conv_taps(kh, kw, stride):
@@ -606,8 +616,10 @@ def _conv_grads(gq, ow, x_shape, w, planes, stride, padding, rows, dx_scale, nee
 
     ``dw`` (None without ``planes``) runs one GEMM per tap against the
     forward's planes. ``dx`` (None unless ``need_dx``) scatters one GEMM per
-    tap into zeroed planes, and is a view of them, multiplied in place by
-    ``dx_scale`` when that is given.
+    tap into zeroed planes, multiplied by ``dx_scale`` when that is given.
+    At stride 1 it is a view of the one plane, scaled in place; at stride
+    ``s`` each plane's rows inside ``x`` are written straight to its
+    ``s``-strided slice of ``dx`` (:func:`_plane_interiors`).
     """
     n, c, h, wd = x_shape
     co, ci, kh, kw = w.shape
@@ -629,10 +641,19 @@ def _conv_grads(gq, ow, x_shape, w, planes, stride, padding, rows, dx_scale, nee
         dplanes = np.zeros((s * s, n, c, hq * wq), dtype=gq.dtype)
         for i, j, k, off in taps:
             dplanes[k, :, :, off:off + span] += wt[i, j].T @ gq
-        dxp = dplanes.reshape(s, s, n, c, hq, wq).transpose(2, 3, 4, 0, 5, 1)
-        dx = dxp.reshape(n, c, hq * s, wq * s)[:, :, top:top + h, p:p + wd]
-        if dx_scale is not None:
-            np.multiply(dx, dx_scale, out=dx)
+        dplanes = dplanes.reshape(s, s, n, c, hq, wq)
+        if s == 1:
+            dx = dplanes[0, 0, :, :, top:top + h, p:p + wd]
+            if dx_scale is not None:
+                np.multiply(dx, dx_scale, out=dx)
+        else:
+            dx = np.empty((n, c, h, wd), dtype=dplanes.dtype)
+            for a, b, (u0, u1, v0, v1), inside in _plane_interiors(s, top, h, p, wd):
+                plane = dplanes[a, b, :, :, u0:u1, v0:v1]
+                if dx_scale is None:
+                    dx[inside] = plane
+                else:
+                    np.multiply(plane, dx_scale[inside], out=dx[inside])
     return dx, dw
 
 

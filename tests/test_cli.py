@@ -187,6 +187,20 @@ class TestSamplePatchesCommand:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("flag,value", [("--sigma-color", "nan"), ("--sigma-color", "0"),
+                                            ("--sigma-space", "inf")])
+    def test_invalid_sigma_is_named(self, tmp_path, capsys, flag, value):
+        hdr_dir = tmp_path / "hdr"
+        hdr_dir.mkdir()
+        F.write_pfm(hdr_dir / "s0.pfm", hdr_scene(20, size=(72, 72)).pixels)
+        shard = tmp_path / "x.mds"
+        rc = dispatch(["sample-patches", "--in-dir", str(hdr_dir), "--out", str(shard),
+                       "--per-image", "4", flag, value])
+        err = capsys.readouterr().err
+        assert rc == 2 and not shard.exists()
+        assert "sigma" in err and "relax" not in err
+
+
 class TestReconstructIdentity:
     def test_valid_pixels_follow_gamma_exactly(self, tmp_path, scene_pfm):
         # train nothing: a fresh random checkpoint still satisfies the

@@ -41,9 +41,10 @@ class TestBilateralFilter:
         c = np.full((7, 7), 2.5)
         assert np.allclose(S.bilateral_filter(c, 100.0, 2.0), 2.5, atol=1e-12)
 
-    def test_infinite_color_sigma_is_gaussian_blur(self):
+    @pytest.mark.parametrize("color_sigma", [1e12, math.inf])
+    def test_infinite_color_sigma_is_gaussian_blur(self, color_sigma):
         img = rnd(0).random((8, 8))
-        got = S.bilateral_filter(img, 1e12, 1.5, radius=3)
+        got = S.bilateral_filter(img, color_sigma, 1.5, radius=3)
         want = gaussian_blur_loops(img, 1.5, 3)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -128,6 +129,98 @@ class TestBilateralSeriesTerms:
         assert len(calls) == 1
         assert np.array_equal(np.isnan(got), np.isnan(bilateral_loops(img, 100.0, 1.0, 1)))
         assert np.isnan(got[3:6, 3:6]).all() and np.isnan(got).sum() == 9
+
+
+@pytest.fixture()
+def fresh_blur_cache():
+    S._reflect_blur_matrix.cache_clear()
+    yield
+    S._reflect_blur_matrix.cache_clear()
+
+
+def uncached_blur_matrix(n, radius, space_sigma):
+    """The reflect-bordered Gaussian blur matrix built from scratch: the
+    padded index window of every output, its taps summed per input index."""
+    d = np.arange(-radius, radius + 1)
+    taps = np.exp(-(d * d) * (1.0 / (2.0 * space_sigma * space_sigma)))
+    cols = np.lib.stride_tricks.sliding_window_view(
+        np.pad(np.arange(n), radius, mode="reflect"), taps.size)
+    rows = np.arange(n)[:, None]
+    flat = np.bincount((rows * n + cols).ravel(),
+                       weights=np.broadcast_to(taps, cols.shape).ravel(), minlength=n * n)
+    return flat.reshape(n, n)
+
+
+@pytest.mark.usefixtures("fresh_blur_cache")
+class TestBlurMatrixCache:
+    def test_read_only_and_shared_per_key(self):
+        a = S._blur_matrix(12, 5, 2.0)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        assert S._blur_matrix(12, 5, 2.0) is a
+        others = [S._blur_matrix(13, 5, 2.0), S._blur_matrix(12, 4, 2.0),
+                  S._blur_matrix(12, 5, 2.5)]
+        assert all(o is not a for o in others)
+        assert not np.array_equal(others[2], a)
+        assert np.array_equal(a, uncached_blur_matrix(12, 5, 2.0))
+
+    def test_size_stays_bounded_over_a_sweep(self):
+        info = S._reflect_blur_matrix.cache_info
+        assert info().maxsize == S._BLUR_CACHE_SIZE
+        for n in range(1, 3 * S._BLUR_CACHE_SIZE):
+            for radius in (1, 4):
+                S._blur_matrix(n, radius, 1.5)
+                assert info().currsize <= S._BLUR_CACHE_SIZE
+        # Worst case, every entry at the largest cached extent: 16 MB.
+        assert S._BLUR_CACHE_SIZE * 8 * S._BLUR_CACHE_EXTENT ** 2 <= 16 << 20
+
+    def test_extent_past_the_limit_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(S, "_BLUR_CACHE_EXTENT", 8)
+        first = S._blur_matrix(9, 3, 1.5)
+        assert S._reflect_blur_matrix.cache_info().currsize == 0
+        assert S._blur_matrix(9, 3, 1.5) is not first
+        assert np.array_equal(first, uncached_blur_matrix(9, 3, 1.5))
+        S._blur_matrix(8, 3, 1.5)
+        assert S._reflect_blur_matrix.cache_info().currsize == 1
+
+    # Square and non-square, a radius past both extents (repeated
+    # reflection), and both dtypes: the cached operators give the same
+    # bits as ones built per call, on a first call and a repeat.
+    @pytest.mark.parametrize("shape,radius", [((16, 16), None), ((12, 20), None),
+                                              ((5, 7), 9), ((1, 6), 3), ((6, 1), 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_filter_bit_identical_to_uncached_builder(self, monkeypatch, shape, radius, dtype):
+        img = np.log1p(rnd(sum(shape)).random(shape) * 50.0).astype(dtype)
+        cached = [S.bilateral_filter(img, 100.0, 2.5, radius) for _ in range(2)]
+        monkeypatch.setattr(S, "_blur_matrix", uncached_blur_matrix)
+        want = S.bilateral_filter(img, 100.0, 2.5, radius)
+        assert want.dtype == dtype
+        for got in cached:
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+
+@pytest.mark.usefixtures("fresh_blur_cache")
+class TestSigmaDomain:
+    @pytest.mark.parametrize("color_sigma,space_sigma", [
+        (0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (-math.inf, 2.0), (1e-200, 2.0),
+        (100.0, 0.0), (100.0, -2.0), (100.0, math.nan), (100.0, math.inf), (100.0, 1e-200)])
+    def test_filter_rejects_before_the_cache(self, color_sigma, space_sigma):
+        img = rnd(11).random((6, 6))
+        for radius in (None, 2):
+            with pytest.raises(DomainError):
+                S.bilateral_filter(img, color_sigma, space_sigma, radius)
+        assert S._reflect_blur_matrix.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("field,value", [("color_sigma", 0.0), ("color_sigma", math.nan),
+                                             ("space_sigma", math.nan),
+                                             ("space_sigma", math.inf)])
+    def test_config_rejects(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            S.SamplerConfig(**{field: value})
+
+    def test_config_keeps_infinite_color_sigma(self):
+        assert S.SamplerConfig(color_sigma=math.inf).color_sigma == math.inf
 
 
 class TestPatchMetric:

@@ -159,6 +159,54 @@ class TestPhasePlanes:
                     assert np.array_equal(got, want), (h, w, padding)
 
 
+def transposed_phase_dx(gq, ow, x_shape, w, stride, padding, rows, dx_scale):
+    """A strided convolution's dx by the polyphase transpose: the tap GEMMs
+    scattered into zeroed planes, the planes interleaved back into the
+    padded input by one transposed copy, cropped, then scaled in place."""
+    n, c, h, wd = x_shape
+    co, ci, kh, kw = w.shape
+    oh, wq = gq.shape[2], gq.shape[3]
+    s, p, top = stride, padding, rows[0]
+    hq = -(-(h + rows[0] + rows[1]) // s)
+    span = (oh - 1) * wq + ow
+    g = gq.reshape(n, co, oh * wq)[:, :, :span]
+    dplanes = np.zeros((s * s, n, c, hq * wq), dtype=gq.dtype)
+    wt = T._tap_major(w)
+    for i, j, k, dy, dx in T._conv_taps(kh, kw, s):
+        off = dy * wq + dx
+        dplanes[k, :, :, off:off + span] += wt[i, j].T @ g
+    dxp = dplanes.reshape(s, s, n, c, hq, wq).transpose(2, 3, 4, 0, 5, 1)
+    dx = dxp.reshape(n, c, hq * s, wq * s)[:, :, top:top + h, p:p + wd]
+    if dx_scale is not None:
+        np.multiply(dx, dx_scale, out=dx)
+    return dx
+
+
+class TestStridedInputGradient:
+    @pytest.mark.parametrize("stride", [2, 3])
+    @pytest.mark.parametrize("pad_rows", [(1, 1), (0, 1), (2, 0), (1, 2)])
+    def test_equal_to_the_transposed_planes(self, stride, pad_rows):
+        # Odd extents leave each phase plane a different count of rows and
+        # columns inside the input; the row padding shifts which plane
+        # holds the input's first row.
+        rng = rnd(60 + 7 * stride + 3 * pad_rows[0] + pad_rows[1])
+        for dtype in (np.float64, np.float32):
+            for h, wd in ((7, 9), (9, 5), (2, 3)):
+                for scaled in (False, True):
+                    x_shape, w = (2, 3, h, wd), rng.normal(size=(4, 3, 3, 3)).astype(dtype)
+                    oh = T.conv_output_extent(h + sum(pad_rows), 3, stride, 0)
+                    ow = T.conv_output_extent(wd, 3, stride, 1)
+                    grid = T._zero_grid(x_shape, (2, 4, oh), stride, 1, dtype)
+                    grid[:, :, :, :ow] = rng.normal(size=(2, 4, oh, ow))
+                    scale = rng.random(x_shape).astype(dtype) if scaled else None
+                    dx, dw = T._conv_grads(grid, ow, x_shape, w, None, stride, 1, pad_rows,
+                                           scale, True)
+                    want = transposed_phase_dx(grid, ow, x_shape, w, stride, 1, pad_rows,
+                                               scale)
+                    assert dw is None and dx.dtype == dtype and dx.shape == x_shape
+                    assert np.array_equal(dx, want), (dtype, h, wd, scaled)
+
+
 class TestRowBlocks:
     """The forward over several blocks of output rows, the last one ragged,
     against the loop oracle: batch 2, Ci = Co = 3."""
