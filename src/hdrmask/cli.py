@@ -322,24 +322,13 @@ def cmd_reconstruct(args, resolved):
     return 0
 
 
-_EVAL_DEFAULTS = {"patch": 64, "per_image": 8, "threshold": 0.0, "alpha": 0.96,
-                  "percentile": 93.0, "bins": 10, "seed": 0, "dump_images": 0}
+_EVAL_DEFAULTS = {"bins": 10, "dump_images": 0}
 
 
 def cmd_eval(args, resolved):
+    """Score a checkpoint on the records of a shard (``sample-patches`` makes one)."""
     model = load_model(args.checkpoint)
-    if args.shard is not None:
-        records = formats.read_dataset_shard(args.shard)
-        source = {"shard": args.shard}
-    else:
-        images = _load_hdr_dir(args.hdr_dir)
-        cfg = SamplerConfig(patch_size=resolved["patch"],
-                            patches_per_image=resolved["per_image"],
-                            metric_threshold=resolved["threshold"],
-                            alpha=resolved["alpha"],
-                            fixed_percentile=resolved["percentile"])
-        records = sample_corpus(images, cfg, resolved["seed"])
-        source = {"hdr_dir": args.hdr_dir, "images": len(images)}
+    records = formats.read_dataset_shard(args.shard)
     report = evaluate(records, model.params, bins=resolved["bins"])
     os.makedirs(args.out_dir, exist_ok=True)
     table_path = os.path.join(args.out_dir, "metrics.tsv")
@@ -351,7 +340,7 @@ def cmd_eval(args, resolved):
             path = os.path.join(args.out_dir, f"recon_{i:04d}.pfm")
             formats.write_pfm(path, rec["reconstruction"])
         outputs["reconstructions"] = len(report.per_record)
-    _write_manifest(args.out_dir, "eval", resolved, source, outputs)
+    _write_manifest(args.out_dir, "eval", resolved, {"shard": args.shard}, outputs)
     print(report.to_text(), end="")
     return 0
 
@@ -537,9 +526,7 @@ def _build_parser():
     p = add("eval", cmd_eval, _EVAL_DEFAULTS, "metrics table binned by saturation")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out-dir", required=True)
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--shard")
-    source.add_argument("--hdr-dir")
+    p.add_argument("--shard", required=True)
 
     p = add("ablate", cmd_ablate, _ABLATE_DEFAULTS, "masking/pre-training matrix")
     p.add_argument("--out-dir", required=True)

@@ -127,8 +127,6 @@ def _read_bytes(path_or_bytes):
 def write_pfm(path, image):
     """Write a (C,H,W) float32 array, C in {1,3}, as PFM. Bit-exact carrier."""
     arr = np.asarray(image.pixels if hasattr(image, "pixels") else image)
-    if arr.ndim == 2:
-        arr = arr[None]
     if arr.ndim != 3 or arr.shape[0] not in (1, 3):
         raise DimensionError(f"PFM wants (1|3,H,W), got {arr.shape}")
     if not np.all(np.isfinite(arr)):

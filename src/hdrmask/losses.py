@@ -129,13 +129,12 @@ class FeatureExtractor:
         return out
 
     def features(self, x):
-        """Tap activations after each stage's pooling, outermost first."""
+        """Tap activations of an (N,C,H,W) batch after each stage's pooling,
+        outermost first."""
         t = x if isinstance(x, Tensor) else T.constant(x)
-        if t.data.ndim == 3:
-            t = T.reshape(t, (1,) + t.data.shape)
-        if t.data.shape[1] != self.in_channels:
+        if t.data.ndim != 4 or t.data.shape[1] != self.in_channels:
             raise DimensionError(
-                f"extractor expects {self.in_channels} channels, got {t.data.shape}")
+                f"extractor expects (N,{self.in_channels},H,W), got {t.data.shape}")
         pad = (self.kernel_size - 1) // 2
         taps = []
         for w, b in self.stages:
@@ -148,12 +147,10 @@ class FeatureExtractor:
 
 
 def _batch(x, dtype=None):
-    """Promote an image, array or Tensor to a 4-D (N,C,H,W) Tensor.
+    """Promote a (C,H,W) or (N,C,H,W) array or Tensor to a 4-D Tensor.
 
     Arrays become constants of ``dtype``; Tensors keep their dtype.
     """
-    if hasattr(x, "pixels"):
-        x = x.pixels
     t = x if isinstance(x, Tensor) else T.constant(np.asarray(x), dtype=dtype)
     if t.data.ndim == 3:
         t = T.reshape(t, (1,) + t.data.shape)
@@ -216,6 +213,26 @@ def gram_matrix(features):
     return gram if isinstance(features, Tensor) else gram.data
 
 
+def _feature_terms(images, truth, extractor):
+    """Feature and style distances of each image's taps to the truth's.
+
+    Per tap, the feature term is the mean l1 distance of the activations
+    and the style term that of their Gram matrices. The truth array's taps
+    and Grams are computed once, as constants; the terms are summed image
+    by image in the given order, outermost tap first. Returns (vgg, style)
+    as scalar Tensors.
+    """
+    targets = [(f.data, gram_matrix(f.data)) for f in extractor.features(T.constant(truth))]
+    vgg = style = None
+    for img in images:
+        for fa, (fb, gram_b) in zip(extractor.features(img), targets):
+            dv = T.tmean(T.absolute(fa - fb))
+            ds = T.tmean(T.absolute(gram_matrix(fa) - gram_b))
+            vgg = dv if vgg is None else vgg + dv
+            style = ds if style is None else style + ds
+    return vgg, style
+
+
 def _mu_law_node(x, mu):
     # x must be non-negative; callers clamp predictions first.
     return (x * mu + 1.0).log() * (1.0 / np.log1p(mu))
@@ -242,16 +259,7 @@ def perceptual_loss(h_tilde, hdr, extractor, weights=None, norm_scale=None):
     # Same operation sequence as the graph path so that identical images
     # produce bit-identical compressed inputs (and an exactly zero loss).
     cb = _mu_law_node(T.constant(np.clip(h, 0.0, None)) / scale, mu).data
-    taps_a = extractor.features(ca)
-    taps_b = extractor.features(T.constant(cb))
-    vgg = None
-    style = None
-    for fa, fb in zip(taps_a, taps_b):
-        dv = T.tmean(T.absolute(fa - fb.data))
-        ds = T.tmean(T.absolute(gram_matrix(fa) - gram_matrix(fb.data)))
-        vgg = dv if vgg is None else vgg + dv
-        style = ds if style is None else style + ds
-    return vgg, style
+    return _feature_terms([ca], cb, extractor)
 
 
 def total_loss(y_hat, hdr, mask, extractor, weights=None):
@@ -311,15 +319,7 @@ def inpainting_loss(predicted, truth, hole_mask, extractor, weights=None):
     hole = T.tmean(T.absolute(residual * (1.0 - m)))
     comp = m * g + (1.0 - m) * p
 
-    taps_g = [t.data for t in extractor.features(T.constant(g))]
-    vgg = None
-    style = None
-    for img in (p, comp):
-        for fa, fb in zip(extractor.features(img), taps_g):
-            dv = T.tmean(T.absolute(fa - fb))
-            ds = T.tmean(T.absolute(gram_matrix(fa) - gram_matrix(fb)))
-            vgg = dv if vgg is None else vgg + dv
-            style = ds if style is None else style + ds
+    vgg, style = _feature_terms([p, comp], g, extractor)
 
     # Smoothness is charged on the composite's deviation from truth so the
     # term vanishes exactly when the prediction matches the ground truth.

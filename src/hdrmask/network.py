@@ -484,20 +484,16 @@ class UNetParameters:
 
 def _as_batched(arr, channels, what):
     a = np.asarray(arr)
-    if a.ndim == 3:
-        a = a[None]
     if a.ndim != 4 or a.shape[1] != channels:
-        raise DimensionError(f"{what} must be ({channels},H,W) or (N,{channels},H,W), got {a.shape}")
+        raise DimensionError(f"{what} must be (N,{channels},H,W), got {a.shape}")
     return a
 
 
 def _prepare(ldr, mask, config):
-    """The batched input tensor and mask, checked; IMask applies the mask to
-    the input, and IMask and SConv then hold every mask at one."""
+    """The (N,C,H,W) input tensor and mask, checked; IMask applies the mask
+    to the input, and IMask and SConv then hold every mask at one."""
     x = ldr if isinstance(ldr, Tensor) else T.constant(
-        _as_batched(ldr.pixels if hasattr(ldr, "pixels") else ldr, config.in_channels, "input"))
-    if x.data.ndim == 3:
-        x = T.reshape(x, (1,) + x.data.shape)
+        _as_batched(ldr, config.in_channels, "input"))
     m = _as_batched(mask, config.in_channels, "mask").astype(x.data.dtype, copy=False)
     if m.shape != x.data.shape:
         raise DimensionError(f"mask shape {m.shape} != input shape {x.data.shape}")
@@ -733,8 +729,10 @@ class _Frontier:
 def unet_forward(ldr, mask, params, frozen_masks=None):
     """Run the masked U-Net; returns the log-domain prediction and mask stack.
 
-    ``params.config`` gives the shape, slope and masking mode. The returned
-    stack holds one (name, mask array) entry per layer for visualization.
+    ``ldr`` (an array or Tensor) and ``mask`` are (N,C,H,W) batches, C the
+    config's input channels. ``params.config`` gives the shape, slope and
+    masking mode. The returned stack holds one (name, mask array) entry per
+    layer for visualization.
 
     ``frozen_masks`` (a ``{layer name: mask}`` dict from a previous FMask
     run's stack) replaces mask propagation, pinning the masks while weights
@@ -754,13 +752,14 @@ def unet_forward(ldr, mask, params, frozen_masks=None):
 def predict(ldr, mask, params):
     """The log-domain prediction of :func:`unet_forward`, as an array.
 
-    Runs on constant parameters a strip of output rows at a time, each layer
-    advanced just far enough for the strip and holding only the rows its
-    consumers still read, so memory grows with the image's width and not
-    with its area times the number of layers. The output layer's mask, which
-    nothing reads, is never computed. A batch whose strip covers the whole
-    image runs the same operations as :func:`unet_forward`; across strip
-    boundaries results agree to rounding.
+    Takes the same (N,C,H,W) ``ldr`` and ``mask`` batches. Runs on constant
+    parameters a strip of output rows at a time, each layer advanced just far
+    enough for the strip and holding only the rows its consumers still read,
+    so memory grows with the image's width and not with its area times the
+    number of layers. The output layer's mask, which nothing reads, is never
+    computed. A batch whose strip covers the whole image runs the same
+    operations as :func:`unet_forward`; across strip boundaries results agree
+    to rounding.
     """
     config = params.config
     x, m = _prepare(ldr, mask, config)
@@ -778,16 +777,12 @@ def predict(ldr, mask, params):
     return y
 
 
-def export_mask_images(mask_stack, channels=(0,)):
-    """8-bit grayscale renderings of selected mask channels per layer.
+def export_mask_images(mask_stack):
+    """8-bit grayscale renderings of each layer's first mask channel.
 
-    Returns ``{(layer_name, channel): uint8 (H,W) array}`` with values
-    mapped as round(255 * v).
+    ``mask_stack`` is :func:`unet_forward`'s list of (name, (N,C,H,W)
+    mask). Returns ``{(layer_name, 0): uint8 (H,W) array}`` for the first
+    batch item, with values mapped as round(255 * v).
     """
-    images = {}
-    for name, mask in mask_stack:
-        m = mask[0] if mask.ndim == 4 else mask
-        for c in channels:
-            if c < m.shape[0]:
-                images[(name, c)] = np.rint(255.0 * m[c]).astype(np.uint8)
-    return images
+    return {(name, 0): np.rint(255.0 * mask[0, 0]).astype(np.uint8)
+            for name, mask in mask_stack}

@@ -24,14 +24,11 @@ MSE_DISPLAY_EXPONENT = 1.0 / 2.2
 
 
 def rgb_to_gray(image):
-    """BT.709 luma of a 3-channel image, shape (H,W) or (N,H,W)."""
+    """BT.709 luma of a (3,H,W) image, shape (H,W)."""
     px = image.pixels if hasattr(image, "pixels") else np.asarray(image)
-    if px.ndim not in (3, 4) or px.shape[-3] != 3:
-        raise DimensionError(f"expected 3 channels, got shape {px.shape}")
-    w = LUMA_WEIGHTS.astype(px.dtype)
-    if px.ndim == 3:
-        return np.einsum("c,chw->hw", w, px)
-    return np.einsum("c,nchw->nhw", w, px)
+    if px.ndim != 3 or px.shape[0] != 3:
+        raise DimensionError(f"expected a (3,H,W) image, got shape {px.shape}")
+    return np.einsum("c,chw->hw", LUMA_WEIGHTS.astype(px.dtype), px)
 
 
 @dataclass
@@ -49,10 +46,6 @@ class HdrImage:
         if np.any(self.pixels < 0):
             raise DomainError("HdrImage radiance must be non-negative")
 
-    @property
-    def shape(self):
-        return self.pixels.shape
-
 
 @dataclass
 class LdrImage:
@@ -67,10 +60,6 @@ class LdrImage:
             raise DimensionError(f"LdrImage wants (3,H,W), got {self.pixels.shape}")
         if np.any(self.pixels < 0) or np.any(self.pixels > 1):
             raise DomainError("LdrImage values must lie in [0,1]")
-
-    @property
-    def shape(self):
-        return self.pixels.shape
 
 
 CURVE_KINDS = ("gamma", "sigmoid")

@@ -18,6 +18,8 @@ The blur matrices depend only on an axis's extent, the window radius and
 space_sigma, so each is built once and cached: the sampler's 64-pixel crops
 share one 32 KB matrix, and the cache holds at most 16 MB
 (``_BLUR_CACHE_SIZE`` matrices of extent up to ``_BLUR_CACHE_EXTENT``).
+Building a matrix, like the direct sum, takes memory bounded by the
+extent, not by the window radius.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from math import ceil, exp, isfinite, ldexp
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DomainError
 from .network import exposure_mask
@@ -124,19 +125,43 @@ def _series_terms(x):
 _BLUR_CACHE_SIZE = 8
 _BLUR_CACHE_EXTENT = 512
 
+# Gaussian taps are generated this many at a time, so a wide window costs
+# time but no memory.
+_TAP_BLOCK = 1 << 14
+
+
+def _reflect(index, n):
+    """Where positions ``index`` (any integers) of an n-long axis land under
+    np.pad's 'reflect' border, which repeats with period 2(n - 1)."""
+    period = max(1, 2 * (n - 1))
+    q = np.asarray(index) % period
+    return np.where(q < n, q, period - q)
+
 
 @functools.lru_cache(maxsize=_BLUR_CACHE_SIZE, typed=True)
 def _reflect_blur_matrix(n, radius, space_sigma):
     """(n, n) matrix of a 1-D correlation with the Gaussian taps
     exp(-d**2 / (2 space_sigma**2)), |d| <= radius, under np.pad's 'reflect'
     border, repeated reflection for radius >= n included. Read-only: every
-    call with the same arguments (of the same types) shares it."""
-    d = np.arange(-radius, radius + 1)
-    taps = np.exp(-(d * d) * (1.0 / (2.0 * space_sigma * space_sigma)))
-    cols = sliding_window_view(np.pad(np.arange(n), radius, mode="reflect"), taps.size)
+    call with the same arguments (of the same types) shares it.
+
+    The taps are first folded onto one reflection period P = 2(n - 1), so
+    the work arrays are (n, P) whatever the radius. Up to radius n - 2 no
+    two taps share a residue and each entry sums at most two taps, which
+    is the sum a padded index window gives, bit for bit; past it, taps
+    that fold together are summed in another order, equal to rounding.
+    """
+    period = max(1, 2 * (n - 1))
+    folded = np.zeros(period)
+    for lo in range(-radius, radius + 1, _TAP_BLOCK):
+        d = np.arange(lo, min(lo + _TAP_BLOCK, radius + 1))
+        taps = np.exp(-(d * d) * (1.0 / (2.0 * space_sigma * space_sigma)))
+        folded += np.bincount(d % period, weights=taps, minlength=period)
+    # Output i reads, with residue r's folded tap, padded position i + r.
     rows = np.arange(n)[:, None]
+    cols = _reflect(rows + np.arange(period), n)
     flat = np.bincount((rows * n + cols).ravel(),
-                       weights=np.broadcast_to(taps, cols.shape).ravel(),
+                       weights=np.broadcast_to(folded, cols.shape).ravel(),
                        minlength=n * n)
     flat.setflags(write=False)
     return flat.reshape(n, n)
@@ -176,7 +201,8 @@ def bilateral_filter(luminance, color_sigma=100.0, space_sigma=10.0, radius=None
     the image's range) or the image is not finite, the direct window sum
     runs instead. G's two blur matrices are cached per extent, radius and
     ``space_sigma``, in a cache that holds at most 16 MB; an extent over
-    ``_BLUR_CACHE_EXTENT`` builds its matrix per call.
+    ``_BLUR_CACHE_EXTENT`` builds its matrix per call. Building one takes
+    O(extent**2) memory whatever the radius.
 
     Raises DomainError for a ``color_sigma`` that is NaN or not positive
     and a ``space_sigma`` that is not finite and positive;
@@ -220,14 +246,20 @@ def bilateral_filter(luminance, color_sigma=100.0, space_sigma=10.0, radius=None
 
 
 def _bilateral_direct(l, radius, inv_2ss, inv_2cs):
-    """The bilateral filter as a sum over the (2 radius + 1)**2 window shifts."""
+    """The bilateral filter as a sum over the (2 radius + 1)**2 window shifts.
+
+    Each shift gathers its reflected rows and columns from ``l`` itself
+    instead of slicing a padded copy, so memory stays a few images (and two
+    index maps of length extent + 2 radius) whatever the radius.
+    """
     h, w = l.shape
-    p = np.pad(l, radius, mode="reflect")
+    ys, xs = (_reflect(np.arange(-radius, n + radius), n) for n in (h, w))
     acc = np.zeros_like(l, dtype=np.float64)
     norm = np.zeros_like(l, dtype=np.float64)
     for dy in range(-radius, radius + 1):
+        rows = l[ys[radius + dy:radius + dy + h]]
         for dx in range(-radius, radius + 1):
-            shifted = p[radius + dy:radius + dy + h, radius + dx:radius + dx + w]
+            shifted = rows[:, xs[radius + dx:radius + dx + w]]
             diff = shifted - l
             wgt = np.exp(-(dy * dy + dx * dx) * inv_2ss) * np.exp(-diff * diff * inv_2cs)
             acc += wgt * shifted

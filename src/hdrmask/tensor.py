@@ -97,10 +97,6 @@ class Tensor:
         self._vjp = None
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -126,14 +122,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return neg(self)
-
     def __sub__(self, other):
         return add(self, neg(_lift(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(_lift(other, self.dtype), neg(self))
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
@@ -148,26 +138,6 @@ class Tensor:
 
     def log(self):
         return log(self)
-
-    def abs(self):
-        return absolute(self)
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def backward(self, parameters=()):
-        backward(self, parameters)
 
 
 def parameter(data, name=None, dtype=None):

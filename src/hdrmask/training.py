@@ -119,31 +119,32 @@ class PlateauScheduler:
     """Cut the learning rate when validation stops improving.
 
     An epoch counts as stalled when it fails to better the best seen value
-    by more than ``improvement_rel`` (the first epoch sets the baseline and
+    by more than ``IMPROVEMENT_REL`` (the first epoch sets the baseline and
     counts as stalled). After ``patience`` consecutive stalls the rate is
-    divided by ``factor``, never below ``floor``.
+    divided by ``factor``, never below ``FLOOR``.
     """
 
-    def __init__(self, lr, patience=3, factor=2.0, improvement_rel=0.01, floor=1e-6):
+    IMPROVEMENT_REL = 0.01
+    FLOOR = 1e-6
+
+    def __init__(self, lr, patience=3, factor=2.0):
         if patience < 1:
             raise DomainError("patience must be >= 1")
         self.lr = lr
         self.patience = patience
         self.factor = factor
-        self.improvement_rel = improvement_rel
-        self.floor = floor
         self.best = math.inf
         self.stalled = 0
 
     def update(self, value):
-        if self.best is not math.inf and value < self.best * (1.0 - self.improvement_rel):
+        if self.best is not math.inf and value < self.best * (1.0 - self.IMPROVEMENT_REL):
             self.best = value
             self.stalled = 0
         else:
             self.best = min(self.best, value)
             self.stalled += 1
         if self.stalled >= self.patience:
-            self.lr = max(self.lr / self.factor, self.floor)
+            self.lr = max(self.lr / self.factor, self.FLOOR)
             self.stalled = 0
         return self.lr
 
@@ -168,13 +169,14 @@ def _step_rng(seed, stage, step, extra=0):
 
 
 def _split_by_id(items, ids, val_fraction=0.1):
+    """``(train, val)``: about ``val_fraction`` of the distinct ids, at least
+    one, are held out, and none when there is only one. With k >= 2 ids at
+    most k - 1 are held out, so the training split is never empty."""
     unique = sorted(set(ids))
     n_val = max(1, int(round(len(unique) * val_fraction))) if len(unique) > 1 else 0
     val_ids = set(unique[::max(1, len(unique) // n_val)][:n_val]) if n_val else set()
     train = [it for it, i in zip(items, ids) if i not in val_ids]
     val = [it for it, i in zip(items, ids) if i in val_ids]
-    if not train:
-        train, val = val, []
     return train, val
 
 
@@ -246,7 +248,9 @@ def train_inpainting(images, config, unet_config=None, extractor=None,
 
     ``images`` is a list of (3,H,W) arrays in [0,1]. Hole masks are binary
     and regenerated per step from the run seed. Checkpoints the best
-    validation loss.
+    validation loss: each held-out image is predicted by
+    :func:`~hdrmask.network.predict` under a hole mask fixed per image. With
+    one image nothing is held out, and the final parameters count as best.
     """
     images = [np.asarray(im.pixels if hasattr(im, "pixels") else im, dtype=np.float32)
               for im in images]
@@ -269,12 +273,11 @@ def train_inpainting(images, config, unet_config=None, extractor=None,
     def val_fn(params):
         if not val:
             return math.inf
-        params = params.as_constants()
         losses = []
         for j, img in enumerate(val[:config.max_val_items]):
             mask = generate_inpainting_mask(img.shape, seed=int(
                 np.random.default_rng(np.random.SeedSequence([config.seed, 99, j])).integers(0, 2 ** 31)))
-            pred, _ = unet_forward((img * mask)[None], mask[None], params)
+            pred = predict((img * mask)[None], mask[None], params)
             losses.append(inpainting_loss(pred, img[None], mask[None], extractor,
                                           weights).total)
         return float(np.mean(losses))
@@ -517,14 +520,23 @@ def _read_config_record(record):
         raise ContractError(f"checkpoint config record describes no model: {exc}") from exc
 
 
+# Every integer up to 2**24 is a float32; 2**24 + 1 is not.
+_MAX_EXACT_STEP = 2 ** 24
+
+
 def save_model(path, params, adam_state=None, extractor=None):
     """Checkpoint parameters with their config (masking mode included), and
     optionally optimizer state and extractor weights.
 
     Entries, in this order: the parameters, ``adam.step``, ``adam.m.*``,
     ``adam.v.*``, ``extractor.*`` (each group sorted by name) and
-    ``meta.config``.
+    ``meta.config``. Entries are float32, which counts exactly only up to
+    2**24, so a later Adam step is refused with ContractError before any
+    byte is written.
     """
+    if adam_state is not None and adam_state.step > _MAX_EXACT_STEP:
+        raise ContractError(f"Adam step {adam_state.step} is past 2**24, the last count a "
+                            f"float32 checkpoint entry holds exactly")
     arrays = dict(sorted(params.named_arrays().items()))
     if adam_state is not None:
         arrays["adam.step"] = np.asarray([adam_state.step], dtype=np.float32)

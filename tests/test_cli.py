@@ -14,7 +14,9 @@ from hdrmask.cli import dispatch
 from hdrmask.losses import FeatureExtractor
 from hdrmask.network import UNetConfig, exposure_mask, export_mask_images, unet_forward
 from hdrmask.pipeline import compose_hdr
-from hdrmask.training import RunLog, initialize_parameters, load_model, save_model
+from hdrmask.training import (RunLog, TrainConfig, evaluate, finetune_hdr,
+                              initialize_parameters, load_model, save_model,
+                              train_inpainting)
 from hdrmask.synthetic import hdr_scene, make_texture_corpus
 
 
@@ -295,7 +297,7 @@ class TestCheckpointMode:
         assert dispatch(["reconstruct", "--in", ldr_path, "--checkpoint", ckpt,
                          "--out", str(tmp_path / "r.pfm"), "--mode", "SConv"]) == 1
         assert dispatch(["eval", "--checkpoint", ckpt, "--out-dir", str(tmp_path),
-                         "--mode", "SConv"]) == 1
+                         "--shard", "none.mds", "--mode", "SConv"]) == 1
 
     @pytest.mark.parametrize("record", [
         [2, 4, 3], [2, 4, 3, 3, 3, 0], [2, 4, 3, 3, 3, 0, 0.2, 1],
@@ -375,8 +377,8 @@ class TestMaskCommand:
 
 
 class TestEvalDataSource:
-    """eval reads exactly one of --shard and --hdr-dir; anything else is a
-    usage error before any file is read."""
+    """eval reads a shard, which --shard names; anything else is a usage
+    error before any file is read."""
 
     def test_neither_source(self, tmp_path, monkeypatch, small_ckpt):
         monkeypatch.chdir(tmp_path)
@@ -388,10 +390,11 @@ class TestEvalDataSource:
         F.write_pfm(tmp_path / "s0.pfm", hdr_scene(30, size=(48, 48)).pixels)
         assert dispatch(["eval", "--checkpoint", small_ckpt, "--out-dir", "out"]) == 1
 
-    def test_both_sources(self, tmp_path, monkeypatch, small_ckpt):
+    def test_hdr_dir_is_not_a_source(self, tmp_path, monkeypatch, small_ckpt):
         monkeypatch.chdir(tmp_path)
         assert dispatch(["eval", "--checkpoint", small_ckpt, "--out-dir", "out",
                          "--shard", "none.mds", "--hdr-dir", "none"]) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenInpaintMasks:
@@ -446,7 +449,6 @@ class TestSeedKnob:
         "gen-inpaint-masks": ["--out-dir", "out"],
         "train-inpaint": ["--out-dir", "out", "--procedural", "2"],
         "finetune-hdr": ["--shard", "none.mds", "--out-dir", "out"],
-        "eval": ["--checkpoint", "none.ckpt", "--out-dir", "out", "--hdr-dir", "none"],
         "gradcheck": [],
     }
 
@@ -584,3 +586,97 @@ class TestTrainRunOutputs:
         assert [rec["step"] for rec in log.steps] == list(range(1, self.STEPS + 1))
         manifest = json.loads((out / f"{command.replace('-', '_')}_manifest.json").read_text())
         assert {k: manifest["outputs"][k] for k in paths} == paths
+
+
+class TestPathsUsersReach:
+    """Command paths a user reaches that the tests above do not run."""
+
+    UCFG = UNetConfig(levels=2, base_channels=4)
+
+    @pytest.fixture()
+    def shard(self, tmp_path):
+        hdr_dir = tmp_path / "hdr"
+        hdr_dir.mkdir()
+        for i in range(2):
+            F.write_pfm(hdr_dir / f"s{i}.pfm", hdr_scene(30 + i, size=(48, 48)).pixels)
+        path = str(tmp_path / "train.mds")
+        assert dispatch(["sample-patches", "--in-dir", str(hdr_dir), "--out", path,
+                         "--patch", "16", "--per-image", "4", "--threshold", "0.0"]) == 0
+        return path
+
+    def test_train_inpaint_procedural_trains_on_the_texture_corpus(self, tmp_path):
+        out = tmp_path / "run"
+        assert dispatch(["train-inpaint", "--procedural", "3", "--out-dir", str(out),
+                         "--steps", "2", "--batch", "2", "--steps-per-epoch", "2",
+                         "--levels", "2", "--base-channels", "4", "--seed", "4"]) == 0
+        manifest = json.loads((out / "train_inpaint_manifest.json").read_text())
+        assert manifest["inputs"] == {"images": 3}
+        cfg = TrainConfig(batch_size=2, max_steps=2, steps_per_epoch=2, seed=4)
+        result = train_inpainting(make_texture_corpus(3, seed=4), cfg, self.UCFG,
+                                  FeatureExtractor())
+        want = tmp_path / "want.ckpt"
+        save_model(want, result.params, adam_state=result.adam_state,
+                   extractor=FeatureExtractor())
+        assert (out / "inpaint_final.ckpt").read_bytes() == want.read_bytes()
+
+    def test_train_inpaint_without_images_is_usage_error(self, tmp_path):
+        assert dispatch(["train-inpaint", "--out-dir", str(tmp_path / "run")]) == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_finetune_without_init_trains_a_fresh_model(self, tmp_path, shard):
+        out = tmp_path / "run"
+        assert dispatch(["finetune-hdr", "--shard", shard, "--out-dir", str(out),
+                         "--steps", "2", "--batch", "2", "--levels", "2",
+                         "--base-channels", "4", "--seed", "2"]) == 0
+        manifest = json.loads((out / "finetune_hdr_manifest.json").read_text())
+        assert manifest["inputs"]["init"] is None
+        assert manifest["resolved_config"]["mode"] == "FMask"
+        cfg = TrainConfig(batch_size=2, max_steps=2, seed=2)
+        result = finetune_hdr(F.read_dataset_shard(shard), cfg, self.UCFG, FeatureExtractor())
+        want = tmp_path / "want.ckpt"
+        save_model(want, result.params, adam_state=result.adam_state,
+                   extractor=FeatureExtractor())
+        assert (out / "hdr_final.ckpt").read_bytes() == want.read_bytes()
+
+    def test_eval_dump_images_writes_each_reconstruction(self, tmp_path, shard, small_ckpt):
+        out = tmp_path / "eval"
+        assert dispatch(["eval", "--checkpoint", small_ckpt, "--shard", shard,
+                         "--out-dir", str(out), "--dump-images", "1"]) == 0
+        records = F.read_dataset_shard(shard)
+        report = evaluate(records, load_model(small_ckpt).params)
+        assert sorted(p.name for p in out.glob("recon_*.pfm")) == \
+            [f"recon_{i:04d}.pfm" for i in range(len(records))]
+        for i, rec in enumerate(report.per_record):
+            assert np.array_equal(F.read_pfm(str(out / f"recon_{i:04d}.pfm")),
+                                  rec["reconstruction"].pixels)
+        manifest = json.loads((out / "eval_manifest.json").read_text())
+        assert manifest["outputs"]["reconstructions"] == len(records)
+        assert manifest["inputs"] == {"shard": shard}
+
+    # The first two thirds of the sorted HDR files train, the rest test.
+    @pytest.mark.parametrize("scenes, train", [(2, 1), (3, 2), (4, 2)])
+    def test_ablate_reads_texture_and_hdr_dirs(self, tmp_path, monkeypatch, scenes, train):
+        tex_dir, hdr_dir = tmp_path / "tex", tmp_path / "hdr"
+        tex_dir.mkdir()
+        hdr_dir.mkdir()
+        textures = make_texture_corpus(2, seed=1, size=(16, 16))
+        for i, img in enumerate(textures):
+            F.write_ldr(tex_dir / f"t{i}.ppm", img)
+        for i in range(scenes):
+            F.write_pfm(hdr_dir / f"s{i}.pfm", hdr_scene(40 + i, size=(48, 48)).pixels)
+        seen = {}
+
+        def run_ablation(texture_images, train_records, test_records, seeds, **kwargs):
+            seen.update(textures=texture_images, train=train_records, test=test_records)
+            return {}
+
+        monkeypatch.setattr(cli, "run_ablation", run_ablation)
+        assert dispatch(["ablate", "--out-dir", str(tmp_path / "out"), "--seeds", "0",
+                         "--texture-dir", str(tex_dir), "--hdr-dir", str(hdr_dir),
+                         "--patch", "16", "--per-image", "4", "--threshold", "0"]) == 0
+        assert len(seen["textures"]) == 2
+        for got, img in zip(seen["textures"], textures):
+            assert np.array_equal(got, F.read_ldr(F.encode_ppm(img)).pixels)
+        names = [f"s{i}.pfm" for i in range(scenes)]
+        assert {r.image_id for r in seen["train"]} == set(names[:train])
+        assert {r.image_id for r in seen["test"]} == set(names[train:])

@@ -165,6 +165,66 @@ class TestRgbe:
         with pytest.raises(FormatError):
             F.read_rgbe(b"NOTRAD\n")
 
+    @staticmethod
+    def _header(width, height):
+        return b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n" + f"-Y {height} +X {width}\n".encode()
+
+    @staticmethod
+    def _rle_channel(values):
+        """New-style RLE of one channel of a scanline: runs of three or more
+        equal bytes as (128 + n, value), the rest as (n, bytes...) literals."""
+        out, x, w = bytearray(), 0, len(values)
+        while x < w:
+            end = x
+            while end < w and end - x < 127 and values[end] == values[x]:
+                end += 1
+            if end - x >= 3:
+                out += bytes([128 + end - x, values[x]])
+                x = end
+                continue
+            end = x + 1
+            while end < w and end - x < 128 and not (
+                    end + 2 < w and values[end] == values[end + 1] == values[end + 2]):
+                end += 1
+            out += bytes([end - x]) + bytes(values[x:end])
+            x = end
+        return bytes(out)
+
+    @pytest.mark.parametrize("width", [8, 13, 300])
+    def test_rle_decodes_to_the_flat_encoding(self, width):
+        rng = rnd(width)
+        rgbe = rng.integers(0, 256, size=(3, width, 4), dtype=np.uint8)
+        # Runs inside a scanline and across a whole one; at width 300 runs
+        # and literals also reach their 127- and 128-byte caps.
+        rgbe[0, 2:7] = (9, 8, 7, 130)
+        rgbe[1, :, 3] = 140
+        if width > 200:
+            rgbe[2, 10:150, :2] = 77
+        rgbe[:, 0, 0] = 5  # a flat scanline must not open with the RLE marker
+        flat = self._header(width, 3) + rgbe.tobytes()
+        rle = bytearray(self._header(width, 3))
+        for row in rgbe:
+            rle += bytes([2, 2, width >> 8, width & 255])
+            for ch in range(4):
+                rle += self._rle_channel(row[:, ch].tolist())
+        got, want = F.read_rgbe(bytes(rle)), F.read_rgbe(flat)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scanline, message", [
+        (bytes([2, 2, 0, 8, 128 + 9, 1]), "RLE run overflows scanline"),
+        (bytes([2, 2, 0, 8, 0]), "bad RLE literal length"),
+        (bytes([2, 2, 0, 8, 6, 1, 2, 3, 4, 5, 6, 3, 1, 2, 3]), "bad RLE literal length"),
+        (bytes([2, 2, 0, 8, 128 + 4]), "truncated file"),
+    ], ids=["run-past-scanline", "zero-length-literal", "literal-past-scanline",
+            "truncated-run"])
+    def test_malformed_rle_raises_with_an_offset(self, scanline, message):
+        data = self._header(8, 1) + scanline
+        with pytest.raises(FormatError, match=message) as info:
+            F.read_rgbe(data)
+        assert info.value.offset is not None
+        assert len(self._header(8, 1)) <= info.value.offset <= len(data)
+
 
 class TestCheckpoint:
     def _arrays(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,79 @@ def uncached_blur_matrix(n, radius, space_sigma):
     return flat.reshape(n, n)
 
 
+class TestBlurMatrixMemory:
+    """The blur operators fold their taps onto one reflection period, so
+    building one costs memory by extent, not by radius."""
+
+    def test_bit_identical_to_the_padded_window_up_to_radius_n_minus_2(self):
+        # There each entry sums at most two taps, in either order the same.
+        for n in range(1, 40):
+            for radius in range(1, n - 1):
+                for sigma in (0.7, 2.5, 10.0):
+                    got = S._reflect_blur_matrix.__wrapped__(n, radius, sigma)
+                    assert np.array_equal(got, uncached_blur_matrix(n, radius, sigma)), \
+                        (n, radius, sigma)
+
+    # Radius n - 1 and past it, where taps fold together: criterion 1's
+    # tolerance against the loop oracle.
+    @pytest.mark.parametrize("shape,radius", [((5, 7), 9), ((3, 4), 10), ((2, 9), 8),
+                                              ((1, 6), 3), ((6, 6), 5)])
+    def test_wide_radius_matches_loop_oracle(self, shape, radius):
+        img = np.log1p(rnd(sum(shape)).random(shape) * 50.0)
+        want = bilateral_loops(img, 100.0, 2.5, radius)
+        assert np.max(np.abs(S.bilateral_filter(img, 100.0, 2.5, radius) - want)) <= 1e-12
+        got32 = S.bilateral_filter(img.astype(np.float32), 100.0, 2.5, radius)
+        assert np.max(np.abs(got32 - want)) <= 1e-6
+
+    @pytest.mark.parametrize("space_sigma", [1e4, 1e6])
+    def test_wide_space_sigma_peak_is_bounded(self, space_sigma):
+        # The padded index window peaked at 42 MB at 1e4 and would need
+        # about 4 GB at 1e6; folded, a 64x64 call stays under 2 MB.
+        img = np.log1p(rnd(3).random((64, 64)) * 50.0)
+        S._reflect_blur_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            out = S.bilateral_filter(img, 100.0, space_sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            S._reflect_blur_matrix.cache_clear()
+        assert np.isfinite(out).all() and peak < 2 << 20, peak
+
+    def test_direct_sum_gathers_instead_of_padding(self, monkeypatch):
+        img = rnd(12).random((3, 4)) * 4
+        direct = S._bilateral_direct
+        calls = []
+        monkeypatch.setattr(S, "_bilateral_direct", lambda *a: calls.append(a) or direct(*a))
+        got = S.bilateral_filter(img, 0.2, 30.0, radius=9)
+        assert len(calls) == 1
+        # The same sums as slicing a reflect-padded copy, bit for bit.
+        h, w = img.shape
+        p = np.pad(img, 9, mode="reflect")
+        acc, norm = np.zeros((h, w)), np.zeros((h, w))
+        inv_2ss, inv_2cs = 1.0 / (2.0 * 30.0 * 30.0), 1.0 / (2.0 * 0.2 * 0.2)
+        for dy in range(-9, 10):
+            for dx in range(-9, 10):
+                shifted = p[9 + dy:9 + dy + h, 9 + dx:9 + dx + w]
+                diff = shifted - img
+                wgt = np.exp(-(dy * dy + dx * dx) * inv_2ss) * np.exp(-diff * diff * inv_2cs)
+                acc += wgt * shifted
+                norm += wgt
+        assert np.array_equal(got, acc / norm)
+        assert np.max(np.abs(got - bilateral_loops(img, 0.2, 30.0, 9))) <= 1e-12
+
+    def test_direct_sum_peak_is_bounded(self):
+        # A padded copy at radius 40 is 83x84 float64, 56 KB.
+        img = rnd(13).random((3, 4)) * 4
+        tracemalloc.start()
+        try:
+            S._bilateral_direct(img, 40, 1.0 / 800.0, 1.0 / 0.08)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 10, peak
+
+
 @pytest.mark.usefixtures("fresh_blur_cache")
 class TestBlurMatrixCache:
     def test_read_only_and_shared_per_key(self):
@@ -193,7 +267,7 @@ class TestBlurMatrixCache:
     def test_filter_bit_identical_to_uncached_builder(self, monkeypatch, shape, radius, dtype):
         img = np.log1p(rnd(sum(shape)).random(shape) * 50.0).astype(dtype)
         cached = [S.bilateral_filter(img, 100.0, 2.5, radius) for _ in range(2)]
-        monkeypatch.setattr(S, "_blur_matrix", uncached_blur_matrix)
+        monkeypatch.setattr(S, "_blur_matrix", S._reflect_blur_matrix.__wrapped__)
         want = S.bilateral_filter(img, 100.0, 2.5, radius)
         assert want.dtype == dtype
         for got in cached:

@@ -97,8 +97,8 @@ class TestPlateauScheduler:
         assert replay(PlateauScheduler(1e-3, patience=3), history) == 2.5e-4
 
     def test_floor_respected(self):
-        sched = PlateauScheduler(1e-5, patience=1, floor=1e-6)
-        assert replay(sched, [1.0] * 200) == 1e-6
+        sched = PlateauScheduler(1e-5, patience=1)
+        assert replay(sched, [1.0] * 200) == PlateauScheduler.FLOOR == 1e-6
 
     def test_improvement_must_exceed_one_percent(self):
         sched = PlateauScheduler(1e-3, patience=2)
@@ -146,20 +146,58 @@ class TestTrainInpainting:
             train_inpainting([], TrainConfig(max_steps=1), UCFG, extractor)
 
     def test_validation_forward_records_no_graph(self, textures, extractor, monkeypatch):
-        real, graphs = TR.unet_forward, []
+        real_forward, real_predict, real_node = TR.unet_forward, TR.predict, T._node
+        graphs, predicting, val_nodes = [], [], []
 
-        def spy(*args, **kwargs):
-            y, stack = real(*args, **kwargs)
+        def forward(*args, **kwargs):
+            y, stack = real_forward(*args, **kwargs)
             graphs.append(bool(y._parents))
             return y, stack
 
-        monkeypatch.setattr(TR, "unet_forward", spy)
+        def predict(*args, **kwargs):
+            predicting.append(True)
+            try:
+                return real_predict(*args, **kwargs)
+            finally:
+                predicting.pop()
+
+        def node(*args):
+            out = real_node(*args)
+            if predicting:
+                val_nodes.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(TR, "unet_forward", forward)
+        monkeypatch.setattr(TR, "predict", predict)
+        monkeypatch.setattr(T, "_node", node)
         cfg = TrainConfig(max_steps=2, batch_size=2, steps_per_epoch=2, seed=0)
         res = train_inpainting(textures, cfg, UCFG, extractor)
         assert len(res.run_log.validations) == 1
-        # Two training forwards, then the validation forwards.
-        assert graphs[:2] == [True, True]
-        assert len(graphs) > 2 and not any(graphs[2:])
+        # Two training forwards record a graph; the validation forwards
+        # predict, and no node they make needs a gradient.
+        assert graphs == [True, True]
+        assert val_nodes and not any(val_nodes)
+
+
+class TestOneImageInpainting:
+    def test_empty_validation_returns_the_final_parameters_as_best(self, textures, extractor):
+        # One image has one id: nothing is held out, every epoch scores inf.
+        cfg = TrainConfig(max_steps=2, batch_size=2, steps_per_epoch=1, seed=0)
+        res = train_inpainting(textures[:1], cfg, UCFG, extractor)
+        assert [v["value"] for v in res.run_log.validations] == [math.inf, math.inf]
+        assert res.best_val == math.inf
+        assert res.best_params is not res.params
+        final, best = res.params.named_arrays(), res.best_params.named_arrays()
+        assert final.keys() == best.keys()
+        assert all(np.array_equal(final[k], best[k]) for k in final)
+
+
+class TestValidationMse:
+    def test_exp_overflow_scores_inf(self, records):
+        params = initialize_parameters(UCFG, 0)
+        # exp(1000) overflows float32 wherever the prediction is composed.
+        params.layers["out"][1].data[:] = 1000.0
+        assert validation_mse(records[:2], params) == math.inf
 
 
 class TestOptimize:
@@ -302,6 +340,19 @@ class TestCheckpointRoundTrip:
             assert np.array_equal(loaded.adam_state.v[key], arr)
         for (w1, _), (w2, _) in zip(extractor.stages, loaded.extractor.stages):
             assert np.array_equal(np.float32(w1), np.float32(w2))
+
+    def test_adam_step_2_pow_24_round_trips(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(path, initialize_parameters(UCFG, 0), adam_state=T.AdamState(step=2 ** 24))
+        assert load_model(path).adam_state.step == 2 ** 24
+
+    def test_adam_step_float32_cannot_hold_refused_before_writing(self, tmp_path):
+        # 2**24 + 1 would load back as 2**24.
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ContractError, match="2\\*\\*24"):
+            save_model(path, initialize_parameters(UCFG, 0),
+                       adam_state=T.AdamState(step=2 ** 24 + 1))
+        assert not path.exists()
 
     def test_checkpoint_bytes_pinned(self, tmp_path):
         # Parameters sorted, adam.step, adam.m.*, adam.v.*, extractor.*, meta.config.
