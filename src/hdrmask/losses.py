@@ -184,7 +184,7 @@ def blend_with_ground_truth(hdr, y_hat, mask):
         h = _batch(hdr, y.data.dtype).data
         m = _batch(mask, y.data.dtype).data
         return m * h + (1.0 - m) * (y.exp() - 1.0)
-    h = np.asarray(hdr.pixels if hasattr(hdr, "pixels") else hdr)
+    h = np.asarray(hdr)
     y = np.asarray(y_hat)
     m = np.asarray(mask)
     if h.shape != y.shape or m.shape != y.shape:

@@ -1,11 +1,14 @@
 """Feature masking and the masked U-Net forward pass.
 
-Every convolutional layer multiplies its incoming features by a soft
-validity mask in [0,1], convolves as usual, and carries the mask forward
-by convolving it with the kernel's normalized magnitudes. Well-exposed
-pixels keep mask 1; fully saturated pixels get 0 and contribute nothing
-to the features. Masks are bookkeeping, not signal: they are held constant
-during differentiation.
+In the FMask mode every convolutional layer multiplies its incoming
+features by a soft validity mask in [0,1], convolves as usual, and carries
+the mask forward by convolving it with the kernel's normalized magnitudes:
+one :func:`~hdrmask.tensor.conv2d` call with the mask as its ``scale``,
+then one :func:`propagate_mask` call. Well-exposed pixels keep mask 1;
+fully saturated pixels get 0 and contribute nothing to the features. Masks
+are bookkeeping, not signal: they are held constant during
+differentiation. IMask multiplies the mask into the input only and SConv
+ignores it, so their layers carry no mask at all.
 
 Masks pad with 1 at image borders (outside counts as valid) while features
 pad with 0, so a network fed an all-valid mask behaves exactly like its
@@ -102,35 +105,6 @@ def exposure_mask(image, alpha=DEFAULT_SATURATION_THRESHOLD):
     v = one - t
     v = np.divide(v, one - a, out=v if v.dtype.kind == "f" else None)
     return np.clip(v, 0.0, 1.0, out=v).astype(t.dtype, copy=False)
-
-
-@dataclass
-class MaskedFeature:
-    """A feature tensor paired with its aligned validity mask."""
-
-    features: Tensor
-    mask: np.ndarray
-
-    def __post_init__(self):
-        # Masks are validated where they enter (unet_forward, predict,
-        # mask_features); propagate_mask's are clipped to [0,1] already.
-        if self.features.data.shape != self.mask.shape:
-            raise DimensionError(
-                f"feature shape {self.features.data.shape} != mask shape {self.mask.shape}")
-
-
-def validate_mask(mask):
-    if np.any(mask < 0) or np.any(mask > 1):
-        raise DomainError("mask values must lie in [0,1]")
-
-
-def mask_features(x, mask):
-    """Attenuate features by their mask elementwise (mask is not differentiated)."""
-    x = x if isinstance(x, Tensor) else T.constant(x)
-    if x.data.shape != mask.shape:
-        raise DimensionError(f"feature shape {x.data.shape} != mask shape {mask.shape}")
-    validate_mask(mask)
-    return MaskedFeature(x * T.constant(mask.astype(x.data.dtype, copy=False)), mask)
 
 
 @dataclass(frozen=True)
@@ -255,9 +229,9 @@ def propagate_mask(mask, weights, stride=1, padding=0, skip=None, pad_rows=None,
     (just under) one, so the result is a weighted average of mask values in
     each receptive field. Borders pad with 1; output is clamped to [0,1].
 
-    With ``skip`` the layer is a decoder layer (see
-    :func:`masked_conv_layer`): its input mask is the 2x nearest upsample of
-    ``mask`` followed by the channels of ``skip``. ``pad_rows`` and
+    With ``skip`` the layer is a decoder layer (as with ``skip`` of
+    :func:`~hdrmask.tensor.conv2d`): its input mask is the 2x nearest
+    upsample of ``mask`` followed by the channels of ``skip``. ``pad_rows`` and
     ``skip_pad_rows`` are ``(top, bottom)`` row paddings of ``mask`` and
     ``skip`` (:func:`~hdrmask.tensor.conv2d_raw`).
 
@@ -297,51 +271,6 @@ def propagate_mask(mask, weights, stride=1, padding=0, skip=None, pad_rows=None,
         T.add_phases(out, T.conv2d_raw(m, kernels, None, 1, padding, 1.0, pad_rows)[0], padding)
     np.clip(out, 0.0, 1.0, out=out)
     return out[0] if squeeze else out
-
-
-def masked_conv(inp, weights, bias, stride=1, padding=0, activation_kind="relu", slope=0.2,
-                skip=None, pad_rows=None, skip_pad_rows=None):
-    """The output features of :func:`masked_conv_layer`, with no mask carried
-    on: one :func:`~hdrmask.tensor.conv2d` node, called with the layer's
-    whole weight."""
-    return T.conv2d(inp.features, weights, bias, stride, padding, pad_rows=pad_rows,
-                    scale=inp.mask, skip=None if skip is None else skip.features,
-                    skip_scale=None if skip is None else skip.mask,
-                    skip_pad_rows=skip_pad_rows, activation_kind=activation_kind, slope=slope)
-
-
-def masked_conv_layer(inp, weights, bias, stride=1, padding=0, activation_kind="relu",
-                      slope=0.2, mask_out=None, skip=None, pad_rows=None, skip_pad_rows=None,
-                      tiles=None):
-    """One masked convolution: mask the features, convolve, activate, update
-    the mask.
-
-    The features are one node of the differentiation graph
-    (:func:`~hdrmask.tensor.conv2d`): the mask product is written into the
-    convolution's planes, the activation is applied in place, and the node
-    keeps only the planes (when the weights need a gradient) and its
-    output. Masks never enter the differentiation graph. ``mask_out``
-    overrides the propagated mask (used by gradient checks that hold the
-    masks of a previous forward pass fixed while weights are perturbed).
-
-    With ``skip`` the layer is a decoder layer whose input is the 2x nearest
-    upsample of ``inp`` concatenated with ``skip`` along channels. Neither is
-    built: masking commutes with the upsample, so ``inp`` is masked at its
-    own resolution and convolved with the phase kernels of its slice of
-    ``weights`` (:func:`~hdrmask.tensor.upsample_kernels`), and the result is
-    added in place into the convolution of ``skip`` with the rest.
-
-    ``pad_rows`` and ``skip_pad_rows`` are ``(top, bottom)`` row paddings of
-    ``inp`` and ``skip`` in place of ``padding``, for a window of rows that
-    is padded only where it meets the image's edge. ``tiles`` restricts the
-    mask conv to where saturation reaches (:func:`propagate_mask`).
-    """
-    f = masked_conv(inp, weights, bias, stride, padding, activation_kind, slope, skip,
-                    pad_rows, skip_pad_rows)
-    m = mask_out if mask_out is not None else propagate_mask(
-        inp.mask, weights, stride, padding, skip=None if skip is None else skip.mask,
-        pad_rows=pad_rows, skip_pad_rows=skip_pad_rows, tiles=tiles)
-    return MaskedFeature(f, m)
 
 
 @dataclass(frozen=True)
@@ -491,22 +420,21 @@ def _as_batched(arr, channels, what):
 
 def _prepare(ldr, mask, config):
     """The (N,C,H,W) input tensor and mask, checked; IMask applies the mask
-    to the input, and IMask and SConv then hold every mask at one."""
+    to the input, and only FMask carries it on (the others get None)."""
     x = ldr if isinstance(ldr, Tensor) else T.constant(
         _as_batched(ldr, config.in_channels, "input"))
     m = _as_batched(mask, config.in_channels, "mask").astype(x.data.dtype, copy=False)
     if m.shape != x.data.shape:
         raise DimensionError(f"mask shape {m.shape} != input shape {x.data.shape}")
-    validate_mask(m)
+    if np.any(m < 0) or np.any(m > 1):
+        raise DomainError("mask values must lie in [0,1]")
     h, w = x.data.shape[2], x.data.shape[3]
     factor = config.downsample_factor
     if h % factor or w % factor:
         raise DimensionError(f"spatial extents {h}x{w} must be divisible by {factor}")
     if config.mode == MODE_INPUT_MASK:
         x = x * T.constant(m)
-    if config.mode != MODE_FEATURE_MASK:
-        m = np.ones_like(m)
-    return x, m
+    return x, m if config.mode == MODE_FEATURE_MASK else None
 
 
 def _edge_rows(edge, a, b, pad):
@@ -529,24 +457,28 @@ class _Frontier:
     Node 0 is the input and node ``j + 1`` layer ``j`` of :func:`layer_plan`.
     A node reads ``(source node, stride, up)`` edges: the node before it (2x
     upsampled when ``up``, into a decoder) and a decoder's encoder skip. Each
-    node holds its features and mask for rows ``[keep, done)`` only.
-    :meth:`advance` first drops the rows no consumer reads again, then works
-    out from the last layer backwards how far each layer must get for the
-    requested output rows, and runs the layers forwards that far. A layer
-    reads a window of its source's rows, padded only where it meets the
-    image's edge; a window that is all of the source is the source itself,
-    so one advance over the whole image runs the whole-image operations and
-    records the same graph. Later advances write into row buffers outside
-    the differentiation graph, so they are for constant parameters only.
+    node holds its features, and its mask if it has one, for rows
+    ``[keep, done)`` only. :meth:`advance` first drops the rows no consumer
+    reads again, then works out from the last layer backwards how far each
+    layer must get for the requested output rows, and runs the layers
+    forwards that far. A layer reads a window of its source's rows, padded
+    only where it meets the image's edge; a window that is all of the source
+    is the source itself, so one advance over the whole image runs the
+    whole-image operations and records the same graph. Later advances write
+    into row buffers outside the differentiation graph, so they are for
+    constant parameters only.
 
-    ``frozen`` (``{layer name: mask}``) pins FMask layers' masks; IMask and
-    SConv pin every mask to ones. Where FMask masks propagate, every other
-    pixel's mask is its layer's all-valid mask, which repeats with the
-    node's ``period``: 1 for an encoder, doubled by each decoder's upsample.
-    The walk then keeps a summed-area ``table`` of the input's saturated
-    pixels and, per node, the input bound of every row and every column
-    (:meth:`_bounds`), so that each window's :class:`CleanTiles` is a few
-    lookups; each layer keeps its pattern once it has computed it.
+    A layer is one :func:`~hdrmask.tensor.conv2d` call, which scales its
+    inputs by their masks, and then, in FMask, one :func:`propagate_mask`
+    call, unless ``frozen`` (``{layer name: mask}``) pins that layer's mask.
+    In IMask and SConv the input mask ``m`` is None and no node has a mask.
+    Where FMask masks propagate, every other pixel's mask is its layer's
+    all-valid mask, which repeats with the node's ``period``: 1 for an
+    encoder, doubled by each decoder's upsample. The walk then keeps a
+    summed-area ``table`` of the input's saturated pixels and, per node, the
+    input bound of every row and every column (:meth:`_bounds`), so that
+    each window's :class:`CleanTiles` is a few lookups; each layer keeps its
+    pattern once it has computed it.
     """
 
     def __init__(self, x, m, params, frozen=None, out_mask=True):
@@ -555,7 +487,6 @@ class _Frontier:
         self.plan = layer_plan(config)
         self.pad = (config.kernel_size - 1) // 2
         n, _, h, w = x.data.shape
-        self.batch = n
         self.edges, self.extents, self.period = [()], [(h, w)], [1]
         for j, spec in enumerate(self.plan):
             rows, cols = self.extents[j]
@@ -580,7 +511,7 @@ class _Frontier:
         self.masks = [m] + [None] * len(self.plan)
         self.buffers, self.start = [None] * nodes, [None] * nodes
         self.table = None
-        if config.mode == MODE_FEATURE_MASK and not self.frozen:
+        if m is not None and not self.frozen:
             table = self.table = np.zeros((n, h + 1, w + 1),
                                           dtype=np.int32 if h * w < 2 ** 31 else np.int64)
             np.cumsum((m < 1).any(axis=1), axis=1, dtype=table.dtype, out=table[:, 1:, 1:])
@@ -679,38 +610,39 @@ class _Frontier:
             f, m = self.features[src], self.masks[src]
             if (r0, r1) != (self.keep[src], self.done[src]):
                 rows = (slice(None), slice(None), slice(r0 - self.keep[src], r1 - self.keep[src]))
-                f, m = f[rows], m[rows]
-            inputs.append((MaskedFeature(f, m), (r0 - lo, hi - r1)))
-        (inp, pad_rows), (skip, skip_pad_rows) = inputs[0], (inputs[1:] or [(None, None)])[0]
+                f, m = f[rows], None if m is None else m[rows]
+            inputs.append((f, m, (r0 - lo, hi - r1)))
+        (f, m, pad_rows), (skip, skip_m, skip_pad_rows) = \
+            inputs[0], (inputs[1:] or [(None, None, None)])[0]
         weights, bias = self.params.layers[spec.name]
-        args = (inp, weights, bias, spec.stride, self.pad, spec.activation,
-                self.config.leaky_slope)
-        if v == len(self.plan) and not self.out_mask:
-            f, m = masked_conv(*args, skip, pad_rows, skip_pad_rows), None
-        else:
-            pinned = self.frozen.get(spec.name) if self.config.mode == MODE_FEATURE_MASK else \
-                np.ones((self.batch, spec.out_channels, b - a, self.extents[v][1]),
-                        dtype=self.masks[0].dtype)
-            tiles = None if self.table is None else self._tiles(v, a, b)
-            out = masked_conv_layer(*args, pinned, skip, pad_rows, skip_pad_rows, tiles)
-            f, m = out.features, out.mask
-        self._store(v, f, m)
+        out = T.conv2d(f, weights, bias, spec.stride, self.pad, pad_rows=pad_rows, scale=m,
+                       skip=skip, skip_scale=skip_m, skip_pad_rows=skip_pad_rows,
+                       activation_kind=spec.activation, slope=self.config.leaky_slope)
+        mask = None
+        if m is not None and (v < len(self.plan) or self.out_mask):
+            mask = self.frozen.get(spec.name)
+            if mask is None:
+                tiles = None if self.table is None else self._tiles(v, a, b)
+                mask = propagate_mask(m, weights, spec.stride, self.pad, skip=skip_m,
+                                      pad_rows=pad_rows, skip_pad_rows=skip_pad_rows,
+                                      tiles=tiles)
+        self._store(v, out, mask)
         self.done[v] = b
 
     def _store(self, v, f, m):
         """Hold node ``v``'s new rows after its rows ``[keep, done)``.
 
         Rows that follow none are held as computed, so a one-strip walk keeps
-        its graph. Otherwise they go to the node's row buffers (features and
-        mask), which move the held rows to their front only when the new ones
-        do not fit behind them: no strip allocates.
+        its graph. Otherwise they go to the node's row buffers (features and,
+        when there is one, mask), which move the held rows to their front
+        only when the new ones do not fit behind them: no strip allocates.
         """
         held = self.done[v] - self.keep[v]
         if held == 0:
             self.features[v], self.masks[v], self.start[v] = f, m, None
             return
-        new = (f.data, m)
-        total = held + m.shape[2]
+        new = [a for a in (f.data, m) if a is not None]
+        total = held + f.data.shape[2]
         buf, start = self.buffers[v], self.start[v]
         if buf is None or buf[0].shape[2] < total:
             buf = self.buffers[v] = [np.empty(a.shape[:2] + (total,) + a.shape[3:], a.dtype)
@@ -722,8 +654,9 @@ class _Frontier:
             start = 0
         for to, a in zip(buf, new):
             to[:, :, start + held:start + total] = a
-        f, m = (to[:, :, start:start + total] for to in buf)
-        self.features[v], self.masks[v], self.start[v] = T.constant(f), m, start
+        rows = [to[:, :, start:start + total] for to in buf]
+        self.features[v], self.start[v] = T.constant(rows[0]), start
+        self.masks[v] = None if m is None else rows[1]
 
 
 def unet_forward(ldr, mask, params, frozen_masks=None):
@@ -732,7 +665,8 @@ def unet_forward(ldr, mask, params, frozen_masks=None):
     ``ldr`` (an array or Tensor) and ``mask`` are (N,C,H,W) batches, C the
     config's input channels. ``params.config`` gives the shape, slope and
     masking mode. The returned stack holds one (name, mask array) entry per
-    layer for visualization.
+    layer for visualization; IMask and SConv, which carry no mask, read all
+    ones there, as read-only views that allocate nothing.
 
     ``frozen_masks`` (a ``{layer name: mask}`` dict from a previous FMask
     run's stack) replaces mask propagation, pinning the masks while weights
@@ -745,8 +679,10 @@ def unet_forward(ldr, mask, params, frozen_masks=None):
     x, m = _prepare(ldr, mask, params.config)
     walk = _Frontier(x, m, params, frozen_masks)
     y = walk.advance(x.data.shape[2])
-    return y, [("input", m)] + [(spec.name, mask)
-                                for spec, mask in zip(walk.plan, walk.masks[1:])]
+    one = np.ones((), dtype=x.data.dtype)
+    names = ["input"] + [spec.name for spec in walk.plan]
+    return y, [(name, np.broadcast_to(one, f.data.shape) if m is None else m)
+               for name, f, m in zip(names, walk.features, walk.masks)]
 
 
 def predict(ldr, mask, params):

@@ -19,7 +19,8 @@ space_sigma, so each is built once and cached: the sampler's 64-pixel crops
 share one 32 KB matrix, and the cache holds at most 16 MB
 (``_BLUR_CACHE_SIZE`` matrices of extent up to ``_BLUR_CACHE_EXTENT``).
 Building a matrix, like the direct sum, takes memory bounded by the
-extent, not by the window radius.
+extent, not by the window radius; the direct sum's shifts fold onto each
+axis's reflection period, so its time is bounded by the extent too.
 """
 
 from __future__ import annotations
@@ -138,6 +139,20 @@ def _reflect(index, n):
     return np.where(q < n, q, period - q)
 
 
+def _folded_taps(n, radius, inv_2ss):
+    """The Gaussian taps exp(-d**2 inv_2ss), |d| <= radius, summed per
+    residue of d modulo an n-long axis's reflection period P = 2(n - 1):
+    shifts a period apart read the same reflected positions. Generated in
+    blocks of ``_TAP_BLOCK``, so memory is O(P) whatever the radius."""
+    period = max(1, 2 * (n - 1))
+    folded = np.zeros(period)
+    for lo in range(-radius, radius + 1, _TAP_BLOCK):
+        d = np.arange(lo, min(lo + _TAP_BLOCK, radius + 1))
+        taps = np.exp(-(d * d) * inv_2ss)
+        folded += np.bincount(d % period, weights=taps, minlength=period)
+    return folded
+
+
 @functools.lru_cache(maxsize=_BLUR_CACHE_SIZE, typed=True)
 def _reflect_blur_matrix(n, radius, space_sigma):
     """(n, n) matrix of a 1-D correlation with the Gaussian taps
@@ -151,12 +166,8 @@ def _reflect_blur_matrix(n, radius, space_sigma):
     is the sum a padded index window gives, bit for bit; past it, taps
     that fold together are summed in another order, equal to rounding.
     """
-    period = max(1, 2 * (n - 1))
-    folded = np.zeros(period)
-    for lo in range(-radius, radius + 1, _TAP_BLOCK):
-        d = np.arange(lo, min(lo + _TAP_BLOCK, radius + 1))
-        taps = np.exp(-(d * d) * (1.0 / (2.0 * space_sigma * space_sigma)))
-        folded += np.bincount(d % period, weights=taps, minlength=period)
+    folded = _folded_taps(n, radius, 1.0 / (2.0 * space_sigma * space_sigma))
+    period = folded.size
     # Output i reads, with residue r's folded tap, padded position i + r.
     rows = np.arange(n)[:, None]
     cols = _reflect(rows + np.arange(period), n)
@@ -202,7 +213,8 @@ def bilateral_filter(luminance, color_sigma=100.0, space_sigma=10.0, radius=None
     runs instead. G's two blur matrices are cached per extent, radius and
     ``space_sigma``, in a cache that holds at most 16 MB; an extent over
     ``_BLUR_CACHE_EXTENT`` builds its matrix per call. Building one takes
-    O(extent**2) memory whatever the radius.
+    O(extent**2) memory whatever the radius, and the direct sum runs at
+    most min(2 radius + 1, 2(extent - 1)) shifts per axis.
 
     Raises DomainError for a ``color_sigma`` that is NaN or not positive
     and a ``space_sigma`` that is not finite and positive;
@@ -246,22 +258,33 @@ def bilateral_filter(luminance, color_sigma=100.0, space_sigma=10.0, radius=None
 
 
 def _bilateral_direct(l, radius, inv_2ss, inv_2cs):
-    """The bilateral filter as a sum over the (2 radius + 1)**2 window shifts.
+    """The bilateral filter as a sum over the window's shifts.
 
-    Each shift gathers its reflected rows and columns from ``l`` itself
-    instead of slicing a padded copy, so memory stays a few images (and two
-    index maps of length extent + 2 radius) whatever the radius.
+    Shifts a reflection period P = 2(n - 1) apart read the same pixels, so
+    each axis's shifts are folded onto one period and their spatial weights
+    summed (:func:`_folded_taps`, as in :func:`_reflect_blur_matrix`): at
+    most min(2 radius + 1, P) shifts per axis (one for n = 1), whatever the
+    radius. A shift's spatial weight is the product of its two axes' folded
+    taps. Each shift gathers its reflected rows and columns from ``l``
+    itself instead of slicing a padded copy, so memory stays a few images
+    (and two index maps shorter than extent + P) whatever the radius.
     """
     h, w = l.shape
-    ys, xs = (_reflect(np.arange(-radius, n + radius), n) for n in (h, w))
+    axes = []
+    for n in (h, w):
+        taps = _folded_taps(n, radius, inv_2ss)
+        period = taps.size
+        shifts = np.arange(-radius, radius + 1) if 2 * radius + 1 < period else np.arange(period)
+        axes.append((_reflect(np.arange(shifts[0], shifts[-1] + n), n), taps[shifts % period]))
+    (ys, gy), (xs, gx) = axes
     acc = np.zeros_like(l, dtype=np.float64)
     norm = np.zeros_like(l, dtype=np.float64)
-    for dy in range(-radius, radius + 1):
-        rows = l[ys[radius + dy:radius + dy + h]]
-        for dx in range(-radius, radius + 1):
-            shifted = rows[:, xs[radius + dx:radius + dx + w]]
+    for i in range(gy.size):
+        rows = l[ys[i:i + h]]
+        for j in range(gx.size):
+            shifted = rows[:, xs[j:j + w]]
             diff = shifted - l
-            wgt = np.exp(-(dy * dy + dx * dx) * inv_2ss) * np.exp(-diff * diff * inv_2cs)
+            wgt = gy[i] * gx[j] * np.exp(-diff * diff * inv_2cs)
             acc += wgt * shifted
             norm += wgt
     return (acc / norm).astype(l.dtype, copy=False)

@@ -632,9 +632,10 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scal
            slope=0.2):
     """Differentiable NCHW convolution, optionally a whole masked layer in one node.
 
-    ``pad_value`` pads the input with a constant that is treated as fixed:
-    feature maps pad with 0, validity masks pad with 1. ``pad_rows`` is a
-    ``(top, bottom)`` row padding, as in :func:`conv2d_raw`.
+    ``x``, ``w`` and the bias ``b`` (or None) are Tensors. ``pad_value``
+    pads the input with a constant that is treated as fixed: feature maps
+    pad with 0, validity masks pad with 1. ``pad_rows`` is a ``(top,
+    bottom)`` row padding, as in :func:`conv2d_raw`.
 
     A masked U-Net layer is one call, and one node:
 
@@ -659,8 +660,6 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scal
         raise ContractError(f"unknown activation kind {activation_kind!r}")
     if activation_kind == "leaky_relu" and not 0.0 <= slope < np.inf:
         raise ContractError(f"a leaky relu's slope must be finite and >= 0, got {slope}")
-    if b is not None and not isinstance(b, Tensor):
-        b = constant(b)
     bias = None if b is None else b.data
     rows = _row_padding(padding, pad_rows)
     if scale is not None:

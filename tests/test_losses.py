@@ -117,6 +117,16 @@ class TestPerceptualLoss:
         assert np.isclose(v1.item(), v2.item(), rtol=1e-12)
         assert np.isclose(s1.item(), s2.item(), rtol=1e-12)
 
+    def test_all_zero_truth_gives_finite_terms(self, extractor):
+        # A zero maximum cannot normalize; the images are divided by 1 instead.
+        a = rnd(12).random((3, 8, 8))
+        zero = np.zeros_like(a)
+        vgg, style = L.perceptual_loss(T.parameter(a), zero, extractor)
+        want = L.perceptual_loss(a, zero, extractor, norm_scale=1.0)
+        assert np.isfinite(vgg.item()) and np.isfinite(style.item()) and vgg.item() > 0
+        assert (vgg.item(), style.item()) == tuple(t.item() for t in want)
+        assert [t.item() for t in L.perceptual_loss(zero, zero, extractor)] == [0.0, 0.0]
+
     def test_channel_mismatch(self, extractor):
         with pytest.raises(DimensionError):
             extractor.features(np.zeros((1, 4, 8, 8)))

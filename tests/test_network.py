@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -65,26 +66,30 @@ class TestExposureMask:
         assert np.all(m >= 0.0) and np.all(m <= 1.0)
 
 
+def masked(x, mask):
+    """``x`` times ``mask`` as a masked layer forms it: ``scale`` of
+    :func:`T.conv2d`, here with an identity 1x1 kernel."""
+    eye = np.eye(x.shape[1]).reshape(x.shape[1], x.shape[1], 1, 1)
+    return T.conv2d(T.constant(x), T.constant(eye), None, scale=mask).data
+
+
 class TestMaskFeatures:
     def test_ones_mask_identity(self):
         x = rnd(0).normal(size=(1, 2, 3, 3))
-        out = N.mask_features(T.constant(x), np.ones_like(x))
-        assert np.array_equal(out.features.data, x)
+        assert np.array_equal(masked(x, np.ones_like(x)), x)
 
     def test_zeros_mask_annihilates(self):
         x = rnd(1).normal(size=(1, 2, 3, 3))
-        out = N.mask_features(T.constant(x), np.zeros_like(x))
-        assert np.all(out.features.data == 0)
+        assert np.all(masked(x, np.zeros_like(x)) == 0)
 
     def test_elementwise_product(self):
         x = np.array([2.0, 4.0]).reshape(1, 1, 1, 2)
         m = np.array([0.5, 0.25]).reshape(1, 1, 1, 2)
-        out = N.mask_features(T.constant(x), m)
-        assert np.allclose(out.features.data.ravel(), [1.0, 1.0])
+        assert np.allclose(masked(x, m).ravel(), [1.0, 1.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            N.mask_features(T.constant(np.zeros((1, 1, 2, 2))), np.zeros((1, 1, 2, 3)))
+            masked(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 3)))
 
 
 class TestPropagateMask:
@@ -129,34 +134,35 @@ class TestPropagateMask:
 
 
 class TestMaskedConvLayer:
+    """A masked layer as the U-Net walk runs it: one :func:`T.conv2d` with
+    the mask as ``scale``, then one :func:`N.propagate_mask`."""
+
     def test_ones_mask_equals_standard_conv(self):
         rng = rnd(4)
         x = rng.normal(size=(1, 2, 6, 6))
         w = T.parameter(rng.normal(size=(3, 2, 3, 3)))
         b = T.parameter(rng.normal(size=3))
-        inp = N.MaskedFeature(T.constant(x), np.ones_like(x))
-        out = N.masked_conv_layer(inp, w, b, 1, 1, "identity")
+        ones = np.ones_like(x)
+        out = T.conv2d(T.constant(x), w, b, 1, 1, scale=ones)
         want = conv2d_loops(x, w.data, b.data, 1, 1, 0.0)
-        assert np.allclose(out.features.data, want, atol=1e-10)
-        assert np.all(out.mask > 1.0 - 1e-4)
+        assert np.allclose(out.data, want, atol=1e-10)
+        assert np.all(N.propagate_mask(ones, w, 1, 1) > 1.0 - 1e-4)
 
     def test_center_zero_mask_drops_contribution(self):
         x = np.ones((1, 1, 5, 5))
         m = np.ones_like(x)
         m[0, 0, 2, 2] = 0.0
-        inp = N.MaskedFeature(T.constant(x), m)
-        out = N.masked_conv_layer(inp, T.constant(np.ones((1, 1, 3, 3))),
-                                  T.constant(np.zeros(1)), 1, 1, "identity")
-        assert np.isclose(out.features.data[0, 0, 2, 2], 8.0)
+        out = T.conv2d(T.constant(x), T.constant(np.ones((1, 1, 3, 3))),
+                       T.constant(np.zeros(1)), 1, 1, scale=m)
+        assert np.isclose(out.data[0, 0, 2, 2], 8.0)
 
     def test_zero_features_give_bias(self):
         rng = rnd(5)
         b = rng.normal(size=3)
-        inp = N.MaskedFeature(T.constant(np.zeros((1, 2, 4, 4))),
-                              rng.random((1, 2, 4, 4)))
-        out = N.masked_conv_layer(inp, T.constant(rng.normal(size=(3, 2, 3, 3))),
-                                  T.constant(b), 1, 1, "identity")
-        assert np.allclose(out.features.data, b.reshape(1, 3, 1, 1), atol=1e-12)
+        out = T.conv2d(T.constant(np.zeros((1, 2, 4, 4))),
+                       T.constant(rng.normal(size=(3, 2, 3, 3))), T.constant(b), 1, 1,
+                       scale=rng.random((1, 2, 4, 4)))
+        assert np.allclose(out.data, b.reshape(1, 3, 1, 1), atol=1e-12)
 
     def test_gradient_with_mask_held_constant(self):
         rng = rnd(6)
@@ -166,9 +172,8 @@ class TestMaskedConvLayer:
         b = T.parameter(rng.normal(size=2))
 
         def fn(x, w, b):
-            out = N.masked_conv_layer(N.MaskedFeature(x, mask), w, b, 1, 1,
-                                      "leaky_relu")
-            return T.tmean(T.absolute(out.features))
+            out = T.conv2d(x, w, b, 1, 1, scale=mask, activation_kind="leaky_relu")
+            return T.tmean(T.absolute(out))
 
         err = T.check_gradients(fn, [x, w, b], epsilon=1e-5, max_coords=12, rng=rnd(7))
         assert err < 1e-3
@@ -226,6 +231,17 @@ class TestUNetForward:
         with pytest.raises(DimensionError):
             N.unet_forward(x, np.ones_like(x), params)
 
+    @pytest.mark.parametrize("walk", ["unet_forward", "predict"])
+    @pytest.mark.parametrize("mode", N.MASKING_MODES)
+    @pytest.mark.parametrize("value", [-0.25, 1.5])
+    def test_mask_outside_unit_interval_rejected(self, walk, mode, value):
+        params = tiny_params(N.UNetConfig(levels=2, base_channels=2, mode=mode))
+        x = rnd(8).random((1, 3, 8, 8))
+        mask = np.ones_like(x)
+        mask[0, 1, 3, 5] = value
+        with pytest.raises(DomainError):
+            getattr(N, walk)(x, mask, params)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
             N.UNetConfig(mode="PConv")
@@ -263,15 +279,15 @@ class TestUNetForward:
         x = np.zeros((1, 3, 8, 8))
         layer = N.layer_plan(cfg)[0]
         w, b = params.layers[layer.name]
-        out = N.masked_conv_layer(N.MaskedFeature(T.constant(x), np.zeros_like(x)),
-                                  w, b, 1, 1, "identity")
-        assert np.allclose(out.features.data, b.data.reshape(1, -1, 1, 1), atol=1e-12)
+        zeros = np.zeros_like(x)
+        out = T.conv2d(T.constant(x), w, b, 1, 1, scale=zeros)
+        assert np.allclose(out.data, b.data.reshape(1, -1, 1, 1), atol=1e-12)
         # second layer sees constant features with a border-contaminated
         # mask; its interior is still bias-only
-        nxt = N.masked_conv_layer(out, T.constant(rnd(14).normal(size=(2, 4, 3, 3))),
-                                  T.constant(np.array([0.5, -0.25])),
-                                  1, 1, "identity")
-        interior = nxt.features.data[:, :, 2:-2, 2:-2]
+        nxt = T.conv2d(out, T.constant(rnd(14).normal(size=(2, 4, 3, 3))),
+                       T.constant(np.array([0.5, -0.25])), 1, 1,
+                       scale=N.propagate_mask(zeros, w, 1, 1))
+        interior = nxt.data[:, :, 2:-2, 2:-2]
         assert np.allclose(interior[0, 0], 0.5, atol=1e-6)
         assert np.allclose(interior[0, 1], -0.25, atol=1e-6)
 
@@ -312,6 +328,58 @@ class TestUNetForward:
         for name, t in frozen.named_tensors().items():
             assert t.name == name and not t.requires_grad
             assert t.data is params.named_tensors()[name].data
+
+
+class TestMasklessModes:
+    """IMask applies the mask to the input only and SConv not at all, so
+    neither carries one through the layers: every conv2d gets no ``scale``
+    and no mask is propagated; FMask, for contrast, does both."""
+
+    @pytest.mark.parametrize("walk", ["unet_forward", "predict"])
+    @pytest.mark.parametrize("mode", N.MASKING_MODES)
+    def test_only_fmask_layers_get_and_propagate_masks(self, monkeypatch, mode, walk):
+        params = tiny_params(N.UNetConfig(levels=3, base_channels=2, mode=mode), seed=52)
+        scales, propagated = [], []
+        conv2d, propagate = T.conv2d, N.propagate_mask
+        signature = inspect.signature(conv2d)
+
+        def spy_conv(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            scales.append((bound["w"].name, bound.get("scale"), bound.get("skip_scale")))
+            return conv2d(*args, **kwargs)
+
+        def spy_propagate(*args, **kwargs):
+            propagated.append(args[1].name)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(T, "conv2d", spy_conv)
+        monkeypatch.setattr(N, "propagate_mask", spy_propagate)
+        # predict in strips of a few rows, so that rows go through the row buffers
+        monkeypatch.setattr(N, "_STRIP_ELEMS", 1)
+        x = rnd(53).random((1, 3, 32, 16))
+        getattr(N, walk)(x, N.exposure_mask(x, 0.8), params)
+        layers = {f"{spec.name}.weight" for spec in N.layer_plan(params.config)}
+        assert {name for name, _, _ in scales} == layers
+        if mode == N.MODE_FEATURE_MASK:
+            for name, scale, skip_scale in scales:
+                assert scale is not None and (skip_scale is None) != name.startswith("dec")
+            assert set(propagated) == (layers if walk == "unet_forward"
+                                       else layers - {"out.weight"})
+        else:
+            assert all(scale is None and skip_scale is None for _, scale, skip_scale in scales)
+            assert propagated == []
+
+    @pytest.mark.parametrize("mode", [N.MODE_INPUT_MASK, N.MODE_STANDARD_CONV])
+    def test_stack_reads_ones_from_views_that_allocate_nothing(self, mode):
+        params = tiny_params(N.UNetConfig(levels=3, base_channels=2), seed=54)
+        x = rnd(55).random((2, 3, 16, 8)).astype(np.float32)
+        mask = N.exposure_mask(x, 0.8)
+        _, want = N.unet_forward(x, mask, params)
+        _, stack = N.unet_forward(x, mask, in_mode(params, mode))
+        assert [name for name, _ in stack] == [name for name, _ in want]
+        for (name, m), (_, w) in zip(stack, want):
+            assert m.shape == w.shape and m.dtype == np.float32, name
+            assert np.all(m == 1) and not m.flags.writeable and not any(m.strides), name
 
 
 def rel_err(got, want):
@@ -389,16 +457,16 @@ class TestDecoderLayer:
         out, mask_out, dw, dx, ds = upsample_concat_conv(x, m, s, ms, w, b, 1, grad=g)
         X, S = T.parameter(x), T.parameter(s)
         W, B = T.parameter(w, name="dec0.weight"), T.parameter(b)
-        got = N.masked_conv_layer(N.MaskedFeature(X, m), W, B, 1, 1, "identity",
-                                  skip=N.MaskedFeature(S, ms))
-        T.backward(T.tsum(got.features * T.constant(g)), [X, S, W, B])
+        got = T.conv2d(X, W, B, 1, 1, scale=m, skip=S, skip_scale=ms)
+        got_mask = N.propagate_mask(m, W, 1, 1, skip=ms)
+        T.backward(T.tsum(got * T.constant(g)), [X, S, W, B])
         tol = self.TOL[dtype]
-        assert got.features.data.dtype == got.mask.dtype == dtype
-        for name, a, want in [("out", got.features.data, out), ("mask", got.mask, mask_out),
+        assert got.data.dtype == got_mask.dtype == dtype
+        for name, a, want in [("out", got.data, out), ("mask", got_mask, mask_out),
                               ("dw", W.grad, dw), ("dx", X.grad, dx), ("dskip", S.grad, ds)]:
             assert rel_err(a, want) <= tol, name
         unbatched = N.propagate_mask(m[1], W, padding=1, skip=ms[1])
-        assert np.array_equal(unbatched, got.mask[1])
+        assert np.array_equal(unbatched, got_mask[1])
 
 
 class TestRowBlockMasks:
@@ -432,10 +500,10 @@ class TestRowBlockMasks:
         out, mask_out, dw, dx, ds = upsample_concat_conv(x, m, s, ms, w, b, 1, grad=g)
         X, S = T.parameter(x), T.parameter(s)
         W, B = T.parameter(w, name="dec0.weight"), T.parameter(b)
-        got = N.masked_conv_layer(N.MaskedFeature(X, m), W, B, 1, 1, "identity",
-                                  skip=N.MaskedFeature(S, ms))
-        T.backward(T.tsum(got.features * T.constant(g)), [X, S, W, B])
-        for name, a, want in [("out", got.features.data, out), ("mask", got.mask, mask_out),
+        got = T.conv2d(X, W, B, 1, 1, scale=m, skip=S, skip_scale=ms)
+        got_mask = N.propagate_mask(m, W, 1, 1, skip=ms)
+        T.backward(T.tsum(got * T.constant(g)), [X, S, W, B])
+        for name, a, want in [("out", got.data, out), ("mask", got_mask, mask_out),
                               ("dw", W.grad, dw), ("dx", X.grad, dx), ("dskip", S.grad, ds)]:
             assert a.dtype == dtype, name
             assert rel_err(a, want) <= self.TOL[dtype], name

@@ -198,7 +198,8 @@ class TestBlurMatrixMemory:
         monkeypatch.setattr(S, "_bilateral_direct", lambda *a: calls.append(a) or direct(*a))
         got = S.bilateral_filter(img, 0.2, 30.0, radius=9)
         assert len(calls) == 1
-        # The same sums as slicing a reflect-padded copy, bit for bit.
+        # The same sums as slicing a reflect-padded copy, with the shifts a
+        # reflection period apart added together first: equal to rounding.
         h, w = img.shape
         p = np.pad(img, 9, mode="reflect")
         acc, norm = np.zeros((h, w)), np.zeros((h, w))
@@ -210,8 +211,40 @@ class TestBlurMatrixMemory:
                 wgt = np.exp(-(dy * dy + dx * dx) * inv_2ss) * np.exp(-diff * diff * inv_2cs)
                 acc += wgt * shifted
                 norm += wgt
-        assert np.array_equal(got, acc / norm)
+        assert np.max(np.abs(got - acc / norm)) <= 1e-12
         assert np.max(np.abs(got - bilateral_loops(img, 0.2, 30.0, 9))) <= 1e-12
+
+    def test_direct_sum_at_radius_100_matches_loop_oracle(self, monkeypatch):
+        # 201 shifts per axis fold onto periods of 4 and 6: criterion 1's
+        # tolerances against the loop oracle's 40401 shifts.
+        img = rnd(14).random((3, 4)) * 4
+        direct = S._bilateral_direct
+        calls = []
+        monkeypatch.setattr(S, "_bilateral_direct", lambda *a: calls.append(a) or direct(*a))
+        want = bilateral_loops(img, 0.2, 50.0, 100)
+        got64 = S.bilateral_filter(img, 0.2, 50.0, radius=100)
+        got32 = S.bilateral_filter(img.astype(np.float32), 0.2, 50.0, radius=100)
+        assert len(calls) == 2 and got32.dtype == np.float32
+        assert np.max(np.abs(got64 - want)) <= 1e-12
+        assert np.max(np.abs(got32 - want)) <= 1e-6
+
+    def test_direct_sum_passes_bounded_by_the_periods(self):
+        # space_sigma 1e3 is radius 2000: 4001**2 shifts unfolded, 4 x 6 here.
+        class Counted(np.ndarray):
+            passes = 0
+
+            def __getitem__(self, key):
+                if isinstance(key, tuple):  # a row block's column gather
+                    Counted.passes += 1
+                    assert Counted.passes <= 4 * 6, "the shifts did not fold"
+                return super().__getitem__(key)
+
+        img = (rnd(15).random((3, 4)) * 4).view(Counted)
+        space_sigma = 1e3
+        out = S._bilateral_direct(img, int(math.ceil(2 * space_sigma)),
+                                  1.0 / (2.0 * space_sigma * space_sigma), 1.0 / 0.08)
+        assert Counted.passes == 4 * 6
+        assert np.isfinite(np.asarray(out)).all()
 
     def test_direct_sum_peak_is_bounded(self):
         # A padded copy at radius 40 is 83x84 float64, 56 KB.

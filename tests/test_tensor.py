@@ -491,6 +491,14 @@ class TestBackward:
         T.backward(T.tsum(used), parameters=[used, unused])
         assert np.array_equal(unused.grad, np.zeros(4))
 
+    def test_root_needing_no_gradient_zeroes_every_parameter(self):
+        p, q = T.parameter(np.ones((2, 3))), T.parameter(np.ones(4))
+        p.grad = np.full((2, 3), 7.0)  # a previous step's gradient
+        root = T.tsum(T.constant(rnd(10).normal(size=(2, 3))) * 2.0)
+        assert not root.requires_grad
+        T.backward(root, parameters=[p, q])
+        assert np.array_equal(p.grad, np.zeros((2, 3))) and np.array_equal(q.grad, np.zeros(4))
+
     def test_constant_factor_gets_no_gradient(self):
         rng = rnd(9)
         x = T.parameter(rng.normal(size=(2, 3, 4, 4)))
