@@ -9,8 +9,7 @@ PFM (portable float map, HDR carrier)
 
 PPM (P6, LDR carrier)
     "P6\\n<width> <height>\\n255\\n" then RGB bytes top-to-bottom. Only
-    maxval 255 is supported. PNG is available behind the optional Pillow
-    dependency.
+    maxval 255 is supported.
 
 Checkpoint (".ckpt")
     magic "MHDR" | u32 version=1 | u32 entry_count

@@ -18,8 +18,8 @@ A decoder layer's input is the 2x nearest upsample of the level below
 concatenated with an encoder skip, but it is never built: because
 ``upsample(f) * upsample(m) == upsample(f * m)``, the level below is masked
 and convolved at its own resolution with the four phase kernels of its
-weight slice, the skip with the rest, and the outputs are summed; masks take
-the same path.
+weight slice, the skip with the rest, and the phases are interleaved into
+the sum: :func:`~hdrmask.tensor.layer_raw`, for features and masks alike.
 
 Every layer can run on a window of its input's rows, padded only where the
 window meets the image's edge, so the forward is a walk over row frontiers
@@ -182,24 +182,21 @@ def _sparse_mask(m, wn, stride, padding, skip, pad_rows, skip_pad_rows, tiles):
     edges = padded[:, :, 1:] - padded[:, :, :-1]
     runs = np.nonzero(edges == 1) + (np.nonzero(edges == -1)[2],)
     cols = (runs[3] - runs[2]) * side
-    ks, tail = wn.shape[2], 16
+    ks, tail, img_skip = wn.shape[2], 16, None
     if up:
         # The skip runs 4p columns apart and the phase runs half that, so one
-        # add_phases interleaves every run at once.
-        cu, p = m.shape[1], padding
-        kernels = T.upsample_kernels(wn[:, :cu])
-        img = _gather(skip, skip_pad_rows, p, runs, (h, side), h + 2 * p, cols + 4 * p, tail)
-        out, _ = T.conv2d_raw(img, wn[:, cu:], None, 1, 0, 1.0)
+        # interleave puts every run in place at once.
+        p = padding
+        img_skip = _gather(skip, skip_pad_rows, p, runs, (h, side), h + 2 * p, cols + 4 * p, tail)
         img = _gather(m, pad_rows, p, runs, (h // 2, side // 2), h // 2 + 2 * p,
                       cols // 2 + 2 * p, tail // 2 + p)
-        T.add_phases(out, T.conv2d_raw(img, kernels, None, 1, 0, 1.0)[0], p)
         pitch = cols + 4 * p
     else:
         extra = -(-(ks - stride) // stride)
         img = _gather(m, pad_rows, padding, runs, (stride * h, stride * side),
                       stride * (h - 1) + ks, stride * (cols + extra), stride * tail)
-        out, _ = T.conv2d_raw(img, wn, None, stride, 0, 1.0)
         pitch = cols + extra
+    out = T.layer_raw(img, wn, None, stride, 0, 1.0, skip=img_skip)[0]
     np.clip(out, 0.0, 1.0, out=out)
     starts = (np.cumsum(pitch) - pitch).tolist()
     if sample is not None:
@@ -223,54 +220,38 @@ def _sparse_mask(m, wn, stride, padding, skip, pad_rows, skip_pad_rows, tiles):
 
 def propagate_mask(mask, weights, stride=1, padding=0, skip=None, pad_rows=None,
                    skip_pad_rows=None, tiles=None):
-    """Carry a validity mask through a convolution.
+    """Carry an (N,C,H,W) validity mask through the conv of weight Tensor ``weights``.
 
     The kernel magnitudes are normalized per output channel to sum to
     (just under) one, so the result is a weighted average of mask values in
     each receptive field. Borders pad with 1; output is clamped to [0,1].
-
-    With ``skip`` the layer is a decoder layer (as with ``skip`` of
-    :func:`~hdrmask.tensor.conv2d`): its input mask is the 2x nearest
-    upsample of ``mask`` followed by the channels of ``skip``. ``pad_rows`` and
-    ``skip_pad_rows`` are ``(top, bottom)`` row paddings of ``mask`` and
-    ``skip`` (:func:`~hdrmask.tensor.conv2d_raw`).
+    The convolution is the layer's own, :func:`~hdrmask.tensor.layer_raw`:
+    with ``skip`` the layer is a decoder layer, whose input mask is the 2x
+    nearest upsample of ``mask`` followed by the channels of ``skip``.
+    ``pad_rows`` and ``skip_pad_rows`` are ``(top, bottom)`` row paddings
+    of ``mask`` and ``skip``.
 
     ``tiles`` (:class:`CleanTiles`) computes only where saturation reaches.
     Each run of adjacent flagged tiles along a band, with its halo, is
     copied into one image side by side with the others and goes through the
-    same convolutions as the dense call; every other tile is filled from the
-    layer's all-valid pattern, which the first clean tile the caller's walk
-    computes gives. A window whose flagged tiles are more than two thirds of
-    it makes the dense call. Each output is the same sum over its own
-    receptive field either way, so the two agree bit for bit wherever the
-    GEMM rounds an output alike in both, and to rounding elsewhere.
+    same convolution at padding 0, its halo as the padding; every other tile
+    is filled from the layer's all-valid pattern, which the first clean tile
+    the caller's walk computes gives. A window whose flagged tiles are more
+    than two thirds of it makes the dense call. Each output is the same sum
+    over its own receptive field either way, so the two agree bit for bit
+    wherever the GEMM rounds an output alike in both, and to rounding elsewhere.
     """
-    w = weights.data if isinstance(weights, Tensor) else np.asarray(weights)
-    w = np.abs(w)
-    norm = w.sum(axis=(1, 2, 3), keepdims=True) + w.dtype.type(MASK_NORM_EPS)
-    wn = w / norm
-    m = np.asarray(mask)
-    squeeze = m.ndim == 3
-    if squeeze:
-        m = m[None]
-    s = None if skip is None else np.asarray(skip)
-    if squeeze and s is not None:
-        s = s[None]
+    w = np.abs(weights.data)
+    wn = w / (w.sum(axis=(1, 2, 3), keepdims=True) + w.dtype.type(MASK_NORM_EPS))
     if tiles is not None:
         rows, skip_rows = ((padding, padding) if p is None else p
                            for p in (pad_rows, skip_pad_rows))
-        out = _sparse_mask(m, wn, stride, padding, s, rows, skip_rows, tiles)
+        out = _sparse_mask(mask, wn, stride, padding, skip, rows, skip_rows, tiles)
         if out is not None:
-            return out[0] if squeeze else out
-    if s is None:
-        out, _ = T.conv2d_raw(m, wn, None, stride, padding, 1.0, pad_rows)
-    else:
-        cu = m.shape[1]
-        out, _ = T.conv2d_raw(s, wn[:, cu:], None, 1, padding, 1.0, skip_pad_rows)
-        kernels = T.upsample_kernels(wn[:, :cu])
-        T.add_phases(out, T.conv2d_raw(m, kernels, None, 1, padding, 1.0, pad_rows)[0], padding)
-    np.clip(out, 0.0, 1.0, out=out)
-    return out[0] if squeeze else out
+            return out
+    out = T.layer_raw(mask, wn, None, stride, padding, 1.0, pad_rows, skip=skip,
+                      skip_pad_rows=skip_pad_rows)[0]
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -443,7 +424,7 @@ def _edge_rows(edge, a, b, pad):
     Rows before 0 or past the source's end are padding. An upsampled edge is
     read by the phase convolution, a (pad+1)-tap kernel at the source's
     resolution whose output rows ``[a/2, b/2 + pad)`` interleave into
-    ``[a, b)`` (``a`` and ``b`` even; see :func:`~hdrmask.tensor.add_phases`).
+    ``[a, b)`` (``a`` and ``b`` even; see :func:`~hdrmask.tensor.layer_raw`).
     """
     _, stride, up = edge
     if up:

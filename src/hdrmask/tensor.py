@@ -514,27 +514,51 @@ def _upsample_kernels_grad(g, k, dtype):
     return dw.sum(axis=0).reshape(co, ci, k, k)
 
 
-def _phase_crops(shape, padding):
-    """For (N, 4*Co, h+p, w+p) phase outputs of an :func:`upsample_kernels`
-    convolution with padding p: the upsampled extents ``(h, w)`` and, per
-    phase, ``(r, c, row, column)``, where its ``h x w`` crop starts."""
-    crops = [(r, c, (padding + r) // 2, (padding + c) // 2) for r in (0, 1) for c in (0, 1)]
-    return (shape[2] - padding, shape[3] - padding), crops
+def _phase_crops(p):
+    """``(r, c, row, column)`` per phase of an :func:`upsample_kernels`
+    convolution whose kernel has half-width p: where, in its (h+p, w+p)
+    output, the h x w crop that lands on rows r::2, columns c::2 starts."""
+    return [(r, c, (p + r) // 2, (p + c) // 2) for r in (0, 1) for c in (0, 1)]
 
 
-def add_phases(out, x, padding):
+def add_phases(out, x, p):
     """Add the phase outputs ``x`` of an :func:`upsample_kernels` convolution
-    with padding p into the (N, Co, 2h, 2w) array ``out``, in place: the
-    convolution over the 2x upsample, interleaved."""
+    whose kernel has half-width p into the (N, Co, 2h, 2w) array ``out``, in
+    place: the convolution over the 2x upsample, interleaved."""
     n, c4, hp, wp = x.shape
     phases = x.reshape(n, 2, 2, c4 // 4, hp, wp)
-    (h, w), crops = _phase_crops(x.shape, padding)
+    h, w = hp - p, wp - p
     if out.shape[2:] != (2 * h, 2 * w):
         raise DimensionError(f"phase outputs {x.shape} upsample to {2 * h}x{2 * w}, "
                              f"not {out.shape[2]}x{out.shape[3]}")
-    for r, c, oy, ox in crops:
+    for r, c, oy, ox in _phase_crops(p):
         out[:, :, r::2, c::2] += phases[:, r, c, :, oy:oy + h, ox:ox + w]
     return out
+
+
+def layer_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scale=None,
+              skip=None, skip_scale=None, skip_pad_rows=None):
+    """One layer's convolution, no graph: the forward of :func:`conv2d` and
+    of mask propagation. Returns ``(out, planes, up_planes)``.
+
+    Without ``skip`` it is :func:`conv2d_raw` (``up_planes`` None). With
+    ``skip`` it is a decoder layer's read (see :func:`conv2d`): ``skip``'s
+    convolution with the rest of ``w`` and ``b`` (``planes``), plus the
+    phase convolution of ``x`` (``up_planes``) interleaved at the kernel's
+    half-width, so inputs already padded by it with ``pad_value`` and
+    convolved at ``padding`` 0 give the same-padded layer.
+    """
+    if skip is None:
+        return conv2d_raw(x, w, b, stride, padding, pad_value, pad_rows, scale) + (None,)
+    if stride != 1:
+        raise DimensionError("a convolution over a 2x upsample has stride 1")
+    cu = x.shape[1]
+    out, planes = conv2d_raw(skip, w[:, cu:], b, 1, padding, pad_value, skip_pad_rows,
+                             skip_scale)
+    phases, up_planes = conv2d_raw(x, upsample_kernels(w[:, :cu]), None, 1, padding, pad_value,
+                                   pad_rows, scale)
+    add_phases(out, phases, w.shape[2] // 2)
+    return out, planes, up_planes
 
 
 # -- the differentiable convolution: one masked layer per node ---------------
@@ -627,15 +651,13 @@ def _conv_grads(gq, ow, x_shape, w, planes, stride, padding, rows, dx_scale, nee
     return dx, dw
 
 
-def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scale=None,
-           skip=None, skip_scale=None, skip_pad_rows=None, activation_kind="identity",
-           slope=0.2):
+def conv2d(x, w, b=None, stride=1, padding=0, pad_rows=None, scale=None, skip=None,
+           skip_scale=None, skip_pad_rows=None, activation_kind="identity", slope=0.2):
     """Differentiable NCHW convolution, optionally a whole masked layer in one node.
 
-    ``x``, ``w`` and the bias ``b`` (or None) are Tensors. ``pad_value``
-    pads the input with a constant that is treated as fixed: feature maps
-    pad with 0, validity masks pad with 1. ``pad_rows`` is a ``(top,
-    bottom)`` row padding, as in :func:`conv2d_raw`.
+    ``x``, ``w`` and the bias ``b`` (or None) are Tensors. The input pads
+    with 0. ``pad_rows`` is a ``(top, bottom)`` row padding, as in
+    :func:`conv2d_raw`.
 
     A masked U-Net layer is one call, and one node:
 
@@ -647,7 +669,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scal
       it is convolved with :func:`upsample_kernels` of that slice and added
       in place into the stride-1 convolution of ``skip`` (scaled by
       ``skip_scale``, row-padded by ``skip_pad_rows``) with the rest of
-      ``w`` and the bias.
+      ``w`` and the bias. :func:`layer_raw` computes that forward.
     - ``activation_kind`` (``identity``, ``relu`` or ``leaky_relu`` with
       ``slope`` >= 0) is applied to the output in place, and its
       derivative taken from the output.
@@ -665,23 +687,15 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scal
     if scale is not None:
         scale = np.asarray(scale).astype(x.data.dtype, copy=False)
     parents = [x, w] + ([] if b is None else [b])
-    up_planes = phase_shape = skip_rows = None
-    if skip is None:
-        out, planes = conv2d_raw(x.data, w.data, bias, stride, padding, pad_value, rows, scale)
-    else:
-        if stride != 1:
-            raise DimensionError("a convolution over a 2x upsample has stride 1")
-        cu, skip_rows = x.data.shape[1], _row_padding(padding, skip_pad_rows)
+    skip_rows = None
+    if skip is not None:
+        skip_rows = _row_padding(padding, skip_pad_rows)
         if skip_scale is not None:
             skip_scale = np.asarray(skip_scale).astype(skip.data.dtype, copy=False)
-        out, planes = conv2d_raw(skip.data, w.data[:, cu:], bias, 1, padding, pad_value,
-                                 skip_rows, skip_scale)
-        kernels = upsample_kernels(w.data[:, :cu])
-        phases, up_planes = conv2d_raw(x.data, kernels, None, 1, padding, pad_value, rows, scale)
-        phase_shape = phases.shape
-        add_phases(out, phases, padding)
-        del phases
         parents.append(skip)
+    out, planes, up_planes = layer_raw(x.data, w.data, bias, stride, padding, 0.0, rows, scale,
+                                       None if skip is None else skip.data, skip_scale,
+                                       skip_rows)
     _require_finite(out, "conv2d")
     _activate(out, activation_kind, slope)
     # Only what the vjp reads stays referenced: the output for the
@@ -712,15 +726,15 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scal
         dskip, dw_skip = _conv_grads(grid, ow, skip.data.shape, w.data[:, cu:], planes, 1,
                                      padding, skip_rows, skip_scale, skip.requires_grad)
         # The phase outputs' gradient: each phase's crop of the interleaved g.
-        n, c4, hp, wp = phase_shape
-        grid = _zero_grid(x.data.shape, phase_shape, 1, padding, g.dtype)
-        phases = grid.reshape(n, 2, 2, c4 // 4, hp, grid.shape[3])
-        (h, wd), crops = _phase_crops(phase_shape, padding)
-        for r, c, oy, ox in crops:
+        n, co, h, wd = g.shape[0], g.shape[1], g.shape[2] // 2, ow // 2
+        p = w.data.shape[2] // 2
+        grid = _zero_grid(x.data.shape, (n, 4 * co, h + p), 1, padding, g.dtype)
+        phases = grid.reshape(n, 2, 2, co, h + p, grid.shape[3])
+        for r, c, oy, ox in _phase_crops(p):
             phases[:, r, c, :, oy:oy + h, ox:ox + wd] = g[:, :, r::2, c::2]
         del g, phases
-        dx, dk = _conv_grads(grid, wp, x.data.shape, upsample_kernels(w.data[:, :cu]), up_planes,
-                             1, padding, rows, scale, x.requires_grad)
+        dx, dk = _conv_grads(grid, wd + p, x.data.shape, upsample_kernels(w.data[:, :cu]),
+                             up_planes, 1, padding, rows, scale, x.requires_grad)
         dw = None
         if w.requires_grad:
             dw = np.zeros_like(w.data)

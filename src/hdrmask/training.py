@@ -47,16 +47,18 @@ class TrainConfig:
     max_val_items: int = 16
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise DomainError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise DomainError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise DomainError("batch size must be >= 1")
         if self.max_steps < 0:
             raise DomainError("max steps must be >= 0")
         if self.steps_per_epoch < 1:
             raise DomainError("steps per epoch must be >= 1")
-        if self.plateau_factor <= 1:
-            raise DomainError("plateau factor must exceed 1")
+        if not 1 < self.plateau_factor < math.inf:
+            raise DomainError(f"plateau factor must be finite and > 1, got {self.plateau_factor}")
+        if self.max_val_items < 1:
+            raise DomainError(f"max val items must be >= 1, got {self.max_val_items}")
 
 
 @dataclass

@@ -173,9 +173,9 @@ class TestCriterion3MaskingIdentity:
         bounded_ok = True
         for i in range(1000):
             r = np.random.default_rng(4000 + i)
-            w = r.normal(size=(2, 2, 3, 3))
-            a = r.random((2, 5, 5))
-            b = np.clip(a + r.random((2, 5, 5)) * (1 - a), 0, 1)
+            w = T.constant(r.normal(size=(2, 2, 3, 3)))
+            a = r.random((1, 2, 5, 5))
+            b = np.clip(a + r.random((1, 2, 5, 5)) * (1 - a), 0, 1)
             out_a = N.propagate_mask(a, w, padding=1)
             out_b = N.propagate_mask(b, w, padding=1)
             bounded_ok &= bool(np.all(out_a >= 0) and np.all(out_a <= 1))
@@ -188,9 +188,9 @@ class TestCriterion3MaskingIdentity:
 
 class TestCriterion4AnalyticalSpotValues:
     def test_pinned_values(self):
-        m = np.ones((1, 5, 5))
-        m[0, 2, 2] = 0.0
-        got_mask = N.propagate_mask(m, np.ones((1, 1, 3, 3)), padding=1)[0, 2, 2]
+        m = np.ones((1, 1, 5, 5))
+        m[0, 0, 2, 2] = 0.0
+        got_mask = N.propagate_mask(m, T.constant(np.ones((1, 1, 3, 3))), padding=1)[0, 0, 2, 2]
         want_mask = 8.0 / (9.0 + 1e-6)
 
         got_mu = float(mu_law_compress(np.array(0.002), mu=500))

@@ -619,6 +619,18 @@ class TestPathsUsersReach:
                    extractor=FeatureExtractor())
         assert (out / "inpaint_final.ckpt").read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("flag,value,knob", [("--lr", "nan", "lr"), ("--lr", "inf", "lr"),
+                                                 ("--factor", "nan", "plateau factor")])
+    def test_non_finite_rate_exits_2_before_any_step(self, tmp_path, capsys, flag, value,
+                                                      knob):
+        out = tmp_path / "run"
+        rc = dispatch(["train-inpaint", "--procedural", "2", "--out-dir", str(out),
+                       "--steps", "2", "--batch", "2", "--patience", "1", "--levels", "2",
+                       "--base-channels", "4", flag, value])
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert knob in err and "conv2d" not in err
+
     def test_train_inpaint_without_images_is_usage_error(self, tmp_path):
         assert dispatch(["train-inpaint", "--out-dir", str(tmp_path / "run")]) == 1
         assert not (tmp_path / "run").exists()

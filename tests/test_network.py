@@ -97,36 +97,37 @@ class TestPropagateMask:
         # normalized kernel sums to s/(s+eps), just below 1
         rng = rnd(2)
         w = rng.normal(size=(2, 1, 3, 3))
-        m = np.ones((1, 6, 6))
-        out = N.propagate_mask(m, w, padding=1)
+        m = np.ones((1, 1, 6, 6))
+        out = N.propagate_mask(m, T.constant(w), padding=1)
         s = np.abs(w).sum(axis=(1, 2, 3))
         for o in range(2):
             expected = s[o] / (s[o] + 1e-6)
-            assert np.allclose(out[o], expected, atol=1e-4)
-            assert abs(out[o, 3, 3] - 1.0) < 1e-4
+            assert np.allclose(out[0, o], expected, atol=1e-4)
+            assert abs(out[0, o, 3, 3] - 1.0) < 1e-4
 
     def test_center_zero_spot_value(self):
-        m = np.ones((1, 5, 5))
-        m[0, 2, 2] = 0.0
-        out = N.propagate_mask(m, np.ones((1, 1, 3, 3)), padding=1)
-        assert abs(out[0, 2, 2] - 8.0 / (9.0 + 1e-6)) < 1e-12
+        m = np.ones((1, 1, 5, 5))
+        m[0, 0, 2, 2] = 0.0
+        out = N.propagate_mask(m, T.constant(np.ones((1, 1, 3, 3))), padding=1)
+        assert abs(out[0, 0, 2, 2] - 8.0 / (9.0 + 1e-6)) < 1e-12
 
     def test_zero_mask_stays_zero(self):
-        out = N.propagate_mask(np.zeros((1, 8, 8)), rnd(3).normal(size=(3, 1, 3, 3)),
-                               padding=0)
+        out = N.propagate_mask(np.zeros((1, 1, 8, 8)),
+                               T.constant(rnd(3).normal(size=(3, 1, 3, 3))), padding=0)
         assert np.all(out <= 1e-6)
 
     def test_all_zero_kernel_guarded(self):
-        out = N.propagate_mask(np.ones((1, 4, 4)), np.zeros((1, 1, 3, 3)), padding=1)
+        out = N.propagate_mask(np.ones((1, 1, 4, 4)), T.constant(np.zeros((1, 1, 3, 3))),
+                               padding=1)
         assert np.all(out <= 1e-6)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
     def test_monotone_and_bounded(self, seed):
         rng = rnd(seed)
-        w = rng.normal(size=(2, 2, 3, 3))
-        a = rng.random((2, 6, 6))
-        b = np.clip(a + rng.random((2, 6, 6)) * (1 - a), 0, 1)  # b >= a
+        w = T.constant(rng.normal(size=(2, 2, 3, 3)))
+        a = rng.random((1, 2, 6, 6))
+        b = np.clip(a + rng.random((1, 2, 6, 6)) * (1 - a), 0, 1)  # b >= a
         out_a = N.propagate_mask(a, w, padding=1)
         out_b = N.propagate_mask(b, w, padding=1)
         assert np.all(out_a >= 0) and np.all(out_a <= 1)
@@ -465,8 +466,8 @@ class TestDecoderLayer:
         for name, a, want in [("out", got.data, out), ("mask", got_mask, mask_out),
                               ("dw", W.grad, dw), ("dx", X.grad, dx), ("dskip", S.grad, ds)]:
             assert rel_err(a, want) <= tol, name
-        unbatched = N.propagate_mask(m[1], W, padding=1, skip=ms[1])
-        assert np.array_equal(unbatched, got_mask[1])
+        alone = N.propagate_mask(m[1:], W, padding=1, skip=ms[1:])
+        assert np.array_equal(alone, got_mask[1:])
 
 
 class TestRowBlockMasks:

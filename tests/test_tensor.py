@@ -54,13 +54,11 @@ class TestConv2d:
         k = int(rng.choice([1, 3]))
         stride = int(rng.integers(1, 3))
         padding = int(rng.integers(0, 2))
-        pad_value = float(rng.choice([0.0, 1.0]))
         x = rng.normal(size=(n, ci, h, h))
         w = rng.normal(size=(co, ci, k, k))
         b = rng.normal(size=co)
-        got = T.conv2d(T.constant(x), T.constant(w), T.constant(b),
-                       stride, padding, pad_value).data
-        want = conv2d_loops(x, w, b, stride, padding, pad_value)
+        got = T.conv2d(T.constant(x), T.constant(w), T.constant(b), stride, padding).data
+        want = conv2d_loops(x, w, b, stride, padding)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -71,22 +69,21 @@ class TestConv2d:
         # every polyphase plane; the weighted sum is linear in each input,
         # so central differences are exact up to rounding.
         rng = rnd(100 + 9 * stride + 3 * k + padding)
-        for pad_value in (0.0, 1.0):
-            for h, wd in ((7, 9), (11, 6)):
-                x = T.parameter(rng.normal(size=(2, 2, h, wd)))
-                w = T.parameter(rng.normal(size=(3, 2, k, k)))
-                b = T.parameter(rng.normal(size=3))
-                want = conv2d_loops(x.data, w.data, b.data, stride, padding, pad_value)
-                got = T.conv2d(x, w, b, stride, padding, pad_value).data
-                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-                weights = T.constant(rng.normal(size=want.shape))
+        for h, wd in ((7, 9), (11, 6)):
+            x = T.parameter(rng.normal(size=(2, 2, h, wd)))
+            w = T.parameter(rng.normal(size=(3, 2, k, k)))
+            b = T.parameter(rng.normal(size=3))
+            want = conv2d_loops(x.data, w.data, b.data, stride, padding)
+            got = T.conv2d(x, w, b, stride, padding).data
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            weights = T.constant(rng.normal(size=want.shape))
 
-                def fn(x, w, b):
-                    return T.tsum(T.conv2d(x, w, b, stride, padding, pad_value) * weights)
+            def fn(x, w, b):
+                return T.tsum(T.conv2d(x, w, b, stride, padding) * weights)
 
-                err = T.check_gradients(fn, [x, w, b], epsilon=1e-3, max_coords=32,
-                                        rng=rnd(stride * k + padding))
-                assert err < 1e-6, (pad_value, h, wd)
+            err = T.check_gradients(fn, [x, w, b], epsilon=1e-3, max_coords=32,
+                                    rng=rnd(stride * k + padding))
+            assert err < 1e-6, (h, wd)
 
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -94,7 +91,8 @@ class TestConv2d:
     @pytest.mark.parametrize("bottom", [0, 1, 2])
     def test_row_padding_forward(self, stride, top, bottom):
         # A window of an image's rows pads only where it meets the image's
-        # edge; the columns keep the symmetric padding.
+        # edge; the columns keep the symmetric padding. The graph op pads
+        # with 0 only.
         rng = rnd(200 + 9 * stride + 3 * top + bottom)
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
             for pad_value in (0.0, 1.0):
@@ -106,9 +104,10 @@ class TestConv2d:
                     got, _ = T.conv2d_raw(x, w, b, stride, 1, pad_value, (top, bottom))
                     assert got.dtype == dtype and got.shape == want.shape
                     assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
-                    tensor = T.conv2d(T.constant(x), T.constant(w), T.constant(b), stride, 1,
-                                      pad_value, pad_rows=(top, bottom)).data
-                    assert np.array_equal(tensor, got)
+                    if pad_value == 0.0:
+                        tensor = T.conv2d(T.constant(x), T.constant(w), T.constant(b), stride,
+                                          1, pad_rows=(top, bottom)).data
+                        assert np.array_equal(tensor, got)
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("pad_rows", [(0, 2), (2, 0), (1, 2)])
@@ -117,11 +116,11 @@ class TestConv2d:
         x = T.parameter(rng.normal(size=(2, 2, 9, 7)))
         w = T.parameter(rng.normal(size=(3, 2, 3, 3)))
         b = T.parameter(rng.normal(size=3))
-        want = conv2d_loops(x.data, w.data, b.data, stride, 1, 1.0, pad_rows)
+        want = conv2d_loops(x.data, w.data, b.data, stride, 1, pad_rows=pad_rows)
         weights = T.constant(rng.normal(size=want.shape))
 
         def fn(x, w, b):
-            return T.tsum(T.conv2d(x, w, b, stride, 1, 1.0, pad_rows) * weights)
+            return T.tsum(T.conv2d(x, w, b, stride, 1, pad_rows) * weights)
 
         err = T.check_gradients(fn, [x, w, b], epsilon=1e-3, max_coords=32, rng=rnd(stride))
         assert err < 1e-6
@@ -359,6 +358,40 @@ class TestUpsampleAndPool:
         assert np.allclose(got, avg_pool_loops(x, 3), atol=1e-12)
 
 
+class TestLayerRaw:
+    """A decoder read over inputs already padded by the kernel's half-width,
+    at conv padding 0, is the same-padded read bit for bit: mask
+    propagation's gathered tiles carry their padding that way."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("pad_value", [0.0, 1.0])
+    @pytest.mark.parametrize("edge", ["top", "bottom"])
+    def test_prepadded_inputs_at_padding_0_equal_same_padding(self, edge, pad_value, k, dtype):
+        # A window of rows padded only at one edge: 4 source rows and
+        # 8 - p skip rows give 8 - 2p output rows.
+        p = k // 2
+        rows = (p, 0) if edge == "top" else (0, p)
+        rng = rnd(400 + k)
+        x = rng.normal(size=(2, 3, 4, 3)).astype(dtype)
+        skip = rng.normal(size=(2, 2, 8 - p, 6)).astype(dtype)
+        w = rng.normal(size=(4, 5, k, k)).astype(dtype)
+        b = rng.normal(size=4).astype(dtype)
+        want, _, _ = T.layer_raw(x, w, b, 1, p, pad_value, rows, skip=skip, skip_pad_rows=rows)
+
+        def pad(a):
+            return np.pad(a, ((0, 0), (0, 0), rows, (p, p)), constant_values=pad_value)
+
+        got, _, _ = T.layer_raw(pad(x), w, b, 1, 0, pad_value, skip=pad(skip))
+        assert want.shape == (2, 4, 8 - 2 * p, 6) and got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_decoder_read_has_stride_1(self):
+        with pytest.raises(DimensionError):
+            T.layer_raw(np.zeros((1, 1, 2, 2)), np.zeros((1, 2, 3, 3)), stride=2, padding=1,
+                        skip=np.zeros((1, 1, 4, 4)))
+
+
 def _phase_interleave(x, padding):
     """The unfused decoder's interleave node: (N, 4*Co, h+p, w+p) phase outputs
     of a convolution over a 2x upsample as its (N, Co, 2h, 2w) output."""
@@ -437,7 +470,7 @@ class TestMaskedLayerNode:
             skip = T.parameter(extra["skip"].copy()) if extra else None
             X, W, B = leaves
             if fused:
-                out = T.conv2d(X, W, B, stride, 1, 0.0, pad_rows, m, skip, extra.get("ms"),
+                out = T.conv2d(X, W, B, stride, 1, pad_rows, m, skip, extra.get("ms"),
                                extra.get("skip_pad_rows"), kind, slope)
             else:
                 out = _composed_layer(X, m, W, B, stride, pad_rows, kind, slope, skip,
@@ -454,7 +487,7 @@ class TestMaskedLayerNode:
     def test_one_node_keeps_its_output_and_planes_only(self):
         x, m, w, b, stride, pad_rows, extra, _ = self.case("decoder", np.float32)
         X, W, B, skip = T.parameter(x), T.parameter(w), T.constant(b), T.parameter(extra["skip"])
-        out = T.conv2d(X, W, B, 1, 1, 0.0, pad_rows, m, skip, extra["ms"],
+        out = T.conv2d(X, W, B, 1, 1, pad_rows, m, skip, extra["ms"],
                        extra["skip_pad_rows"], "relu")
         assert out._parents == (X, W, B, skip)
         cells = [c.cell_contents for c in out._vjp.__closure__]

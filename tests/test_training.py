@@ -76,6 +76,17 @@ class TestTrainConfig:
     def test_zero_steps_allowed(self):
         assert TrainConfig(max_steps=0, steps_per_epoch=1).max_steps == 0
 
+    @pytest.mark.parametrize("bad,knob", [({"lr": np.nan}, "lr"), ({"lr": np.inf}, "lr"),
+                                          ({"lr": 0.0}, "lr"),
+                                          ({"plateau_factor": np.nan}, "plateau factor"),
+                                          ({"plateau_factor": np.inf}, "plateau factor"),
+                                          ({"max_val_items": 0}, "max val items"),
+                                          ({"max_val_items": -3}, "max val items")])
+    def test_non_finite_rates_and_empty_validation_rejected(self, bad, knob):
+        # A NaN compares false both ways, so it must not pass a one-sided check.
+        with pytest.raises(DomainError, match=knob):
+            TrainConfig(**bad)
+
 
 def replay(sched, history):
     """Feed a validation history to the scheduler; returns its final lr."""
