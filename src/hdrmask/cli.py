@@ -307,13 +307,14 @@ _RECON_DEFAULTS = {"alpha": 0.96, "gamma": 2.0}
 
 
 def cmd_reconstruct(args, resolved):
+    curve = CameraCurve(gamma=resolved["gamma"])  # checks the knob before any work
     ldr = formats.read_ldr(args.input)
     model = load_model(args.checkpoint)
     mask = exposure_mask(ldr.pixels, resolved["alpha"])
     x, m = _padded(ldr.pixels[None], mask[None], model.params.config.downsample_factor)
     y = predict(x, m, model.params)
     _, h, w = mask.shape
-    hdr = compose_hdr(ldr, mask, y[0, :, :h, :w], gamma=resolved["gamma"])
+    hdr = compose_hdr(ldr, mask, y[0, :, :h, :w], gamma=curve.gamma)
     formats.write_pfm(args.output, hdr)
     out_dir = os.path.dirname(os.path.abspath(args.output))
     _write_manifest(out_dir, "reconstruct", resolved,
@@ -403,6 +404,8 @@ _GRADCHECK_DEFAULTS = {"seed": 7, "epsilon": 1e-4, "threshold": 1e-3}
 
 
 def cmd_gradcheck(args, resolved):
+    if not 0 < resolved["threshold"] < np.inf:
+        raise DomainError(f"threshold must be positive and finite, got {resolved['threshold']}")
     seed = resolved["seed"]
     rng = np.random.default_rng(seed)
     config = UNetConfig(levels=2, base_channels=4)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DimensionError, DomainError
-from .pipeline import DEFAULT_MU
+from .pipeline import DEFAULT_MU, mu_law_compress
 from .tensor import Tensor
 
 
@@ -61,18 +61,6 @@ class LossReport:
     components: dict
     weighted: dict
     node: Tensor | None = field(default=None, repr=False)
-
-    @property
-    def reconstruction(self):
-        return self.components.get("reconstruction")
-
-    @property
-    def vgg(self):
-        return self.components.get("vgg")
-
-    @property
-    def style(self):
-        return self.components.get("style")
 
 
 class FeatureExtractor:
@@ -172,24 +160,16 @@ def reconstruction_loss(y_hat, hdr, mask):
 
 
 def blend_with_ground_truth(hdr, y_hat, mask):
-    """Ground truth where valid, prediction where saturated.
+    """Ground truth where valid, prediction where saturated, as a Tensor.
 
-    The prediction is mapped back to linear radiance with exp(y) - 1 before
-    blending.
-    Returns a Tensor when given a Tensor prediction, else an array. May be
+    The prediction (a Tensor, or an array taken as a constant) is mapped
+    back to linear radiance with exp(y) - 1 before blending. May be
     slightly negative where the prediction is; callers clamp as needed.
     """
-    if isinstance(y_hat, Tensor):
-        y = _batch(y_hat)
-        h = _batch(hdr, y.data.dtype).data
-        m = _batch(mask, y.data.dtype).data
-        return m * h + (1.0 - m) * (y.exp() - 1.0)
-    h = np.asarray(hdr)
-    y = np.asarray(y_hat)
-    m = np.asarray(mask)
-    if h.shape != y.shape or m.shape != y.shape:
-        raise DimensionError("shape mismatch in blend")
-    return m * h + (1.0 - m) * np.expm1(y)
+    y = _batch(y_hat)
+    h = _batch(hdr, y.data.dtype).data
+    m = _batch(mask, y.data.dtype).data
+    return m * h + (1.0 - m) * (y.exp() - 1.0)
 
 
 def gram_matrix(features):
@@ -233,18 +213,14 @@ def _feature_terms(images, truth, extractor):
     return vgg, style
 
 
-def _mu_law_node(x, mu):
-    # x must be non-negative; callers clamp predictions first.
-    return (x * mu + 1.0).log() * (1.0 / np.log1p(mu))
-
-
 def perceptual_loss(h_tilde, hdr, extractor, weights=None, norm_scale=None):
     """Feature and style distances between a blend and its ground truth.
 
     Both images are divided by the ground truth's maximum (or an explicit
-    ``norm_scale``) and mu-law compressed before feature extraction. The
-    blend is clamped at zero first so the compressor stays in domain.
-    Returns (vgg, style) as scalar Tensors.
+    ``norm_scale``) and compressed by :func:`pipeline.mu_law_compress`
+    before feature extraction, the blend as a Tensor and the truth as a
+    constant through the same ops. The blend is clamped at zero first so
+    the compressor stays in domain. Returns (vgg, style) as scalar Tensors.
     """
     weights = weights or LossWeights()
     a = _batch(h_tilde)
@@ -255,10 +231,11 @@ def perceptual_loss(h_tilde, hdr, extractor, weights=None, norm_scale=None):
     if scale <= 0:
         scale = 1.0
     mu = weights.mu
-    ca = _mu_law_node(T.relu(a) / scale, mu)
-    # Same operation sequence as the graph path so that identical images
-    # produce bit-identical compressed inputs (and an exactly zero loss).
-    cb = _mu_law_node(T.constant(np.clip(h, 0.0, None)) / scale, mu).data
+    ca = mu_law_compress(T.relu(a) / scale, mu)
+    # Same operation sequence as the graph path, the division by the scale
+    # included, so that identical images produce bit-identical compressed
+    # inputs (and an exactly zero loss).
+    cb = mu_law_compress(T.constant(np.clip(h, 0.0, None)) / scale, mu).data
     return _feature_terms([ca], cb, extractor)
 
 

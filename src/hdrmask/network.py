@@ -59,7 +59,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointShapeError, DimensionError, DomainError
-from .tensor import Tensor
 
 MASK_NORM_EPS = 1e-6
 DEFAULT_SATURATION_THRESHOLD = 0.96
@@ -277,6 +276,10 @@ class UNetConfig:
             raise DomainError(f"unknown masking mode {self.mode!r}")
         if self.levels < 1:
             raise DomainError("levels must be >= 1")
+        for name in ("base_channels", "in_channels", "out_channels"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name.replace('_', ' ')} must be >= 1, "
+                                  f"got {getattr(self, name)}")
         if self.kernel_size % 2 == 0 or self.kernel_size < 1:
             raise DomainError("kernel_size must be odd and positive")
         # The encoders' leaky relu takes its derivative from its output,
@@ -402,8 +405,7 @@ def _as_batched(arr, channels, what):
 def _prepare(ldr, mask, config):
     """The (N,C,H,W) input tensor and mask, checked; IMask applies the mask
     to the input, and only FMask carries it on (the others get None)."""
-    x = ldr if isinstance(ldr, Tensor) else T.constant(
-        _as_batched(ldr, config.in_channels, "input"))
+    x = T.constant(_as_batched(ldr, config.in_channels, "input"))
     m = _as_batched(mask, config.in_channels, "mask").astype(x.data.dtype, copy=False)
     if m.shape != x.data.shape:
         raise DimensionError(f"mask shape {m.shape} != input shape {x.data.shape}")
@@ -643,10 +645,11 @@ class _Frontier:
 def unet_forward(ldr, mask, params, frozen_masks=None):
     """Run the masked U-Net; returns the log-domain prediction and mask stack.
 
-    ``ldr`` (an array or Tensor) and ``mask`` are (N,C,H,W) batches, C the
-    config's input channels. ``params.config`` gives the shape, slope and
-    masking mode. The returned stack holds one (name, mask array) entry per
-    layer for visualization; IMask and SConv, which carry no mask, read all
+    ``ldr`` and ``mask`` are (N,C,H,W) arrays, C the config's input
+    channels; the input is a constant, so gradients reach the parameters
+    only. ``params.config`` gives the shape, slope and masking mode. The
+    returned stack holds one (name, mask array) entry per layer for
+    visualization; IMask and SConv, which carry no mask, read all
     ones there, as read-only views that allocate nothing.
 
     ``frozen_masks`` (a ``{layer name: mask}`` dict from a previous FMask

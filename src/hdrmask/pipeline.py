@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .errors import DimensionError, DomainError, NumericError
 
 LUMA_WEIGHTS = np.array([0.2126, 0.7152, 0.0722])  # BT.709
@@ -63,6 +64,12 @@ class LdrImage:
 
 
 CURVE_KINDS = ("gamma", "sigmoid")
+MAX_QUANTIZE_BITS = 16
+
+
+def _require_positive(name, value):
+    if not 0 < value < np.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,8 @@ class CameraCurve:
     def __post_init__(self):
         if self.kind not in CURVE_KINDS:
             raise DomainError(f"unknown camera curve {self.kind!r}")
-        if self.exposure <= 0:
-            raise DomainError("exposure scale must be positive")
+        for name in ("gamma", "n", "sigma", "exposure"):
+            _require_positive(f"camera curve {name}", getattr(self, name))
 
     def apply(self, linear):
         x = np.clip(linear, 0.0, 1.0)
@@ -101,11 +108,15 @@ class CameraCurve:
 
 
 def apply_exposure(hdr, scale, curve=None, quantize_bits=8):
-    """Expose radiance at a known multiplier: clip, encode, quantize."""
+    """Expose radiance at a known multiplier: clip, encode, quantize to
+    ``quantize_bits`` (0 or None: not at all; at most 16)."""
     curve = curve or CameraCurve()
     h = hdr.pixels if isinstance(hdr, HdrImage) else np.asarray(hdr)
     if scale <= 0:
         raise DomainError("exposure multiplier must be positive")
+    if not 0 <= (quantize_bits or 0) <= MAX_QUANTIZE_BITS:
+        raise DomainError(f"quantize bits must lie in [0,{MAX_QUANTIZE_BITS}], "
+                          f"got {quantize_bits}")
     clipped = np.clip(h * h.dtype.type(scale), 0.0, 1.0)
     t = curve.apply(clipped).astype(h.dtype, copy=False)
     if quantize_bits:
@@ -180,7 +191,9 @@ def compose_hdr(ldr, mask, y_hat, gamma=DEFAULT_GAMMA):
 
     Well-exposed pixels (mask 1) take the linearized input; saturated ones
     (mask 0) take exp(prediction) - 1. Clamped at zero from below.
+    ``gamma`` must be positive and finite.
     """
+    _require_positive("gamma", gamma)
     t = ldr.pixels if isinstance(ldr, LdrImage) else np.asarray(ldr)
     y = np.asarray(y_hat)
     m = np.asarray(mask)
@@ -210,11 +223,19 @@ def compose_hdr(ldr, mask, y_hat, gamma=DEFAULT_GAMMA):
 
 
 def mu_law_compress(values, mu=DEFAULT_MU):
-    """Logarithmic range compressor log(1+mu*x)/log(1+mu) on [0,1]."""
-    x = values.pixels if isinstance(values, HdrImage) else np.asarray(values)
-    if np.any(x < 0):
+    """Logarithmic range compressor log(1+mu*x)/log(1+mu) of non-negative
+    values, mapping [0,1] onto [0,1]: the perceptual loss's compressor.
+
+    ``values`` is an array, an :class:`HdrImage` or a Tensor. Both kinds run
+    the same Tensor ops, ``(x*mu + 1).log() * (1/log1p(mu))``: a Tensor
+    gives a differentiable Tensor, an array the bit-identical array.
+    """
+    x = values if isinstance(values, T.Tensor) else \
+        T.constant(values.pixels if isinstance(values, HdrImage) else values)
+    if np.any(x.data < 0):
         raise DomainError("mu-law input must be non-negative")
-    return np.log1p(mu * x) / np.log1p(mu)
+    out = (x * mu + 1.0).log() * (1.0 / np.log1p(mu))
+    return out if isinstance(values, T.Tensor) else out.data
 
 
 def mse_gamma(predicted, truth):

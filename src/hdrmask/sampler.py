@@ -310,16 +310,15 @@ def patch_metric(hdr, mask, config=None):
     return float(np.mean(grad * weight))
 
 
-def sample_patches(hdr, config=None, seed=0, image_id="", curve=None, exposure=None):
+def sample_patches(hdr, config=None, seed=0, image_id="", curve=None):
     """Crop, expose, and filter training patches from one HDR image.
 
     Each crop gets its own randomized exposure: a saturation percentile is
-    drawn per patch (unless the config pins one, or an explicit
-    ``exposure`` multiplier is given) and anchored to the full image's
-    luminance distribution, so crops of dark content stay unsaturated and
-    are discarded. The remaining crops are kept when their texture score
-    exceeds the threshold. Deterministic per seed; results are sorted by
-    offset. Each record's ground truth is the exposure-scaled radiance, so
+    drawn per patch (unless the config pins one) and anchored to the full
+    image's luminance distribution, times ``curve``'s exposure, so crops of
+    dark content stay unsaturated and are discarded. The remaining crops
+    are kept when their texture score exceeds the threshold. Deterministic
+    per seed; results are sorted by offset. Each record's ground truth is the exposure-scaled radiance, so
     input and target describe the same virtual camera.
     """
     config = config or SamplerConfig()
@@ -328,20 +327,17 @@ def sample_patches(hdr, config=None, seed=0, image_id="", curve=None, exposure=N
     if h.shape[1] < ps or h.shape[2] < ps:
         raise DimensionError(f"image {h.shape} smaller than patch size {ps}")
     rng = np.random.default_rng(seed)
-    scale_at = exposure_scales(h, curve) if exposure is None else None
+    scale_at = exposure_scales(h, curve)
     records = []
     for _ in range(config.patches_per_image):
         oy = int(rng.integers(0, h.shape[1] - ps + 1))
         ox = int(rng.integers(0, h.shape[2] - ps + 1))
-        if exposure is not None:
-            scale = float(exposure)
+        if config.fixed_percentile is not None:
+            pct = config.fixed_percentile
         else:
-            if config.fixed_percentile is not None:
-                pct = config.fixed_percentile
-            else:
-                lo, hi = config.percentile_range
-                pct = float(rng.uniform(lo, hi))
-            scale = scale_at(pct)
+            lo, hi = config.percentile_range
+            pct = float(rng.uniform(lo, hi))
+        scale = scale_at(pct)
         patch = h[:, oy:oy + ps, ox:ox + ps]
         ldr = apply_exposure(patch, scale, curve=curve,
                              quantize_bits=config.quantize_bits)
@@ -381,6 +377,8 @@ def generate_inpainting_mask(shape, seed=0, coverage=(0.05, 0.45), max_attempts=
         channels, h, w = shape
     else:
         raise DimensionError(f"mask shape must be (H,W) or (C,H,W), got {shape}")
+    if min(channels, h, w) < 1:
+        raise DimensionError(f"mask channels, height and width must be >= 1, got {shape}")
     lo, hi = coverage
     if not (0 < lo < hi < 1):
         raise DomainError(f"coverage bounds must satisfy 0 < lo < hi < 1, got {coverage}")

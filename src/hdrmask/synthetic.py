@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
 from .pipeline import HdrImage
 
 
@@ -110,12 +111,19 @@ def hdr_scene(seed, size=(96, 96), max_radiance=100.0, textured_highlight=True):
     return HdrImage(np.ascontiguousarray(scene.astype(np.float32)))
 
 
+def _require_count(kind, count):
+    if count < 0:
+        raise DomainError(f"{kind} count must be >= 0, got {count}")
+
+
 def make_texture_corpus(count, seed=0, size=(64, 64)):
+    _require_count("texture", count)
     root = np.random.SeedSequence([seed, 0x7e7])
     return [texture_image(s, size) for s in root.generate_state(count)]
 
 
 def make_hdr_corpus(count, seed=0, size=(96, 96), textured_highlight=True):
+    _require_count("scene", count)
     root = np.random.SeedSequence([seed, 0x4d8])
     return [hdr_scene(s, size, textured_highlight=textured_highlight)
             for s in root.generate_state(count)]

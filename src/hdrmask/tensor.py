@@ -536,6 +536,18 @@ def add_phases(out, x, p):
     return out
 
 
+def _phase_grads(g, p):
+    """The adjoint of :func:`add_phases`: from ``g``, the gradient of the
+    (N, Co, 2h, 2w) interleaved output, the gradient of the (N, 4*Co, h+p,
+    w+p) phase outputs, each phase's crop holding its rows and columns of
+    ``g`` and zero around it."""
+    n, co, h, w = g.shape[0], g.shape[1], g.shape[2] // 2, g.shape[3] // 2
+    phases = np.zeros((n, 2, 2, co, h + p, w + p), dtype=g.dtype)
+    for r, c, oy, ox in _phase_crops(p):
+        phases[:, r, c, :, oy:oy + h, ox:ox + w] = g[:, :, r::2, c::2]
+    return phases.reshape(n, 4 * co, h + p, w + p)
+
+
 def layer_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scale=None,
               skip=None, skip_scale=None, skip_pad_rows=None):
     """One layer's convolution, no graph: the forward of :func:`conv2d` and
@@ -596,30 +608,27 @@ def _activation_grad(g, y, kind, slope):
     return g
 
 
-def _zero_grid(x_shape, out_shape, stride, padding, dtype):
-    """Zeros on a convolution's (N, Co, oh, wq) output grid, whose rows have
-    the pitch ``wq`` of its planes: an output gradient goes in its first
-    ``ow`` columns for :func:`_conv_grads`."""
-    wq = _plane_extent(x_shape[3] + 2 * padding, stride)
-    return np.zeros(tuple(out_shape[:3]) + (wq,), dtype=dtype)
+def _conv_grads(g, x_shape, w, planes, stride, padding, rows, dx_scale, need_dx):
+    """``(dx, dw)`` of a convolution of an input shaped ``x_shape`` from its
+    (N, Co, oh, ow) output gradient ``g``.
 
-
-def _conv_grads(gq, ow, x_shape, w, planes, stride, padding, rows, dx_scale, need_dx):
-    """``(dx, dw)`` of a convolution from its output gradient ``gq`` on the
-    :func:`_zero_grid`, zero past column ``ow``.
-
-    ``dw`` (None without ``planes``) runs one GEMM per tap against the
-    forward's planes. ``dx`` (None unless ``need_dx``) scatters one GEMM per
-    tap into zeroed planes, multiplied by ``dx_scale`` when that is given.
-    At stride 1 it is a view of the one plane, scaled in place; at stride
-    ``s`` each plane's rows inside ``x`` are written straight to its
-    ``s``-strided slice of ``dx`` (:func:`_plane_interiors`).
+    ``g`` is first laid on the row pitch of the forward's planes, zero past
+    column ``ow``, so each tap's rows are one contiguous span. ``dw`` (None
+    without ``planes``) runs one GEMM per tap against the forward's planes.
+    ``dx`` (None unless ``need_dx``) scatters one GEMM per tap into zeroed
+    planes, multiplied by ``dx_scale`` when that is given. At stride 1 it is
+    a view of the one plane, scaled in place; at stride ``s`` each plane's
+    rows inside ``x`` are written straight to its ``s``-strided slice of
+    ``dx`` (:func:`_plane_interiors`).
     """
     n, c, h, wd = x_shape
     co, ci, kh, kw = w.shape
-    oh, wq = gq.shape[2], gq.shape[3]
+    oh, ow = g.shape[2], g.shape[3]
     s, p, top = stride, padding, rows[0]
-    hq = _plane_extent(h + rows[0] + rows[1], s)
+    hq, wq = _plane_extent(h + rows[0] + rows[1], s), _plane_extent(wd + 2 * p, s)
+    gq = np.zeros((n, co, oh, wq), dtype=g.dtype)
+    gq[:, :, :, :ow] = g
+    del g  # frees a temporary passed in, such as a decoder's phase gradient
     span = (oh - 1) * wq + ow
     taps = [(i, j, k, dy * wq + dx) for i, j, k, dy, dx in _conv_taps(kh, kw, s)]
     gq = gq.reshape(n, co, oh * wq)[:, :, :span]
@@ -669,7 +678,9 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_rows=None, scale=None, skip=No
       it is convolved with :func:`upsample_kernels` of that slice and added
       in place into the stride-1 convolution of ``skip`` (scaled by
       ``skip_scale``, row-padded by ``skip_pad_rows``) with the rest of
-      ``w`` and the bias. :func:`layer_raw` computes that forward.
+      ``w`` and the bias. :func:`layer_raw` computes that forward; the
+      backward mirrors it with one :func:`_conv_grads` per convolution,
+      the phase convolution's fed :func:`_phase_grads`.
     - ``activation_kind`` (``identity``, ``relu`` or ``leaky_relu`` with
       ``slope`` >= 0) is applied to the output in place, and its
       derivative taken from the output.
@@ -712,34 +723,18 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_rows=None, scale=None, skip=No
         g = _activation_grad(g, y, activation_kind, slope)
         db = g.sum(axis=(0, 2, 3)).reshape(np.shape(bias)) if b is not None and b.requires_grad \
             else None
-        ow = g.shape[3]
         if skip is None:
-            grid = _zero_grid(x.data.shape, g.shape, stride, padding, g.dtype)
-            grid[:, :, :, :ow] = g
-            del g
-            dx, dw = _conv_grads(grid, ow, x.data.shape, w.data, planes, stride, padding, rows,
-                                 scale, x.requires_grad)
+            dx, dw = _conv_grads(g, x.data.shape, w.data, planes, stride, padding, rows, scale,
+                                 x.requires_grad)
             return (dx, dw) + (() if b is None else (db,))
-        cu = x.data.shape[1]
-        grid = _zero_grid(skip.data.shape, g.shape, 1, padding, g.dtype)
-        grid[:, :, :, :ow] = g
-        dskip, dw_skip = _conv_grads(grid, ow, skip.data.shape, w.data[:, cu:], planes, 1,
-                                     padding, skip_rows, skip_scale, skip.requires_grad)
-        # The phase outputs' gradient: each phase's crop of the interleaved g.
-        n, co, h, wd = g.shape[0], g.shape[1], g.shape[2] // 2, ow // 2
-        p = w.data.shape[2] // 2
-        grid = _zero_grid(x.data.shape, (n, 4 * co, h + p), 1, padding, g.dtype)
-        phases = grid.reshape(n, 2, 2, co, h + p, grid.shape[3])
-        for r, c, oy, ox in _phase_crops(p):
-            phases[:, r, c, :, oy:oy + h, ox:ox + wd] = g[:, :, r::2, c::2]
-        del g, phases
-        dx, dk = _conv_grads(grid, wd + p, x.data.shape, upsample_kernels(w.data[:, :cu]),
-                             up_planes, 1, padding, rows, scale, x.requires_grad)
-        dw = None
-        if w.requires_grad:
-            dw = np.zeros_like(w.data)
-            dw[:, :cu] += _upsample_kernels_grad(dk, w.data.shape[2], w.data.dtype)
-            dw[:, cu:] += dw_skip
+        cu, k = x.data.shape[1], w.data.shape[2]
+        dskip, dw_skip = _conv_grads(g, skip.data.shape, w.data[:, cu:], planes, 1, padding,
+                                     skip_rows, skip_scale, skip.requires_grad)
+        dx, dk = _conv_grads(_phase_grads(g, k // 2), x.data.shape,
+                             upsample_kernels(w.data[:, :cu]), up_planes, 1, padding, rows, scale,
+                             x.requires_grad)
+        dw = None if dk is None else \
+            np.concatenate([_upsample_kernels_grad(dk, k, w.data.dtype), dw_skip], axis=1)
         return (dx, dw) + (() if b is None else (db,)) + (dskip,)
 
     return _node(out, parents, vjp)
@@ -851,8 +846,8 @@ def check_gradients(fn, inputs, epsilon=1e-4, max_coords=16, rng=None):
     scalar Tensor. Coordinates are subsampled beyond ``max_coords`` per
     input. Run in float64: at float32 the differences themselves are noise.
     """
-    if epsilon <= 0:
-        raise ContractError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ContractError(f"epsilon must be positive and finite, got {epsilon}")
     rng = rng or np.random.default_rng(0)
     for t in inputs:
         t.zero_grad()

@@ -377,6 +377,8 @@ def evaluate(records, params=None, predictor=None, bins=10):
     to a log-domain prediction array (used for oracle checks). The report
     has one row per saturation decile plus an "overall" row.
     """
+    if bins < 1:
+        raise DomainError(f"bins must be >= 1, got {bins}")
     records = list(records)
     if not records:
         raise ContractError("evaluation set is empty")
@@ -474,6 +476,8 @@ def _pretrain_hdr_records(seed):
 def loss_drop(run_log, head=25, tail=25):
     """Ratio of late to early training loss (< 0.5 means it halved)."""
     totals = [sum(rec["losses"].values()) for rec in run_log.steps]
+    if not totals:
+        raise DomainError("a run of 0 steps has no loss drop: steps must be >= 1")
     if len(totals) < head + tail:
         head = tail = max(1, len(totals) // 4)
     early = float(np.mean(totals[:head]))

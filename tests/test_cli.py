@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from hdrmask import training
 from hdrmask.cli import dispatch
 from hdrmask.losses import FeatureExtractor
 from hdrmask.network import UNetConfig, exposure_mask, export_mask_images, unet_forward
-from hdrmask.pipeline import compose_hdr
+from hdrmask.pipeline import compose_hdr, simulate_ldr
 from hdrmask.training import (RunLog, TrainConfig, evaluate, finetune_hdr,
                               initialize_parameters, load_model, save_model,
                               train_inpainting)
@@ -692,3 +693,108 @@ class TestPathsUsersReach:
         names = [f"s{i}.pfm" for i in range(scenes)]
         assert {r.image_id for r in seen["train"]} == set(names[:train])
         assert {r.image_id for r in seen["test"]} == set(names[train:])
+
+
+class TestNumericKnobDomains:
+    """Every numeric knob of every command, at values outside its domain.
+
+    A command either runs or fails in a controlled way: exit 0, 1 or 2, no
+    exception and no RuntimeWarning escaping ``dispatch``. The knobs come
+    from the commands' ``_*_DEFAULTS`` tables, so a knob added later is
+    covered; each command has a tiny valid invocation below.
+    """
+
+    FLOATS, INTS = ("nan", "inf", "-1", "0"), ("-1", "0")
+    UNET = ["--levels", "2", "--base-channels", "4"]
+    TRAIN = ["--steps", "1", "--batch", "2", "--steps-per-epoch", "1"] + UNET
+    BASE = {
+        "simulate-ldr": ["--in", "{pfm}", "--out", "{out}/x.ppm"],
+        "mask": ["--in", "{ppm}", "--out-dir", "{out}"] + UNET,
+        "sample-patches": ["--in-dir", "{hdr_dir}", "--out", "{out}/x.mds", "--patch", "32",
+                           "--per-image", "2", "--threshold", "0"],
+        "gen-inpaint-masks": ["--out-dir", "{out}", "--count", "1", "--height", "32",
+                              "--width", "32"],
+        "train-inpaint": ["--out-dir", "{out}", "--procedural", "2"] + TRAIN,
+        "finetune-hdr": ["--out-dir", "{out}", "--shard", "{shard}"] + TRAIN,
+        "reconstruct": ["--in", "{ppm}", "--checkpoint", "{ckpt}", "--out", "{out}/x.pfm"],
+        "eval": ["--checkpoint", "{ckpt}", "--shard", "{shard}", "--out-dir", "{out}"],
+        "ablate": ["--out-dir", "{out}", "--seeds", "0", "--pretrain-steps", "1",
+                   "--finetune-steps", "1", "--textures", "2", "--train-scenes", "2",
+                   "--test-scenes", "1", "--patch", "32", "--per-image", "2",
+                   "--threshold", "0", "--batch", "2", "--steps-per-epoch", "1"],
+        "gradcheck": [],
+    }
+
+    @staticmethod
+    def knobs(command):
+        """``{knob: values}`` for the numeric knobs of ``command``'s table."""
+        parser = cli._build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        table = subs.choices[command].get_default("defaults")
+        return {k: TestNumericKnobDomains.FLOATS if type(v) is float
+                else TestNumericKnobDomains.INTS
+                for k, v in table.items() if type(v) in (int, float) and k != "seed"}
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("knobs")
+        scene = hdr_scene(3, size=(48, 48))
+        paths = {"pfm": str(root / "scene.pfm"), "ppm": str(root / "photo.ppm"),
+                 "hdr_dir": str(root / "hdr"), "shard": str(root / "train.mds"),
+                 "ckpt": str(root / "small.ckpt")}
+        F.write_pfm(paths["pfm"], scene.pixels)
+        F.write_ldr(paths["ppm"], simulate_ldr(scene))
+        os.mkdir(paths["hdr_dir"])
+        F.write_pfm(os.path.join(paths["hdr_dir"], "s.pfm"), scene.pixels)
+        assert dispatch(["sample-patches", "--in-dir", paths["hdr_dir"], "--out",
+                         paths["shard"], "--patch", "32", "--per-image", "2",
+                         "--threshold", "0"]) == 0
+        save_model(paths["ckpt"], initialize_parameters(UNetConfig(levels=2, base_channels=4), 0))
+        return paths
+
+    def run(self, tmp_path, paths, command, extra):
+        out = tmp_path / f"out{len(os.listdir(tmp_path))}"
+        out.mkdir()
+        argv = [command] + [a.format(out=out, **paths) for a in self.BASE[command]] + extra
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return dispatch(argv)
+
+    def test_every_command_with_numeric_knobs_has_an_invocation(self):
+        parser = cli._build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(self.BASE) == {name for name in subs.choices if self.knobs(name)}
+
+    @pytest.mark.parametrize("command", sorted(BASE))
+    def test_out_of_domain_values_fail_cleanly(self, tmp_path, paths, command):
+        assert self.run(tmp_path, paths, command, []) == 0
+        for knob, values in self.knobs(command).items():
+            for value in values:
+                flag = f"--{knob.replace('_', '-')}={value}"
+                rc = self.run(tmp_path, paths, command, [flag])
+                assert rc in (0, 1, 2), (flag, rc)
+
+    @pytest.mark.parametrize("command,flag,values,named", [
+        ("gradcheck", "--epsilon", ("nan", "inf"), "epsilon"),
+        ("gradcheck", "--threshold", ("nan", "inf"), "threshold"),
+        ("simulate-ldr", "--gamma", ("0", "nan", "inf"), "gamma"),
+        ("simulate-ldr", "--bits", ("-1",), "bits"),
+        ("reconstruct", "--gamma", ("0", "-1", "inf"), "gamma"),
+        ("mask", "--base-channels", ("0", "-1"), "base channels"),
+        ("train-inpaint", "--base-channels", ("0", "-1"), "base channels"),
+        ("finetune-hdr", "--base-channels", ("0", "-1"), "base channels"),
+        ("gen-inpaint-masks", "--height", ("0", "-1"), "height"),
+        ("gen-inpaint-masks", "--width", ("0", "-1"), "width"),
+        ("train-inpaint", "--procedural", ("-1",), "texture count"),
+        ("ablate", "--textures", ("-1",), "texture count"),
+        ("ablate", "--train-scenes", ("-1",), "scene count"),
+        ("ablate", "--test-scenes", ("-1",), "scene count"),
+        ("train-inpaint", "--steps", ("0",), "steps"),
+        ("eval", "--bins", ("-2",), "bins"),
+    ])
+    def test_seen_escapes_exit_2_naming_the_knob(self, tmp_path, paths, capsys, command, flag,
+                                                 values, named):
+        for value in values:
+            capsys.readouterr()
+            assert self.run(tmp_path, paths, command, [f"{flag}={value}"]) == 2, value
+            assert named in capsys.readouterr().err, value

@@ -49,27 +49,28 @@ class TestBlend:
     def test_fully_valid_returns_truth(self):
         h = rnd(3).random((3, 4, 4)) * 2
         out = L.blend_with_ground_truth(h, np.zeros_like(h), np.ones_like(h))
-        assert np.allclose(out, h)
+        assert np.allclose(out.data[0], h)
 
     def test_inverse_pair_returns_truth(self):
         h = rnd(4).random((3, 4, 4)) * 2
         out = L.blend_with_ground_truth(h, np.log1p(h), np.zeros_like(h))
-        assert np.allclose(out, h, atol=1e-12)
+        assert np.allclose(out.data[0], h, atol=1e-12)
 
     def test_scalar_mix(self):
         h = np.full((3, 1, 1), 2.0)
         m = np.full_like(h, 0.5)
         out = L.blend_with_ground_truth(h, np.zeros_like(h), m)
-        assert np.allclose(out, 1.0)
+        assert np.allclose(out.data, 1.0)
 
-    def test_tensor_path_matches_array_path(self):
+    def test_matches_the_expm1_blend(self):
         rng = rnd(5)
         h = rng.random((3, 4, 4)) * 3
         y = rng.normal(size=(3, 4, 4))
         m = rng.random((3, 4, 4))
         via_tensor = L.blend_with_ground_truth(h, T.constant(y), m).data[0]
-        via_array = L.blend_with_ground_truth(h, y, m)
-        assert np.allclose(via_tensor, via_array, atol=1e-12)
+        via_array = L.blend_with_ground_truth(h, y, m).data[0]
+        assert np.array_equal(via_tensor, via_array)
+        assert np.allclose(via_tensor, m * h + (1.0 - m) * np.expm1(y), atol=1e-12)
 
 
 class TestGramMatrix:
@@ -169,7 +170,7 @@ class TestTotalLoss:
         y = T.constant(np.log1p(h))
         rep = L.total_loss(y, h, np.zeros_like(h), extractor)
         # the blend goes through exp(log1p(h)) - 1, exact only up to rounding
-        assert rep.reconstruction == 0.0
+        assert rep.components["reconstruction"] == 0.0
         assert rep.total < 1e-12
 
     def test_zero_perceptual_weight_reduces_to_weighted_l1(self, extractor):
@@ -189,8 +190,9 @@ class TestTotalLoss:
         m = rng.random((3, 8, 8))
         w = L.LossWeights()
         rep = L.total_loss(y, h, m, extractor, w)
-        recomposed = (w.reconstruction * rep.reconstruction +
-                      w.perceptual * (w.vgg * rep.vgg + w.style * rep.style))
+        c = rep.components
+        recomposed = (w.reconstruction * c["reconstruction"] +
+                      w.perceptual * (w.vgg * c["vgg"] + w.style * c["style"]))
         assert abs(rep.total - recomposed) <= 1e-6 * max(abs(rep.total), 1e-12)
         assert abs(rep.total - sum(rep.weighted.values())) <= 1e-6 * abs(rep.total)
 

@@ -439,7 +439,8 @@ class TestSamplePatches:
     def test_dim_exposure_keeps_nothing(self):
         scene = hdr_scene(0, size=(64, 64))
         cfg = S.SamplerConfig(patch_size=32, patches_per_image=8)
-        assert S.sample_patches(scene, cfg, seed=1, exposure=1e-4) == []
+        curve = P.CameraCurve(exposure=1e-4)
+        assert S.sample_patches(scene, cfg, seed=1, curve=curve) == []
 
     def test_smooth_saturated_image_rejected_by_threshold(self):
         flat = HdrImage(np.full((3, 64, 64), 25.0))

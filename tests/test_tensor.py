@@ -158,15 +158,18 @@ class TestPhasePlanes:
                     assert np.array_equal(got, want), (h, w, padding)
 
 
-def transposed_phase_dx(gq, ow, x_shape, w, stride, padding, rows, dx_scale):
-    """A strided convolution's dx by the polyphase transpose: the tap GEMMs
-    scattered into zeroed planes, the planes interleaved back into the
-    padded input by one transposed copy, cropped, then scaled in place."""
+def transposed_phase_dx(g, x_shape, w, stride, padding, rows, dx_scale):
+    """A strided convolution's dx by the polyphase transpose: the output
+    gradient laid on the planes' row pitch, the tap GEMMs scattered into
+    zeroed planes, the planes interleaved back into the padded input by one
+    transposed copy, cropped, then scaled in place."""
     n, c, h, wd = x_shape
     co, ci, kh, kw = w.shape
-    oh, wq = gq.shape[2], gq.shape[3]
+    oh, ow = g.shape[2], g.shape[3]
     s, p, top = stride, padding, rows[0]
-    hq = -(-(h + rows[0] + rows[1]) // s)
+    hq, wq = -(-(h + rows[0] + rows[1]) // s), -(-(wd + 2 * p) // s)
+    gq = np.zeros((n, co, oh, wq), dtype=g.dtype)
+    gq[:, :, :, :ow] = g
     span = (oh - 1) * wq + ow
     g = gq.reshape(n, co, oh * wq)[:, :, :span]
     dplanes = np.zeros((s * s, n, c, hq * wq), dtype=gq.dtype)
@@ -195,13 +198,10 @@ class TestStridedInputGradient:
                     x_shape, w = (2, 3, h, wd), rng.normal(size=(4, 3, 3, 3)).astype(dtype)
                     oh = T.conv_output_extent(h + sum(pad_rows), 3, stride, 0)
                     ow = T.conv_output_extent(wd, 3, stride, 1)
-                    grid = T._zero_grid(x_shape, (2, 4, oh), stride, 1, dtype)
-                    grid[:, :, :, :ow] = rng.normal(size=(2, 4, oh, ow))
+                    g = rng.normal(size=(2, 4, oh, ow)).astype(dtype)
                     scale = rng.random(x_shape).astype(dtype) if scaled else None
-                    dx, dw = T._conv_grads(grid, ow, x_shape, w, None, stride, 1, pad_rows,
-                                           scale, True)
-                    want = transposed_phase_dx(grid, ow, x_shape, w, stride, 1, pad_rows,
-                                               scale)
+                    dx, dw = T._conv_grads(g, x_shape, w, None, stride, 1, pad_rows, scale, True)
+                    want = transposed_phase_dx(g, x_shape, w, stride, 1, pad_rows, scale)
                     assert dw is None and dx.dtype == dtype and dx.shape == x_shape
                     assert np.array_equal(dx, want), (dtype, h, wd, scaled)
 
@@ -315,6 +315,21 @@ class TestUpsampleAndPool:
         want = conv2d_loops(upsample2(x), w, padding=p, pad_value=pad_value)
         assert got.shape == want.shape == (2, 4, 10, 6)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_phase_grads_is_the_adjoint_of_add_phases(self, p):
+        # <add_phases(0, x), g> == <x, _phase_grads(g)> for every x and g,
+        # and the gradient is zero outside each phase's crop.
+        rng = rnd(5 + p)
+        x = rng.normal(size=(2, 12, 3 + p, 4 + p))
+        g = rng.normal(size=(2, 3, 6, 8))
+        dx = T._phase_grads(g, p)
+        assert dx.shape == x.shape
+        lhs = np.sum(T.add_phases(np.zeros_like(g), x, p) * g)
+        assert np.isclose(lhs, np.sum(x * dx), rtol=1e-12)
+        inside = T.add_phases(np.zeros_like(g), np.ones_like(x), p)
+        assert np.array_equal(inside, np.ones_like(g))
+        assert np.count_nonzero(dx) == g.size
 
     def test_phase_ops_gradients(self):
         # The phase path of a decoder node: x's 2x upsample convolved with

@@ -1,0 +1,78 @@
+"""Print one SHA-256 line per artifact whose bits the numerics decide.
+
+Run it in two checkouts and diff the outputs to check that a change keeps
+every output bit:
+
+    python3 tools/digests.py > digests.txt
+
+It imports the checkout's own ``src/hdrmask`` and pins BLAS to one thread
+before numpy loads, as the benchmark does. The lines are:
+
+* the benchmark's own ``Unit.digest`` (``perfbench/workloads.py``):
+  ``train-hdr`` at seeds 1 and 5, the three ``reconstruct-512`` photos at
+  seed 3 and the two ``curate`` units at seed 1;
+* the PGMs ``hdrmask mask`` writes for FMask, IMask and SConv checkpoints;
+* ``unet_forward``'s output, mask stack and parameter gradients in each
+  masking mode (a 2x3x64x64 float32 batch).
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.dont_write_bytecode = True
+
+import numpy as np  # noqa: E402  (after the thread pinning)
+
+from hdrmask import cli, formats, network, synthetic, tensor as T, training  # noqa: E402
+from hdrmask.pipeline import simulate_ldr  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+UNITS = (("train-hdr", 1, 1), ("train-hdr", 5, 1), ("reconstruct-512", 3, 3), ("curate", 1, 2))
+
+
+def sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, seed, units in UNITS:
+            workload = WORKLOADS[name]()
+            state = workload.setup(seed, tmp)
+            for k in range(units):
+                print(f"unit {name} seed {seed} k {k} {workload.run_unit(state, k, []).digest}")
+        photo = os.path.join(tmp, "photo.ppm")
+        scene = synthetic.make_hdr_corpus(1, seed=9, size=(64, 64))[0]
+        formats.write_ldr(photo, simulate_ldr(scene))
+        ldr = formats.read_ldr(photo).pixels
+        x = np.stack([ldr, ldr[:, ::-1]])
+        m = network.exposure_mask(x)
+        probe = np.random.default_rng(0).normal(size=x.shape).astype(np.float32)
+        for mode in network.MASKING_MODES:
+            params = training.initialize_parameters(network.UNetConfig(mode=mode), seed=3)
+            checkpoint, out_dir = os.path.join(tmp, f"{mode}.ckpt"), os.path.join(tmp, mode)
+            training.save_model(checkpoint, params)
+            rc = cli.dispatch(["mask", "--in", photo, "--out-dir", out_dir,
+                               "--checkpoint", checkpoint])
+            pgms = sorted(f for f in os.listdir(out_dir) if f.endswith(".pgm"))
+            blobs = [np.fromfile(os.path.join(out_dir, f), dtype=np.uint8) for f in pgms]
+            print(f"mask {mode} exit {rc} {len(pgms)} pgms {sha(*blobs)}")
+            y, stack = network.unet_forward(x, m, params)
+            tensors = params.named_tensors()
+            T.backward(T.tsum(y * T.constant(probe)), parameters=list(tensors.values()))
+            print(f"forward {mode} output {sha(y.data)}")
+            print(f"forward {mode} masks {sha(*(a for _, a in stack))}")
+            print(f"forward {mode} gradients {sha(*(t.grad for t in tensors.values()))}")
+
+
+if __name__ == "__main__":
+    main()
