@@ -10,8 +10,8 @@ parsed and checked exactly like flags.
 Each command's knobs are the keys of its ``_*_DEFAULTS`` table, and each
 key is both a config key and a flag (``base_channels`` is
 ``--base-channels``). A flag's type is that of its default; a tuple
-default lists the allowed choices and defaults to the first. Only path
-flags are declared by hand.
+default lists the allowed choices, which share the first one's type, and
+defaults to the first. Only path flags are declared by hand.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from . import formats
 from .losses import FeatureExtractor, LossWeights, total_loss
 from .network import (MASKING_MODES, MODE_FEATURE_MASK, UNetConfig, UNetParameters,
                       exposure_mask, export_mask_images, predict, unet_forward)
-from .pipeline import CURVE_KINDS, CameraCurve, compose_hdr, simulate_ldr
+from .pipeline import (CURVE_KINDS, DEFAULT_SATURATION_THRESHOLD, CameraCurve, compose_hdr,
+                       simulate_ldr)
 from .sampler import (SamplerConfig, generate_inpainting_mask, sample_corpus,
                       sample_patches)
 from .synthetic import make_hdr_corpus, make_texture_corpus
@@ -144,7 +145,7 @@ def _load_texture_dir(path):
 
 
 _SIMULATE_DEFAULTS = {"percentile": 93.0, "bits": 8, "curve": CURVE_KINDS,
-                      "gamma": 2.0, "alpha": 0.96}
+                      "gamma": 2.0, "alpha": DEFAULT_SATURATION_THRESHOLD}
 
 
 def cmd_simulate_ldr(args, resolved):
@@ -161,7 +162,8 @@ def cmd_simulate_ldr(args, resolved):
     return 0
 
 
-_MASK_DEFAULTS = {"alpha": 0.96, "levels": 4, "base_channels": 16, "seed": 0}
+_MASK_DEFAULTS = {"alpha": DEFAULT_SATURATION_THRESHOLD, "levels": 4, "base_channels": 16,
+                  "seed": 0}
 
 
 def cmd_mask(args, resolved):
@@ -189,8 +191,8 @@ def cmd_mask(args, resolved):
 
 
 _SAMPLE_DEFAULTS = {"patch": 64, "per_image": 32, "threshold": 0.85,
-                    "alpha": 0.96, "sigma_color": 100.0, "sigma_space": 10.0,
-                    "percentile": None, "seed": 0}
+                    "alpha": DEFAULT_SATURATION_THRESHOLD, "sigma_color": 100.0,
+                    "sigma_space": 10.0, "percentile": None, "seed": 0}
 
 
 def cmd_sample_patches(args, resolved):
@@ -303,7 +305,7 @@ def cmd_finetune_hdr(args, resolved):
     return 0
 
 
-_RECON_DEFAULTS = {"alpha": 0.96, "gamma": 2.0}
+_RECON_DEFAULTS = {"alpha": DEFAULT_SATURATION_THRESHOLD, "gamma": 2.0}
 
 
 def cmd_reconstruct(args, resolved):
@@ -323,7 +325,7 @@ def cmd_reconstruct(args, resolved):
     return 0
 
 
-_EVAL_DEFAULTS = {"bins": 10, "dump_images": 0}
+_EVAL_DEFAULTS = {"bins": 10, "dump_images": (0, 1)}
 
 
 def cmd_eval(args, resolved):
@@ -485,8 +487,10 @@ def _build_parser():
         p.add_argument("--config", help="JSON config file (defaults < file < flags)")
         for key, value in defaults.items():
             # A None default (sample-patches' percentile) means "unset" for a float.
-            kind = {"choices": value, "default": value[0]} if isinstance(value, tuple) \
-                else {"type": float if value is None else type(value), "default": value}
+            choices = value if isinstance(value, tuple) else None
+            default = choices[0] if choices else value
+            kind = {"type": float if default is None else type(default), "default": default,
+                    "choices": choices}
             if key == "seed":
                 kind["type"] = _seed
             p.add_argument("--" + key.replace("_", "-"), dest=key, **kind)

@@ -48,7 +48,7 @@ import numpy as np
 from .errors import (ChecksumError, ContractError, DimensionError, FormatError,
                      UnsupportedFormatError, VersionError)
 from .network import exposure_mask
-from .pipeline import HdrImage, LdrImage
+from .pipeline import DEFAULT_SATURATION_THRESHOLD, HdrImage, LdrImage
 from .sampler import PatchRecord
 
 _MAX_HEADER_TOKEN = 32
@@ -416,7 +416,7 @@ def load_checkpoint(path_or_bytes):
 # -- dataset shards -------------------------------------------------------------
 
 
-def write_dataset_shard(path, records, alpha=0.96):
+def write_dataset_shard(path, records, alpha=DEFAULT_SATURATION_THRESHOLD):
     """Serialize PatchRecords; order-preserving and bit-exact on read.
 
     Payloads are stored at the format's native precision (float32 / 8-bit),

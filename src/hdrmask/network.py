@@ -59,9 +59,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointShapeError, DimensionError, DomainError
+from .pipeline import DEFAULT_SATURATION_THRESHOLD
 
 MASK_NORM_EPS = 1e-6
-DEFAULT_SATURATION_THRESHOLD = 0.96
 
 # Elements of one strip of enc0's output, N * base_channels * rows * W.
 # predict() advances the output by the most rows, a multiple of the

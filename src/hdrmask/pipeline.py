@@ -20,6 +20,8 @@ LUMA_WEIGHTS = np.array([0.2126, 0.7152, 0.0722])  # BT.709
 DEFAULT_GAMMA = 2.0
 DEFAULT_MU = 500.0
 DEFAULT_SATURATION_PERCENTILE = 93.0
+# Display value above which a channel counts as saturated (the mask's alpha).
+DEFAULT_SATURATION_THRESHOLD = 0.96
 MSE_NORM_PERCENTILE = 99.9
 MSE_DISPLAY_EXPONENT = 1.0 / 2.2
 
@@ -279,7 +281,7 @@ def _display_encode_pair(p, g):
     return a, b
 
 
-def saturation_percentage(ldr, alpha=0.96):
+def saturation_percentage(ldr, alpha=DEFAULT_SATURATION_THRESHOLD):
     """Percentage of pixels whose brightest channel exceeds ``alpha``."""
     t = ldr.pixels if isinstance(ldr, LdrImage) else np.asarray(ldr)
     if np.any(t < 0) or np.any(t > 1):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .network import exposure_mask
-from .pipeline import (HdrImage, LdrImage, apply_exposure,
+from .pipeline import (DEFAULT_SATURATION_THRESHOLD, HdrImage, LdrImage, apply_exposure,
                        exposure_scales, rgb_to_gray, saturation_percentage)
 
 
@@ -44,7 +44,7 @@ class SamplerConfig:
     metric_threshold: float = 0.85
     patch_size: int = 64          # 512 at paper scale
     patches_per_image: int = 32   # 250 at paper scale
-    alpha: float = 0.96
+    alpha: float = DEFAULT_SATURATION_THRESHOLD
     percentile_range: tuple = (85.0, 97.0)
     fixed_percentile: float | None = None  # set for deterministic exposures
     quantize_bits: int = 8

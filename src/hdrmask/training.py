@@ -23,8 +23,7 @@ from .losses import (FeatureExtractor, InpaintingLossWeights, LossWeights,
                      inpainting_loss, total_loss)
 from .network import (MASKING_MODES, UNetConfig, UNetParameters, layer_plan, predict,
                       unet_forward)
-from .pipeline import (compose_hdr, masked_region_mse_gamma, mse_gamma,
-                       saturation_percentage)
+from .pipeline import compose_hdr, masked_region_mse_gamma, mse_gamma
 from .sampler import SamplerConfig, generate_inpainting_mask, sample_corpus
 from .synthetic import make_hdr_corpus
 from .tensor import AdamState
@@ -322,29 +321,22 @@ def finetune_hdr(records, config, unet_config=None, extractor=None,
     return _optimize(STAGE_HDR, config, params, adam, batch_fn, val_fn, start_step)
 
 
-def predict_log_hdr(record, params):
-    return predict(record.ldr.pixels[None].astype(np.float32),
-                   record.mask[None].astype(np.float32), params)[0]
-
-
 def validation_mse(records, params):
-    """Mean masked-region display MSE of reconstructions over records.
+    """The overall masked-region MSE of :func:`evaluate` on ``records``.
 
-    A diverged prediction (exp overflow in the composition) scores inf
-    rather than aborting the run, so the scheduler and best-checkpoint
-    logic see it as what it is: a very bad epoch.
+    A diverged prediction (a non-finite forward, or exp overflow in the
+    composition), a set with no saturated support and an empty set score
+    inf rather than aborting the run, so the scheduler and best-checkpoint
+    logic see each as a very bad epoch.
     """
-    scores = []
-    for rec in records:
-        y = predict_log_hdr(rec, params)
-        try:
-            recon = compose_hdr(rec.ldr, rec.mask, y)
-        except NumericError:
-            return math.inf
-        score = masked_region_mse_gamma(recon.pixels, rec.hdr.pixels, rec.mask)
-        if math.isfinite(score):
-            scores.append(score)
-    return float(np.mean(scores)) if scores else math.inf
+    records = list(records)
+    if not records:
+        return math.inf
+    try:
+        value = evaluate(records, params, bins=1).rows[-1].mean_masked_mse
+    except NumericError:
+        return math.inf
+    return math.inf if math.isnan(value) else value
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -371,11 +363,15 @@ class EvalReport:
 
 
 def evaluate(records, params=None, predictor=None, bins=10):
-    """Score reconstructions on a test set, binned by input saturation.
+    """Score reconstructions on a test set, binned by saturation.
 
-    ``predictor`` overrides the network: a callable mapping a PatchRecord
-    to a log-domain prediction array (used for oracle checks). The report
-    has one row per saturation decile plus an "overall" row.
+    A record's saturation is the percentage of its pixels that its own mask
+    marks saturated (any channel below 1), so the bins follow the alpha the
+    record was masked at. ``predictor`` overrides the network: a callable
+    mapping a PatchRecord to a log-domain prediction array (used for oracle
+    checks). The report has one row per bin of equal width plus an
+    "overall" row, whose masked score is the validation score
+    (:func:`validation_mse`).
     """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
@@ -387,17 +383,17 @@ def evaluate(records, params=None, predictor=None, bins=10):
             raise ContractError("evaluate needs params or an explicit predictor")
 
         def predictor(rec):
-            return predict_log_hdr(rec, params)
+            return predict(rec.ldr.pixels[None].astype(np.float32),
+                           rec.mask[None].astype(np.float32), params)[0]
 
     per_record = []
     for rec in records:
         y = predictor(rec)
         recon = compose_hdr(rec.ldr, rec.mask, y)
-        sat = saturation_percentage(rec.ldr)
         per_record.append({
             "image_id": rec.image_id,
             "offset": tuple(rec.offset),
-            "saturation_pct": sat,
+            "saturation_pct": 100.0 * float((rec.mask < 1).any(axis=0).mean()),
             "mse": mse_gamma(recon.pixels, rec.hdr.pixels),
             "masked_mse": masked_region_mse_gamma(recon.pixels, rec.hdr.pixels, rec.mask),
             "reconstruction": recon,
@@ -408,21 +404,17 @@ def evaluate(records, params=None, predictor=None, bins=10):
         lo, hi = edges[b], edges[b + 1]
         members = [r for r in per_record
                    if (lo <= r["saturation_pct"] < hi) or (b == bins - 1 and r["saturation_pct"] == hi)]
-        rows.append(EvalRow(
-            f"{lo:.0f}-{hi:.0f}%",
-            len(members),
-            float(np.mean([m["mse"] for m in members])) if members else float("nan"),
-            _nanmean([m["masked_mse"] for m in members]),
-        ))
-    rows.append(EvalRow("overall", len(per_record),
-                        float(np.mean([m["mse"] for m in per_record])),
-                        _nanmean([m["masked_mse"] for m in per_record])))
+        rows.append(_eval_row(f"{lo:.0f}-{hi:.0f}%", members))
+    rows.append(_eval_row("overall", per_record))
     return EvalReport(rows, per_record)
 
 
-def _nanmean(values):
-    vals = [v for v in values if math.isfinite(v)]
-    return float(np.mean(vals)) if vals else float("nan")
+def _eval_row(label, members):
+    """A row's means; its masked score skips records with no saturated support."""
+    masked = [m["masked_mse"] for m in members if math.isfinite(m["masked_mse"])]
+    return EvalRow(label, len(members),
+                   float(np.mean([m["mse"] for m in members])) if members else math.nan,
+                   float(np.mean(masked)) if masked else math.nan)
 
 
 # -- ablation harness ------------------------------------------------------------

@@ -14,11 +14,11 @@ from hdrmask import training
 from hdrmask.cli import dispatch
 from hdrmask.losses import FeatureExtractor
 from hdrmask.network import UNetConfig, exposure_mask, export_mask_images, unet_forward
-from hdrmask.pipeline import compose_hdr, simulate_ldr
+from hdrmask.pipeline import compose_hdr, saturation_percentage, simulate_ldr
 from hdrmask.training import (RunLog, TrainConfig, evaluate, finetune_hdr,
                               initialize_parameters, load_model, save_model,
                               train_inpainting)
-from hdrmask.synthetic import hdr_scene, make_texture_corpus
+from hdrmask.synthetic import hdr_scene, make_hdr_corpus, make_texture_corpus
 
 
 @pytest.fixture()
@@ -665,6 +665,38 @@ class TestPathsUsersReach:
         manifest = json.loads((out / "eval_manifest.json").read_text())
         assert manifest["outputs"]["reconstructions"] == len(records)
         assert manifest["inputs"] == {"shard": shard}
+
+    def test_eval_dump_images_takes_only_0_or_1(self, tmp_path, shard, small_ckpt):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"dump_images": 2}))
+        for extra in (["--dump-images", "2"], ["--dump-images", "-1"],
+                      ["--config", str(conf)]):
+            out = tmp_path / "eval"
+            assert dispatch(["eval", "--checkpoint", small_ckpt, "--shard", shard,
+                             "--out-dir", str(out)] + extra) == 1, extra
+            assert not out.exists(), extra
+
+    def test_eval_bins_each_record_by_its_own_mask(self, tmp_path, small_ckpt):
+        # Masked at alpha 0.9, a crop's saturated share is not the share of
+        # its pixels above 0.96, so binning must read the stored mask.
+        hdr_dir = tmp_path / "hdr"
+        hdr_dir.mkdir()
+        for i, scene in enumerate(make_hdr_corpus(4, seed=3)):
+            F.write_pfm(hdr_dir / f"s{i}.pfm", scene.pixels)
+        shard, out = str(tmp_path / "a90.mds"), tmp_path / "eval"
+        assert dispatch(["sample-patches", "--in-dir", str(hdr_dir), "--out", shard,
+                         "--patch", "32", "--per-image", "6", "--threshold", "0",
+                         "--alpha", "0.9"]) == 0
+        assert dispatch(["eval", "--checkpoint", small_ckpt, "--shard", shard,
+                         "--out-dir", str(out)]) == 0
+        records = F.read_dataset_shard(shard)
+        shares = [100 * (rec.mask < 1).any(axis=0).mean() for rec in records]
+        above = [saturation_percentage(rec.ldr, 0.96) for rec in records]
+        edges = np.linspace(0, 100, 11)
+        want = np.histogram(shares, edges)[0]
+        assert not np.array_equal(want, np.histogram(above, edges)[0])
+        rows = (out / "metrics.tsv").read_text().splitlines()[1:]
+        assert [int(row.split("\t")[1]) for row in rows] == [*want, len(records)]
 
     # The first two thirds of the sorted HDR files train, the rest test.
     @pytest.mark.parametrize("scenes, train", [(2, 1), (3, 2), (4, 2)])

@@ -210,6 +210,23 @@ class TestValidationMse:
         params.layers["out"][1].data[:] = 1000.0
         assert validation_mse(records[:2], params) == math.inf
 
+    def test_is_the_overall_masked_score_of_evaluate(self, records):
+        params = initialize_parameters(UCFG, 0)
+        # An all-valid record has no masked score: both skip it.
+        valid = replace(records[0], mask=np.ones_like(records[0].mask))
+        pool = [records[1], valid, records[2]]
+        value = validation_mse(pool, params)
+        assert math.isfinite(value)
+        assert value == evaluate(pool, params).rows[-1].mean_masked_mse
+        saturated = evaluate([records[1], records[2]], params, bins=1)
+        assert value == saturated.rows[-1].mean_masked_mse
+
+    def test_no_saturated_support_or_no_records_scores_inf(self, records):
+        params = initialize_parameters(UCFG, 0)
+        valid = [replace(rec, mask=np.ones_like(rec.mask)) for rec in records[:2]]
+        assert validation_mse(valid, params) == math.inf
+        assert validation_mse([], params) == math.inf
+
 
 class TestOptimize:
     def test_non_finite_loss_leaves_params_untouched(self):

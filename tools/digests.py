@@ -12,11 +12,16 @@ before numpy loads, as the benchmark does. The lines are:
   ``train-hdr`` at seeds 1 and 5, the three ``reconstruct-512`` photos at
   seed 3 and the two ``curate`` units at seed 1;
 * the PGMs ``hdrmask mask`` writes for FMask, IMask and SConv checkpoints;
+* the ``metrics.tsv`` ``hdrmask eval`` writes for each of those checkpoints
+  on a default-alpha shard (16 crops of two synthetic scenes), and the
+  ``repr`` of ``validation_mse`` on the shard's records;
 * ``unet_forward``'s output, mask stack and parameter gradients in each
   masking mode (a 2x3x64x64 float32 batch).
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -31,6 +36,7 @@ import numpy as np  # noqa: E402  (after the thread pinning)
 
 from hdrmask import cli, formats, network, synthetic, tensor as T, training  # noqa: E402
 from hdrmask.pipeline import simulate_ldr  # noqa: E402
+from hdrmask.sampler import SamplerConfig, sample_corpus  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 UNITS = (("train-hdr", 1, 1), ("train-hdr", 5, 1), ("reconstruct-512", 3, 3), ("curate", 1, 2))
@@ -57,6 +63,12 @@ def main():
         x = np.stack([ldr, ldr[:, ::-1]])
         m = network.exposure_mask(x)
         probe = np.random.default_rng(0).normal(size=x.shape).astype(np.float32)
+        shard = os.path.join(tmp, "eval.mds")
+        scenes = synthetic.make_hdr_corpus(2, seed=9)
+        formats.write_dataset_shard(shard, sample_corpus(
+            [(f"scene{i}", s) for i, s in enumerate(scenes)],
+            SamplerConfig(patches_per_image=8, metric_threshold=0.0)))
+        records = formats.read_dataset_shard(shard)
         for mode in network.MASKING_MODES:
             params = training.initialize_parameters(network.UNetConfig(mode=mode), seed=3)
             checkpoint, out_dir = os.path.join(tmp, f"{mode}.ckpt"), os.path.join(tmp, mode)
@@ -66,6 +78,13 @@ def main():
             pgms = sorted(f for f in os.listdir(out_dir) if f.endswith(".pgm"))
             blobs = [np.fromfile(os.path.join(out_dir, f), dtype=np.uint8) for f in pgms]
             print(f"mask {mode} exit {rc} {len(pgms)} pgms {sha(*blobs)}")
+            eval_dir = os.path.join(tmp, f"eval-{mode}")
+            with contextlib.redirect_stdout(io.StringIO()):  # the table it prints
+                rc = cli.dispatch(["eval", "--checkpoint", checkpoint, "--shard", shard,
+                                   "--out-dir", eval_dir])
+            table = np.fromfile(os.path.join(eval_dir, "metrics.tsv"), dtype=np.uint8)
+            print(f"eval {mode} exit {rc} {sha(table)}")
+            print(f"validation {mode} {training.validation_mse(records, params)!r}")
             y, stack = network.unet_forward(x, m, params)
             tensors = params.named_tensors()
             T.backward(T.tsum(y * T.constant(probe)), parameters=list(tensors.values()))
