@@ -31,9 +31,9 @@ from .errors import HdrMaskError, ContractError, DomainError
 from . import formats
 from .losses import FeatureExtractor, LossWeights, total_loss
 from .network import (MASKING_MODES, MODE_FEATURE_MASK, UNetConfig, UNetParameters,
-                      exposure_mask, export_mask_images, predict, unet_forward)
+                      export_mask_images, predict, unet_forward)
 from .pipeline import (CURVE_KINDS, DEFAULT_SATURATION_THRESHOLD, CameraCurve, compose_hdr,
-                       simulate_ldr)
+                       exposure_mask, simulate_ldr)
 from .sampler import (SamplerConfig, generate_inpainting_mask, sample_corpus,
                       sample_patches)
 from .synthetic import make_hdr_corpus, make_texture_corpus

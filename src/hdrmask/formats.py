@@ -47,8 +47,7 @@ import numpy as np
 
 from .errors import (ChecksumError, ContractError, DimensionError, FormatError,
                      UnsupportedFormatError, VersionError)
-from .network import exposure_mask
-from .pipeline import DEFAULT_SATURATION_THRESHOLD, HdrImage, LdrImage
+from .pipeline import DEFAULT_SATURATION_THRESHOLD, HdrImage, LdrImage, exposure_mask
 from .sampler import PatchRecord
 
 _MAX_HEADER_TOKEN = 32

@@ -2,7 +2,8 @@
 
 The perceptual terms compare feature activations of a small frozen
 convolution pyramid (a stand-in for pretrained VGG taps; real weights can
-be loaded from a checkpoint). Features are taken after each stage's
+be loaded from a checkpoint) on mu-law range-compressed images
+(:func:`mu_law_compress`). Features are taken after each stage's
 pooling. All l1 terms are mean-reduced so the weights are independent of
 resolution.
 
@@ -19,8 +20,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DimensionError, DomainError
-from .pipeline import DEFAULT_MU, mu_law_compress
 from .tensor import Tensor
+
+DEFAULT_MU = 500.0
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,15 @@ def _batch(x, dtype=None):
     return t
 
 
+def mu_law_compress(x, mu=DEFAULT_MU):
+    """Logarithmic range compressor log(1+mu*x)/log(1+mu) of a non-negative
+    Tensor, mapping [0,1] onto [0,1]: a differentiable Tensor.
+    """
+    if np.any(x.data < 0):
+        raise DomainError("mu-law input must be non-negative")
+    return (x * mu + 1.0).log() * (1.0 / np.log1p(mu))
+
+
 def reconstruction_loss(y_hat, hdr, mask):
     """Mean l1 distance to log radiance, restricted to saturated content."""
     y = _batch(y_hat)
@@ -217,7 +228,7 @@ def perceptual_loss(h_tilde, hdr, extractor, weights=None, norm_scale=None):
     """Feature and style distances between a blend and its ground truth.
 
     Both images are divided by the ground truth's maximum (or an explicit
-    ``norm_scale``) and compressed by :func:`pipeline.mu_law_compress`
+    ``norm_scale``) and compressed by :func:`mu_law_compress`
     before feature extraction, the blend as a Tensor and the truth as a
     constant through the same ops. The blend is clamped at zero first so
     the compressor stays in domain. Returns (vgg, style) as scalar Tensors.

@@ -59,7 +59,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointShapeError, DimensionError, DomainError
-from .pipeline import DEFAULT_SATURATION_THRESHOLD
+# Re-exported: perfbench's tracer times the mask as network.exposure_mask,
+# and tools/digests.py and the tests call it from here.
+from .pipeline import exposure_mask  # noqa: F401
 
 MASK_NORM_EPS = 1e-6
 
@@ -79,31 +81,6 @@ MODE_FEATURE_MASK = "FMask"
 MODE_INPUT_MASK = "IMask"
 MODE_STANDARD_CONV = "SConv"
 MASKING_MODES = (MODE_FEATURE_MASK, MODE_INPUT_MASK, MODE_STANDARD_CONV)
-
-
-def exposure_mask(image, alpha=DEFAULT_SATURATION_THRESHOLD):
-    """Per-channel well-exposedness score for a display-referred image.
-
-    1 up to the threshold ``alpha``, then a linear ramp down to 0 at full
-    saturation.
-    """
-    t = image.pixels if hasattr(image, "pixels") else np.asarray(image)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    if np.any(t < 0) or np.any(t > 1):
-        raise DomainError("exposure_mask input must lie in [0,1]")
-    # Evaluate in the input's precision so float32 masks reproduce exactly
-    # across processes and file round-trips, and in place: the result is
-    # the only image-sized array (integer input divides into a float one).
-    a = t.dtype.type(alpha)
-    one = t.dtype.type(1.0)
-    if not a < one:
-        raise DomainError(f"alpha {alpha} rounds to 1 in {t.dtype}")
-    # Rounding is monotonic, so the ramp is at least 1 wherever t <= a and
-    # the clip alone sets the well-exposed pixels to exactly 1.
-    v = one - t
-    v = np.divide(v, one - a, out=v if v.dtype.kind == "f" else None)
-    return np.clip(v, 0.0, 1.0, out=v).astype(t.dtype, copy=False)
 
 
 @dataclass(frozen=True)

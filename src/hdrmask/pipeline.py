@@ -1,9 +1,10 @@
 """Domain conversions between linear radiance and display-referred images.
 
-LDR simulation from HDR ground truth, composition of the final HDR image
-from the well-exposed input content and the network's log-domain
-prediction, logarithmic range compression, and the scalar image metrics
-used for evaluation.
+LDR simulation from HDR ground truth, the per-pixel well-exposedness mask
+that the network, the sampler and the masked score all read, composition of
+the final HDR image from the well-exposed input content and the network's
+log-domain prediction, and the display-referred error scores used for
+evaluation. Plain numpy: nothing here loads the autodiff engine.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .errors import DimensionError, DomainError, NumericError
 
 LUMA_WEIGHTS = np.array([0.2126, 0.7152, 0.0722])  # BT.709
 
 DEFAULT_GAMMA = 2.0
-DEFAULT_MU = 500.0
 DEFAULT_SATURATION_PERCENTILE = 93.0
 # Display value above which a channel counts as saturated (the mask's alpha).
 DEFAULT_SATURATION_THRESHOLD = 0.96
@@ -32,6 +31,31 @@ def rgb_to_gray(image):
     if px.ndim != 3 or px.shape[0] != 3:
         raise DimensionError(f"expected a (3,H,W) image, got shape {px.shape}")
     return np.einsum("c,chw->hw", LUMA_WEIGHTS.astype(px.dtype), px)
+
+
+def exposure_mask(image, alpha=DEFAULT_SATURATION_THRESHOLD):
+    """Per-channel well-exposedness score for a display-referred image.
+
+    1 up to the threshold ``alpha``, then a linear ramp down to 0 at full
+    saturation.
+    """
+    t = image.pixels if hasattr(image, "pixels") else np.asarray(image)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    if np.any(t < 0) or np.any(t > 1):
+        raise DomainError("exposure_mask input must lie in [0,1]")
+    # Evaluate in the input's precision so float32 masks reproduce exactly
+    # across processes and file round-trips, and in place: the result is
+    # the only image-sized array (integer input divides into a float one).
+    a = t.dtype.type(alpha)
+    one = t.dtype.type(1.0)
+    if not a < one:
+        raise DomainError(f"alpha {alpha} rounds to 1 in {t.dtype}")
+    # Rounding is monotonic, so the ramp is at least 1 wherever t <= a and
+    # the clip alone sets the well-exposed pixels to exactly 1.
+    v = one - t
+    v = np.divide(v, one - a, out=v if v.dtype.kind == "f" else None)
+    return np.clip(v, 0.0, 1.0, out=v).astype(t.dtype, copy=False)
 
 
 @dataclass
@@ -55,7 +79,6 @@ class LdrImage:
     """Display-referred RGB image in [0,1], channels first."""
 
     pixels: np.ndarray
-    bit_depth: int = 8
 
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels)
@@ -124,7 +147,7 @@ def apply_exposure(hdr, scale, curve=None, quantize_bits=8):
     if quantize_bits:
         levels = (1 << quantize_bits) - 1
         t = (np.rint(t * levels) / levels).astype(h.dtype, copy=False)
-    return LdrImage(t, bit_depth=quantize_bits or 0)
+    return LdrImage(t)
 
 
 def simulate_ldr(hdr, saturation_percentile=DEFAULT_SATURATION_PERCENTILE,
@@ -224,52 +247,26 @@ def compose_hdr(ldr, mask, y_hat, gamma=DEFAULT_GAMMA):
     return HdrImage(np.maximum(hdr, 0.0, out=hdr))
 
 
-def mu_law_compress(values, mu=DEFAULT_MU):
-    """Logarithmic range compressor log(1+mu*x)/log(1+mu) of non-negative
-    values, mapping [0,1] onto [0,1]: the perceptual loss's compressor.
-
-    ``values`` is an array, an :class:`HdrImage` or a Tensor. Both kinds run
-    the same Tensor ops, ``(x*mu + 1).log() * (1/log1p(mu))``: a Tensor
-    gives a differentiable Tensor, an array the bit-identical array.
-    """
-    x = values if isinstance(values, T.Tensor) else \
-        T.constant(values.pixels if isinstance(values, HdrImage) else values)
-    if np.any(x.data < 0):
-        raise DomainError("mu-law input must be non-negative")
-    out = (x * mu + 1.0).log() * (1.0 / np.log1p(mu))
-    return out if isinstance(values, T.Tensor) else out.data
-
-
-def mse_gamma(predicted, truth):
-    """Mean squared error between display-encoded images.
+def mse_gamma_scores(predicted, truth, mask):
+    """Mean squared errors between display-encoded images: ``(mse, masked_mse)``.
 
     Both images are normalized by the truth's 99.9th-percentile luminance,
-    clipped to [0,1], and encoded with exponent 1/2.2 before the mean
-    square is taken over all pixels and channels.
-    """
-    p = predicted.pixels if isinstance(predicted, HdrImage) else np.asarray(predicted)
-    g = truth.pixels if isinstance(truth, HdrImage) else np.asarray(truth)
-    if p.shape != g.shape:
-        raise DimensionError(f"shape mismatch {p.shape} vs {g.shape}")
-    a, b = _display_encode_pair(p, g)
-    return float(np.mean(np.square(a - b)))
-
-
-def masked_region_mse_gamma(predicted, truth, mask):
-    """mse_gamma restricted to saturated content, weighted by (1 - mask).
-
-    Returns NaN when the mask is all ones (no saturated support).
+    clipped to [0,1], and encoded with exponent 1/2.2, once for both
+    scores. ``mse`` is the mean square over all pixels and channels;
+    ``masked_mse`` weights it by (1 - mask), the saturated content, and is
+    NaN when the mask is all ones (no saturated support).
     """
     p = predicted.pixels if isinstance(predicted, HdrImage) else np.asarray(predicted)
     g = truth.pixels if isinstance(truth, HdrImage) else np.asarray(truth)
     w = 1.0 - np.asarray(mask)
     if p.shape != g.shape or p.shape != w.shape:
-        raise DimensionError("shape mismatch in masked mse")
-    total = w.sum()
-    if total <= 0:
-        return float("nan")
+        raise DimensionError(f"shape mismatch: predicted {p.shape}, truth {g.shape}, "
+                             f"mask {w.shape}")
     a, b = _display_encode_pair(p, g)
-    return float((w * np.square(a - b)).sum() / total)
+    sq = np.square(a - b)
+    total = w.sum()
+    masked = float((w * sq).sum() / total) if total > 0 else float("nan")
+    return float(np.mean(sq)), masked
 
 
 def _display_encode_pair(p, g):
@@ -279,12 +276,3 @@ def _display_encode_pair(p, g):
     a = np.power(np.clip(p / norm, 0.0, 1.0), MSE_DISPLAY_EXPONENT)
     b = np.power(np.clip(g / norm, 0.0, 1.0), MSE_DISPLAY_EXPONENT)
     return a, b
-
-
-def saturation_percentage(ldr, alpha=DEFAULT_SATURATION_THRESHOLD):
-    """Percentage of pixels whose brightest channel exceeds ``alpha``."""
-    t = ldr.pixels if isinstance(ldr, LdrImage) else np.asarray(ldr)
-    if np.any(t < 0) or np.any(t > 1):
-        raise DomainError("saturation_percentage input must lie in [0,1]")
-    saturated = t.max(axis=0) > alpha
-    return 100.0 * float(saturated.mean())

@@ -32,9 +32,8 @@ from math import ceil, exp, isfinite, ldexp
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .network import exposure_mask
 from .pipeline import (DEFAULT_SATURATION_THRESHOLD, HdrImage, LdrImage, apply_exposure,
-                       exposure_scales, rgb_to_gray, saturation_percentage)
+                       exposure_mask, exposure_scales, rgb_to_gray)
 
 
 @dataclass(frozen=True)
@@ -316,8 +315,9 @@ def sample_patches(hdr, config=None, seed=0, image_id="", curve=None):
     Each crop gets its own randomized exposure: a saturation percentile is
     drawn per patch (unless the config pins one) and anchored to the full
     image's luminance distribution, times ``curve``'s exposure, so crops of
-    dark content stay unsaturated and are discarded. The remaining crops
-    are kept when their texture score exceeds the threshold. Deterministic
+    dark content stay unsaturated (their mask is all ones) and are
+    discarded. The remaining crops are kept when their texture score
+    exceeds the threshold. Deterministic
     per seed; results are sorted by offset. Each record's ground truth is the exposure-scaled radiance, so
     input and target describe the same virtual camera.
     """
@@ -341,9 +341,9 @@ def sample_patches(hdr, config=None, seed=0, image_id="", curve=None):
         patch = h[:, oy:oy + ps, ox:ox + ps]
         ldr = apply_exposure(patch, scale, curve=curve,
                              quantize_bits=config.quantize_bits)
-        if saturation_percentage(ldr, config.alpha) == 0.0:
-            continue
         mask = exposure_mask(ldr.pixels, config.alpha)
+        if mask.min() == 1:
+            continue
         scaled = HdrImage(patch * patch.dtype.type(scale))
         score = patch_metric(scaled, mask, config)
         if score > config.metric_threshold:

@@ -23,7 +23,7 @@ from .losses import (FeatureExtractor, InpaintingLossWeights, LossWeights,
                      inpainting_loss, total_loss)
 from .network import (MASKING_MODES, UNetConfig, UNetParameters, layer_plan, predict,
                       unet_forward)
-from .pipeline import compose_hdr, masked_region_mse_gamma, mse_gamma
+from .pipeline import compose_hdr, mse_gamma_scores
 from .sampler import SamplerConfig, generate_inpainting_mask, sample_corpus
 from .synthetic import make_hdr_corpus
 from .tensor import AdamState
@@ -390,12 +390,13 @@ def evaluate(records, params=None, predictor=None, bins=10):
     for rec in records:
         y = predictor(rec)
         recon = compose_hdr(rec.ldr, rec.mask, y)
+        mse, masked_mse = mse_gamma_scores(recon.pixels, rec.hdr.pixels, rec.mask)
         per_record.append({
             "image_id": rec.image_id,
             "offset": tuple(rec.offset),
             "saturation_pct": 100.0 * float((rec.mask < 1).any(axis=0).mean()),
-            "mse": mse_gamma(recon.pixels, rec.hdr.pixels),
-            "masked_mse": masked_region_mse_gamma(recon.pixels, rec.hdr.pixels, rec.mask),
+            "mse": mse,
+            "masked_mse": masked_mse,
             "reconstruction": recon,
         })
     rows = []

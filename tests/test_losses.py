@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdrmask import losses as L
 from hdrmask import tensor as T
 from hdrmask.errors import ContractError, DimensionError, DomainError
 
-from oracles import gram_loops
+from oracles import gram_loops, mu_law_scalar
 
 
 def rnd(seed):
@@ -17,6 +18,35 @@ def rnd(seed):
 @pytest.fixture(scope="module")
 def extractor():
     return L.FeatureExtractor(channels=(4, 8), seed=1)
+
+
+def mu_law(x, **kw):
+    return L.mu_law_compress(T.constant(np.array(x)), **kw).item()
+
+
+class TestMuLaw:
+    def test_fixes_zero_and_one(self):
+        assert mu_law(0.0) == 0.0
+        assert np.isclose(mu_law(1.0), 1.0, atol=1e-15)
+
+    def test_spot_value(self):
+        got = mu_law(0.002, mu=500)
+        want = math.log(2.0) / math.log(501.0)
+        assert abs(got - want) < 1e-12
+        assert abs(got - mu_law_scalar(0.002)) < 1e-12
+        assert abs(got - 0.111499) < 1e-6
+
+    def test_rejects_negative(self):
+        with pytest.raises(DomainError):
+            L.mu_law_compress(T.constant(np.array([-0.1])))
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_strictly_monotone(self, a, b):
+        lo, hi = sorted((a, b))
+        if hi - lo < 1e-12:
+            return
+        assert mu_law(hi) > mu_law(lo)
 
 
 class TestReconstructionLoss:

@@ -3,12 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hdrmask import pipeline as P
 from hdrmask.errors import DimensionError, DomainError, NumericError
-
-from oracles import mu_law_scalar
 
 
 def rnd(seed):
@@ -140,49 +137,29 @@ class TestComposeHdr:
         assert peak <= 3 * out.pixels.nbytes, peak / out.pixels.nbytes
 
 
-class TestMuLaw:
-    def test_fixes_zero_and_one(self):
-        assert P.mu_law_compress(np.array(0.0)) == 0.0
-        assert np.isclose(P.mu_law_compress(np.array(1.0)), 1.0, atol=1e-15)
-
-    def test_spot_value(self):
-        got = P.mu_law_compress(np.array(0.002), mu=500)
-        want = math.log(2.0) / math.log(501.0)
-        assert abs(got - want) < 1e-12
-        assert abs(got - mu_law_scalar(0.002)) < 1e-12
-        assert abs(got - 0.111499) < 1e-6
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            P.mu_law_compress(np.array([-0.1]))
-
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    @settings(max_examples=60, deadline=None)
-    def test_strictly_monotone(self, a, b):
-        lo, hi = sorted((a, b))
-        if hi - lo < 1e-12:
-            return
-        assert P.mu_law_compress(np.array(hi)) > P.mu_law_compress(np.array(lo))
-
-
 class TestMseGamma:
     def test_identical_images_score_zero(self):
         h = rnd(2).random((3, 8, 8)) * 5
-        assert P.mse_gamma(h, h) == 0.0
+        assert P.mse_gamma_scores(h, h, np.zeros_like(h)) == (0.0, 0.0)
 
     def test_always_non_negative(self):
         rng = rnd(3)
         a, b = rng.random((3, 6, 6)), rng.random((3, 6, 6)) + 0.1
-        assert P.mse_gamma(a, b) >= 0.0
+        mse, masked = P.mse_gamma_scores(a, b, rng.random((3, 6, 6)))
+        assert mse >= 0.0 and masked >= 0.0
 
     def test_full_scale_difference_is_one(self):
         truth = np.ones((3, 8, 8))
         pred = np.zeros((3, 8, 8))
-        assert np.isclose(P.mse_gamma(pred, truth), 1.0)
+        assert np.allclose(P.mse_gamma_scores(pred, truth, np.zeros_like(truth)), 1.0)
 
     def test_degenerate_truth_rejected(self):
         with pytest.raises(DomainError):
-            P.mse_gamma(np.ones((3, 4, 4)), np.zeros((3, 4, 4)))
+            P.mse_gamma_scores(np.ones((3, 4, 4)), np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            P.mse_gamma_scores(np.ones((3, 4, 4)), np.ones((3, 4, 4)), np.ones((3, 4, 5)))
 
     def test_masked_variant_ignores_valid_region(self):
         truth = np.ones((3, 8, 8))
@@ -190,24 +167,12 @@ class TestMseGamma:
         pred[:, :4] = 0.2
         mask = np.ones((3, 8, 8))
         mask[:, :4] = 0.0  # errors live exactly where the mask is zero
-        full = P.masked_region_mse_gamma(pred, truth, mask)
-        assert full > 0
-        clean = P.masked_region_mse_gamma(truth, truth, mask)
-        assert clean == 0.0
-        assert math.isnan(P.masked_region_mse_gamma(pred, truth, np.ones_like(mask)))
-
-
-class TestSaturationPercentage:
-    def test_black_image(self):
-        assert P.saturation_percentage(np.zeros((3, 5, 5))) == 0.0
-
-    def test_white_image(self):
-        assert P.saturation_percentage(np.ones((3, 5, 5))) == 100.0
-
-    def test_single_pixel_in_hundred(self):
-        t = np.zeros((3, 10, 10))
-        t[0, 3, 7] = 0.99
-        assert P.saturation_percentage(t) == 1.0
+        mse, full = P.mse_gamma_scores(pred, truth, mask)
+        assert full > mse > 0
+        assert P.mse_gamma_scores(truth, truth, mask)[1] == 0.0
+        mse_valid, masked_valid = P.mse_gamma_scores(pred, truth, np.ones_like(mask))
+        assert mse_valid == mse
+        assert math.isnan(masked_valid)
 
 
 class TestWellExposedRecovery:

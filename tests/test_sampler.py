@@ -460,13 +460,12 @@ class TestSamplePatches:
 
     def test_postconditions_hold_for_every_record(self):
         cfg = S.SamplerConfig(patch_size=64, patches_per_image=6)
-        from hdrmask.pipeline import saturation_percentage
         from hdrmask.network import exposure_mask
         for i in range(4):
             for rec in S.sample_patches(hdr_scene(40 + i, size=(96, 96)), cfg,
                                         seed=i, image_id=f"s{i}"):
                 assert rec.score > cfg.metric_threshold
-                assert saturation_percentage(rec.ldr, cfg.alpha) > 0
+                assert (rec.mask < 1).any()
                 assert np.array_equal(rec.mask, exposure_mask(rec.ldr.pixels, cfg.alpha))
 
     def test_corpus_kept_set_and_rank_order_match_direct_reference(self):

@@ -16,7 +16,10 @@ before numpy loads, as the benchmark does. The lines are:
   on a default-alpha shard (16 crops of two synthetic scenes), and the
   ``repr`` of ``validation_mse`` on the shard's records;
 * ``unet_forward``'s output, mask stack and parameter gradients in each
-  masking mode (a 2x3x64x64 float32 batch).
+  masking mode (a 2x3x64x64 float32 batch);
+* the ``sample_corpus`` records (offsets, scores, LDR and mask bytes) of
+  three synthetic scenes in float32 and float64, at alphas 0.3, 0.5 and the
+  default, every crop with saturated support kept (threshold 0).
 """
 
 import contextlib
@@ -35,7 +38,7 @@ sys.dont_write_bytecode = True
 import numpy as np  # noqa: E402  (after the thread pinning)
 
 from hdrmask import cli, formats, network, synthetic, tensor as T, training  # noqa: E402
-from hdrmask.pipeline import simulate_ldr  # noqa: E402
+from hdrmask.pipeline import DEFAULT_SATURATION_THRESHOLD, simulate_ldr  # noqa: E402
 from hdrmask.sampler import SamplerConfig, sample_corpus  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -91,6 +94,16 @@ def main():
             print(f"forward {mode} output {sha(y.data)}")
             print(f"forward {mode} masks {sha(*(a for _, a in stack))}")
             print(f"forward {mode} gradients {sha(*(t.grad for t in tensors.values()))}")
+    scenes = synthetic.make_hdr_corpus(3, seed=5)
+    for dtype in (np.float32, np.float64):
+        named = [(f"scene{i}", s.pixels.astype(dtype)) for i, s in enumerate(scenes)]
+        for alpha in (0.3, 0.5, DEFAULT_SATURATION_THRESHOLD):
+            records = sample_corpus(named, SamplerConfig(
+                patch_size=32, patches_per_image=12, metric_threshold=0.0, alpha=alpha))
+            digest = sha(np.array([r.offset for r in records]),
+                         np.array([r.score for r in records]),
+                         *(a for r in records for a in (r.ldr.pixels, r.mask)))
+            print(f"sample {np.dtype(dtype).name} alpha {alpha} {len(records)} records {digest}")
 
 
 if __name__ == "__main__":
