@@ -7,9 +7,10 @@ be loaded from a checkpoint) on mu-law range-compressed images
 pooling. All l1 terms are mean-reduced so the weights are independent of
 resolution.
 
-Functions in this module accept either plain arrays or graph Tensors for
-the prediction argument and return scalar Tensors; call ``.item()`` for
-the float value.
+Every loss takes the prediction as the network's (N,C,H,W) Tensor and
+the truth and masks as arrays of that shape, which it casts to the
+prediction's dtype. The terms are scalar Tensors; call ``.item()`` for the
+float value.
 """
 
 from __future__ import annotations
@@ -118,10 +119,9 @@ class FeatureExtractor:
             out[f"extractor.stage{i}.bias"] = b.astype(np.float32)
         return out
 
-    def features(self, x):
-        """Tap activations of an (N,C,H,W) batch after each stage's pooling,
+    def features(self, t):
+        """Tap activations of an (N,C,H,W) Tensor after each stage's pooling,
         outermost first."""
-        t = x if isinstance(x, Tensor) else T.constant(x)
         if t.data.ndim != 4 or t.data.shape[1] != self.in_channels:
             raise DimensionError(
                 f"extractor expects (N,{self.in_channels},H,W), got {t.data.shape}")
@@ -136,17 +136,14 @@ class FeatureExtractor:
         return taps
 
 
-def _batch(x, dtype=None):
-    """Promote a (C,H,W) or (N,C,H,W) array or Tensor to a 4-D Tensor.
-
-    Arrays become constants of ``dtype``; Tensors keep their dtype.
-    """
-    t = x if isinstance(x, Tensor) else T.constant(np.asarray(x), dtype=dtype)
-    if t.data.ndim == 3:
-        t = T.reshape(t, (1,) + t.data.shape)
-    if t.data.ndim != 4:
-        raise DimensionError(f"expected an image or batch, got shape {t.data.shape}")
-    return t
+def _like(pred, *arrays):
+    """The truth and mask ``arrays`` cast to the dtype of the (N,C,H,W)
+    prediction Tensor ``pred``, whose shape each must have."""
+    out = [np.asarray(a).astype(pred.data.dtype, copy=False) for a in arrays]
+    if pred.data.ndim != 4 or any(a.shape != pred.data.shape for a in out):
+        raise DimensionError(f"a prediction of shape {pred.data.shape} needs an (N,C,H,W) "
+                             f"batch and arrays of its shape, got {[a.shape for a in out]}")
+    return out
 
 
 def mu_law_compress(x, mu=DEFAULT_MU):
@@ -160,48 +157,33 @@ def mu_law_compress(x, mu=DEFAULT_MU):
 
 def reconstruction_loss(y_hat, hdr, mask):
     """Mean l1 distance to log radiance, restricted to saturated content."""
-    y = _batch(y_hat)
-    h = _batch(hdr, y.data.dtype).data
-    m = _batch(mask, y.data.dtype).data
-    if h.shape != y.data.shape or m.shape != y.data.shape:
-        raise DimensionError(
-            f"shape mismatch: prediction {y.data.shape}, truth {h.shape}, mask {m.shape}")
-    target = np.log1p(h)
-    return T.tmean(T.absolute((y - target) * (1.0 - m)))
+    h, m = _like(y_hat, hdr, mask)
+    return T.tmean(T.absolute((y_hat - np.log1p(h)) * (1.0 - m)))
 
 
 def blend_with_ground_truth(hdr, y_hat, mask):
     """Ground truth where valid, prediction where saturated, as a Tensor.
 
-    The prediction (a Tensor, or an array taken as a constant) is mapped
-    back to linear radiance with exp(y) - 1 before blending. May be
-    slightly negative where the prediction is; callers clamp as needed.
+    The prediction is mapped back to linear radiance with exp(y) - 1
+    before blending. May be slightly negative where the prediction is;
+    callers clamp as needed.
     """
-    y = _batch(y_hat)
-    h = _batch(hdr, y.data.dtype).data
-    m = _batch(mask, y.data.dtype).data
-    return m * h + (1.0 - m) * (y.exp() - 1.0)
+    h, m = _like(y_hat, hdr, mask)
+    return m * h + (1.0 - m) * (y_hat.exp() - 1.0)
 
 
 def gram_matrix(features):
-    """Channel Gram matrix normalized by the feature count C*H*W.
+    """Channel Gram matrices of an (N,C,H,W) feature Tensor, normalized by
+    the feature count C*H*W: an (N,C,C) Tensor, one matrix per sample.
 
-    ``features`` is a (H*W, C) matrix, giving (C, C), or an (N,C,H,W)
-    batch, giving one (C, C) matrix per sample. Arrays give arrays and
-    Tensors give Tensors through the same operations, so a constant target
-    and a prediction with equal features have bit-identical Grams.
+    A constant target and a prediction with equal features go through the
+    same operations, so their Grams are bit-identical.
     """
-    t = features if isinstance(features, Tensor) else T.constant(features)
-    if t.data.ndim == 2:
-        flat, flat_t, count = T.transpose(t, (1, 0)), t, t.data.size
-    elif t.data.ndim == 4:
-        n, c, h, w = t.data.shape
-        flat = T.reshape(t, (n, c, h * w))
-        flat_t, count = T.transpose(flat, (0, 2, 1)), c * h * w
-    else:
-        raise DimensionError(f"gram_matrix wants (HW, C) or (N,C,H,W), got {t.data.shape}")
-    gram = T.matmul(flat, flat_t) / count
-    return gram if isinstance(features, Tensor) else gram.data
+    if features.data.ndim != 4:
+        raise DimensionError(f"gram_matrix wants (N,C,H,W), got {features.data.shape}")
+    n, c, h, w = features.data.shape
+    flat = T.reshape(features, (n, c, h * w))
+    return T.matmul(flat, T.transpose(flat, (0, 2, 1))) / (c * h * w)
 
 
 def _feature_terms(images, truth, extractor):
@@ -213,7 +195,7 @@ def _feature_terms(images, truth, extractor):
     by image in the given order, outermost tap first. Returns (vgg, style)
     as scalar Tensors.
     """
-    targets = [(f.data, gram_matrix(f.data)) for f in extractor.features(T.constant(truth))]
+    targets = [(f.data, gram_matrix(f).data) for f in extractor.features(T.constant(truth))]
     vgg = style = None
     for img in images:
         for fa, (fb, gram_b) in zip(extractor.features(img), targets):
@@ -224,25 +206,21 @@ def _feature_terms(images, truth, extractor):
     return vgg, style
 
 
-def perceptual_loss(h_tilde, hdr, extractor, weights=None, norm_scale=None):
+def perceptual_loss(blend, hdr, extractor, mu=DEFAULT_MU):
     """Feature and style distances between a blend and its ground truth.
 
-    Both images are divided by the ground truth's maximum (or an explicit
-    ``norm_scale``) and compressed by :func:`mu_law_compress`
+    ``blend`` is an (N,C,H,W) Tensor and ``hdr`` an array of its shape.
+    Both images are divided by the ground truth's maximum (by 1 where that
+    is not positive) and compressed by :func:`mu_law_compress` with ``mu``
     before feature extraction, the blend as a Tensor and the truth as a
     constant through the same ops. The blend is clamped at zero first so
     the compressor stays in domain. Returns (vgg, style) as scalar Tensors.
     """
-    weights = weights or LossWeights()
-    a = _batch(h_tilde)
-    h = _batch(hdr, a.data.dtype).data
-    if h.shape != a.data.shape:
-        raise DimensionError(f"shape mismatch {a.data.shape} vs {h.shape}")
-    scale = float(h.max()) if norm_scale is None else float(norm_scale)
+    (h,) = _like(blend, hdr)
+    scale = float(h.max())
     if scale <= 0:
         scale = 1.0
-    mu = weights.mu
-    ca = mu_law_compress(T.relu(a) / scale, mu)
+    ca = mu_law_compress(T.relu(blend) / scale, mu)
     # Same operation sequence as the graph path, the division by the scale
     # included, so that identical images produce bit-identical compressed
     # inputs (and an exactly zero loss).
@@ -257,11 +235,10 @@ def total_loss(y_hat, hdr, mask, extractor, weights=None):
     weight is zero, which is the pure-l1 ablation.
     """
     weights = weights or LossWeights()
-    y = _batch(y_hat)
-    rec = reconstruction_loss(y, hdr, mask)
+    rec = reconstruction_loss(y_hat, hdr, mask)
     if weights.perceptual > 0:
-        blend = blend_with_ground_truth(hdr, y, mask)
-        vgg, style = perceptual_loss(blend, hdr, extractor, weights)
+        blend = blend_with_ground_truth(hdr, y_hat, mask)
+        vgg, style = perceptual_loss(blend, hdr, extractor, weights.mu)
         node = rec * weights.reconstruction + (vgg * weights.vgg + style * weights.style) * weights.perceptual
         components = {"reconstruction": rec.item(), "vgg": vgg.item(), "style": style.item()}
     else:
@@ -294,11 +271,8 @@ def inpainting_loss(predicted, truth, hole_mask, extractor, weights=None):
     charged on the composite over a one-pixel dilation of the hole region.
     """
     weights = weights or InpaintingLossWeights()
-    p = _batch(predicted)
-    g = _batch(truth, p.data.dtype).data
-    m = _batch(hole_mask, p.data.dtype).data
-    if g.shape != p.data.shape or m.shape != p.data.shape:
-        raise DimensionError("shape mismatch in inpainting loss")
+    p = predicted
+    g, m = _like(p, truth, hole_mask)
     if not np.all((m == 0) | (m == 1)):
         raise DomainError("inpainting hole mask must be binary")
 

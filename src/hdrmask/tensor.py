@@ -27,9 +27,10 @@ input; the masks it multiplies ``dx`` by are the caller's.
 
 The graph keeps each node's data, which is what the vjps read; the only
 large array a vjp saves beside it is a convolution's planes. :func:`backward`
-releases each interior gradient as soon as its vjp has consumed it, so a
-sweep holds the graph plus the gradients still in flight, and only leaves
-keep ``grad``.
+hands each vjp the only reference to its node's gradient, which is freed as
+soon as the vjp is done with it (a conv's once the activation's derivative
+is applied), so a sweep holds the graph plus the gradients still in flight,
+and only leaves keep ``grad``.
 
 Values live in numpy arrays. float32 is the working precision for training;
 gradient verification against finite differences should be run in float64,
@@ -55,10 +56,8 @@ DEFAULT_DTYPE = np.float32
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
-def _as_float_array(data, dtype=None):
+def _as_float_array(data):
     arr = np.asarray(data)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
     if arr.dtype in _FLOAT_DTYPES:
         return arr
     return arr.astype(DEFAULT_DTYPE)
@@ -88,8 +87,8 @@ class Tensor:
     # Let `ndarray <op> Tensor` fall through to our reflected operators.
     __array_ufunc__ = None
 
-    def __init__(self, data, requires_grad=False, name=None, dtype=None):
-        self.data = _as_float_array(data, dtype)
+    def __init__(self, data, requires_grad=False, name=None):
+        self.data = _as_float_array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.name = name
@@ -140,12 +139,12 @@ class Tensor:
         return log(self)
 
 
-def parameter(data, name=None, dtype=None):
-    return Tensor(data, requires_grad=True, name=name, dtype=dtype)
+def parameter(data, name=None):
+    return Tensor(data, requires_grad=True, name=name)
 
 
-def constant(data, name=None, dtype=None):
-    return Tensor(data, requires_grad=False, name=name, dtype=dtype)
+def constant(data, name=None):
+    return Tensor(data, requires_grad=False, name=name)
 
 
 def _lift(value, dtype):
@@ -802,13 +801,30 @@ def _toposort(root):
     return order
 
 
+def _take_grad(node):
+    """``node.grad``, which the node drops: passed straight to its vjp, the
+    gradient is referenced by the vjp alone, which can free it once used."""
+    g, node.grad = node.grad, None
+    return g
+
+
+def _pass_back(node):
+    """Add ``node``'s vjp of its gradient into its parents' gradients. In a
+    frame of its own, so no gradient of this node or of the last one stays
+    referenced while the next vjp runs."""
+    for parent, g in zip(node._parents, node._vjp(_take_grad(node))):
+        if g is None or not parent.requires_grad:
+            continue
+        parent.grad = g if parent.grad is None else parent.grad + g
+
+
 def backward(root, parameters=()):
     """Populate ``grad`` on the leaves reachable from a scalar ``root``.
 
     Only leaves (parameters, and inputs that require a gradient) keep
-    ``grad``: an interior node's gradient is released as soon as its vjp has
-    consumed it, so the sweep never holds a gradient for every node of the
-    graph. Parameters that the root does not depend on get a zero gradient,
+    ``grad``: an interior node's gradient is handed to its vjp as the only
+    reference and freed as soon as the vjp is done with it, so the sweep
+    never holds a gradient for every node of the graph. Parameters that the root does not depend on get a zero gradient,
     so the optimizer can treat the result uniformly.
     """
     if root.data.size != 1:
@@ -820,17 +836,8 @@ def backward(root, parameters=()):
     order = _toposort(root)
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
-        if node._vjp is None:
-            continue
-        grads = node._vjp(node.grad)
-        node.grad = None
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                parent.grad = g
-            else:
-                parent.grad = parent.grad + g
+        if node._vjp is not None:
+            _pass_back(node)
     for p in parameters:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)

@@ -253,8 +253,7 @@ def train_inpainting(images, config, unet_config=None, extractor=None,
     :func:`~hdrmask.network.predict` under a hole mask fixed per image. With
     one image nothing is held out, and the final parameters count as best.
     """
-    images = [np.asarray(im.pixels if hasattr(im, "pixels") else im, dtype=np.float32)
-              for im in images]
+    images = [np.asarray(im, dtype=np.float32) for im in images]
     extractor, params, adam, train, val = _stage_setup(
         images, range(len(images)), "inpainting", config, unet_config, extractor,
         init_params, init_adam)
@@ -278,7 +277,7 @@ def train_inpainting(images, config, unet_config=None, extractor=None,
         for j, img in enumerate(val[:config.max_val_items]):
             mask = generate_inpainting_mask(img.shape, seed=int(
                 np.random.default_rng(np.random.SeedSequence([config.seed, 99, j])).integers(0, 2 ** 31)))
-            pred = predict((img * mask)[None], mask[None], params)
+            pred = T.constant(predict((img * mask)[None], mask[None], params))
             losses.append(inpainting_loss(pred, img[None], mask[None], extractor,
                                           weights).total)
         return float(np.mean(losses))

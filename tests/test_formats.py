@@ -1,5 +1,4 @@
 import hashlib
-import io
 import struct
 import tracemalloc
 
@@ -8,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdrmask import formats as F
-from hdrmask.errors import (ChecksumError, ContractError, DimensionError, FormatError,
-                            UnsupportedFormatError, VersionError)
-from hdrmask.pipeline import HdrImage
+from hdrmask.errors import (ChecksumError, ContractError, FormatError, UnsupportedFormatError,
+                            VersionError)
 from hdrmask.sampler import SamplerConfig, sample_patches
 from hdrmask.synthetic import hdr_scene
 from hdrmask.errors import HdrMaskError

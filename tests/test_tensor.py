@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -671,6 +673,32 @@ class TestBackwardReleasesGradients:
             dx.append(x.grad)
         # The input gradient never read them.
         assert dx[0].tobytes() == dx[1].tobytes()
+
+    def test_relu_conv_drops_its_incoming_gradient_before_its_conv_grads(self, monkeypatch):
+        # backward hands a vjp the only reference to its node's gradient, so
+        # a conv's vjp frees it once the activation's derivative is applied.
+        rng = rnd(33)
+        x = T.parameter(rng.normal(size=(1, 3, 8, 8)))
+        w1 = T.parameter(rng.normal(size=(4, 3, 3, 3)))
+        w2 = T.parameter(rng.normal(size=(2, 4, 3, 3)))
+        hidden = T.conv2d(x, w1, None, padding=1, activation_kind="relu")
+        out = T.conv2d(hidden, w2, None, padding=1, activation_kind="relu")
+        received, alive = [], []
+        activation_grad, conv_grads = T._activation_grad, T._conv_grads
+
+        def spy_activation_grad(g, *args):
+            received.append(weakref.ref(g))
+            return activation_grad(g, *args)
+
+        def spy_conv_grads(*args):
+            alive.append(received[-1]() is not None)
+            return conv_grads(*args)
+
+        monkeypatch.setattr(T, "_activation_grad", spy_activation_grad)
+        monkeypatch.setattr(T, "_conv_grads", spy_conv_grads)
+        T.backward(T.tsum(out * out), [x, w1, w2])
+        assert alive == [False, False]
+        assert all(p.grad is not None for p in (x, w1, w2))
 
 
 class TestCheckGradients:

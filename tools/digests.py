@@ -19,7 +19,12 @@ before numpy loads, as the benchmark does. The lines are:
   masking mode (a 2x3x64x64 float32 batch);
 * the ``sample_corpus`` records (offsets, scores, LDR and mask bytes) of
   three synthetic scenes in float32 and float64, at alphas 0.3, 0.5 and the
-  default, every crop with saturated support kept (threshold 0).
+  default, every crop with saturated support kept (threshold 0);
+* the run-log losses, ``best_val`` and parameters of a 4-step
+  ``train_inpainting`` (levels 2, base 4, four synthetic textures, two
+  steps per epoch);
+* the values and input gradients of ``inpainting_loss`` and ``total_loss``
+  on a fixed 2x3x16x16 float64 batch.
 """
 
 import contextlib
@@ -37,9 +42,9 @@ sys.dont_write_bytecode = True
 
 import numpy as np  # noqa: E402  (after the thread pinning)
 
-from hdrmask import cli, formats, network, synthetic, tensor as T, training  # noqa: E402
+from hdrmask import cli, formats, losses, network, synthetic, tensor as T, training  # noqa: E402
 from hdrmask.pipeline import DEFAULT_SATURATION_THRESHOLD, simulate_ldr  # noqa: E402
-from hdrmask.sampler import SamplerConfig, sample_corpus  # noqa: E402
+from hdrmask.sampler import SamplerConfig, generate_inpainting_mask, sample_corpus  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 UNITS = (("train-hdr", 1, 1), ("train-hdr", 5, 1), ("reconstruct-512", 3, 3), ("curate", 1, 2))
@@ -104,6 +109,25 @@ def main():
                          np.array([r.score for r in records]),
                          *(a for r in records for a in (r.ldr.pixels, r.mask)))
             print(f"sample {np.dtype(dtype).name} alpha {alpha} {len(records)} records {digest}")
+    result = training.train_inpainting(
+        synthetic.make_texture_corpus(4, seed=2),
+        training.TrainConfig(max_steps=4, steps_per_epoch=2),
+        network.UNetConfig(levels=2, base_channels=4))
+    steps = [s["losses"] for s in result.run_log.steps]
+    print(f"inpainting {len(steps)} steps best_val {result.best_val!r} "
+          f"{sha(np.array([[s[k] for k in sorted(s)] for s in steps]))} "
+          f"params {sha(*result.params.named_arrays().values())}")
+    rng = np.random.default_rng(11)
+    truth, y, hdr, soft = (rng.random((2, 3, 16, 16)) for _ in range(4))
+    holes = np.stack([generate_inpainting_mask((3, 16, 16), seed=s) for s in (1, 2)])
+    extractor = losses.FeatureExtractor()
+    for name, loss, target, mask in (("inpainting", losses.inpainting_loss, truth, holes),
+                                     ("total", losses.total_loss, hdr * 4.0, soft)):
+        t = T.parameter(y)
+        report = loss(t, target, mask, extractor)
+        T.backward(report.node, [t])
+        print(f"loss {name} {report.total!r} {sorted(report.components.items())!r} "
+              f"gradient {sha(t.grad)}")
 
 
 if __name__ == "__main__":
