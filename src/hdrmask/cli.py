@@ -31,7 +31,7 @@ from .errors import HdrMaskError, ContractError, DomainError
 from . import formats
 from .losses import FeatureExtractor, LossWeights, total_loss
 from .network import (MASKING_MODES, MODE_FEATURE_MASK, UNetConfig, UNetParameters,
-                      export_mask_images, predict, unet_forward)
+                      export_mask_images, layer_plan, predict_strips, unet_forward)
 from .pipeline import (CURVE_KINDS, DEFAULT_SATURATION_THRESHOLD, CameraCurve, compose_hdr,
                        exposure_mask, simulate_ldr)
 from .sampler import (SamplerConfig, generate_inpainting_mask, sample_corpus,
@@ -116,14 +116,46 @@ def _unet_config(resolved):
                       mode=resolved.get("mode") or MODE_FEATURE_MASK)
 
 
-def _padded(x, m, factor):
-    """An (N, C, H, W) input and mask reflect-padded at the bottom and right
-    edges up to the next multiple of ``factor``, the extents the U-Net takes."""
-    h, w = x.shape[2:]
-    if h % factor or w % factor:
-        pad = ((0, 0), (0, 0), (0, -h % factor), (0, -w % factor))
-        x, m = np.pad(x, pad, mode="reflect"), np.pad(m, pad, mode="reflect")
-    return x, m
+def _reflected(n, factor):
+    """The photo rows (or columns) of the ``n`` reflect-padded at the end up to
+    the next multiple of ``factor``, the extents the U-Net takes; indexing
+    with them pads as ``np.pad(..., mode="reflect")`` does."""
+    return np.pad(np.arange(n), (0, -n % factor), mode="reflect")
+
+
+# The most memory `mask` or `reconstruct` may plan to use, checked against
+# each photo's extent before its payload is read. A fixed figure, not the
+# machine's free memory, so a photo is refused or run alike everywhere;
+# sized for a machine with 8 GB.
+MEMORY_BUDGET = 4 << 30
+
+
+def _check_budget(command, config, h, w):
+    """Refuse a photo whose ``command`` would need more than MEMORY_BUDGET.
+
+    The estimates are measured tracemalloc peaks over the padded extent. A
+    ``mask`` run holds every layer's float32 features and mask over the
+    whole photo (1.36-1.40 times their bytes, plus about 35 bytes a pixel
+    for the photo, its mask and the PGMs). A streamed ``reconstruct`` holds
+    the 4-byte-a-pixel table of saturated pixels and strips of every layer:
+    0.62-0.99 KB a column per base channel from 4096 columns on, where a
+    strip is the fewest rows (narrower photos take under 35 MB).
+    """
+    factor = config.downsample_factor
+    rows, cols = -(-h // factor) * factor, -(-w // factor) * factor
+    if command == "mask":
+        level, layers = 0, 0
+        for spec in layer_plan(config):
+            # A stride-2 encoder halves the extent; a decoder's upsample doubles it.
+            level += (spec.stride == 2) - spec.name.startswith("dec")
+            layers += 2 * 4 * spec.out_channels * (rows >> level) * (cols >> level)
+        need = 1.4 * layers + 40 * rows * cols
+    else:
+        need = 4 * (rows + 1) * (cols + 1) + 1024 * config.base_channels * cols
+    if need > MEMORY_BUDGET:
+        raise ContractError(f"{command} of a {w}x{h} photo would need about "
+                            f"{need / 2 ** 30:.1f} GiB, past the memory budget of "
+                            f"{MEMORY_BUDGET / 2 ** 30:g} GiB")
 
 
 def _load_hdr_dir(path):
@@ -167,16 +199,18 @@ _MASK_DEFAULTS = {"alpha": DEFAULT_SATURATION_THRESHOLD, "levels": 4, "base_chan
 
 
 def cmd_mask(args, resolved):
-    ldr = formats.read_ldr(args.input)
-    mask = exposure_mask(ldr.pixels, resolved["alpha"])
-    if args.checkpoint:
-        params = load_model(args.checkpoint).params
-    else:
-        params = initialize_parameters(_unet_config(resolved), resolved["seed"])
-    x, m = _padded(ldr.pixels[None], mask[None], params.config.downsample_factor)
+    with formats.LdrReader(args.input) as photo:
+        params = load_model(args.checkpoint).params if args.checkpoint else None
+        config = params.config if params else _unet_config(resolved)
+        h, w = photo.height, photo.width
+        _check_budget("mask", config, h, w)
+        ldr = photo.rows(0, h)
+    mask = exposure_mask(ldr, resolved["alpha"])
+    params = params or initialize_parameters(config, resolved["seed"])
+    rows, cols = (_reflected(n, config.downsample_factor) for n in (h, w))
+    x, m = (a[:, rows][:, :, cols][None] for a in (ldr, mask))
     _, stack = unet_forward(x, m, params.as_constants())
     # A layer at level l covers ceil(H / 2**l) x ceil(W / 2**l) of the photo.
-    _, h, w = mask.shape
     images = export_mask_images([(name, a[:, :, :-(-h * a.shape[2] // x.shape[2]),
                                           :-(-w * a.shape[3] // x.shape[3])])
                                  for name, a in stack])
@@ -309,15 +343,34 @@ _RECON_DEFAULTS = {"alpha": DEFAULT_SATURATION_THRESHOLD, "gamma": 2.0}
 
 
 def cmd_reconstruct(args, resolved):
+    """Read, mask, predict, compose and write the photo a strip of rows at a time.
+
+    No array of the photo's area exists but FMask's table of saturated
+    pixels (``network.predict_strips``); the PFM appears only once every
+    strip is written.
+    """
     curve = CameraCurve(gamma=resolved["gamma"])  # checks the knob before any work
-    ldr = formats.read_ldr(args.input)
-    model = load_model(args.checkpoint)
-    mask = exposure_mask(ldr.pixels, resolved["alpha"])
-    x, m = _padded(ldr.pixels[None], mask[None], model.params.config.downsample_factor)
-    y = predict(x, m, model.params)
-    _, h, w = mask.shape
-    hdr = compose_hdr(ldr, mask, y[0, :, :h, :w], gamma=curve.gamma)
-    formats.write_pfm(args.output, hdr)
+    alpha = resolved["alpha"]
+    with formats.LdrReader(args.input) as photo:
+        params = load_model(args.checkpoint).params
+        h, w = photo.height, photo.width
+        _check_budget("reconstruct", params.config, h, w)
+        photo.check_payload()
+        rows, cols = (_reflected(n, params.config.downsample_factor) for n in (h, w))
+
+        def source(a, b):
+            band = rows[a:b]
+            lo = int(band.min())
+            ldr = photo.rows(lo, int(band.max()) + 1)[:, band - lo][:, :, cols]
+            return ldr[None], exposure_mask(ldr, alpha)[None]
+
+        strips = predict_strips(source, (1, 3, len(rows), len(cols)), params)
+        with formats.pfm_strip_writer(args.output, 3, h, w) as write:
+            for a, y in strips:
+                ldr = photo.rows(a, min(a + y.shape[2], h))
+                hdr = compose_hdr(ldr, exposure_mask(ldr, alpha), y[0, :, :ldr.shape[1], :w],
+                                  gamma=curve.gamma, row=a)
+                write(a, hdr.pixels)
     out_dir = os.path.dirname(os.path.abspath(args.output))
     _write_manifest(out_dir, "reconstruct", resolved,
                     {"ldr": args.input, "checkpoint": args.checkpoint},
@@ -332,16 +385,19 @@ def cmd_eval(args, resolved):
     """Score a checkpoint on the records of a shard (``sample-patches`` makes one)."""
     model = load_model(args.checkpoint)
     records = formats.read_dataset_shard(args.shard)
-    report = evaluate(records, model.params, bins=resolved["bins"])
+
+    def dump(i, reconstruction):
+        os.makedirs(args.out_dir, exist_ok=True)
+        formats.write_pfm(os.path.join(args.out_dir, f"recon_{i:04d}.pfm"), reconstruction)
+
+    report = evaluate(records, model.params, bins=resolved["bins"],
+                      on_record=dump if resolved["dump_images"] else None)
     os.makedirs(args.out_dir, exist_ok=True)
     table_path = os.path.join(args.out_dir, "metrics.tsv")
     with open(table_path, "w") as fh:
         fh.write(report.to_text())
     outputs = {"metrics": table_path, "records": len(records)}
     if resolved["dump_images"]:
-        for i, rec in enumerate(report.per_record):
-            path = os.path.join(args.out_dir, f"recon_{i:04d}.pfm")
-            formats.write_pfm(path, rec["reconstruction"])
         outputs["reconstructions"] = len(report.per_record)
     _write_manifest(args.out_dir, "eval", resolved, {"shard": args.shard}, outputs)
     print(report.to_text(), end="")

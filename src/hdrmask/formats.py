@@ -35,12 +35,22 @@ Dataset shard (".mds")
 
 Readers never crash on hostile bytes: every malformed input raises a
 FormatError (or subclass) carrying a byte offset where that is meaningful.
+
+A photo need not be read or written whole. :class:`LdrReader` parses a
+PPM's header on its own, so its extent is known before any pixel is read,
+and then reads any band of rows with a seek and one ``readinto``;
+:func:`read_ldr` is that reader read to the end. :func:`pfm_strip_writer`
+writes a PFM a band of rows at a time into a file of its final size and
+puts it in place only when every band has been written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
+import mmap
+import os
 import struct
 
 import numpy as np
@@ -129,24 +139,61 @@ def write_pfm(path, image):
         raise DimensionError(f"PFM wants (1|3,H,W), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ContractError("PFM payload must be finite")
-    header, payload = _pfm_parts(arr)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+        fh.write(_pfm_header(*arr.shape))
+        fh.write(_pfm_payload(arr))
 
 
-def _pfm_parts(arr):
-    """A (C,H,W) array's PFM header and its payload: rows bottom-up, pixels
-    interleaved, little-endian float32, in one copy."""
-    c, h, w = arr.shape
-    magic = b"PF\n" if c == 3 else b"Pf\n"
-    header = magic + f"{w} {h}\n".encode() + b"-1.0\n"
-    return header, np.ascontiguousarray(arr.transpose(1, 2, 0)[::-1], dtype="<f4")
+def _pfm_header(c, h, w):
+    return (b"PF\n" if c == 3 else b"Pf\n") + f"{w} {h}\n".encode() + b"-1.0\n"
+
+
+def _pfm_payload(arr):
+    """A (C,H,W) array's PFM payload: rows bottom-up, pixels interleaved,
+    little-endian float32, in one copy."""
+    return np.ascontiguousarray(arr.transpose(1, 2, 0)[::-1], dtype="<f4")
 
 
 def encode_pfm(arr):
-    header, payload = _pfm_parts(arr)
-    return header + payload.tobytes()
+    return _pfm_header(*arr.shape) + _pfm_payload(arr).tobytes()
+
+
+@contextlib.contextmanager
+def pfm_strip_writer(path, channels, height, width):
+    """Write a (``channels``, ``height``, ``width``) PFM a band of rows at a time.
+
+    Yields ``write(row, pixels)``, which puts the (C, rows, W) float32 band
+    that starts at image row ``row`` at its bottom-up place in the file. The
+    file is a hidden temporary beside ``path``, sized in full before any band
+    is written; it replaces ``path`` when the block ends, and is removed if
+    the block raises, so no partial PFM is left. A band that is not finite
+    raises :class:`ContractError`, as :func:`write_pfm` does.
+    """
+    header = _pfm_header(channels, height, width)
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    row_bytes = channels * width * 4
+
+    def write(row, pixels):
+        if pixels.shape[0] != channels or pixels.shape[2] != width \
+                or not 0 <= row <= height - pixels.shape[1]:
+            raise DimensionError(f"a band of shape {pixels.shape} at row {row} does not fit "
+                                 f"a ({channels}, {height}, {width}) PFM")
+        if not np.all(np.isfinite(pixels)):
+            raise ContractError("PFM payload must be finite")
+        fh.seek(len(header) + (height - row - pixels.shape[1]) * row_bytes)
+        fh.write(_pfm_payload(pixels))
+
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.truncate(len(header) + height * row_bytes)
+            yield write
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_pfm(path_or_bytes):
@@ -210,9 +257,8 @@ def encode_ppm(arr):
     return header + np.ascontiguousarray(rgb).tobytes()
 
 
-def read_ldr(path_or_bytes):
-    """Parse a binary PPM (P6, maxval 255) into float32 (3,H,W) in [0,1]."""
-    data = _read_bytes(path_or_bytes)
+def _ppm_header(data):
+    """``(height, width, payload offset)`` of a binary PPM (P6, maxval 255)."""
     cur = _Cursor(data)
     magic = _read_header_token(cur, "magic")
     if magic in (b"P5", b"P4", b"P1", b"P2", b"P3"):
@@ -231,10 +277,71 @@ def read_ldr(path_or_bytes):
     sep = cur.take(1, "header separator")
     if sep not in b" \t\r\n":
         raise FormatError("missing whitespace after maxval", offset=cur.pos - 1)
-    payload = cur.take(w * h * 3, "pixel payload")
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
-    pixels = np.ascontiguousarray((raw.astype(np.float32) / np.float32(255.0)).transpose(2, 0, 1))
-    return LdrImage(pixels)
+    return h, w, cur.pos
+
+
+class LdrReader:
+    """A binary PPM (P6, maxval 255) read a band of rows at a time.
+
+    Opening parses the header only, so ``height`` and ``width`` are known
+    before any pixel is read; a header error raises here. A file's header is
+    parsed through a read-only map that is closed before the payload is
+    read, and the payload is read band by band into the band's own buffer,
+    so no page of the photo stays resident. :meth:`check_payload` raises the
+    truncation error of a payload shorter than the header says, and every
+    :meth:`rows` call checks it first. Use it as a context manager, or call
+    :meth:`close`.
+    """
+
+    def __init__(self, path_or_bytes):
+        if isinstance(path_or_bytes, (bytes, bytearray)):
+            data = bytes(path_or_bytes)
+            self.height, self.width, self._offset = _ppm_header(data)
+            self._fh, self._size = io.BytesIO(data), len(data)
+            return
+        self._fh = open(path_or_bytes, "rb")
+        try:
+            self._size = os.fstat(self._fh.fileno()).st_size
+            if not self._size:
+                raise FormatError("missing header token for magic", offset=0)
+            with mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ) as head:
+                self.height, self.width, self._offset = _ppm_header(head)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+    def close(self):
+        self._fh.close()
+
+    def check_payload(self):
+        want, have = self.height * self.width * 3, self._size - self._offset
+        if have < want:
+            raise FormatError(f"truncated file: wanted {want} bytes for pixel payload, "
+                              f"have {have}", offset=self._offset)
+
+    def rows(self, a, b):
+        """Rows ``[a, b)`` as float32 (3, b - a, W) in [0,1], each byte v as v / 255."""
+        self.check_payload()
+        if not 0 <= a <= b <= self.height:
+            raise DimensionError(f"rows [{a}, {b}) outside a photo of height {self.height}")
+        raw = np.empty((b - a, self.width, 3), dtype=np.uint8)
+        self._fh.seek(self._offset + a * self.width * 3)
+        if self._fh.readinto(raw) != raw.nbytes:
+            raise FormatError("photo payload shrank while it was read", offset=self._offset)
+        return np.ascontiguousarray((raw.astype(np.float32) / np.float32(255.0)).transpose(2, 0, 1))
+
+
+def read_ldr(path_or_bytes):
+    """Parse a binary PPM (P6, maxval 255) into float32 (3,H,W) in [0,1]."""
+    with LdrReader(path_or_bytes) as photo:
+        return LdrImage(photo.rows(0, photo.height))
 
 
 def read_hdr(path_or_bytes):

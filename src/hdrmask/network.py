@@ -26,11 +26,16 @@ window meets the image's edge, so the forward is a walk over row frontiers
 (depth-first, fused-layer execution; Alwani et al., MICRO 2016). Each layer
 advances just far enough for the next strip of output rows and keeps only
 the rows its consumers (the next conv, a decoder's skip or phase conv) still
-read. :func:`unet_forward`, which training and the mask export use, is the
-one-strip walk: every layer over the whole image at once, differentiable,
-with the full mask stack. :func:`predict` walks strips of constant
-parameters for inference, so its memory grows with the image's width rather
-than with its area times the number of layers; it agrees with
+read. The input is a node like the others: its rows come from a row source,
+``source(a, b)``, which returns rows ``[a, b)`` of the input and its mask,
+and it too keeps only the rows the first layer still reads. A whole array is
+the trivial source. :func:`unet_forward`, which training and the mask export
+use, is the one-strip walk: every layer over the whole image at once,
+differentiable, with the full mask stack. :func:`predict_strips` walks
+strips of constant parameters for inference and yields each finished strip,
+so with a source that reads a file (``hdrmask reconstruct``) its memory
+grows with the image's width rather than with its area; :func:`predict` is
+the concatenation of its strips over a whole array. Both agree with
 :func:`unet_forward` to rounding, and exactly when one strip covers the
 image.
 
@@ -39,7 +44,9 @@ all-valid mask. So in FMask the walk cuts each window of a layer's output
 into tiles and reads off the input which of them saturation reaches: a
 tile's rows and columns map down the layer graph to the input rectangle its
 receptive field covers, a summed-area table of the input's saturated pixels
-tells whether that rectangle holds one, and a tile whose receptive field
+(built in one pass over the source's rows before the walk; at 4 bytes a
+pixel, the one structure of the image's area that inference keeps) tells
+whether that rectangle holds one, and a tile whose receptive field
 passes the image's edge counts as reached too. A mask conv runs on the
 reached tiles only, gathered side by side into one convolution, and fills
 the others with the all-valid mask (the gather and scatter of SBNet, Ren et
@@ -379,22 +386,15 @@ def _as_batched(arr, channels, what):
     return a
 
 
-def _prepare(ldr, mask, config):
-    """The (N,C,H,W) input tensor and mask, checked; IMask applies the mask
-    to the input, and only FMask carries it on (the others get None)."""
-    x = T.constant(_as_batched(ldr, config.in_channels, "input"))
-    m = _as_batched(mask, config.in_channels, "mask").astype(x.data.dtype, copy=False)
-    if m.shape != x.data.shape:
-        raise DimensionError(f"mask shape {m.shape} != input shape {x.data.shape}")
+def _array_source(ldr, mask, config):
+    """The (N,C,H,W) input and mask, checked, as a row source and its shape."""
+    x = T.constant(_as_batched(ldr, config.in_channels, "input")).data
+    m = _as_batched(mask, config.in_channels, "mask").astype(x.dtype, copy=False)
+    if m.shape != x.shape:
+        raise DimensionError(f"mask shape {m.shape} != input shape {x.shape}")
     if np.any(m < 0) or np.any(m > 1):
         raise DomainError("mask values must lie in [0,1]")
-    h, w = x.data.shape[2], x.data.shape[3]
-    factor = config.downsample_factor
-    if h % factor or w % factor:
-        raise DimensionError(f"spatial extents {h}x{w} must be divisible by {factor}")
-    if config.mode == MODE_INPUT_MASK:
-        x = x * T.constant(m)
-    return x, m if config.mode == MODE_FEATURE_MASK else None
+    return (lambda a, b: (x[:, :, a:b], m[:, :, a:b])), x.shape
 
 
 def _edge_rows(edge, a, b, pad):
@@ -415,38 +415,48 @@ class _Frontier:
     """Each layer's computed rows in one U-Net pass, advanced on demand.
 
     Node 0 is the input and node ``j + 1`` layer ``j`` of :func:`layer_plan`.
-    A node reads ``(source node, stride, up)`` edges: the node before it (2x
+    The input's rows come from ``source(a, b)``, which returns rows ``[a, b)``
+    of the (N,C,H,W) input of extent ``shape`` and of its mask; IMask
+    multiplies each band of them, and only FMask carries the mask on. A node
+    reads ``(source node, stride, up)`` edges: the node before it (2x
     upsampled when ``up``, into a decoder) and a decoder's encoder skip. Each
-    node holds its features, and its mask if it has one, for rows
-    ``[keep, done)`` only. :meth:`advance` first drops the rows no consumer
-    reads again, then works out from the last layer backwards how far each
-    layer must get for the requested output rows, and runs the layers
-    forwards that far. A layer reads a window of its source's rows, padded
-    only where it meets the image's edge; a window that is all of the source
-    is the source itself, so one advance over the whole image runs the
-    whole-image operations and records the same graph. Later advances write
+    node, the input included, holds its features, and its mask if it has
+    one, for rows ``[keep, done)`` only. :meth:`advance` first drops the rows
+    no consumer reads again, then works out from the last layer backwards how
+    far each layer must get for the requested output rows, reads that far
+    into the source and runs the layers forwards that far. A layer reads a
+    window of its source's rows, padded only where it meets the image's
+    edge; a window that is all of the source is the source itself, so one
+    advance over the whole image runs the whole-image operations and records
+    the same graph. Later advances write
     into row buffers outside the differentiation graph, so they are for
     constant parameters only.
 
     A layer is one :func:`~hdrmask.tensor.conv2d` call, which scales its
     inputs by their masks, and then, in FMask, one :func:`propagate_mask`
     call, unless ``frozen`` (``{layer name: mask}``) pins that layer's mask.
-    In IMask and SConv the input mask ``m`` is None and no node has a mask.
-    Where FMask masks propagate, every other pixel's mask is its layer's
-    all-valid mask, which repeats with the node's ``period``: 1 for an
-    encoder, doubled by each decoder's upsample. The walk then keeps a
-    summed-area ``table`` of the input's saturated pixels and, per node, the
-    input bound of every row and every column (:meth:`_bounds`), so that
-    each window's :class:`CleanTiles` is a few lookups; each layer keeps its
-    pattern once it has computed it.
+    In IMask and SConv no node has a mask. Where FMask masks propagate,
+    every other pixel's mask is its layer's all-valid mask, which repeats
+    with the node's ``period``: 1 for an encoder, doubled by each decoder's
+    upsample. The walk then keeps a summed-area ``table`` of the input's
+    saturated pixels, built by one pass over the source's rows before the
+    walk starts, and, per node, the input bound of every row and every
+    column (:meth:`_bounds`), so that each window's :class:`CleanTiles` is a
+    few lookups; each layer keeps its pattern once it has computed it. At
+    4 bytes a pixel the table is the one structure that grows with the
+    input's area.
     """
 
-    def __init__(self, x, m, params, frozen=None, out_mask=True):
+    def __init__(self, source, shape, params, frozen=None, out_mask=True):
         self.config = config = params.config
         self.params, self.frozen, self.out_mask = params, frozen or {}, out_mask
         self.plan = layer_plan(config)
         self.pad = (config.kernel_size - 1) // 2
-        n, _, h, w = x.data.shape
+        n, _, h, w = shape
+        factor = config.downsample_factor
+        if h % factor or w % factor:
+            raise DimensionError(f"spatial extents {h}x{w} must be divisible by {factor}")
+        self.source = source
         self.edges, self.extents, self.period = [()], [(h, w)], [1]
         for j, spec in enumerate(self.plan):
             rows, cols = self.extents[j]
@@ -465,17 +475,20 @@ class _Frontier:
         self.side = max(8, config.downsample_factor)
         nodes = len(self.edges)
         self.patterns = [[None] for _ in range(nodes)]
-        self.keep = [0] * nodes
-        self.done = [h] + [0] * len(self.plan)
-        self.features = [x] + [None] * len(self.plan)
-        self.masks = [m] + [None] * len(self.plan)
+        self.keep, self.done = [0] * nodes, [0] * nodes
+        self.features, self.masks = [None] * nodes, [None] * nodes
         self.buffers, self.start = [None] * nodes, [None] * nodes
         self.table = None
-        if m is not None and not self.frozen:
+        if config.mode == MODE_FEATURE_MASK and not self.frozen:
             table = self.table = np.zeros((n, h + 1, w + 1),
                                           dtype=np.int32 if h * w < 2 ** 31 else np.int64)
-            np.cumsum((m < 1).any(axis=1), axis=1, dtype=table.dtype, out=table[:, 1:, 1:])
-            np.cumsum(table[:, 1:, 1:], axis=2, out=table[:, 1:, 1:])
+            step = max(1, _STRIP_ELEMS // (n * config.base_channels * w))
+            for a in range(0, h, step):
+                b = min(a + step, h)
+                rows = np.cumsum((self._input(a, b)[1] < 1).any(axis=1), axis=2,
+                                 dtype=table.dtype)
+                np.cumsum(rows, axis=1, out=rows)
+                np.add(rows, table[:, a:a + 1, 1:], out=table[:, a + 1:b + 1, 1:])
             self.bounds = [[(np.arange(e), np.arange(1, e + 1), np.zeros(e, dtype=bool))
                             for e in (h, w)]]
             for v in range(1, nodes):
@@ -494,10 +507,26 @@ class _Frontier:
                 for edge in self.edges[v]:
                     hi = _edge_rows(edge, self.done[v], need[v], self.pad)[1]
                     need[edge[0]] = max(need[edge[0]], min(hi, self.extents[edge[0]][0]))
+        if need[0] > self.done[0]:
+            self._read(need[0])
         for v in range(1, top + 1):
             if need[v] > self.done[v]:
                 self._compute(v, need[v])
         return self.features[top]
+
+    def _input(self, a, b):
+        """Rows ``[a, b)`` of the input, as a constant, and of its mask, in the input's dtype."""
+        x, m = self.source(a, b)
+        x = T.constant(x)
+        return x, m.astype(x.data.dtype, copy=False)
+
+    def _read(self, b):
+        """Append the input's rows ``[done, b)`` to node 0."""
+        x, m = self._input(self.done[0], b)
+        if self.config.mode == MODE_INPUT_MASK:
+            x = x * T.constant(m)
+        self._store(0, x, m if self.config.mode == MODE_FEATURE_MASK else None)
+        self.done[0] = b
 
     def _drop(self):
         """Forget each layer's rows below the first one a consumer reads next."""
@@ -507,7 +536,7 @@ class _Frontier:
                 for edge in edges:
                     lo = _edge_rows(edge, self.done[v], self.done[v] + 1, self.pad)[0]
                     low[edge[0]] = min(low[edge[0]], max(lo, 0))
-        for v in range(1, len(self.edges)):
+        for v in range(len(self.edges)):
             cut = min(low[v], self.done[v]) - self.keep[v]
             if cut > 0:
                 self.features[v] = T.constant(self.features[v].data[:, :, cut:])
@@ -637,41 +666,47 @@ def unet_forward(ldr, mask, params, frozen_masks=None):
     Every layer runs once over the whole image, so the result is
     differentiable; :func:`predict` bounds the memory of inference instead.
     """
-    x, m = _prepare(ldr, mask, params.config)
-    walk = _Frontier(x, m, params, frozen_masks)
-    y = walk.advance(x.data.shape[2])
-    one = np.ones((), dtype=x.data.dtype)
+    source, shape = _array_source(ldr, mask, params.config)
+    walk = _Frontier(source, shape, params, frozen_masks)
+    y = walk.advance(shape[2])
+    one = np.ones((), dtype=walk.features[0].data.dtype)
     names = ["input"] + [spec.name for spec in walk.plan]
     return y, [(name, np.broadcast_to(one, f.data.shape) if m is None else m)
                for name, f, m in zip(names, walk.features, walk.masks)]
 
 
+def predict_strips(source, shape, params):
+    """Yield ``(row, strip)``: the log-domain prediction a strip of rows at a time.
+
+    ``source(a, b)`` returns rows ``[a, b)`` of an (N,C,H,W) input of extent
+    ``shape`` and of its mask (see :func:`predict`); ``strip`` holds the
+    prediction's rows from ``row`` on, and the last strip may be shorter.
+    Runs on constant parameters, each layer advanced just far enough for the
+    strip and holding only the rows its consumers still read, the input
+    included, so memory grows with the image's width and not with its area
+    times the number of layers. The output layer's mask, which nothing
+    reads, is never computed. In FMask the source is read once more, ahead
+    of the walk, for the table of saturated pixels.
+    """
+    config = params.config
+    n, _, _, w = shape
+    factor = config.downsample_factor
+    strip = factor * max(1, _STRIP_ELEMS // (n * config.base_channels * w * factor))
+    walk = _Frontier(source, shape, params.as_constants(), out_mask=False)
+    for row in range(0, shape[2], strip):
+        yield row, walk.advance(row + strip).data
+
+
 def predict(ldr, mask, params):
     """The log-domain prediction of :func:`unet_forward`, as an array.
 
-    Takes the same (N,C,H,W) ``ldr`` and ``mask`` batches. Runs on constant
-    parameters a strip of output rows at a time, each layer advanced just far
-    enough for the strip and holding only the rows its consumers still read,
-    so memory grows with the image's width and not with its area times the
-    number of layers. The output layer's mask, which nothing reads, is never
-    computed. A batch whose strip covers the whole image runs the same
-    operations as :func:`unet_forward`; across strip boundaries results agree
-    to rounding.
+    Takes the same (N,C,H,W) ``ldr`` and ``mask`` batches, and is the
+    concatenation of :func:`predict_strips` over them. A batch whose strip
+    covers the whole image runs the same operations as :func:`unet_forward`;
+    across strip boundaries results agree to rounding.
     """
-    config = params.config
-    x, m = _prepare(ldr, mask, config)
-    n, _, h, w = x.data.shape
-    factor = config.downsample_factor
-    strip = factor * max(1, _STRIP_ELEMS // (n * config.base_channels * w * factor))
-    walk = _Frontier(x, m, params.as_constants(), out_mask=False)
-    first = walk.advance(strip).data
-    if first.shape[2] == h:
-        return first
-    y = np.empty(first.shape[:2] + (h, w), dtype=first.dtype)
-    y[:, :, :strip] = first
-    for start in range(strip, h, strip):
-        y[:, :, start:start + strip] = walk.advance(start + strip).data
-    return y
+    strips = [y for _, y in predict_strips(*_array_source(ldr, mask, params.config), params)]
+    return strips[0] if len(strips) == 1 else np.concatenate(strips, axis=2)
 
 
 def export_mask_images(mask_stack):

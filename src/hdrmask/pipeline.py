@@ -211,12 +211,14 @@ def _scale_at_pivot(pivot, peak, curve):
     return curve.exposure / pivot
 
 
-def compose_hdr(ldr, mask, y_hat, gamma=DEFAULT_GAMMA):
+def compose_hdr(ldr, mask, y_hat, gamma=DEFAULT_GAMMA, row=0):
     """Blend linearized input with the prediction into the final HDR image.
 
     Well-exposed pixels (mask 1) take the linearized input; saturated ones
     (mask 0) take exp(prediction) - 1. Clamped at zero from below.
-    ``gamma`` must be positive and finite.
+    ``gamma`` must be positive and finite. The inputs may be a band of an
+    image's rows that starts at image row ``row``, which an error's index
+    counts from.
     """
     _require_positive("gamma", gamma)
     t = ldr.pixels if isinstance(ldr, LdrImage) else np.asarray(ldr)
@@ -230,6 +232,7 @@ def compose_hdr(ldr, mask, y_hat, gamma=DEFAULT_GAMMA):
         e = np.exp(y)
     if not np.all(np.isfinite(e)):
         bad = np.argwhere(~np.isfinite(e))[0]
+        bad[1] += row
         raise NumericError(f"exp overflow in prediction at index {tuple(int(i) for i in bad)}")
     # m * t**gamma + (1 - m) * (e - 1), evaluated in place: each buffer is
     # first widened to the result type of its operation, so every step

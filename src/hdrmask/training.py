@@ -361,7 +361,7 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate(records, params=None, predictor=None, bins=10):
+def evaluate(records, params=None, predictor=None, bins=10, on_record=None):
     """Score reconstructions on a test set, binned by saturation.
 
     A record's saturation is the percentage of its pixels that its own mask
@@ -370,7 +370,10 @@ def evaluate(records, params=None, predictor=None, bins=10):
     mapping a PatchRecord to a log-domain prediction array (used for oracle
     checks). The report has one row per bin of equal width plus an
     "overall" row, whose masked score is the validation score
-    (:func:`validation_mse`).
+    (:func:`validation_mse`), and keeps each record's scores only.
+    ``on_record(i, reconstruction)`` is called with each record's HdrImage
+    as it is scored, so a caller that keeps reconstructions (``eval
+    --dump-images 1`` writes them) holds none longer than it wants.
     """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
@@ -390,13 +393,14 @@ def evaluate(records, params=None, predictor=None, bins=10):
         y = predictor(rec)
         recon = compose_hdr(rec.ldr, rec.mask, y)
         mse, masked_mse = mse_gamma_scores(recon.pixels, rec.hdr.pixels, rec.mask)
+        if on_record is not None:
+            on_record(len(per_record), recon)
         per_record.append({
             "image_id": rec.image_id,
             "offset": tuple(rec.offset),
             "saturation_pct": 100.0 * float((rec.mask < 1).any(axis=0).mean()),
             "mse": mse,
             "masked_mse": masked_mse,
-            "reconstruction": recon,
         })
     rows = []
     edges = np.linspace(0.0, 100.0, bins + 1)

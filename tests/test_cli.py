@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,9 +14,9 @@ from hdrmask import formats as F
 from hdrmask import training
 from hdrmask.cli import dispatch
 from hdrmask.losses import FeatureExtractor
-from hdrmask.network import UNetConfig, exposure_mask, export_mask_images, unet_forward
+from hdrmask.network import UNetConfig, exposure_mask, export_mask_images, predict, unet_forward
 from hdrmask.pipeline import compose_hdr, simulate_ldr
-from hdrmask.training import (RunLog, TrainConfig, evaluate, finetune_hdr,
+from hdrmask.training import (RunLog, TrainConfig, finetune_hdr,
                               initialize_parameters, load_model, save_model,
                               train_inpainting)
 from hdrmask.synthetic import hdr_scene, make_hdr_corpus, make_texture_corpus
@@ -262,6 +263,94 @@ class TestReconstructAnyExtent:
         y, _ = unet_forward(ldr.pixels[None], mask[None], load_model(ckpt).params)
         with open(out, "rb") as fh:
             assert fh.read() == F.encode_pfm(compose_hdr(ldr, mask, y.data[0], gamma=2.0).pixels)
+
+
+def _photo(path, h, w, seed):
+    """A PPM of ``h`` x ``w`` pixels, about a third of them saturated."""
+    rng = np.random.default_rng(seed)
+    F.write_ldr(path, np.where(rng.random((3, h, w)) < 0.3, 1.0, rng.random((3, h, w)) * 0.9))
+    return str(path)
+
+
+class TestReconstructStream:
+    """``reconstruct`` reads, masks, predicts, composes and writes a strip at a time."""
+
+    @pytest.mark.parametrize("mode", ["FMask", "IMask", "SConv"])
+    @pytest.mark.parametrize("h, w", [(203, 509), (400, 256)])
+    def test_pfm_is_the_whole_image_reconstruction(self, tmp_path, mode, h, w):
+        # 509 x 203 pads to 512 x 208, whose last strip of 64 rows reads the
+        # reflected rows from the photo; 256 x 400 is four strips of 128 rows.
+        params = initialize_parameters(UNetConfig(mode=mode), 2)
+        ckpt, out = str(tmp_path / "m.ckpt"), tmp_path / "r.pfm"
+        save_model(ckpt, params)
+        photo = _photo(tmp_path / "in.ppm", h, w, h)
+        assert dispatch(["reconstruct", "--in", photo, "--checkpoint", ckpt,
+                         "--out", str(out)]) == 0
+        ldr = F.read_ldr(photo)
+        mask = exposure_mask(ldr.pixels, 0.96)
+        pad = ((0, 0), (0, 0), (0, -h % 8), (0, -w % 8))
+        x, m = (np.pad(a[None], pad, mode="reflect") for a in (ldr.pixels, mask))
+        y = predict(x, m, params)
+        want = tmp_path / "want.pfm"
+        F.write_pfm(str(want), compose_hdr(ldr, mask, y[0, :, :h, :w], gamma=2.0))
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_memory_is_bounded_by_the_width(self, tmp_path):
+        ckpt = str(tmp_path / "m.ckpt")
+        save_model(ckpt, initialize_parameters(UNetConfig(), 0))
+        peaks = {}
+        for h in (256, 2048):
+            photo = _photo(tmp_path / f"in{h}.ppm", h, 256, 5)
+            tracemalloc.start()
+            try:
+                assert dispatch(["reconstruct", "--in", photo, "--checkpoint", ckpt,
+                                 "--out", str(tmp_path / "r.pfm")]) == 0
+                peaks[h] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # The int32 summed-area table of saturated pixels is the one
+        # structure of the photo's area: (h + 1) x 257 of them.
+        table = 4 * 257 * (2049 - 257)
+        assert peaks[2048] - peaks[256] <= table + (2 << 20), peaks
+
+    def test_an_error_at_a_later_strip_leaves_no_pfm(self, tmp_path, monkeypatch, capsys):
+        ckpt, out = str(tmp_path / "m.ckpt"), tmp_path / "r.pfm"
+        save_model(ckpt, initialize_parameters(UNetConfig(), 0))
+        photo = _photo(tmp_path / "in.ppm", 400, 256, 1)
+        calls = []
+
+        def compose(ldr, mask, y, gamma, row):
+            # The second strip's prediction overflows exp everywhere.
+            calls.append(row)
+            return compose_hdr(ldr, mask, np.full_like(y, 1e4) if len(calls) == 2 else y,
+                               gamma=gamma, row=row)
+
+        monkeypatch.setattr(cli, "compose_hdr", compose)
+        assert dispatch(["reconstruct", "--in", photo, "--checkpoint", ckpt,
+                         "--out", str(out)]) == 2
+        assert calls == [0, 128]
+        assert "exp overflow in prediction at index (0, 128, 0)" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ppm", "m.ckpt"]
+
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{tmp}/r.pfm"],
+        ["mask", "--checkpoint", "{ckpt}", "--out-dir", "{tmp}/masks"],
+        ["mask", "--levels", "2", "--base-channels", "4", "--out-dir", "{tmp}/masks"]])
+    def test_an_over_budget_photo_is_refused_before_its_payload(self, tmp_path, small_ckpt,
+                                                                 capsys, argv):
+        photo = tmp_path / "huge.ppm"
+        photo.write_bytes(b"P6\n65536 65536\n255\n")
+        argv = [a.format(ckpt=small_ckpt, tmp=tmp_path) for a in argv] + ["--in", str(photo)]
+        tracemalloc.start()
+        try:
+            rc = dispatch(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 2 and peak < 1 << 20, peak
+        assert "65536x65536" in err and f"memory budget of {cli.MEMORY_BUDGET / 2 ** 30:g} GiB" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.ppm", "small.ckpt"]
 
 
 class TestCheckpointMode:
@@ -655,12 +744,13 @@ class TestPathsUsersReach:
         assert dispatch(["eval", "--checkpoint", small_ckpt, "--shard", shard,
                          "--out-dir", str(out), "--dump-images", "1"]) == 0
         records = F.read_dataset_shard(shard)
-        report = evaluate(records, load_model(small_ckpt).params)
+        params = load_model(small_ckpt).params
         assert sorted(p.name for p in out.glob("recon_*.pfm")) == \
             [f"recon_{i:04d}.pfm" for i in range(len(records))]
-        for i, rec in enumerate(report.per_record):
+        for i, rec in enumerate(records):
+            y = predict(rec.ldr.pixels[None], rec.mask[None], params)[0]
             assert np.array_equal(F.read_pfm(str(out / f"recon_{i:04d}.pfm")),
-                                  rec["reconstruction"].pixels)
+                                  compose_hdr(rec.ldr, rec.mask, y).pixels)
         manifest = json.loads((out / "eval_manifest.json").read_text())
         assert manifest["outputs"]["reconstructions"] == len(records)
         assert manifest["inputs"] == {"shard": shard}

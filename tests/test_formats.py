@@ -127,6 +127,68 @@ class TestPpm:
         data = b"P6\n# a comment\n1 1\n255\n\x10\x20\x30"
         assert F.read_ldr(data).pixels.shape == (3, 1, 1)
 
+    def test_reader_bands_are_the_photo_rows(self, tmp_path):
+        raw = rnd(3).integers(0, 256, size=(7, 5, 3), dtype=np.uint8)
+        data = b"P6\n# c\n5 7\n255\n" + raw.tobytes() + b"tail"
+        path = tmp_path / "r.ppm"
+        path.write_bytes(data)
+        whole = (raw.astype(np.float32) / np.float32(255.0)).transpose(2, 0, 1)
+        for source in (str(path), data):
+            with F.LdrReader(source) as photo:
+                assert (photo.height, photo.width) == (7, 5)
+                for a, b in ((0, 7), (2, 5), (6, 7), (3, 3)):
+                    band = photo.rows(a, b)
+                    assert band.dtype == np.float32 and band.flags.c_contiguous
+                    assert np.array_equal(band, whole[:, a:b])
+                with pytest.raises(HdrMaskError):
+                    photo.rows(5, 8)
+            assert np.array_equal(F.read_ldr(source).pixels, whole)
+
+    def test_reader_parses_the_header_before_the_payload(self, tmp_path):
+        # A header-only file claiming the largest extent opens; only reading
+        # (or checking) its payload raises, naming the truncation.
+        path = tmp_path / "h.ppm"
+        path.write_bytes(b"P6\n65536 65536\n255\n")
+        tracemalloc.start()
+        try:
+            with F.LdrReader(str(path)) as photo:
+                assert (photo.height, photo.width) == (65536, 65536)
+                for call in (photo.check_payload, lambda: photo.rows(0, 1)):
+                    with pytest.raises(FormatError, match="truncated"):
+                        call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        for data in (b"", b"P6\n2 2\n", b"P6\n2 2\n65535\n"):
+            path.write_bytes(data)
+            with pytest.raises(FormatError):
+                F.LdrReader(str(path))
+
+
+class TestPfmStripWriter:
+    def test_bands_in_any_order_write_the_whole_image(self, tmp_path):
+        img = (rnd(4).random((3, 9, 4)) * 100).astype(np.float32)
+        path = tmp_path / "s.pfm"
+        with F.pfm_strip_writer(str(path), 3, 9, 4) as write:
+            for a, b in ((4, 9), (0, 1), (1, 4)):
+                write(a, img[:, a:b])
+        assert path.read_bytes() == F.encode_pfm(img)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.pfm"]
+
+    @pytest.mark.parametrize("band, row", [(np.full((3, 2, 4), np.inf, np.float32), 0),
+                                           (np.zeros((3, 2, 4), np.float32), 8),
+                                           (np.zeros((1, 2, 4), np.float32), 0)])
+    def test_a_failed_write_leaves_no_file(self, tmp_path, band, row):
+        path = tmp_path / "s.pfm"
+        path.write_bytes(b"older")
+        with pytest.raises(HdrMaskError):
+            with F.pfm_strip_writer(str(path), 3, 9, 4) as write:
+                write(2, np.zeros((3, 3, 4), np.float32))
+                write(row, band)
+        assert path.read_bytes() == b"older"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.pfm"]
+
 
 class TestPgm:
     def test_writes_expected_bytes(self, tmp_path):

@@ -100,6 +100,10 @@ class TestComposeHdr:
         with pytest.raises(NumericError) as err:
             P.compose_hdr(t, np.zeros_like(t), y)
         assert "(1, 1, 0)" in str(err.value)
+        # A band of rows from image row 7 reports the image's coordinate.
+        with pytest.raises(NumericError) as err:
+            P.compose_hdr(t, np.zeros_like(t), y, row=7)
+        assert "(1, 8, 0)" in str(err.value)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):

@@ -12,6 +12,9 @@ before numpy loads, as the benchmark does. The lines are:
   ``train-hdr`` at seeds 1 and 5, the three ``reconstruct-512`` photos at
   seed 3 and the two ``curate`` units at seed 1;
 * the PGMs ``hdrmask mask`` writes for FMask, IMask and SConv checkpoints;
+* the PFM ``hdrmask reconstruct`` writes for the FMask and IMask checkpoints
+  from a 509x203 photo, which pads to 512x208 and runs as four strips, the
+  last with reflected rows;
 * the ``metrics.tsv`` ``hdrmask eval`` writes for each of those checkpoints
   on a default-alpha shard (16 crops of two synthetic scenes), and the
   ``repr`` of ``validation_mse`` on the shard's records;
@@ -67,6 +70,8 @@ def main():
         photo = os.path.join(tmp, "photo.ppm")
         scene = synthetic.make_hdr_corpus(1, seed=9, size=(64, 64))[0]
         formats.write_ldr(photo, simulate_ldr(scene))
+        tall = os.path.join(tmp, "tall.ppm")
+        formats.write_ldr(tall, simulate_ldr(synthetic.make_hdr_corpus(1, seed=9, size=(203, 509))[0]))
         ldr = formats.read_ldr(photo).pixels
         x = np.stack([ldr, ldr[:, ::-1]])
         m = network.exposure_mask(x)
@@ -86,6 +91,11 @@ def main():
             pgms = sorted(f for f in os.listdir(out_dir) if f.endswith(".pgm"))
             blobs = [np.fromfile(os.path.join(out_dir, f), dtype=np.uint8) for f in pgms]
             print(f"mask {mode} exit {rc} {len(pgms)} pgms {sha(*blobs)}")
+            if mode != network.MODE_STANDARD_CONV:
+                pfm = os.path.join(tmp, f"{mode}.pfm")
+                rc = cli.dispatch(["reconstruct", "--in", tall, "--checkpoint", checkpoint,
+                                   "--out", pfm])
+                print(f"reconstruct {mode} 509x203 exit {rc} {sha(np.fromfile(pfm, dtype=np.uint8))}")
             eval_dir = os.path.join(tmp, f"eval-{mode}")
             with contextlib.redirect_stdout(io.StringIO()):  # the table it prints
                 rc = cli.dispatch(["eval", "--checkpoint", checkpoint, "--shard", shard,
