@@ -31,7 +31,7 @@ from .errors import HdrMaskError, ContractError, DomainError
 from . import formats
 from .losses import FeatureExtractor, LossWeights, total_loss
 from .network import (MASKING_MODES, MODE_FEATURE_MASK, UNetConfig, UNetParameters,
-                      export_mask_images, layer_plan, predict_strips, unet_forward)
+                      mask_strips, predict_strips, unet_forward)
 from .pipeline import (CURVE_KINDS, DEFAULT_SATURATION_THRESHOLD, CameraCurve, compose_hdr,
                        exposure_mask, simulate_ldr)
 from .sampler import (SamplerConfig, generate_inpainting_mask, sample_corpus,
@@ -116,13 +116,6 @@ def _unet_config(resolved):
                       mode=resolved.get("mode") or MODE_FEATURE_MASK)
 
 
-def _reflected(n, factor):
-    """The photo rows (or columns) of the ``n`` reflect-padded at the end up to
-    the next multiple of ``factor``, the extents the U-Net takes; indexing
-    with them pads as ``np.pad(..., mode="reflect")`` does."""
-    return np.pad(np.arange(n), (0, -n % factor), mode="reflect")
-
-
 # The most memory `mask` or `reconstruct` may plan to use, checked against
 # each photo's extent before its payload is read. A fixed figure, not the
 # machine's free memory, so a photo is refused or run alike everywhere;
@@ -130,32 +123,39 @@ def _reflected(n, factor):
 MEMORY_BUDGET = 4 << 30
 
 
-def _check_budget(command, config, h, w):
-    """Refuse a photo whose ``command`` would need more than MEMORY_BUDGET.
+def _photo_source(command, photo, config, alpha):
+    """An open photo as the U-Net's (N,C,H,W) shape and row source, once the
+    strip walk of ``command`` is known to fit MEMORY_BUDGET.
 
-    The estimates are measured tracemalloc peaks over the padded extent. A
-    ``mask`` run holds every layer's float32 features and mask over the
-    whole photo (1.36-1.40 times their bytes, plus about 35 bytes a pixel
-    for the photo, its mask and the PGMs). A streamed ``reconstruct`` holds
-    the 4-byte-a-pixel table of saturated pixels and strips of every layer:
-    0.62-0.99 KB a column per base channel from 4096 columns on, where a
-    strip is the fewest rows (narrower photos take under 35 MB).
+    The estimate, from the header alone, is the walk's measured tracemalloc
+    peak over the padded extent: the 4-byte-a-pixel table of saturated
+    pixels and strips of every layer, 0.62-0.99 KB a column per base channel
+    from 4096 columns on (narrower photos take under 35 MB). ``mask`` also
+    holds each layer's PGM, under 4.7 bytes a pixel at any depth; its peak
+    read 3.1-4.3 bytes a pixel above ``reconstruct``'s from 2048x256 to
+    1024x1024. The payload is checked next. ``source(a, b)`` returns rows
+    ``[a, b)`` of the photo, reflect-padded on the bottom and right to the
+    downsample factor, and of its exposure mask at ``alpha``.
     """
-    factor = config.downsample_factor
-    rows, cols = -(-h // factor) * factor, -(-w // factor) * factor
+    h, w, factor = photo.height, photo.width, config.downsample_factor
+    hp, wp = -(-h // factor) * factor, -(-w // factor) * factor
+    need = 4 * (hp + 1) * (wp + 1) + 1024 * config.base_channels * wp
     if command == "mask":
-        level, layers = 0, 0
-        for spec in layer_plan(config):
-            # A stride-2 encoder halves the extent; a decoder's upsample doubles it.
-            level += (spec.stride == 2) - spec.name.startswith("dec")
-            layers += 2 * 4 * spec.out_channels * (rows >> level) * (cols >> level)
-        need = 1.4 * layers + 40 * rows * cols
-    else:
-        need = 4 * (rows + 1) * (cols + 1) + 1024 * config.base_channels * cols
+        need += 4.7 * hp * wp
     if need > MEMORY_BUDGET:
         raise ContractError(f"{command} of a {w}x{h} photo would need about "
                             f"{need / 2 ** 30:.1f} GiB, past the memory budget of "
                             f"{MEMORY_BUDGET / 2 ** 30:g} GiB")
+    photo.check_payload()
+    rows, cols = (np.pad(np.arange(n), (0, -n % factor), mode="reflect") for n in (h, w))
+
+    def source(a, b):
+        band = rows[a:b]
+        lo = int(band.min())
+        ldr = photo.rows(lo, int(band.max()) + 1)[:, band - lo][:, :, cols]
+        return ldr[None], exposure_mask(ldr, alpha)[None]
+
+    return source, (1, 3, len(rows), len(cols))
 
 
 def _load_hdr_dir(path):
@@ -199,27 +199,28 @@ _MASK_DEFAULTS = {"alpha": DEFAULT_SATURATION_THRESHOLD, "levels": 4, "base_chan
 
 
 def cmd_mask(args, resolved):
+    """Write channel 0 of each layer's mask, round(255 * v), as a PGM cropped to
+    the ceil(H / 2**level) x ceil(W / 2**level) that covers the photo, from
+    the strip walk ``reconstruct`` predicts with."""
     with formats.LdrReader(args.input) as photo:
         params = load_model(args.checkpoint).params if args.checkpoint else None
         config = params.config if params else _unet_config(resolved)
-        h, w = photo.height, photo.width
-        _check_budget("mask", config, h, w)
-        ldr = photo.rows(0, h)
-    mask = exposure_mask(ldr, resolved["alpha"])
-    params = params or initialize_parameters(config, resolved["seed"])
-    rows, cols = (_reflected(n, config.downsample_factor) for n in (h, w))
-    x, m = (a[:, rows][:, :, cols][None] for a in (ldr, mask))
-    _, stack = unet_forward(x, m, params.as_constants())
-    # A layer at level l covers ceil(H / 2**l) x ceil(W / 2**l) of the photo.
-    images = export_mask_images([(name, a[:, :, :-(-h * a.shape[2] // x.shape[2]),
-                                          :-(-w * a.shape[3] // x.shape[3])])
-                                 for name, a in stack])
+        source, shape = _photo_source("mask", photo, config, resolved["alpha"])
+        params = params or initialize_parameters(config, resolved["seed"])
+        h, w, images = photo.height, photo.width, {}
+        for layer, row, m in mask_strips(source, shape, params):
+            if layer not in images:
+                # The layer's width over the padded photo's is 2**-level.
+                images[layer] = np.empty((-(-h * m.shape[1] // shape[3]),
+                                          -(-w * m.shape[1] // shape[3])), dtype=np.uint8)
+            part = images[layer][row:row + m.shape[0]]
+            part[:] = np.rint(255.0 * m[:part.shape[0], :part.shape[1]])
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {}
-    for (layer, channel), img in images.items():
-        path = os.path.join(args.out_dir, f"mask_{layer}_c{channel}.pgm")
+    for layer, img in images.items():
+        path = os.path.join(args.out_dir, f"mask_{layer}_c0.pgm")
         formats.write_gray8(path, img)
-        outputs[f"{layer}/c{channel}"] = path
+        outputs[f"{layer}/c0"] = path
     _write_manifest(args.out_dir, "mask", resolved, {"ldr": args.input}, outputs)
     return 0
 
@@ -354,17 +355,7 @@ def cmd_reconstruct(args, resolved):
     with formats.LdrReader(args.input) as photo:
         params = load_model(args.checkpoint).params
         h, w = photo.height, photo.width
-        _check_budget("reconstruct", params.config, h, w)
-        photo.check_payload()
-        rows, cols = (_reflected(n, params.config.downsample_factor) for n in (h, w))
-
-        def source(a, b):
-            band = rows[a:b]
-            lo = int(band.min())
-            ldr = photo.rows(lo, int(band.max()) + 1)[:, band - lo][:, :, cols]
-            return ldr[None], exposure_mask(ldr, alpha)[None]
-
-        strips = predict_strips(source, (1, 3, len(rows), len(cols)), params)
+        strips = predict_strips(*_photo_source("reconstruct", photo, params.config, alpha), params)
         with formats.pfm_strip_writer(args.output, 3, h, w) as write:
             for a, y in strips:
                 ldr = photo.rows(a, min(a + y.shape[2], h))

@@ -29,27 +29,28 @@ the rows its consumers (the next conv, a decoder's skip or phase conv) still
 read. The input is a node like the others: its rows come from a row source,
 ``source(a, b)``, which returns rows ``[a, b)`` of the input and its mask,
 and it too keeps only the rows the first layer still reads. A whole array is
-the trivial source. :func:`unet_forward`, which training and the mask export
-use, is the one-strip walk: every layer over the whole image at once,
-differentiable, with the full mask stack. :func:`predict_strips` walks
-strips of constant parameters for inference and yields each finished strip,
-so with a source that reads a file (``hdrmask reconstruct``) its memory
-grows with the image's width rather than with its area; :func:`predict` is
-the concatenation of its strips over a whole array. Both agree with
-:func:`unet_forward` to rounding, and exactly when one strip covers the
-image.
+the trivial source. :func:`unet_forward`, which training uses, is the
+one-strip walk: every layer over the whole image at once, differentiable,
+with the full mask stack. :func:`predict_strips` walks strips of constant
+parameters for inference and yields each finished strip, so with a source
+that reads a file (``hdrmask reconstruct``) its memory grows with the
+image's width rather than with its area; :func:`predict` is the
+concatenation of its strips over a whole array. :func:`mask_strips` is the
+same walk yielding each layer's finished mask rows instead (``hdrmask
+mask``). They agree with :func:`unet_forward` to rounding, and exactly when
+one strip covers the image.
 
 Where no saturated pixel is in reach, a mask conv only repeats the layer's
 all-valid mask. So in FMask the walk cuts each window of a layer's output
 into tiles and reads off the input which of them saturation reaches: a
 tile's rows and columns map down the layer graph to the input rectangle its
 receptive field covers, a summed-area table of the input's saturated pixels
-(built in one pass over the source's rows before the walk; at 4 bytes a
-pixel, the one structure of the image's area that inference keeps) tells
-whether that rectangle holds one, and a tile whose receptive field
-passes the image's edge counts as reached too. A mask conv runs on the
-reached tiles only, gathered side by side into one convolution, and fills
-the others with the all-valid mask (the gather and scatter of SBNet, Ren et
+(grown as the walk reads the source's rows; at 4 bytes a pixel, the one
+structure of the image's area that inference keeps) tells whether that
+rectangle holds one, and a tile whose receptive field passes the image's
+edge counts as reached too. A mask conv runs on the reached tiles only,
+gathered side by side into one convolution, and fills the others with the
+all-valid mask (the gather and scatter of SBNet, Ren et
 al., CVPR 2018, with the block mask exact instead of thresholded). That mask
 repeats every 2**k pixels, one for an encoder and doubling at each decoder's
 upsample, and the first clean tile a walk computes gives it. The masks are
@@ -73,7 +74,7 @@ from .pipeline import exposure_mask  # noqa: F401
 MASK_NORM_EPS = 1e-6
 
 # Elements of one strip of enc0's output, N * base_channels * rows * W.
-# predict() advances the output by the most rows, a multiple of the
+# A strip walk advances the output by the most rows, a multiple of the
 # downsample factor, whose strip fits (one factor at least): 64 rows of a
 # 512-wide photo, 2 MB at float32.
 _STRIP_ELEMS = 1 << 19
@@ -439,12 +440,12 @@ class _Frontier:
     every other pixel's mask is its layer's all-valid mask, which repeats
     with the node's ``period``: 1 for an encoder, doubled by each decoder's
     upsample. The walk then keeps a summed-area ``table`` of the input's
-    saturated pixels, built by one pass over the source's rows before the
-    walk starts, and, per node, the input bound of every row and every
-    column (:meth:`_bounds`), so that each window's :class:`CleanTiles` is a
-    few lookups; each layer keeps its pattern once it has computed it. At
-    4 bytes a pixel the table is the one structure that grows with the
-    input's area.
+    saturated pixels, grown as node 0 reads (a window looks up only rows its
+    inputs were computed from), and, per node, the input bound of every row
+    and every column (:meth:`_bounds`), so that each window's
+    :class:`CleanTiles` is a few lookups; each layer keeps its pattern once
+    it has computed it. At 4 bytes a pixel the table is the one structure
+    that grows with the input's area.
     """
 
     def __init__(self, source, shape, params, frozen=None, out_mask=True):
@@ -456,6 +457,7 @@ class _Frontier:
         factor = config.downsample_factor
         if h % factor or w % factor:
             raise DimensionError(f"spatial extents {h}x{w} must be divisible by {factor}")
+        self.strip = factor * max(1, _STRIP_ELEMS // (n * config.base_channels * w * factor))
         self.source = source
         self.edges, self.extents, self.period = [()], [(h, w)], [1]
         for j, spec in enumerate(self.plan):
@@ -480,15 +482,8 @@ class _Frontier:
         self.buffers, self.start = [None] * nodes, [None] * nodes
         self.table = None
         if config.mode == MODE_FEATURE_MASK and not self.frozen:
-            table = self.table = np.zeros((n, h + 1, w + 1),
-                                          dtype=np.int32 if h * w < 2 ** 31 else np.int64)
-            step = max(1, _STRIP_ELEMS // (n * config.base_channels * w))
-            for a in range(0, h, step):
-                b = min(a + step, h)
-                rows = np.cumsum((self._input(a, b)[1] < 1).any(axis=1), axis=2,
-                                 dtype=table.dtype)
-                np.cumsum(rows, axis=1, out=rows)
-                np.add(rows, table[:, a:a + 1, 1:], out=table[:, a + 1:b + 1, 1:])
+            self.table = np.zeros((n, h + 1, w + 1),
+                                  dtype=np.int32 if h * w < 2 ** 31 else np.int64)
             self.bounds = [[(np.arange(e), np.arange(1, e + 1), np.zeros(e, dtype=bool))
                             for e in (h, w)]]
             for v in range(1, nodes):
@@ -514,15 +509,19 @@ class _Frontier:
                 self._compute(v, need[v])
         return self.features[top]
 
-    def _input(self, a, b):
-        """Rows ``[a, b)`` of the input, as a constant, and of its mask, in the input's dtype."""
+    def _read(self, b):
+        """Append the input's rows ``[done, b)`` to node 0, and in FMask their
+        saturated pixels to the table: an integer running sum, exact however
+        the rows come in bands."""
+        a = self.done[0]
         x, m = self.source(a, b)
         x = T.constant(x)
-        return x, m.astype(x.data.dtype, copy=False)
-
-    def _read(self, b):
-        """Append the input's rows ``[done, b)`` to node 0."""
-        x, m = self._input(self.done[0], b)
+        m = m.astype(x.data.dtype, copy=False)
+        t = self.table
+        if t is not None:
+            rows = np.cumsum((m < 1).any(axis=1), axis=2, dtype=t.dtype)
+            np.cumsum(rows, axis=1, out=rows)
+            np.add(rows, t[:, a:a + 1, 1:], out=t[:, a + 1:b + 1, 1:])
         if self.config.mode == MODE_INPUT_MASK:
             x = x * T.constant(m)
         self._store(0, x, m if self.config.mode == MODE_FEATURE_MASK else None)
@@ -654,9 +653,9 @@ def unet_forward(ldr, mask, params, frozen_masks=None):
     ``ldr`` and ``mask`` are (N,C,H,W) arrays, C the config's input
     channels; the input is a constant, so gradients reach the parameters
     only. ``params.config`` gives the shape, slope and masking mode. The
-    returned stack holds one (name, mask array) entry per layer for
-    visualization; IMask and SConv, which carry no mask, read all
-    ones there, as read-only views that allocate nothing.
+    returned stack holds one (name, mask array) entry per layer, the
+    input's first; IMask and SConv, which carry no mask, read all ones
+    there, as read-only views that allocate nothing.
 
     ``frozen_masks`` (a ``{layer name: mask}`` dict from a previous FMask
     run's stack) replaces mask propagation, pinning the masks while weights
@@ -664,7 +663,7 @@ def unet_forward(ldr, mask, params, frozen_masks=None):
     gradient treats masks as constants. The other modes ignore it.
 
     Every layer runs once over the whole image, so the result is
-    differentiable; :func:`predict` bounds the memory of inference instead.
+    differentiable; the strip walks bound the memory of inference instead.
     """
     source, shape = _array_source(ldr, mask, params.config)
     walk = _Frontier(source, shape, params, frozen_masks)
@@ -684,17 +683,34 @@ def predict_strips(source, shape, params):
     Runs on constant parameters, each layer advanced just far enough for the
     strip and holding only the rows its consumers still read, the input
     included, so memory grows with the image's width and not with its area
-    times the number of layers. The output layer's mask, which nothing
-    reads, is never computed. In FMask the source is read once more, ahead
-    of the walk, for the table of saturated pixels.
+    times the number of layers. Each input row is read once, FMask's table
+    of saturated pixels growing as the walk reads. The output layer's mask,
+    which nothing reads, is never computed.
     """
-    config = params.config
-    n, _, _, w = shape
-    factor = config.downsample_factor
-    strip = factor * max(1, _STRIP_ELEMS // (n * config.base_channels * w * factor))
     walk = _Frontier(source, shape, params.as_constants(), out_mask=False)
-    for row in range(0, shape[2], strip):
-        yield row, walk.advance(row + strip).data
+    for row in range(0, shape[2], walk.strip):
+        yield row, walk.advance(row + walk.strip).data
+
+
+def mask_strips(source, shape, params):
+    """Yield ``(layer, row, rows)``: each layer's mask, a strip at a time.
+
+    The walk of :func:`predict_strips`, the output layer's mask included.
+    ``rows`` holds channel 0 of the first image's mask for the rows from
+    ``row`` on that the strip finished, a view the next strip may overwrite.
+    Layers are named as in :func:`unet_forward`'s stack, and one that
+    carries no mask (IMask, SConv) reads all ones there too.
+    """
+    walk = _Frontier(source, shape, params.as_constants())
+    names, done = ["input"] + [spec.name for spec in walk.plan], [0] * len(walk.edges)
+    for row in range(0, shape[2], walk.strip):
+        walk.advance(row + walk.strip)
+        one = np.ones((), dtype=walk.features[0].data.dtype)
+        for v, (name, m) in enumerate(zip(names, walk.masks)):
+            a, b = done[v], walk.done[v]
+            yield name, a, (np.broadcast_to(one, (b - a, walk.extents[v][1])) if m is None
+                            else m[0, 0, a - walk.keep[v]:b - walk.keep[v]])
+        done = list(walk.done)
 
 
 def predict(ldr, mask, params):
@@ -708,13 +724,3 @@ def predict(ldr, mask, params):
     strips = [y for _, y in predict_strips(*_array_source(ldr, mask, params.config), params)]
     return strips[0] if len(strips) == 1 else np.concatenate(strips, axis=2)
 
-
-def export_mask_images(mask_stack):
-    """8-bit grayscale renderings of each layer's first mask channel.
-
-    ``mask_stack`` is :func:`unet_forward`'s list of (name, (N,C,H,W)
-    mask). Returns ``{(layer_name, 0): uint8 (H,W) array}`` for the first
-    batch item, with values mapped as round(255 * v).
-    """
-    return {(name, 0): np.rint(255.0 * mask[0, 0]).astype(np.uint8)
-            for name, mask in mask_stack}

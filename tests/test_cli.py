@@ -14,7 +14,7 @@ from hdrmask import formats as F
 from hdrmask import training
 from hdrmask.cli import dispatch
 from hdrmask.losses import FeatureExtractor
-from hdrmask.network import UNetConfig, exposure_mask, export_mask_images, predict, unet_forward
+from hdrmask.network import UNetConfig, exposure_mask, predict, unet_forward
 from hdrmask.pipeline import compose_hdr, simulate_ldr
 from hdrmask.training import (RunLog, TrainConfig, finetune_hdr,
                               initialize_parameters, load_model, save_model,
@@ -421,7 +421,18 @@ class TestCheckpointMode:
                          "--out", str(tmp_path / "r.pfm")]) == 2
 
 
+def _pgm(path):
+    """A binary PGM's pixels as a (H, W) uint8 array."""
+    magic, size, maxval, pixels = path.read_bytes().split(b"\n", 3)
+    w, h = map(int, size.split())
+    assert (magic, maxval) == (b"P5", b"255")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w)
+
+
 class TestMaskCommand:
+    """``mask`` writes channel 0 of each layer's mask as round(255 * v), cropped
+    to the photo's extent at the layer's level, from the strip walk."""
+
     def test_dumps_layer_masks(self, tmp_path, scene_pfm):
         ldr_path = str(tmp_path / "in.ppm")
         dispatch(["simulate-ldr", "--in", scene_pfm, "--out", ldr_path])
@@ -445,24 +456,84 @@ class TestMaskCommand:
         extents = {}
         for name in os.listdir(out_dir):
             if name.endswith(".pgm"):
-                w, h = map(int, (out_dir / name).read_bytes().split(b"\n")[1].split())
-                extents[name[len("mask_"):-len("_c0.pgm")]] = (h, w)
+                extents[name[len("mask_"):-len("_c0.pgm")]] = _pgm(out_dir / name).shape
         assert extents == {"input": (13, 21), "enc0": (13, 21), "enc1": (7, 11),
                            "dec0": (13, 21), "out": (13, 21)}
+
+    @staticmethod
+    def assert_pgms_are_the_stack(out_dir, photo, params):
+        """Each PGM is unet_forward's mask over the reflect-padded photo,
+        np.rint(255 * m[0, 0]) cropped to the photo's extent at its level."""
+        ldr = F.read_ldr(photo).pixels
+        (h, w), f = ldr.shape[1:], params.config.downsample_factor
+        pad = ((0, 0), (0, 0), (0, -h % f), (0, -w % f))
+        x, m = (np.pad(a[None], pad, mode="reflect") for a in (ldr, exposure_mask(ldr, 0.96)))
+        _, stack = unet_forward(x, m, params.as_constants())
+        assert len(os.listdir(out_dir)) == len(stack) + 1  # and the manifest
+        for name, a in stack:
+            rows, cols = -(-h * a.shape[2] // x.shape[2]), -(-w * a.shape[3] // x.shape[3])
+            want = np.rint(255 * a[0, 0, :rows, :cols]).astype(np.uint8)
+            got = _pgm(out_dir / f"mask_{name}_c0.pgm")
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_divisible_photo_pgms_unchanged(self, tmp_path, small_ckpt, scene_pfm):
         ldr_path, out_dir = str(tmp_path / "in.ppm"), tmp_path / "masks"
         assert dispatch(["simulate-ldr", "--in", scene_pfm, "--out", ldr_path]) == 0
         assert dispatch(["mask", "--in", ldr_path, "--out-dir", str(out_dir),
                          "--checkpoint", small_ckpt]) == 0
-        ldr = F.read_ldr(ldr_path).pixels
-        _, stack = unet_forward(ldr[None], exposure_mask(ldr, 0.96)[None],
-                                load_model(small_ckpt).params.as_constants())
-        want = tmp_path / "want.pgm"
-        for (layer, channel), img in export_mask_images(stack).items():
-            F.write_gray8(want, img)
-            assert (out_dir / f"mask_{layer}_c{channel}.pgm").read_bytes() == \
-                want.read_bytes(), layer
+        self.assert_pgms_are_the_stack(out_dir, ldr_path, load_model(small_ckpt).params)
+
+    @pytest.mark.parametrize("mode", ["FMask", "IMask", "SConv"])
+    @pytest.mark.parametrize("h, w", [(203, 509), (400, 256)])
+    def test_pgms_across_strips_are_the_whole_image_stack(self, tmp_path, mode, h, w):
+        # As in reconstruct: 509 x 203 runs as four strips of 64 rows, the
+        # last reading reflected rows; 256 x 400 as four strips of 128.
+        params = initialize_parameters(UNetConfig(mode=mode), 2)
+        ckpt, out_dir = str(tmp_path / "m.ckpt"), tmp_path / "masks"
+        save_model(ckpt, params)
+        photo = _photo(tmp_path / "in.ppm", h, w, h)
+        assert dispatch(["mask", "--in", photo, "--checkpoint", ckpt,
+                         "--out-dir", str(out_dir)]) == 0
+        self.assert_pgms_are_the_stack(out_dir, photo, params)
+
+    def test_levels_round_255_times_the_mask(self, tmp_path, small_ckpt):
+        # Channel 0 steps through every byte from 230 to 255: well exposed up
+        # to alpha, then the ramp down to 0 at full saturation. At alpha 0.93
+        # the ramp's levels 255 * (255 - v) / 17.85 fall between integers.
+        levels = np.arange(230, 256)
+        ldr = np.full((3, 2, levels.size), 0.5, dtype=np.float32)
+        ldr[0] = levels / 255.0
+        photo, out_dir = str(tmp_path / "in.ppm"), tmp_path / "masks"
+        F.write_ldr(photo, ldr)
+        assert dispatch(["mask", "--in", photo, "--out-dir", str(out_dir), "--alpha", "0.93",
+                         "--checkpoint", small_ckpt]) == 0
+        got = _pgm(out_dir / "mask_input_c0.pgm")
+        scaled = 255 * exposure_mask(F.read_ldr(photo).pixels, 0.93)[0]
+        assert np.array_equal(got, np.rint(scaled).astype(np.uint8))
+        assert np.any(np.rint(scaled) != np.floor(scaled))
+        assert np.all(got[:, levels <= 237] == 255) and np.all(got[:, levels == 255] == 0)
+
+    def test_memory_is_bounded_by_the_width(self, tmp_path):
+        ckpt = str(tmp_path / "m.ckpt")
+        save_model(ckpt, initialize_parameters(UNetConfig(), 0))
+        peaks = {}
+        for h in (256, 2048):
+            photo = _photo(tmp_path / f"in{h}.ppm", h, 256, 5)
+            tracemalloc.start()
+            try:
+                assert dispatch(["mask", "--in", photo, "--checkpoint", ckpt,
+                                 "--out-dir", str(tmp_path / "masks")]) == 0
+                peaks[h] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Two structures grow with the photo's area: the int32 summed-area
+        # table of saturated pixels, (h + 1) x 257 of them, and the PGMs held
+        # until the walk ends, four layers at the photo's extent and two at
+        # each of the three levels below.
+        area = 256 * (2048 - 256)
+        table = 4 * 257 * (2049 - 257)
+        pgms = area * (4 + 2 * (1 / 4 + 1 / 16 + 1 / 64))
+        assert peaks[2048] - peaks[256] <= table + pgms + (2 << 20), peaks
 
 
 class TestEvalDataSource:

@@ -646,6 +646,31 @@ class TestPredict:
         names = {f"{s.name}.weight" for s in N.layer_plan(self.CFG)}
         assert set(layers) == names - {"out.weight"}
 
+    @pytest.mark.parametrize("kernel,levels", [(3, 4), (5, 3), (1, 3)])
+    def test_fmask_reads_each_input_row_once(self, monkeypatch, kernel, levels):
+        # FMask's table of saturated pixels grows as node 0 reads the source,
+        # and no window looks up a table row that node 0 has not read yet.
+        config = N.UNetConfig(levels=levels, base_channels=2, kernel_size=kernel)
+        x = rnd(74).random((1, 3, 72, 24))
+        array_source, shape = N._array_source(x, N.exposure_mask(x, 0.8), config)
+        calls = []
+
+        def source(a, b):
+            calls.append((a, b))
+            return array_source(a, b)
+
+        tiles = N._Frontier._tiles
+
+        def read_first(walk, v, a, b):
+            assert walk.bounds[v][0][1][b - 1] <= walk.done[0], (v, a, b)
+            return tiles(walk, v, a, b)
+
+        monkeypatch.setattr(N._Frontier, "_tiles", read_first)
+        monkeypatch.setattr(N, "_STRIP_ELEMS", 1)
+        strips = list(N.predict_strips(source, shape, tiny_params(config, seed=75)))
+        assert len(strips) > 1
+        assert sorted(r for a, b in calls for r in range(a, b)) == list(range(72))
+
     def test_peak_allocation_a_quarter_of_unet_forward(self):
         # tracemalloc counts numpy's buffers, so the peaks are deterministic.
         config = N.UNetConfig()
@@ -665,6 +690,30 @@ class TestPredict:
         whole = peak(lambda: N.unet_forward(x, mask, params.as_constants()))
         streamed = peak(lambda: N.predict(x, mask, params))
         assert streamed <= whole / 4, (streamed, whole)
+
+
+class TestMaskStrips:
+    """``mask_strips`` yields each layer's finished mask rows, channel 0 of the
+    first image, from predict's walk; joined, they are unet_forward's stack."""
+
+    @pytest.mark.parametrize("mode", N.MASKING_MODES)
+    def test_rows_join_to_the_stack(self, monkeypatch, mode):
+        config = N.UNetConfig(levels=3, base_channels=2, mode=mode)
+        params = tiny_params(config, seed=72)
+        x = rnd(73).random((2, 3, 44, 24))
+        mask = N.exposure_mask(x, 0.8)
+        _, stack = N.unet_forward(x, mask, params)
+        monkeypatch.setattr(N, "_STRIP_ELEMS", 1)  # strips of four rows
+        got = {}
+        for name, row, rows in N.mask_strips(*N._array_source(x, mask, config), params):
+            parts = got.setdefault(name, [])
+            assert row == sum(len(p) for p in parts), name
+            parts.append(np.array(rows))
+        assert list(got) == [name for name, _ in stack]
+        assert len(got["out"]) == 11
+        for name, m in stack:
+            joined = np.concatenate(got[name])
+            assert joined.shape == m.shape[2:] and rel_err(joined, m[0, 0]) <= 1e-12, name
 
 
 def dense_masks(mask, params):
@@ -902,17 +951,3 @@ class TestPropagatedMaskRange:
         _, stack = N.unet_forward(x, mask, params)
         for name, m in stack:
             assert m.dtype == dtype and np.all(m >= 0) and np.all(m <= 1), name
-
-
-class TestExportMaskImages:
-    def test_extreme_values_map_to_byte_range(self):
-        stack = [("a", np.ones((1, 2, 3, 3))), ("b", np.zeros((1, 2, 3, 3)))]
-        images = N.export_mask_images(stack)
-        assert np.all(images[("a", 0)] == 255)
-        assert np.all(images[("b", 0)] == 0)
-
-    def test_quantization_rule(self):
-        values = np.array([0.0, 0.2, 0.4, 0.997]).reshape(1, 1, 2, 2)
-        images = N.export_mask_images([("x", values)])
-        assert np.array_equal(images[("x", 0)],
-                              np.rint(255 * values[0, 0]).astype(np.uint8))

@@ -11,10 +11,11 @@ before numpy loads, as the benchmark does. The lines are:
 * the benchmark's own ``Unit.digest`` (``perfbench/workloads.py``):
   ``train-hdr`` at seeds 1 and 5, the three ``reconstruct-512`` photos at
   seed 3 and the two ``curate`` units at seed 1;
-* the PGMs ``hdrmask mask`` writes for FMask, IMask and SConv checkpoints;
+* the PGMs ``hdrmask mask`` writes for FMask, IMask and SConv checkpoints
+  from a 64x64 photo, and from a 509x203 photo, which pads to 512x208 and
+  runs as four strips, the last with reflected rows;
 * the PFM ``hdrmask reconstruct`` writes for the FMask and IMask checkpoints
-  from a 509x203 photo, which pads to 512x208 and runs as four strips, the
-  last with reflected rows;
+  from that 509x203 photo;
 * the ``metrics.tsv`` ``hdrmask eval`` writes for each of those checkpoints
   on a default-alpha shard (16 crops of two synthetic scenes), and the
   ``repr`` of ``validation_mse`` on the shard's records;
@@ -86,11 +87,13 @@ def main():
             params = training.initialize_parameters(network.UNetConfig(mode=mode), seed=3)
             checkpoint, out_dir = os.path.join(tmp, f"{mode}.ckpt"), os.path.join(tmp, mode)
             training.save_model(checkpoint, params)
-            rc = cli.dispatch(["mask", "--in", photo, "--out-dir", out_dir,
-                               "--checkpoint", checkpoint])
-            pgms = sorted(f for f in os.listdir(out_dir) if f.endswith(".pgm"))
-            blobs = [np.fromfile(os.path.join(out_dir, f), dtype=np.uint8) for f in pgms]
-            print(f"mask {mode} exit {rc} {len(pgms)} pgms {sha(*blobs)}")
+            for label, ppm in (("", photo), (" 509x203", tall)):
+                masks = out_dir + label.replace(" ", "-")
+                rc = cli.dispatch(["mask", "--in", ppm, "--out-dir", masks,
+                                   "--checkpoint", checkpoint])
+                pgms = sorted(f for f in os.listdir(masks) if f.endswith(".pgm"))
+                blobs = [np.fromfile(os.path.join(masks, f), dtype=np.uint8) for f in pgms]
+                print(f"mask {mode}{label} exit {rc} {len(pgms)} pgms {sha(*blobs)}")
             if mode != network.MODE_STANDARD_CONV:
                 pfm = os.path.join(tmp, f"{mode}.pfm")
                 rc = cli.dispatch(["reconstruct", "--in", tall, "--checkpoint", checkpoint,
