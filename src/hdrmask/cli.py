@@ -465,7 +465,7 @@ def cmd_gradcheck(args, resolved):
     x = rng.random((1, 3, 8, 8))
     mask = exposure_mask(x, 0.9)
     hdr = rng.random((1, 3, 8, 8)) * 4.0
-    inputs = list(params.named_tensors().values())
+    inputs = list(params.tensors.values())
     _, stack = unet_forward(x, mask, params)
     frozen = dict(stack)
 

@@ -164,13 +164,18 @@ def pfm_strip_writer(path, channels, height, width):
 
     Yields ``write(row, pixels)``, which puts the (C, rows, W) float32 band
     that starts at image row ``row`` at its bottom-up place in the file. The
-    file is a hidden temporary beside ``path``, sized in full before any band
-    is written; it replaces ``path`` when the block ends, and is removed if
-    the block raises, so no partial PFM is left. A band that is not finite
-    raises :class:`ContractError`, as :func:`write_pfm` does.
+    file is a hidden temporary beside the file ``path`` names (a symlink's
+    target), sized in full before any band is written; it replaces that file
+    when the block ends, and is removed if the block raises, so no partial
+    PFM is left. A ``path`` that exists but is no regular file (a FIFO, a
+    directory) raises :class:`ContractError` before the temporary is made,
+    and so does a band that is not finite, as in :func:`write_pfm`.
     """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ContractError(f"cannot write a PFM over {path}: it is not a regular file")
     header = _pfm_header(channels, height, width)
-    directory, name = os.path.split(os.path.abspath(path))
+    directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     row_bytes = channels * width * 4
 

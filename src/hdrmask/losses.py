@@ -220,7 +220,7 @@ def perceptual_loss(blend, hdr, extractor, mu=DEFAULT_MU):
     scale = float(h.max())
     if scale <= 0:
         scale = 1.0
-    ca = mu_law_compress(T.relu(blend) / scale, mu)
+    ca = mu_law_compress(T.activation(blend, "relu") / scale, mu)
     # Same operation sequence as the graph path, the division by the scale
     # included, so that identical images produce bit-identical compressed
     # inputs (and an exactly zero loss).

@@ -279,10 +279,15 @@ class UNetConfig:
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """One conv layer: its name, widths, activation and ``inputs``, the
+    ``(node, stride, up)`` edges it reads. Node 0 is the input and node
+    ``j + 1`` layer ``j`` of :func:`layer_plan`; ``up`` marks the 2x nearest
+    upsample of that node."""
+
     name: str
     in_channels: int
     out_channels: int
-    stride: int
+    inputs: tuple
     activation: str
 
 
@@ -295,30 +300,39 @@ def layer_plan(config):
     rest), features and masks alike.
     """
     widths = [config.base_channels * (2 ** i) for i in range(config.levels)]
-    layers = [LayerSpec("enc0", config.in_channels, widths[0], 1, "leaky_relu")]
+    layers = [LayerSpec("enc0", config.in_channels, widths[0], ((0, 1, False),), "leaky_relu")]
     for i in range(1, config.levels):
-        layers.append(LayerSpec(f"enc{i}", widths[i - 1], widths[i], 2, "leaky_relu"))
+        layers.append(LayerSpec(f"enc{i}", widths[i - 1], widths[i], ((i, 2, False),),
+                                "leaky_relu"))
     for i in range(config.levels - 2, -1, -1):
-        layers.append(LayerSpec(f"dec{i}", widths[i + 1] + widths[i], widths[i], 1, "relu"))
-    layers.append(LayerSpec("out", widths[0], config.out_channels, 1, "identity"))
+        layers.append(LayerSpec(f"dec{i}", widths[i + 1] + widths[i], widths[i],
+                                ((len(layers), 1, True), (i + 1, 1, False)), "relu"))
+    layers.append(LayerSpec("out", widths[0], config.out_channels, ((len(layers), 1, False),),
+                            "identity"))
     return layers
+
+
+def param_shapes(config):
+    """``{entry name: shape}`` of the parameters, in :func:`layer_plan` order,
+    each layer's ``<name>.weight`` before its ``<name>.bias``."""
+    k = config.kernel_size
+    shapes = {}
+    for spec in layer_plan(config):
+        shapes[f"{spec.name}.weight"] = (spec.out_channels, spec.in_channels, k, k)
+        shapes[f"{spec.name}.bias"] = (spec.out_channels,)
+    return shapes
 
 
 def validate_param_manifest(arrays, config):
     """Check named arrays against a UNetConfig; raise listing mismatches."""
     problems = []
-    seen = set()
-    k = config.kernel_size
-    for spec in layer_plan(config):
-        wk, bk = f"{spec.name}.weight", f"{spec.name}.bias"
-        expected_w = (spec.out_channels, spec.in_channels, k, k)
-        for key, expected in ((wk, expected_w), (bk, (spec.out_channels,))):
-            seen.add(key)
-            if key not in arrays:
-                problems.append(f"{key}: missing (expected {expected})")
-            elif tuple(arrays[key].shape) != expected:
-                problems.append(f"{key}: shape {tuple(arrays[key].shape)} != expected {expected}")
-    for key in sorted(set(arrays) - seen):
+    shapes = param_shapes(config)
+    for key, expected in shapes.items():
+        if key not in arrays:
+            problems.append(f"{key}: missing (expected {expected})")
+        elif tuple(arrays[key].shape) != expected:
+            problems.append(f"{key}: shape {tuple(arrays[key].shape)} != expected {expected}")
+    for key in sorted(set(arrays) - set(shapes)):
         problems.append(f"{key}: unexpected entry")
     if problems:
         raise CheckpointShapeError(
@@ -328,24 +342,14 @@ def validate_param_manifest(arrays, config):
 
 @dataclass
 class UNetParameters:
-    """Ordered convolution weights and biases, as graph leaf tensors."""
+    """The convolution weights and biases as graph leaf tensors:
+    ``tensors`` maps each entry name to its Tensor, in :func:`param_shapes` order."""
 
     config: UNetConfig
-    layers: dict = field(default_factory=dict)  # name -> (weight Tensor, bias Tensor)
+    tensors: dict = field(default_factory=dict)
 
     def named_arrays(self):
-        out = {}
-        for name, (w, b) in self.layers.items():
-            out[f"{name}.weight"] = w.data
-            out[f"{name}.bias"] = b.data
-        return out
-
-    def named_tensors(self):
-        out = {}
-        for name, (w, b) in self.layers.items():
-            out[f"{name}.weight"] = w
-            out[f"{name}.bias"] = b
-        return out
+        return {name: t.data for name, t in self.tensors.items()}
 
     def as_constants(self):
         """The same arrays as constant tensors under the same names.
@@ -353,16 +357,12 @@ class UNetParameters:
         A forward pass through them records no differentiation graph, so
         inference holds no per-layer buffers for a backward that never runs.
         """
-        return UNetParameters(self.config, {
-            name: (T.constant(w.data, name=w.name), T.constant(b.data, name=b.name))
-            for name, (w, b) in self.layers.items()})
+        return UNetParameters(self.config, {name: T.constant(t.data, name=name)
+                                            for name, t in self.tensors.items()})
 
     def copy(self):
-        dup = {}
-        for name, (w, b) in self.layers.items():
-            dup[name] = (T.parameter(w.data.copy(), name=f"{name}.weight"),
-                         T.parameter(b.data.copy(), name=f"{name}.bias"))
-        return UNetParameters(self.config, dup)
+        return UNetParameters(self.config, {name: T.parameter(t.data.copy(), name=name)
+                                            for name, t in self.tensors.items()})
 
     @classmethod
     def from_arrays(cls, config, arrays):
@@ -372,12 +372,8 @@ class UNetParameters:
         unexpected array.
         """
         validate_param_manifest(arrays, config)
-        params = cls(config, {})
-        for spec in layer_plan(config):
-            wk, bk = f"{spec.name}.weight", f"{spec.name}.bias"
-            params.layers[spec.name] = (T.parameter(np.array(arrays[wk]), name=wk),
-                                        T.parameter(np.array(arrays[bk]), name=bk))
-        return params
+        return cls(config, {name: T.parameter(np.array(arrays[name]), name=name)
+                            for name in param_shapes(config)})
 
 
 def _as_batched(arr, channels, what):
@@ -419,8 +415,9 @@ class _Frontier:
     The input's rows come from ``source(a, b)``, which returns rows ``[a, b)``
     of the (N,C,H,W) input of extent ``shape`` and of its mask; IMask
     multiplies each band of them, and only FMask carries the mask on. A node
-    reads ``(source node, stride, up)`` edges: the node before it (2x
-    upsampled when ``up``, into a decoder) and a decoder's encoder skip. Each
+    reads its layer's :attr:`LayerSpec.inputs`, ``(source node, stride, up)``
+    edges: the node before it (2x upsampled when ``up``, into a decoder) and
+    a decoder's encoder skip; its extent follows from the first. Each
     node, the input included, holds its features, and its mask if it has
     one, for rows ``[keep, done)`` only. :meth:`advance` first drops the rows
     no consumer reads again, then works out from the last layer backwards how
@@ -460,15 +457,11 @@ class _Frontier:
         self.strip = factor * max(1, _STRIP_ELEMS // (n * config.base_channels * w * factor))
         self.source = source
         self.edges, self.extents, self.period = [()], [(h, w)], [1]
-        for j, spec in enumerate(self.plan):
-            rows, cols = self.extents[j]
-            if config.levels <= j < len(self.plan) - 1:
-                self.edges.append(((j, 1, True), (2 * config.levels - 1 - j, 1, False)))
-                self.extents.append((2 * rows, 2 * cols))
-            else:
-                s = spec.stride
-                self.edges.append(((j, s, False),))
-                self.extents.append((-(-rows // s), -(-cols // s)))
+        for spec in self.plan:
+            src, s, up = spec.inputs[0]
+            rows, cols = self.extents[src]
+            self.edges.append(spec.inputs)
+            self.extents.append((2 * rows, 2 * cols) if up else (-(-rows // s), -(-cols // s)))
             self.period.append(math.lcm(*(
                 2 * self.period[src] if up else self.period[src] // math.gcd(self.period[src], s)
                 for src, s, up in self.edges[-1])))
@@ -602,8 +595,9 @@ class _Frontier:
             inputs.append((f, m, (r0 - lo, hi - r1)))
         (f, m, pad_rows), (skip, skip_m, skip_pad_rows) = \
             inputs[0], (inputs[1:] or [(None, None, None)])[0]
-        weights, bias = self.params.layers[spec.name]
-        out = T.conv2d(f, weights, bias, spec.stride, self.pad, pad_rows=pad_rows, scale=m,
+        tensors, stride = self.params.tensors, self.edges[v][0][1]
+        weights, bias = tensors[f"{spec.name}.weight"], tensors[f"{spec.name}.bias"]
+        out = T.conv2d(f, weights, bias, stride, self.pad, pad_rows=pad_rows, scale=m,
                        skip=skip, skip_scale=skip_m, skip_pad_rows=skip_pad_rows,
                        activation_kind=spec.activation, slope=self.config.leaky_slope)
         mask = None
@@ -611,7 +605,7 @@ class _Frontier:
             mask = self.frozen.get(spec.name)
             if mask is None:
                 tiles = None if self.table is None else self._tiles(v, a, b)
-                mask = propagate_mask(m, weights, spec.stride, self.pad, skip=skip_m,
+                mask = propagate_mask(m, weights, stride, self.pad, skip=skip_m,
                                       pad_rows=pad_rows, skip_pad_rows=skip_pad_rows,
                                       tiles=tiles)
         self._store(v, out, mask)

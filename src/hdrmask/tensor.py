@@ -235,14 +235,6 @@ def activation(a, kind="relu", slope=0.2):
     raise ContractError(f"unknown activation kind {kind!r}")
 
 
-def relu(a):
-    return activation(a, "relu")
-
-
-def leaky_relu(a, slope=0.2):
-    return activation(a, "leaky_relu", slope)
-
-
 # -- reductions and shape ops --------------------------------------------
 
 

@@ -21,7 +21,7 @@ from . import tensor as T
 from .errors import ContractError, DomainError, NumericError
 from .losses import (FeatureExtractor, InpaintingLossWeights, LossWeights,
                      inpainting_loss, total_loss)
-from .network import (MASKING_MODES, UNetConfig, UNetParameters, layer_plan, predict,
+from .network import (MASKING_MODES, UNetConfig, UNetParameters, param_shapes, predict,
                       unet_forward)
 from .pipeline import compose_hdr, mse_gamma_scores
 from .sampler import SamplerConfig, generate_inpainting_mask, sample_corpus
@@ -154,14 +154,13 @@ def initialize_parameters(config, seed=0):
     """Xavier-uniform weights (zero biases), deterministic per seed."""
     rng = np.random.default_rng(seed)
     arrays = {}
-    k = config.kernel_size
-    for spec in layer_plan(config):
-        fan_in = spec.in_channels * k * k
-        fan_out = spec.out_channels * k * k
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        arrays[f"{spec.name}.weight"] = rng.uniform(
-            -bound, bound, size=(spec.out_channels, spec.in_channels, k, k)).astype(np.float32)
-        arrays[f"{spec.name}.bias"] = np.zeros(spec.out_channels, dtype=np.float32)
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".bias"):
+            arrays[name] = np.zeros(shape, dtype=np.float32)
+            continue
+        co, ci, kh, kw = shape
+        bound = math.sqrt(6.0 / (ci * kh * kw + co * kh * kw))
+        arrays[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return UNetParameters.from_arrays(config, arrays)
 
 
@@ -185,7 +184,7 @@ def _optimize(stage, config, params, adam, batch_fn, val_fn, start_step=0):
     """Shared optimization loop for both stages."""
     run_log = RunLog()
     sched = PlateauScheduler(config.lr, config.plateau_patience, config.plateau_factor)
-    params_map = params.named_tensors()
+    params_map = params.tensors
     spe = config.steps_per_epoch
     best_val = math.inf
     best_params = params.copy()

@@ -106,10 +106,10 @@ class TestCriterion2GradientSuite:
                                       extractor)),
                 "blend": lambda t: T.tmean(T.absolute(
                     L.blend_with_ground_truth(h, t, m))),
-                "mu_law": lambda t: T.tmean(mu_law_compress(T.relu(t), mu=500.0)),
+                "mu_law": lambda t: T.tmean(mu_law_compress(T.activation(t, "relu"), mu=500.0)),
                 "gram": lambda t: T.tsum(T.absolute(L.gram_matrix(t))),
                 "inpainting": lambda t: L.inpainting_loss(
-                    T.relu(t), img, hole, extractor).node,
+                    T.activation(t, "relu"), img, hole, extractor).node,
             }
             for name, fn in checks.items():
                 y.zero_grad()
@@ -131,7 +131,7 @@ class TestCriterion2GradientSuite:
             # straddle a relu kink (seen on ~3 of 20 seeds), which says
             # nothing about the analytic gradient; 1e-5 still sits 6 digits
             # above float64 roundoff.
-            tensors = list(params.named_tensors().values())
+            tensors = list(params.tensors.values())
             err = T.check_gradients(unet_loss, tensors, epsilon=1e-5, max_coords=2,
                                     rng=np.random.default_rng(700 + seed))
             worst["masked_unet"] = max(worst.get("masked_unet", 0.0), err)
@@ -160,7 +160,8 @@ class TestCriterion3MaskingIdentity:
         denom = max(float(np.max(np.abs(y_plain.data))), 1e-9)
         rel = float(np.max(np.abs(y_masked.data - y_plain.data))) / denom
         min_kernel_sum = min(float(np.abs(w.data).sum(axis=(1, 2, 3)).min())
-                             for w, _ in (params.layers[s.name] for s in N.layer_plan(config)))
+                             for w in (params.tensors[f"{s.name}.weight"]
+                                       for s in N.layer_plan(config)))
         bound = 1.0 - len(stack) * 1e-6 / min_kernel_sum
         masks_ok = all(m.min() >= bound for _, m in stack[1:])
 

@@ -1,7 +1,9 @@
 import argparse
+import builtins
 import itertools
 import json
 import os
+import stat
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -331,6 +333,48 @@ class TestReconstructStream:
         assert calls == [0, 128]
         assert "exp overflow in prediction at index (0, 128, 0)" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ppm", "m.ckpt"]
+
+    def test_a_symlinked_out_writes_through_the_link(self, tmp_path, small_ckpt):
+        photo = _photo(tmp_path / "in.ppm", 16, 24, 4)
+        (tmp_path / "real").mkdir()
+        target, link = tmp_path / "real" / "target.pfm", tmp_path / "link.pfm"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        for out in (link, tmp_path / "direct.pfm"):
+            assert dispatch(["reconstruct", "--in", photo, "--checkpoint", small_ckpt,
+                             "--out", str(out)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (tmp_path / "direct.pfm").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "direct.pfm", "in.ppm", "link.pfm", "real", "reconstruct_manifest.json", "small.ckpt"]
+        assert [p.name for p in (tmp_path / "real").iterdir()] == ["target.pfm"]
+
+    def test_a_fifo_out_is_refused_and_never_opened(self, tmp_path, small_ckpt, monkeypatch,
+                                                    capsys):
+        photo = _photo(tmp_path / "in.ppm", 16, 24, 4)
+        fifo = tmp_path / "out.pfm"
+        os.mkfifo(fifo)
+        # A reader end held open keeps a writer's open from blocking, so a
+        # write to the FIFO fails the test instead of hanging it.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        opened, real_open = [], builtins.open
+
+        def spy(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened.append(os.path.realpath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        try:
+            rc = dispatch(["reconstruct", "--in", photo, "--checkpoint", small_ckpt,
+                           "--out", str(fifo)])
+            assert os.read(reader, 1) == b""
+        finally:
+            os.close(reader)
+        assert rc == 2 and "not a regular file" in capsys.readouterr().err
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert str(fifo) not in opened and photo in opened
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ppm", "out.pfm", "small.ckpt"]
 
     @pytest.mark.parametrize("argv", [
         ["reconstruct", "--checkpoint", "{ckpt}", "--out", "{tmp}/r.pfm"],

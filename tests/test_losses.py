@@ -171,7 +171,7 @@ class TestPerceptualLoss:
         vgg, style = L.perceptual_loss(T.parameter(a), zero, extractor)
 
         def compressed(x):
-            return L.mu_law_compress(T.relu(T.constant(x)) / 1.0)
+            return L.mu_law_compress(T.activation(T.constant(x), "relu") / 1.0)
 
         want = L._feature_terms([compressed(a)], compressed(zero).data, extractor)
         assert np.isfinite(vgg.item()) and np.isfinite(style.item()) and vgg.item() > 0
@@ -194,7 +194,8 @@ class TestExtractorReluNode:
         for w, b in extractor.stages:
             wt = T.constant(w.astype(t.data.dtype, copy=False))
             bt = T.constant(b.astype(t.data.dtype, copy=False))
-            t = T.avg_pool(T.relu(T.conv2d(t, wt, bt, padding=extractor.kernel_size // 2)), 2)
+            t = T.avg_pool(T.activation(T.conv2d(t, wt, bt, padding=extractor.kernel_size // 2),
+                                         "relu"), 2)
             taps.append(t)
         return taps
 

@@ -216,6 +216,48 @@ class TestParamManifest:
         assert "enc4" in str(err.value)
 
 
+E, UP = False, True  # an edge's ``up``: read as is, or the 2x upsample
+PLAN_INPUTS = {
+    1: [("enc0", ((0, 1, E),)), ("out", ((1, 1, E),))],
+    2: [("enc0", ((0, 1, E),)), ("enc1", ((1, 2, E),)),
+        ("dec0", ((2, 1, UP), (1, 1, E))), ("out", ((3, 1, E),))],
+    3: [("enc0", ((0, 1, E),)), ("enc1", ((1, 2, E),)), ("enc2", ((2, 2, E),)),
+        ("dec1", ((3, 1, UP), (2, 1, E))), ("dec0", ((4, 1, UP), (1, 1, E))),
+        ("out", ((5, 1, E),))],
+    4: [("enc0", ((0, 1, E),)), ("enc1", ((1, 2, E),)), ("enc2", ((2, 2, E),)),
+        ("enc3", ((3, 2, E),)), ("dec2", ((4, 1, UP), (3, 1, E))),
+        ("dec1", ((5, 1, UP), (2, 1, E))), ("dec0", ((6, 1, UP), (1, 1, E))),
+        ("out", ((7, 1, E),))],
+}
+
+
+class TestOneDescription:
+    """``layer_plan`` wires the network and ``param_shapes`` names its entries."""
+
+    @pytest.mark.parametrize("levels", sorted(PLAN_INPUTS))
+    def test_layer_inputs_are_the_unet_edges(self, levels):
+        # Node 0 is the input and node j + 1 layer j: each encoder reads the
+        # node before it, each decoder the upsampled node before it and its
+        # encoder's skip; at one level there is no decoder.
+        plan = N.layer_plan(N.UNetConfig(levels=levels, base_channels=2))
+        assert [(spec.name, spec.inputs) for spec in plan] == PLAN_INPUTS[levels]
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_param_shapes_are_what_init_and_the_manifest_use(self, levels, kernel):
+        from hdrmask.training import initialize_parameters
+
+        config = N.UNetConfig(levels=levels, base_channels=2, kernel_size=kernel)
+        shapes = N.param_shapes(config)
+        arrays = initialize_parameters(config, 0).named_arrays()
+        assert list(shapes) == list(arrays)
+        assert all(arrays[name].shape == shape for name, shape in shapes.items())
+        with pytest.raises(CheckpointShapeError) as err:
+            N.validate_param_manifest({}, config)
+        assert list(err.value.mismatches) == [f"{name}: missing (expected {shape})"
+                                              for name, shape in shapes.items()]
+
+
 class TestUNetForward:
     def test_output_shape_matches_input(self):
         cfg = N.UNetConfig(levels=3, base_channels=4)
@@ -279,7 +321,7 @@ class TestUNetForward:
         params = tiny_params(cfg, seed=13)
         x = np.zeros((1, 3, 8, 8))
         layer = N.layer_plan(cfg)[0]
-        w, b = params.layers[layer.name]
+        w, b = params.tensors[f"{layer.name}.weight"], params.tensors[f"{layer.name}.bias"]
         zeros = np.zeros_like(x)
         out = T.conv2d(T.constant(x), w, b, 1, 1, scale=zeros)
         assert np.allclose(out.data, b.data.reshape(1, -1, 1, 1), atol=1e-12)
@@ -326,9 +368,9 @@ class TestUNetForward:
         assert y_tape._parents and not y._parents and not y.requires_grad
         assert np.array_equal(y.data, y_tape.data)
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(stack, stack_tape))
-        for name, t in frozen.named_tensors().items():
+        for name, t in frozen.tensors.items():
             assert t.name == name and not t.requires_grad
-            assert t.data is params.named_tensors()[name].data
+            assert t.data is params.tensors[name].data
 
 
 class TestMasklessModes:
@@ -400,7 +442,7 @@ class TestLayerGraphMemory:
         monkeypatch.setattr(T, "conv2d", spy)
         x = rnd(49).random((1, 3, 16, 16))
         N.unet_forward(x, N.exposure_mask(x, 0.8), params)
-        assert [id(w) for w in calls] == [id(params.layers[s.name][0])
+        assert [id(w) for w in calls] == [id(params.tensors[f"{s.name}.weight"])
                                           for s in N.layer_plan(params.config)]
 
     def test_graph_holds_each_layers_planes_and_output(self):
@@ -437,8 +479,9 @@ class TestLayerGraphMemory:
                 skip = spec.out_channels  # a decoder outputs its skip's width
                 want += planes(skip, level) + planes(spec.in_channels - skip, level + 1) + out
             else:
-                source = level - 1 if spec.stride == 2 else level
-                want += planes(spec.in_channels, source, spec.stride) + out
+                stride = spec.inputs[0][1]
+                source = level - 1 if stride == 2 else level
+                want += planes(spec.in_channels, source, stride) + out
         assert y.data.dtype == np.float32
         assert held <= 1.1 * want, (held, want)
 
@@ -526,7 +569,7 @@ def reference_unet(x, mask, arrays, config, mode):
         if spec.name.startswith("dec"):
             f, m_out = upsample_concat_conv(f, m, *skips.pop(), w, b, pad)
         else:
-            f, m_out = masked_conv_loops(f, m, w, b, spec.stride, pad)
+            f, m_out = masked_conv_loops(f, m, w, b, spec.inputs[0][1], pad)
         f = acts[spec.activation](f)
         m = m_out if mode == N.MODE_FEATURE_MASK else np.ones_like(f)
         stack.append((spec.name, m))
@@ -721,11 +764,11 @@ def dense_masks(mask, params):
     config = params.config
     pad, m, masks, skips = config.kernel_size // 2, mask, {}, []
     for i, spec in enumerate(N.layer_plan(config)):
-        w = params.layers[spec.name][0]
+        w = params.tensors[f"{spec.name}.weight"]
         if spec.name.startswith("dec"):
             m = N.propagate_mask(m, w, padding=pad, skip=skips.pop())
         else:
-            m = N.propagate_mask(m, w, spec.stride, pad)
+            m = N.propagate_mask(m, w, spec.inputs[0][1], pad)
         masks[spec.name] = m
         if i < config.levels - 1:
             skips.append(m)

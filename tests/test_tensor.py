@@ -280,7 +280,7 @@ class TestActivation:
         x = rnd(2).normal(size=(3, 50)).astype(dtype)
         x[0, :4] = [0.0, -0.0, np.finfo(dtype).tiny, -np.finfo(dtype).tiny]
         factor = np.where(x > 0, dtype(1.0), dtype(slope))
-        out = T.leaky_relu(T.parameter(x), slope)
+        out = T.activation(T.parameter(x), "leaky_relu", slope)
         assert out.data.dtype == dtype and out.data.tobytes() == (x * factor).tobytes()
         g = rnd(3).normal(size=x.shape).astype(dtype)
         assert out._vjp(g)[0].tobytes() == (g * factor).tobytes()
@@ -579,7 +579,7 @@ class TestBackward:
 
         def fn(x, w1, b1, w2):
             z = x * T.constant(mask)
-            h = T.leaky_relu(T.conv2d(z, w1, b1, 1, 1))
+            h = T.activation(T.conv2d(z, w1, b1, 1, 1), "leaky_relu")
             h = h * T.constant(mask[:, :1].repeat(2, axis=1))
             out = T.conv2d(h, w2, None, 2, 1)
             return T.tmean(T.absolute(out))
@@ -619,11 +619,11 @@ def _conv_pool_graph():
     w2 = T.parameter(rng.normal(size=(2, 4, 3, 3)).astype(np.float32))
     mask = T.constant((rng.random((2, 4, 8, 8)) > 0.3).astype(np.float32))
     h = T.conv2d(x, w1, b1, padding=1)
-    a = T.leaky_relu(h, 0.2)
+    a = T.activation(h, "leaky_relu", 0.2)
     m = a * mask
     p = T.avg_pool(m, 2)
     c = T.conv2d(p, w2, None, stride=2, padding=1)
-    r = T.relu(c)
+    r = T.activation(c, "relu")
     sq = r * r
     root = T.tmean(sq) + T.tmean(T.absolute(h))
     return [x, w1, b1, w2], [h, a, m, p, c, r, sq], root

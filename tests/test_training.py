@@ -48,7 +48,7 @@ class TestInitializeParameters:
         config = UNetConfig(levels=2, base_channels=32)
         params = initialize_parameters(config, seed=1)
         spec = layer_plan(config)[1]
-        w = params.layers[spec.name][0].data
+        w = params.tensors[f"{spec.name}.weight"].data
         fan_in = spec.in_channels * 9
         fan_out = spec.out_channels * 9
         want = 2.0 / (fan_in + fan_out)  # variance of U(-b, b) with b^2 = 6/(fi+fo)
@@ -56,14 +56,32 @@ class TestInitializeParameters:
 
     def test_biases_zero(self):
         params = initialize_parameters(UCFG, seed=2)
-        for _, (w, b) in params.layers.items():
-            assert np.all(b.data == 0)
+        for name, t in params.tensors.items():
+            if name.endswith(".bias"):
+                assert np.all(t.data == 0), name
 
     def test_deterministic(self):
         a = initialize_parameters(UCFG, seed=7)
         b = initialize_parameters(UCFG, seed=7)
-        for name in a.layers:
-            assert np.array_equal(a.layers[name][0].data, b.layers[name][0].data)
+        for name in a.tensors:
+            assert np.array_equal(a.tensors[name].data, b.tensors[name].data)
+
+    @pytest.mark.parametrize("config, seed", [
+        (UCFG, 3),
+        (UNetConfig(levels=3, base_channels=5, kernel_size=5, in_channels=2, out_channels=4), 8)])
+    def test_values_are_one_xavier_draw_per_weight_in_plan_order(self, config, seed):
+        rng = np.random.default_rng(seed)
+        k = config.kernel_size
+        want = {}
+        for spec in layer_plan(config):
+            bound = math.sqrt(6.0 / ((spec.in_channels + spec.out_channels) * k * k))
+            want[f"{spec.name}.weight"] = rng.uniform(
+                -bound, bound, size=(spec.out_channels, spec.in_channels, k, k)).astype(np.float32)
+            want[f"{spec.name}.bias"] = np.zeros(spec.out_channels, dtype=np.float32)
+        got = initialize_parameters(config, seed).named_arrays()
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes(), name
 
 
 class TestTrainConfig:
@@ -207,7 +225,7 @@ class TestValidationMse:
     def test_exp_overflow_scores_inf(self, records):
         params = initialize_parameters(UCFG, 0)
         # exp(1000) overflows float32 wherever the prediction is composed.
-        params.layers["out"][1].data[:] = 1000.0
+        params.tensors["out.bias"].data[:] = 1000.0
         assert validation_mse(records[:2], params) == math.inf
 
     def test_is_the_overall_masked_score_of_evaluate(self, records):
@@ -236,7 +254,7 @@ class TestOptimize:
 
         def batch_fn(step, params):
             # A finite gradient that an update would apply, beside a diverged total.
-            node = T.tsum(params.layers["out"][0])
+            node = T.tsum(params.tensors["out.weight"])
             return LossReport(total=math.inf, components={}, weighted={}, node=node)
 
         with pytest.raises(ContractError):

@@ -11,6 +11,8 @@ before numpy loads, as the benchmark does. The lines are:
 * the benchmark's own ``Unit.digest`` (``perfbench/workloads.py``):
   ``train-hdr`` at seeds 1 and 5, the three ``reconstruct-512`` photos at
   seed 3 and the two ``curate`` units at seed 1;
+* the entry names and arrays of ``initialize_parameters`` at seed 3 for the
+  default shape in each masking mode;
 * the PGMs ``hdrmask mask`` writes for FMask, IMask and SConv checkpoints
   from a 64x64 photo, and from a 509x203 photo, which pads to 512x208 and
   runs as four strips, the last with reflected rows;
@@ -85,6 +87,8 @@ def main():
         records = formats.read_dataset_shard(shard)
         for mode in network.MASKING_MODES:
             params = training.initialize_parameters(network.UNetConfig(mode=mode), seed=3)
+            arrays = params.named_arrays()
+            print(f"init {mode} {sha(np.array(list(arrays)), *arrays.values())}")
             checkpoint, out_dir = os.path.join(tmp, f"{mode}.ckpt"), os.path.join(tmp, mode)
             training.save_model(checkpoint, params)
             for label, ppm in (("", photo), (" 509x203", tall)):
@@ -107,7 +111,7 @@ def main():
             print(f"eval {mode} exit {rc} {sha(table)}")
             print(f"validation {mode} {training.validation_mse(records, params)!r}")
             y, stack = network.unet_forward(x, m, params)
-            tensors = params.named_tensors()
+            tensors = params.tensors
             T.backward(T.tsum(y * T.constant(probe)), parameters=list(tensors.values()))
             print(f"forward {mode} output {sha(y.data)}")
             print(f"forward {mode} masks {sha(*(a for _, a in stack))}")
