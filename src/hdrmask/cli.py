@@ -17,6 +17,7 @@ defaults to the first. Only path flags are declared by hand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -130,18 +131,15 @@ def _photo_source(command, photo, config, alpha):
     The estimate, from the header alone, is the walk's measured tracemalloc
     peak over the padded extent: the 4-byte-a-pixel table of saturated
     pixels and strips of every layer, 0.62-0.99 KB a column per base channel
-    from 4096 columns on (narrower photos take under 35 MB). ``mask`` also
-    holds each layer's PGM, under 4.7 bytes a pixel at any depth; its peak
-    read 3.1-4.3 bytes a pixel above ``reconstruct``'s from 2048x256 to
-    1024x1024. The payload is checked next. ``source(a, b)`` returns rows
-    ``[a, b)`` of the photo, reflect-padded on the bottom and right to the
-    downsample factor, and of its exposure mask at ``alpha``.
+    from 4096 columns on (narrower photos take under 35 MB), for ``mask`` as
+    for ``reconstruct``, which both write each strip as it finishes. The
+    payload is checked next. ``source(a, b)`` returns rows ``[a, b)`` of the
+    photo, reflect-padded on the bottom and right to the downsample factor,
+    and of its exposure mask at ``alpha``.
     """
     h, w, factor = photo.height, photo.width, config.downsample_factor
     hp, wp = -(-h // factor) * factor, -(-w // factor) * factor
     need = 4 * (hp + 1) * (wp + 1) + 1024 * config.base_channels * wp
-    if command == "mask":
-        need += 4.7 * hp * wp
     if need > MEMORY_BUDGET:
         raise ContractError(f"{command} of a {w}x{h} photo would need about "
                             f"{need / 2 ** 30:.1f} GiB, past the memory budget of "
@@ -200,27 +198,24 @@ _MASK_DEFAULTS = {"alpha": DEFAULT_SATURATION_THRESHOLD, "levels": 4, "base_chan
 
 def cmd_mask(args, resolved):
     """Write channel 0 of each layer's mask, round(255 * v), as a PGM cropped to
-    the ceil(H / 2**level) x ceil(W / 2**level) that covers the photo, from
-    the strip walk ``reconstruct`` predicts with."""
-    with formats.LdrReader(args.input) as photo:
+    the ceil(H / 2**level) x ceil(W / 2**level) that covers the photo, each
+    band of rows as the strip walk ``reconstruct`` predicts with finishes it."""
+    with formats.LdrReader(args.input) as photo, contextlib.ExitStack() as files:
         params = load_model(args.checkpoint).params if args.checkpoint else None
         config = params.config if params else _unet_config(resolved)
         source, shape = _photo_source("mask", photo, config, resolved["alpha"])
         params = params or initialize_parameters(config, resolved["seed"])
-        h, w, images = photo.height, photo.width, {}
+        # The manifest records the model whose masks these are.
+        resolved = {**resolved, "levels": config.levels, "base_channels": config.base_channels}
+        os.makedirs(args.out_dir, exist_ok=True)
+        h, w, pgms, outputs = photo.height, photo.width, {}, {}
         for layer, row, m in mask_strips(source, shape, params):
-            if layer not in images:
-                # The layer's width over the padded photo's is 2**-level.
-                images[layer] = np.empty((-(-h * m.shape[1] // shape[3]),
-                                          -(-w * m.shape[1] // shape[3])), dtype=np.uint8)
-            part = images[layer][row:row + m.shape[0]]
-            part[:] = np.rint(255.0 * m[:part.shape[0], :part.shape[1]])
-    os.makedirs(args.out_dir, exist_ok=True)
-    outputs = {}
-    for layer, img in images.items():
-        path = os.path.join(args.out_dir, f"mask_{layer}_c0.pgm")
-        formats.write_gray8(path, img)
-        outputs[f"{layer}/c0"] = path
+            # The layer's width over the padded photo's is 2**-level.
+            rows, cols = (-(-n * m.shape[1] // shape[3]) for n in (h, w))
+            if layer not in pgms:
+                path = outputs[f"{layer}/c0"] = os.path.join(args.out_dir, f"mask_{layer}_c0.pgm")
+                pgms[layer] = files.enter_context(formats.pgm_strip_writer(path, rows, cols))
+            pgms[layer](m[:max(rows - row, 0), :cols])
     _write_manifest(args.out_dir, "mask", resolved, {"ldr": args.input}, outputs)
     return 0
 

@@ -40,8 +40,8 @@ A photo need not be read or written whole. :class:`LdrReader` parses a
 PPM's header on its own, so its extent is known before any pixel is read,
 and then reads any band of rows with a seek and one ``readinto``;
 :func:`read_ldr` is that reader read to the end. :func:`pfm_strip_writer`
-writes a PFM a band of rows at a time into a file of its final size and
-puts it in place only when every band has been written.
+and :func:`pgm_strip_writer` write a PFM or a PGM a band of rows at a time,
+and every writer replaces its target only once the whole file is written.
 """
 
 from __future__ import annotations
@@ -137,11 +137,8 @@ def write_pfm(path, image):
     arr = np.asarray(image.pixels if hasattr(image, "pixels") else image)
     if arr.ndim != 3 or arr.shape[0] not in (1, 3):
         raise DimensionError(f"PFM wants (1|3,H,W), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ContractError("PFM payload must be finite")
-    with open(path, "wb") as fh:
-        fh.write(_pfm_header(*arr.shape))
-        fh.write(_pfm_payload(arr))
+    with pfm_strip_writer(path, *arr.shape) as write:
+        write(0, arr)
 
 
 def _pfm_header(c, h, w):
@@ -159,24 +156,32 @@ def encode_pfm(arr):
 
 
 @contextlib.contextmanager
+def _replacing(path):
+    """Yield a hidden temporary beside the file ``path`` names (a symlink's
+    target), which replaces that file when the block ends and is otherwise
+    removed. An existing ``path`` that is no regular file raises ContractError."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ContractError(f"cannot write over {path}: it is not a regular file")
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+@contextlib.contextmanager
 def pfm_strip_writer(path, channels, height, width):
     """Write a (``channels``, ``height``, ``width``) PFM a band of rows at a time.
 
     Yields ``write(row, pixels)``, which puts the (C, rows, W) float32 band
-    that starts at image row ``row`` at its bottom-up place in the file. The
-    file is a hidden temporary beside the file ``path`` names (a symlink's
-    target), sized in full before any band is written; it replaces that file
-    when the block ends, and is removed if the block raises, so no partial
-    PFM is left. A ``path`` that exists but is no regular file (a FIFO, a
-    directory) raises :class:`ContractError` before the temporary is made,
-    and so does a band that is not finite, as in :func:`write_pfm`.
-    """
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise ContractError(f"cannot write a PFM over {path}: it is not a regular file")
+    that starts at image row ``row`` at its bottom-up place in a file sized
+    in full first. A band that does not fit raises :class:`DimensionError`,
+    one that is not finite :class:`ContractError`."""
     header = _pfm_header(channels, height, width)
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     row_bytes = channels * width * 4
 
     def write(row, pixels):
@@ -189,16 +194,10 @@ def pfm_strip_writer(path, channels, height, width):
         fh.seek(len(header) + (height - row - pixels.shape[1]) * row_bytes)
         fh.write(_pfm_payload(pixels))
 
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.truncate(len(header) + height * row_bytes)
-            yield write
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with _replacing(path) as fh:
+        fh.write(header)
+        fh.truncate(len(header) + height * row_bytes)
+        yield write
 
 
 def read_pfm(path_or_bytes):
@@ -251,7 +250,7 @@ def write_ldr(path, image):
         raise DimensionError(f"PPM wants (3,H,W), got {arr.shape}")
     if np.any(arr < 0) or np.any(arr > 1):
         raise ContractError("LDR values must lie in [0,1]")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(encode_ppm(arr))
 
 
@@ -360,17 +359,38 @@ def read_hdr(path_or_bytes):
     return HdrImage(arr)
 
 
+@contextlib.contextmanager
+def pgm_strip_writer(path, height, width):
+    """Write a ``height`` x ``width`` binary PGM (P5) a band of rows at a time.
+
+    Yields ``write(rows)``, which appends a (rows, W) band, uint8 as given and
+    [0,1] floats as round(255 * v). A band that does not fit, or a block that
+    ends short of ``height`` rows, raises :class:`DimensionError`."""
+    done = 0
+
+    def write(rows):
+        nonlocal done
+        if rows.shape[1:] != (width,) or done + len(rows) > height:
+            raise DimensionError(f"band {rows.shape} overruns a {height}x{width} PGM at row {done}")
+        if rows.dtype != np.uint8:
+            rows = np.rint(np.clip(rows, 0.0, 1.0) * 255.0).astype(np.uint8)
+        fh.write(np.ascontiguousarray(rows))
+        done += len(rows)
+
+    with _replacing(path) as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode())
+        yield write
+        if done != height:
+            raise DimensionError(f"a {height}-row PGM ends after {done} rows")
+
+
 def write_gray8(path, values):
     """Write a (H,W) uint8 (or [0,1] float) array as a binary PGM (P5)."""
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise DimensionError(f"PGM wants (H,W), got {arr.shape}")
-    if arr.dtype != np.uint8:
-        arr = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(np.ascontiguousarray(arr).tobytes())
+    with pgm_strip_writer(path, *arr.shape) as write:
+        write(arr)
 
 
 # -- Radiance RGBE (read-only ingestion) --------------------------------------
@@ -480,7 +500,7 @@ def save_checkpoint(path, arrays):
         buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         buf.write(arr.astype("<f4", copy=False).tobytes())
     payload = buf.getvalue()
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(payload + hashlib.sha256(payload).digest()[:8])
 
 
@@ -567,7 +587,7 @@ def write_dataset_shard(path, records, alpha=DEFAULT_SATURATION_THRESHOLD):
             index.write(struct.pack("<QQ", off, length))
     header = SHARD_MAGIC + struct.pack("<IIfQ", SHARD_VERSION, len(records),
                                        np.float32(alpha), pos)
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(header)
         for blob in blobs:
             fh.write(blob)

@@ -15,6 +15,7 @@ from hdrmask import cli
 from hdrmask import formats as F
 from hdrmask import training
 from hdrmask.cli import dispatch
+from hdrmask.errors import ContractError
 from hdrmask.losses import FeatureExtractor
 from hdrmask.network import UNetConfig, exposure_mask, predict, unet_forward
 from hdrmask.pipeline import compose_hdr, simulate_ldr
@@ -54,6 +55,20 @@ class TestDispatch:
 
     def test_no_command_prints_usage(self):
         assert dispatch([]) == 1
+
+    def test_a_fifo_out_is_refused(self, tmp_path, scene_pfm, capsys):
+        fifo = tmp_path / "out.ppm"
+        os.mkfifo(fifo)
+        # A reader end held open keeps a writer's open from blocking, so a
+        # write to the FIFO fails the test instead of hanging it.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            rc = dispatch(["simulate-ldr", "--in", scene_pfm, "--out", str(fifo)])
+            assert os.read(reader, 1) == b""
+        finally:
+            os.close(reader)
+        assert rc == 2 and "not a regular file" in capsys.readouterr().err
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 class TestKnobFlags:
@@ -561,7 +576,7 @@ class TestMaskCommand:
         ckpt = str(tmp_path / "m.ckpt")
         save_model(ckpt, initialize_parameters(UNetConfig(), 0))
         peaks = {}
-        for h in (256, 2048):
+        for h in (256, 4096):
             photo = _photo(tmp_path / f"in{h}.ppm", h, 256, 5)
             tracemalloc.start()
             try:
@@ -570,14 +585,50 @@ class TestMaskCommand:
                 peaks[h] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # Two structures grow with the photo's area: the int32 summed-area
-        # table of saturated pixels, (h + 1) x 257 of them, and the PGMs held
-        # until the walk ends, four layers at the photo's extent and two at
-        # each of the three levels below.
-        area = 256 * (2048 - 256)
-        table = 4 * 257 * (2049 - 257)
-        pgms = area * (4 + 2 * (1 / 4 + 1 / 16 + 1 / 64))
-        assert peaks[2048] - peaks[256] <= table + pgms + (2 << 20), peaks
+        # Each PGM is written a band at a time as the walk finishes its rows,
+        # so as in reconstruct the int32 summed-area table of saturated
+        # pixels, (h + 1) x 257 of them, is the one structure of the photo's
+        # area (the PGMs of 4096 rows would hold about 4.5 MB).
+        table = 4 * 257 * (4097 - 257)
+        assert peaks[4096] - peaks[256] <= table + (2 << 20), peaks
+
+    def test_an_error_mid_walk_leaves_the_earlier_pgms(self, tmp_path, small_ckpt,
+                                                       monkeypatch, capsys):
+        photo, out_dir = _photo(tmp_path / "in.ppm", 400, 256, 1), tmp_path / "masks"
+        assert dispatch(["mask", "--in", photo, "--checkpoint", small_ckpt,
+                         "--out-dir", str(out_dir)]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        layers, real = sum(name.endswith(".pgm") for name in before), cli.mask_strips
+
+        def mask_strips(source, shape, params):
+            # The first of several strips, one band per layer, then a failure.
+            strips = real(source, shape, params)
+            for _ in range(layers):
+                yield next(strips)
+            raise ContractError("the walk failed after its first strip")
+
+        monkeypatch.setattr(cli, "mask_strips", mask_strips)
+        photo = _photo(tmp_path / "in.ppm", 400, 256, 2)
+        assert dispatch(["mask", "--in", photo, "--checkpoint", small_ckpt,
+                         "--out-dir", str(out_dir)]) == 2
+        assert "the walk failed after its first strip" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_manifest_records_the_checkpoint_model(self, tmp_path, small_ckpt):
+        photo = _photo(tmp_path / "in.ppm", 13, 21, 3)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert dispatch(["mask", "--in", photo, "--checkpoint", small_ckpt,
+                         "--out-dir", str(first)]) == 0
+        manifest = first / "mask_manifest.json"
+        resolved = json.loads(manifest.read_text())["resolved_config"]
+        assert (resolved["levels"], resolved["base_channels"]) == (2, 4)
+        assert dispatch(["mask", "--config", str(manifest), "--in", photo,
+                         "--checkpoint", small_ckpt, "--out-dir", str(again)]) == 0
+        pgms = sorted(p.name for p in first.iterdir() if p.suffix == ".pgm")
+        assert pgms == ["mask_dec0_c0.pgm", "mask_enc0_c0.pgm", "mask_enc1_c0.pgm",
+                        "mask_input_c0.pgm", "mask_out_c0.pgm"]
+        assert pgms == sorted(p.name for p in again.iterdir() if p.suffix == ".pgm")
+        assert all((first / n).read_bytes() == (again / n).read_bytes() for n in pgms)
 
 
 class TestEvalDataSource:

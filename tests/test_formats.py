@@ -1,4 +1,8 @@
+import builtins
+import errno
 import hashlib
+import os
+import stat
 import struct
 import tracemalloc
 
@@ -176,25 +180,142 @@ class TestPfmStripWriter:
         assert path.read_bytes() == F.encode_pfm(img)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.pfm"]
 
-    @pytest.mark.parametrize("band, row", [(np.full((3, 2, 4), np.inf, np.float32), 0),
-                                           (np.zeros((3, 2, 4), np.float32), 8),
-                                           (np.zeros((1, 2, 4), np.float32), 0)])
-    def test_a_failed_write_leaves_no_file(self, tmp_path, band, row):
-        path = tmp_path / "s.pfm"
-        path.write_bytes(b"older")
-        with pytest.raises(HdrMaskError):
-            with F.pfm_strip_writer(str(path), 3, 9, 4) as write:
-                write(2, np.zeros((3, 3, 4), np.float32))
-                write(row, band)
-        assert path.read_bytes() == b"older"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.pfm"]
-
 
 class TestPgm:
     def test_writes_expected_bytes(self, tmp_path):
         path = tmp_path / "m.pgm"
         F.write_gray8(path, np.array([[0, 128], [255, 7]], dtype=np.uint8))
         assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 128, 255, 7])
+
+    def test_bands_top_down_write_the_whole_image(self, tmp_path):
+        # Floats are clipped to [0,1] and stored as round(255 * v), as
+        # write_gray8 stores them; an empty band writes nothing.
+        values = rnd(5).random((5, 3)) * 1.2 - 0.1
+        path = tmp_path / "b.pgm"
+        with F.pgm_strip_writer(str(path), 5, 3) as write:
+            for a, b in ((0, 2), (2, 2), (2, 5)):
+                write(values[a:b].astype(np.float32))
+        want = np.rint(np.clip(values.astype(np.float32), 0, 1) * 255).astype(np.uint8)
+        assert path.read_bytes() == b"P5\n3 5\n255\n" + want.tobytes()
+        F.write_gray8(tmp_path / "w.pgm", values.astype(np.float32))
+        assert (tmp_path / "w.pgm").read_bytes() == path.read_bytes()
+
+
+def _pfm_bands(*bands):
+    """A writer of a 3 x 9 x 4 PFM from ``(row, pixels)`` bands."""
+    def write(path):
+        with F.pfm_strip_writer(path, 3, 9, 4) as put:
+            for row, pixels in bands:
+                put(row, pixels)
+    return write
+
+
+def _pgm_bands(*bands):
+    """A writer of a 3 x 4 PGM from top-down bands."""
+    def write(path):
+        with F.pgm_strip_writer(path, 3, 4) as put:
+            for rows in bands:
+                put(rows)
+    return write
+
+
+WRITERS = {
+    "pfm_strip_writer": _pfm_bands((0, np.ones((3, 9, 4), np.float32))),
+    "pgm_strip_writer": _pgm_bands(np.zeros((1, 4), np.uint8), np.full((2, 4), 0.5)),
+    "write_pfm": lambda path: F.write_pfm(path, np.ones((1, 2, 3), np.float32)),
+    "write_gray8": lambda path: F.write_gray8(path, np.eye(3)),
+    "write_ldr": lambda path: F.write_ldr(path, np.full((3, 2, 3), 0.5)),
+    "save_checkpoint": lambda path: F.save_checkpoint(path, {"w": np.ones(2, np.float32)}),
+    "write_dataset_shard": lambda path: F.write_dataset_shard(path, _records()[:1]),
+}
+
+
+class _FullDisk:
+    """A file whose every write stores one byte and then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def write(self, data):
+        self._fh.write(b"\0")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+_ZEROS = (2, np.zeros((3, 3, 4), np.float32))
+FAILURES = [pytest.param(write, True, id=f"{name}-full-disk") for name, write in WRITERS.items()]
+FAILURES += [pytest.param(write, False, id=name) for name, write in (
+    ("pfm_strip_writer-not-finite", _pfm_bands(_ZEROS, (0, np.full((3, 2, 4), np.inf, np.float32)))),
+    ("pfm_strip_writer-past-the-last-row", _pfm_bands(_ZEROS, (8, np.zeros((3, 2, 4), np.float32)))),
+    ("pfm_strip_writer-wrong-channels", _pfm_bands(_ZEROS, (0, np.zeros((1, 2, 4), np.float32)))),
+    ("pgm_strip_writer-past-the-last-row", _pgm_bands(np.zeros((2, 4)), np.zeros((2, 4)))),
+    ("pgm_strip_writer-wrong-width", _pgm_bands(np.zeros((1, 4)), np.zeros((1, 5)))),
+    ("pgm_strip_writer-ends-short", _pgm_bands(np.zeros((2, 4)))),
+    ("write_pfm-not-finite", lambda path: F.write_pfm(path, np.full((3, 2, 2), np.nan))))]
+
+
+class TestPlacement:
+    """Every writer writes a hidden temporary beside the file a path names and
+    replaces that file with it only when the whole file is written."""
+
+    @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+    def test_a_symlink_is_written_through_and_kept(self, tmp_path, write):
+        (tmp_path / "real").mkdir()
+        target, link, direct = tmp_path / "real" / "target", tmp_path / "link", tmp_path / "direct"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        write(str(link))
+        write(str(direct))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == direct.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["direct", "link", "real"]
+        assert os.listdir(tmp_path / "real") == ["target"]
+
+    @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+    def test_a_fifo_is_refused_and_never_opened(self, tmp_path, monkeypatch, write):
+        fifo = tmp_path / "out"
+        os.mkfifo(fifo)
+        # A reader end held open keeps a writer's open from blocking, so a
+        # write to the FIFO fails the test instead of hanging it.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        opened, real_open = [], builtins.open
+
+        def spy(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened.append(os.path.realpath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        try:
+            with pytest.raises(ContractError, match="not a regular file"):
+                write(str(fifo))
+            assert os.read(reader, 1) == b""
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert str(fifo) not in opened and os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("write, full_disk", FAILURES)
+    def test_a_raise_mid_write_leaves_the_old_bytes_and_no_temporary(self, tmp_path,
+                                                                      monkeypatch, write,
+                                                                      full_disk):
+        path = tmp_path / "out"
+        path.write_bytes(b"older")
+        if full_disk:
+            monkeypatch.setattr(F, "open", lambda *a, **k: _FullDisk(builtins.open(*a, **k)),
+                                raising=False)
+        with pytest.raises(OSError if full_disk else HdrMaskError):
+            write(str(path))
+        assert path.read_bytes() == b"older"
+        assert os.listdir(tmp_path) == ["out"]
 
 
 class TestRgbe:

@@ -12,15 +12,19 @@ before numpy loads, as the benchmark does. The lines are:
   ``train-hdr`` at seeds 1 and 5, the three ``reconstruct-512`` photos at
   seed 3 and the two ``curate`` units at seed 1;
 * the entry names and arrays of ``initialize_parameters`` at seed 3 for the
-  default shape in each masking mode;
+  default shape in each masking mode, and the bytes of the checkpoint
+  ``save_model`` writes of them;
 * the PGMs ``hdrmask mask`` writes for FMask, IMask and SConv checkpoints
   from a 64x64 photo, and from a 509x203 photo, which pads to 512x208 and
   runs as four strips, the last with reflected rows;
 * the PFM ``hdrmask reconstruct`` writes for the FMask and IMask checkpoints
   from that 509x203 photo;
-* the ``metrics.tsv`` ``hdrmask eval`` writes for each of those checkpoints
-  on a default-alpha shard (16 crops of two synthetic scenes), and the
-  ``repr`` of ``validation_mse`` on the shard's records;
+* the ``metrics.tsv`` and the ``--dump-images 1`` PFMs ``hdrmask eval``
+  writes for each of those checkpoints on a default-alpha shard (16 crops
+  of two synthetic scenes), the bytes of that shard, and the ``repr`` of
+  ``validation_mse`` on the shard's records;
+* the PPM and mask PGM ``hdrmask simulate-ldr`` writes from a 64x64 PFM
+  scene, and the PGMs ``hdrmask gen-inpaint-masks`` writes;
 * ``unet_forward``'s output, mask stack and parameter gradients in each
   masking mode (a 2x3x64x64 float32 batch);
 * the ``sample_corpus`` records (offsets, scores, LDR and mask bytes) of
@@ -63,6 +67,12 @@ def sha(*arrays):
     return h.hexdigest()
 
 
+def files(directory, suffix):
+    """The names and bytes of the files in ``directory`` ending in ``suffix``."""
+    names = sorted(f for f in os.listdir(directory) if f.endswith(suffix))
+    return names, [np.fromfile(os.path.join(directory, f), dtype=np.uint8) for f in names]
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for name, seed, units in UNITS:
@@ -84,19 +94,29 @@ def main():
         formats.write_dataset_shard(shard, sample_corpus(
             [(f"scene{i}", s) for i, s in enumerate(scenes)],
             SamplerConfig(patches_per_image=8, metric_threshold=0.0)))
+        print(f"shard eval.mds {sha(np.fromfile(shard, dtype=np.uint8))}")
         records = formats.read_dataset_shard(shard)
+        scene_pfm, ppm = os.path.join(tmp, "scene.pfm"), os.path.join(tmp, "scene.ppm")
+        formats.write_pfm(scene_pfm, scene.pixels)
+        rc = cli.dispatch(["simulate-ldr", "--in", scene_pfm, "--out", ppm])
+        print(f"simulate-ldr exit {rc} ppm {sha(np.fromfile(ppm, dtype=np.uint8))} "
+              f"pgm {sha(np.fromfile(ppm + '.mask.pgm', dtype=np.uint8))}")
+        holes = os.path.join(tmp, "holes")
+        rc = cli.dispatch(["gen-inpaint-masks", "--out-dir", holes, "--count", "3", "--seed", "4"])
+        pgms, blobs = files(holes, ".pgm")
+        print(f"gen-inpaint-masks exit {rc} {len(pgms)} pgms {sha(*blobs)}")
         for mode in network.MASKING_MODES:
             params = training.initialize_parameters(network.UNetConfig(mode=mode), seed=3)
             arrays = params.named_arrays()
             print(f"init {mode} {sha(np.array(list(arrays)), *arrays.values())}")
             checkpoint, out_dir = os.path.join(tmp, f"{mode}.ckpt"), os.path.join(tmp, mode)
             training.save_model(checkpoint, params)
+            print(f"checkpoint {mode} {sha(np.fromfile(checkpoint, dtype=np.uint8))}")
             for label, ppm in (("", photo), (" 509x203", tall)):
                 masks = out_dir + label.replace(" ", "-")
                 rc = cli.dispatch(["mask", "--in", ppm, "--out-dir", masks,
                                    "--checkpoint", checkpoint])
-                pgms = sorted(f for f in os.listdir(masks) if f.endswith(".pgm"))
-                blobs = [np.fromfile(os.path.join(masks, f), dtype=np.uint8) for f in pgms]
+                pgms, blobs = files(masks, ".pgm")
                 print(f"mask {mode}{label} exit {rc} {len(pgms)} pgms {sha(*blobs)}")
             if mode != network.MODE_STANDARD_CONV:
                 pfm = os.path.join(tmp, f"{mode}.pfm")
@@ -106,9 +126,11 @@ def main():
             eval_dir = os.path.join(tmp, f"eval-{mode}")
             with contextlib.redirect_stdout(io.StringIO()):  # the table it prints
                 rc = cli.dispatch(["eval", "--checkpoint", checkpoint, "--shard", shard,
-                                   "--out-dir", eval_dir])
+                                   "--out-dir", eval_dir, "--dump-images", "1"])
             table = np.fromfile(os.path.join(eval_dir, "metrics.tsv"), dtype=np.uint8)
             print(f"eval {mode} exit {rc} {sha(table)}")
+            pfms, blobs = files(eval_dir, ".pfm")
+            print(f"eval {mode} dump {len(pfms)} pfms {sha(*blobs)}")
             print(f"validation {mode} {training.validation_mse(records, params)!r}")
             y, stack = network.unet_forward(x, m, params)
             tensors = params.tensors
