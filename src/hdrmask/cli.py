@@ -107,7 +107,7 @@ def _write_manifest(out_dir, command, resolved, inputs, outputs):
     }
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{command.replace('-', '_')}_manifest.json")
-    with open(path, "w") as fh:
+    with formats._replacing(path, "w") as fh:
         json.dump(manifest, fh, indent=1, default=str)
     return path
 
@@ -380,7 +380,7 @@ def cmd_eval(args, resolved):
                       on_record=dump if resolved["dump_images"] else None)
     os.makedirs(args.out_dir, exist_ok=True)
     table_path = os.path.join(args.out_dir, "metrics.tsv")
-    with open(table_path, "w") as fh:
+    with formats._replacing(table_path, "w") as fh:
         fh.write(report.to_text())
     outputs = {"metrics": table_path, "records": len(records)}
     if resolved["dump_images"]:
@@ -431,7 +431,7 @@ def cmd_ablate(args, resolved):
                            base_config=base)
     os.makedirs(args.out_dir, exist_ok=True)
     table_path = os.path.join(args.out_dir, "ablation.tsv")
-    with open(table_path, "w") as fh:
+    with formats._replacing(table_path, "w") as fh:
         fh.write("mode\tpretrain\tseed\ttest_masked_mse\n")
         for (mode, pre, seed), res in sorted(results.items()):
             fh.write(f"{mode}\t{pre}\t{seed}\t{res['test_masked_mse']:.6f}\n")

@@ -51,6 +51,7 @@ import hashlib
 import io
 import mmap
 import os
+import stat
 import struct
 
 import numpy as np
@@ -156,17 +157,30 @@ def encode_pfm(arr):
 
 
 @contextlib.contextmanager
-def _replacing(path):
-    """Yield a hidden temporary beside the file ``path`` names (a symlink's
-    target), which replaces that file when the block ends and is otherwise
-    removed. An existing ``path`` that is no regular file raises ContractError."""
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+def _replacing(path, mode="wb"):
+    """Yield a hidden temporary, opened in ``mode``, beside the file ``path``
+    names (a symlink's target), which replaces that file when the block ends
+    and is otherwise removed. The file keeps the permission bits it had. An
+    existing ``path`` that is no regular file raises ContractError, and an
+    error opening the temporary names ``path``."""
+    given, path = path, os.path.realpath(path)
+    try:
+        kept = os.stat(path).st_mode
+    except OSError:
+        kept = None
+    if kept is not None and not stat.S_ISREG(kept):
         raise ContractError(f"cannot write over {path}: it is not a regular file")
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
+        fh = open(tmp, mode)
+    except OSError as exc:
+        exc.filename = os.fspath(given)
+        raise
+    try:
+        with fh:
             yield fh
+        if kept is not None:
+            os.chmod(tmp, stat.S_IMODE(kept))
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):

@@ -33,6 +33,14 @@ def rgb_to_gray(image):
     return np.einsum("c,chw->hw", LUMA_WEIGHTS.astype(px.dtype), px)
 
 
+def _outside_unit_range(a):
+    """``np.any(a < 0) or np.any(a > 1)``, from a min and a max reduction
+    instead of two comparison temporaries: the NaN-skipping ``fmin`` and
+    ``fmax`` leave a NaN outside nothing, as the comparisons do."""
+    return a.size > 0 and bool(np.fmin.reduce(a, axis=None) < 0
+                               or np.fmax.reduce(a, axis=None) > 1)
+
+
 def exposure_mask(image, alpha=DEFAULT_SATURATION_THRESHOLD):
     """Per-channel well-exposedness score for a display-referred image.
 
@@ -42,7 +50,7 @@ def exposure_mask(image, alpha=DEFAULT_SATURATION_THRESHOLD):
     t = image.pixels if hasattr(image, "pixels") else np.asarray(image)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    if np.any(t < 0) or np.any(t > 1):
+    if _outside_unit_range(t):
         raise DomainError("exposure_mask input must lie in [0,1]")
     # Evaluate in the input's precision so float32 masks reproduce exactly
     # across processes and file round-trips, and in place: the result is
@@ -68,10 +76,13 @@ class HdrImage:
         self.pixels = np.asarray(self.pixels)
         if self.pixels.ndim != 3 or self.pixels.shape[0] != 3:
             raise DimensionError(f"HdrImage wants (3,H,W), got {self.pixels.shape}")
-        if not np.all(np.isfinite(self.pixels)):
-            raise NumericError("HdrImage contains non-finite values")
-        if np.any(self.pixels < 0):
-            raise DomainError("HdrImage radiance must be non-negative")
+        if self.pixels.size:
+            # A NaN or an infinity reaches an extreme; NaN fails every comparison.
+            lo, hi = self.pixels.min(), self.pixels.max()
+            if not -np.inf < lo <= hi < np.inf:
+                raise NumericError("HdrImage contains non-finite values")
+            if lo < 0:
+                raise DomainError("HdrImage radiance must be non-negative")
 
 
 @dataclass
@@ -84,7 +95,7 @@ class LdrImage:
         self.pixels = np.asarray(self.pixels)
         if self.pixels.ndim != 3 or self.pixels.shape[0] != 3:
             raise DimensionError(f"LdrImage wants (3,H,W), got {self.pixels.shape}")
-        if np.any(self.pixels < 0) or np.any(self.pixels > 1):
+        if _outside_unit_range(self.pixels):
             raise DomainError("LdrImage values must lie in [0,1]")
 
 
@@ -133,8 +144,8 @@ class CameraCurve:
 
 
 def apply_exposure(hdr, scale, curve=None, quantize_bits=8):
-    """Expose radiance at a known multiplier: clip, encode, quantize to
-    ``quantize_bits`` (0 or None: not at all; at most 16)."""
+    """Expose radiance at a known multiplier: clip, encode (``curve.apply``
+    clips), quantize to ``quantize_bits`` (0 or None: not at all; at most 16)."""
     curve = curve or CameraCurve()
     h = hdr.pixels if isinstance(hdr, HdrImage) else np.asarray(hdr)
     if scale <= 0:
@@ -142,8 +153,7 @@ def apply_exposure(hdr, scale, curve=None, quantize_bits=8):
     if not 0 <= (quantize_bits or 0) <= MAX_QUANTIZE_BITS:
         raise DomainError(f"quantize bits must lie in [0,{MAX_QUANTIZE_BITS}], "
                           f"got {quantize_bits}")
-    clipped = np.clip(h * h.dtype.type(scale), 0.0, 1.0)
-    t = curve.apply(clipped).astype(h.dtype, copy=False)
+    t = curve.apply(h * h.dtype.type(scale)).astype(h.dtype, copy=False)
     if quantize_bits:
         levels = (1 << quantize_bits) - 1
         t = (np.rint(t * levels) / levels).astype(h.dtype, copy=False)
@@ -226,7 +236,7 @@ def compose_hdr(ldr, mask, y_hat, gamma=DEFAULT_GAMMA, row=0):
     m = np.asarray(mask)
     if t.shape != m.shape or t.shape != y.shape:
         raise DimensionError(f"shape mismatch: ldr {t.shape}, mask {m.shape}, prediction {y.shape}")
-    if np.any(t < 0) or np.any(t > 1):
+    if _outside_unit_range(t):
         raise DomainError("compose_hdr input image must lie in [0,1]")
     with np.errstate(over="ignore"):
         e = np.exp(y)

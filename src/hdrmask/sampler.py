@@ -85,14 +85,22 @@ def _sobel_magnitude(img):
 
     Both kernels are separable, Gx = [1,2,1]^T x [-1,0,1] and Gy its
     transpose, so each is a 3-tap pass along one axis of one padded copy
-    followed by a 3-tap pass along the other.
+    followed by a 3-tap pass along the other. The copy is np.pad's
+    'reflect' border of width 1, written in place: an extent of 1 reflects
+    to itself.
     """
-    p = np.pad(img, 1, mode="reflect")
+    h, w = img.shape
+    p = np.empty((h + 2, w + 2), img.dtype)
+    p[1:-1, 1:-1] = img
+    p[0, 1:-1], p[-1, 1:-1] = img[min(1, h - 1)], img[max(h - 2, 0)]
+    p[:, 0], p[:, -1] = p[:, min(2, w)], p[:, max(w - 1, 1)]
     diff_x = p[:, 2:] - p[:, :-2]
     smooth_x = p[:, :-2] + 2.0 * p[:, 1:-1] + p[:, 2:]
     gx = diff_x[:-2] + 2.0 * diff_x[1:-1] + diff_x[2:]
     gy = smooth_x[2:] - smooth_x[:-2]
-    return np.abs(gx) + np.abs(gy)
+    gx = np.abs(gx, out=gx)
+    gx += np.abs(gy, out=gy)
+    return gx
 
 
 # Largest series order the fast bilateral path uses. It caps the range
@@ -230,30 +238,38 @@ def bilateral_filter(luminance, color_sigma=100.0, space_sigma=10.0, radius=None
     inv_2ss = 1.0 / (2.0 * space_sigma * space_sigma)
     inv_2cs = 1.0 / (2.0 * color_sigma * color_sigma)
     l64 = l.astype(np.float64)
+    lo, hi = float(l64.min()), float(l64.max())
     terms = None
-    if np.isfinite(l64).all():
-        lo, hi = float(l64.min()), float(l64.max())
+    if isfinite(lo) and isfinite(hi):  # a NaN or an infinity reaches an extreme
         mid, half_range = 0.5 * (lo + hi), 0.5 * (hi - lo)
         terms = _series_terms(2.0 * inv_2cs * half_range * half_range)
     if terms is None:
         return _bilateral_direct(l, radius, inv_2ss, inv_2cs)
     h, w = l.shape
-    v = l64 - mid
+    v = np.subtract(l64, mid, out=l64)
     layers = np.empty((terms + 2, h, w))
-    layers[0] = np.exp(-inv_2cs * v * v)
+    e = np.multiply(v, -inv_2cs, out=layers[0])
+    e *= v
+    np.exp(e, out=e)
     for k in range(1, terms + 2):
         np.multiply(layers[k - 1], v, out=layers[k])
     blurred = (_blur_matrix(h, radius, space_sigma) @ layers
                @ _blur_matrix(w, radius, space_sigma).T)
-    num = np.zeros_like(v)
-    den = np.zeros_like(v)
-    coef = np.ones_like(v)
-    step = 2.0 * inv_2cs * v
-    for k in range(terms + 1):
-        den += coef * blurred[k]
-        num += coef * blurred[k + 1]
-        coef *= step / (k + 1)
-    return (mid + num / den).astype(l.dtype, copy=False)
+    # The sums start at their k = 0 terms, 0 + 1 x = x, and the next
+    # coefficient is 1 (step / 1) = step. num is blurred[1] itself, which
+    # den's k = 1 term reads before num first changes.
+    den, num = blurred[0], blurred[1]
+    step = np.multiply(v, 2.0 * inv_2cs, out=v)
+    coef = step.copy()
+    scratch = np.empty_like(v)
+    for k in range(1, terms + 1):
+        den += np.multiply(coef, blurred[k], out=scratch)
+        num += np.multiply(coef, blurred[k + 1], out=scratch)
+        if k < terms:
+            coef *= np.divide(step, k + 1, out=scratch)
+    out = np.divide(num, den, out=scratch)
+    out += mid
+    return out.astype(l.dtype, copy=False)
 
 
 def _bilateral_direct(l, radius, inv_2ss, inv_2cs):
@@ -305,7 +321,7 @@ def patch_metric(hdr, mask, config=None):
     log_lum = np.log1p(rgb_to_gray(h))
     base = bilateral_filter(log_lum, config.color_sigma, config.space_sigma)
     grad = _sobel_magnitude(log_lum - base)
-    weight = (1.0 - m).max(axis=0)
+    weight = 1.0 - m.min(axis=0)
     return float(np.mean(grad * weight))
 
 

@@ -82,7 +82,7 @@ class RunLog:
         self.validations.append({"epoch": epoch, "step": step, "value": value})
 
     def to_jsonl(self, path):
-        with open(path, "w") as fh:
+        with formats._replacing(path, "w") as fh:
             for rec in self.steps:
                 fh.write(json.dumps({"type": "step", **rec}) + "\n")
             for rec in self.validations:

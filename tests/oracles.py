@@ -261,6 +261,43 @@ def sobel_shifts(img):
     return np.abs(gx) + np.abs(gy)
 
 
+def sobel_padded(img):
+    """The separable Sobel magnitude on an ``np.pad(img, 1, "reflect")`` copy,
+    in the input's precision: the formula the sampler's in-place border must
+    reproduce bit for bit."""
+    p = np.pad(img, 1, mode="reflect")
+    diff_x = p[:, 2:] - p[:, :-2]
+    smooth_x = p[:, :-2] + 2.0 * p[:, 1:-1] + p[:, 2:]
+    gx = diff_x[:-2] + 2.0 * diff_x[1:-1] + diff_x[2:]
+    gy = smooth_x[2:] - smooth_x[:-2]
+    return np.abs(gx) + np.abs(gy)
+
+
+def bilateral_series_sums(img, color_sigma, terms, blur_rows, blur_cols):
+    """The range-kernel series of the bilateral filter cut after ``terms``,
+    summed from zeros and ones with fresh temporaries per term, given the
+    two reflect-bordered blur matrices: the sums the sampler's series path
+    must reproduce bit for bit."""
+    l64 = np.asarray(img).astype(np.float64)
+    inv_2cs = 1.0 / (2.0 * color_sigma * color_sigma)
+    mid = 0.5 * (float(l64.min()) + float(l64.max()))
+    v = l64 - mid
+    layers = np.empty((terms + 2,) + v.shape)
+    layers[0] = np.exp(-inv_2cs * v * v)
+    for k in range(1, terms + 2):
+        layers[k] = layers[k - 1] * v
+    blurred = blur_rows @ layers @ blur_cols.T
+    num = np.zeros_like(v)
+    den = np.zeros_like(v)
+    coef = np.ones_like(v)
+    step = 2.0 * inv_2cs * v
+    for k in range(terms + 1):
+        den += coef * blurred[k]
+        num += coef * blurred[k + 1]
+        coef *= step / (k + 1)
+    return (mid + num / den).astype(np.asarray(img).dtype, copy=False)
+
+
 def patch_metric_steps(hdr, mask, color_sigma=100.0, space_sigma=10.0, radius=None,
                        bilateral=bilateral_loops, sobel=sobel_reflect_loops):
     """Step-by-step textured-patch metric: gray, log, base/detail, Sobel, mean."""

@@ -56,19 +56,53 @@ class TestDispatch:
     def test_no_command_prints_usage(self):
         assert dispatch([]) == 1
 
-    def test_a_fifo_out_is_refused(self, tmp_path, scene_pfm, capsys):
+    def test_a_fifo_out_is_refused(self, tmp_path, scene_pfm, monkeypatch, capsys):
         fifo = tmp_path / "out.ppm"
-        os.mkfifo(fifo)
-        # A reader end held open keeps a writer's open from blocking, so a
-        # write to the FIFO fails the test instead of hanging it.
-        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-        try:
-            rc = dispatch(["simulate-ldr", "--in", scene_pfm, "--out", str(fifo)])
-            assert os.read(reader, 1) == b""
-        finally:
-            os.close(reader)
+        rc, opened = _beside_a_fifo(fifo, monkeypatch, lambda: dispatch(
+            ["simulate-ldr", "--in", scene_pfm, "--out", str(fifo)]))
         assert rc == 2 and "not a regular file" in capsys.readouterr().err
-        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert str(fifo) not in opened
+
+    def test_a_fifo_manifest_is_refused_and_never_opened(self, tmp_path, scene_pfm,
+                                                         monkeypatch, capsys):
+        fifo = tmp_path / "simulate_ldr_manifest.json"
+        rc, opened = _beside_a_fifo(fifo, monkeypatch, lambda: dispatch(
+            ["simulate-ldr", "--in", scene_pfm, "--out", str(tmp_path / "y.ppm")]))
+        assert rc == 2 and "not a regular file" in capsys.readouterr().err
+        assert str(fifo) not in opened and scene_pfm in opened
+
+    def test_a_missing_out_directory_is_named_as_given(self, tmp_path, scene_pfm,
+                                                       monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = dispatch(["simulate-ldr", "--in", scene_pfm, "--out", "nodir/x.ppm"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "No such file or directory: 'nodir/x.ppm'" in err, err
+        assert ".tmp" not in err
+        assert sorted(os.listdir(tmp_path)) == ["scene.pfm"]
+
+
+def _beside_a_fifo(fifo, monkeypatch, run):
+    """Make a FIFO at ``fifo``, call ``run()`` and return its result with the
+    real paths of every file ``open`` was given meanwhile. A reader end held
+    open keeps a writer's open from blocking, so a write to the FIFO fails
+    the test instead of hanging it; the FIFO must stay an unread FIFO."""
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    opened, real_open = [], builtins.open
+
+    def spy(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.path.realpath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    try:
+        result = run()
+        assert os.read(reader, 1) == b""
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    return result, opened
 
 
 class TestKnobFlags:
@@ -368,26 +402,9 @@ class TestReconstructStream:
                                                     capsys):
         photo = _photo(tmp_path / "in.ppm", 16, 24, 4)
         fifo = tmp_path / "out.pfm"
-        os.mkfifo(fifo)
-        # A reader end held open keeps a writer's open from blocking, so a
-        # write to the FIFO fails the test instead of hanging it.
-        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-        opened, real_open = [], builtins.open
-
-        def spy(file, *args, **kwargs):
-            if isinstance(file, (str, os.PathLike)):
-                opened.append(os.path.realpath(file))
-            return real_open(file, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "open", spy)
-        try:
-            rc = dispatch(["reconstruct", "--in", photo, "--checkpoint", small_ckpt,
-                           "--out", str(fifo)])
-            assert os.read(reader, 1) == b""
-        finally:
-            os.close(reader)
+        rc, opened = _beside_a_fifo(fifo, monkeypatch, lambda: dispatch(
+            ["reconstruct", "--in", photo, "--checkpoint", small_ckpt, "--out", str(fifo)]))
         assert rc == 2 and "not a regular file" in capsys.readouterr().err
-        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert str(fifo) not in opened and photo in opened
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ppm", "out.pfm", "small.ckpt"]
 
@@ -920,6 +937,16 @@ class TestPathsUsersReach:
         manifest = json.loads((out / "eval_manifest.json").read_text())
         assert manifest["outputs"]["reconstructions"] == len(records)
         assert manifest["inputs"] == {"shard": shard}
+
+    def test_a_fifo_metrics_table_is_refused_and_never_opened(self, tmp_path, shard,
+                                                               small_ckpt, monkeypatch, capsys):
+        out = tmp_path / "eval"
+        out.mkdir()
+        fifo = out / "metrics.tsv"
+        rc, opened = _beside_a_fifo(fifo, monkeypatch, lambda: dispatch(
+            ["eval", "--checkpoint", small_ckpt, "--shard", shard, "--out-dir", str(out)]))
+        assert rc == 2 and "not a regular file" in capsys.readouterr().err
+        assert str(fifo) not in opened and os.listdir(out) == ["metrics.tsv"]
 
     def test_eval_dump_images_takes_only_0_or_1(self, tmp_path, shard, small_ckpt):
         conf = tmp_path / "conf.json"

@@ -303,6 +303,30 @@ class TestPlacement:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert str(fifo) not in opened and os.listdir(tmp_path) == ["out"]
 
+    @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+    def test_a_rewritten_file_keeps_its_permission_bits(self, tmp_path, write):
+        path = tmp_path / "out"
+        write(str(path))
+        os.chmod(path, 0o600)
+        write(str(path))
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+        os.chmod(path, 0o640)
+        write(str(path))
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+    def test_a_text_block_is_placed_like_the_binary_ones(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        path.write_text("old\n")
+        with F._replacing(str(path), "w") as fh:
+            fh.write("a\tb\n")
+        assert path.read_text() == "a\tb\n" and os.listdir(tmp_path) == ["out.tsv"]
+
+    def test_an_unopenable_temporary_is_named_by_the_given_path(self, tmp_path):
+        out = str(tmp_path / "nodir" / "x.ppm")
+        with pytest.raises(FileNotFoundError) as err:
+            F.write_ldr(out, np.zeros((3, 1, 1)))
+        assert err.value.filename == out and ".tmp" not in str(err.value)
+
     @pytest.mark.parametrize("write, full_disk", FAILURES)
     def test_a_raise_mid_write_leaves_the_old_bytes_and_no_temporary(self, tmp_path,
                                                                       monkeypatch, write,

@@ -75,6 +75,74 @@ class TestSimulateLdr:
             P.exposure_scales(np.ones((3, 4, 4)))(100.5)
 
 
+class TestApplyExposure:
+    @pytest.mark.parametrize("kind", P.CURVE_KINDS)
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_clipping_before_the_curve(self, kind, bits, dtype):
+        # Radiance from -1 to 3 at scale 1.7 reaches both sides of [0, 1].
+        h = (rnd(3).random((3, 9, 7)) * 4 - 1).astype(dtype)
+        curve = P.CameraCurve(kind=kind)
+        want = curve.apply(np.clip(h * h.dtype.type(1.7), 0.0, 1.0)).astype(dtype, copy=False)
+        if bits:
+            levels = (1 << bits) - 1
+            want = (np.rint(want * levels) / levels).astype(dtype, copy=False)
+        got = P.apply_exposure(h, 1.7, curve, bits).pixels
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+def _hdr_verdict(px):
+    """The error ``HdrImage`` raises for ``px``, as comparisons over every
+    value decide it: finiteness first, then the sign."""
+    if not np.all(np.isfinite(px)):
+        return NumericError
+    return DomainError if np.any(px < 0) else None
+
+
+def _unit_verdict(px):
+    """The error of a [0, 1] range check, as comparisons over every value
+    decide it: a NaN lies outside nothing."""
+    return DomainError if np.any(px < 0) or np.any(px > 1) else None
+
+
+def _raised(make):
+    try:
+        make()
+    except (DomainError, NumericError) as exc:
+        return type(exc)
+    return None
+
+
+class TestRangeChecks:
+    nan, inf = float("nan"), float("inf")
+    CASES = {"in-range": [0.0, 0.5, 1.0], "minus-zero": [-0.0, 0.5], "above-1": [0.5, 1.5],
+             "negative": [-0.25, 0.5], "nan": [0.5, nan], "all-nan": [nan, nan],
+             "nan-and-above-1": [nan, 1.5], "nan-and-negative": [-0.5, nan],
+             "inf": [0.5, inf], "minus-inf": [-inf, 0.5], "empty": []}
+
+    @pytest.mark.parametrize("values", CASES.values(), ids=CASES.keys())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_verdicts_as_the_comparisons(self, values, dtype):
+        px = np.repeat(np.array(values, dtype=dtype).reshape(1, 1, -1), 3, axis=0)
+        assert _raised(lambda: P.HdrImage(px)) is _hdr_verdict(px)
+        assert _raised(lambda: P.LdrImage(px)) is _unit_verdict(px)
+        assert _raised(lambda: P.exposure_mask(px)) is _unit_verdict(px)
+        # A NaN that passes compose_hdr's check fails its HdrImage result.
+        composed = _raised(lambda: P.compose_hdr(px, np.ones_like(px), np.zeros_like(px)))
+        assert (composed is DomainError) == (_unit_verdict(px) is DomainError)
+
+    def test_messages_unchanged(self):
+        with pytest.raises(NumericError, match="HdrImage contains non-finite values"):
+            P.HdrImage(np.full((3, 1, 2), -np.inf))
+        with pytest.raises(DomainError, match="HdrImage radiance must be non-negative"):
+            P.HdrImage(np.full((3, 1, 2), -1.0))
+        with pytest.raises(DomainError, match=r"LdrImage values must lie in \[0,1\]"):
+            P.LdrImage(np.full((3, 1, 2), 2.0))
+        with pytest.raises(DomainError, match=r"exposure_mask input must lie in \[0,1\]"):
+            P.exposure_mask(np.full((3, 1, 2), -1.0))
+
+
 class TestComposeHdr:
     def test_valid_everywhere_is_linearized_input(self):
         t = np.full((3, 4, 4), 0.5)

@@ -11,8 +11,8 @@ from hdrmask.errors import DimensionError, DomainError
 from hdrmask.pipeline import HdrImage
 from hdrmask.synthetic import hdr_scene, make_hdr_corpus
 
-from oracles import (bilateral_loops, bilateral_shifts, gaussian_blur_loops,
-                     patch_metric_steps, sobel_shifts)
+from oracles import (bilateral_loops, bilateral_series_sums, bilateral_shifts,
+                     gaussian_blur_loops, patch_metric_steps, sobel_padded, sobel_shifts)
 
 
 def rnd(seed):
@@ -130,6 +130,30 @@ class TestBilateralSeriesTerms:
         assert len(calls) == 1
         assert np.array_equal(np.isnan(got), np.isnan(bilateral_loops(img, 100.0, 1.0, 1)))
         assert np.isnan(got[3:6, 3:6]).all() and np.isnan(got).sum() == 9
+
+    @pytest.mark.parametrize("infinity", [np.inf, -np.inf])
+    def test_an_infinity_takes_the_loop(self, monkeypatch, infinity):
+        calls = self._direct_calls(monkeypatch)
+        img = rnd(10).random((5, 5))
+        img[2, 2] = infinity
+        with np.errstate(invalid="ignore"):
+            S.bilateral_filter(img, 100.0, 1.0, radius=1)
+        assert len(calls) == 1
+
+    # Over a half-range of 1, color_sigma sets x = 1 / color_sigma**2 and so
+    # the number of series terms.
+    @pytest.mark.parametrize("color_sigma, terms", [(1e9, 0), (1e4, 1), (100.0, 3),
+                                                    (10.0, 6), (2.0, 12), (1.2, 16)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_series_bit_identical_to_the_summed_loop(self, color_sigma, terms, dtype):
+        img = (rnd(terms).random((63, 65)) * 2).astype(dtype)
+        img[0, 0], img[-1, -1] = 0, 2
+        assert S._series_terms(1.0 / color_sigma ** 2) == terms
+        got = S.bilateral_filter(img, color_sigma, 3.0)
+        want = bilateral_series_sums(img, color_sigma, terms, S._blur_matrix(63, 6, 3.0),
+                                     S._blur_matrix(65, 6, 3.0))
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
 
 
 @pytest.fixture()
@@ -372,6 +396,27 @@ class TestPatchMetric:
         m = rng.random(shape)
         want = patch_metric_steps(h, m, bilateral=S.bilateral_filter)
         assert abs(S.patch_metric(h, m) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 2), (2, 7), (9, 13),
+                                       (64, 64)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sobel_bit_identical_to_the_padded_copy(self, shape, dtype):
+        img = rnd(shape[0] * 100 + shape[1]).normal(size=shape).astype(dtype)
+        got = S._sobel_magnitude(img)
+        want = sobel_padded(img)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_the_channel_max_weight(self, dtype):
+        # Rounding is monotonic, so 1 - min(m) over channels is the max of 1 - m.
+        rng = rnd(12)
+        h = (rng.random((3, 24, 20)) * 30).astype(dtype)
+        m = np.clip(rng.random((3, 24, 20)) * 1.5 - 0.25, 0, 1).astype(dtype)
+        log_lum = np.log1p(P.rgb_to_gray(h))
+        detail = log_lum - S.bilateral_filter(log_lum)
+        want = float(np.mean(sobel_padded(detail) * (1.0 - m).max(axis=0)))
+        assert S.patch_metric(h, m) == want
 
     def test_criterion5_corpus_keeps_the_same_crops(self):
         # Criterion 5's corpus: every saturated crop scored by the production

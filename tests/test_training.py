@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import stat
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -519,6 +521,19 @@ class TestRunLog:
         assert back.steps == res.run_log.steps
         assert back.validations == res.run_log.validations
         assert back.lr_history == res.run_log.lr_history
+
+    def test_a_fifo_is_refused_and_never_written(self, tmp_path):
+        fifo = tmp_path / "log.jsonl"
+        os.mkfifo(fifo)
+        # A reader end held open keeps a writer's open from blocking.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with pytest.raises(ContractError, match="not a regular file"):
+                TR.RunLog().to_jsonl(str(fifo))
+            assert os.read(reader, 1) == b""
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.listdir(tmp_path) == ["log.jsonl"]
 
     def test_step_monotonicity_enforced(self):
         log = TR.RunLog()

@@ -34,7 +34,12 @@ before numpy loads, as the benchmark does. The lines are:
   ``train_inpainting`` (levels 2, base 4, four synthetic textures, two
   steps per epoch);
 * the values and input gradients of ``inpainting_loss`` and ``total_loss``
-  on a fixed 2x3x16x16 float64 batch.
+  on a fixed 2x3x16x16 float64 batch;
+* ``bilateral_filter`` of a 37x29 float32 log-luminance crop, once through
+  the range-kernel series (the default sigmas) and once through the direct
+  window sum (a color_sigma of 0.05), and the ``simulate_ldr`` pixels of a
+  64x64 scene through the sigmoid curve, unquantized: paths the ``curate``
+  units do not reach.
 """
 
 import contextlib
@@ -53,8 +58,10 @@ sys.dont_write_bytecode = True
 import numpy as np  # noqa: E402  (after the thread pinning)
 
 from hdrmask import cli, formats, losses, network, synthetic, tensor as T, training  # noqa: E402
-from hdrmask.pipeline import DEFAULT_SATURATION_THRESHOLD, simulate_ldr  # noqa: E402
-from hdrmask.sampler import SamplerConfig, generate_inpainting_mask, sample_corpus  # noqa: E402
+from hdrmask.pipeline import (DEFAULT_SATURATION_THRESHOLD, CameraCurve, rgb_to_gray,  # noqa: E402
+                              simulate_ldr)
+from hdrmask.sampler import (SamplerConfig, bilateral_filter, generate_inpainting_mask,  # noqa: E402
+                             sample_corpus)
 from workloads import WORKLOADS  # noqa: E402
 
 UNITS = (("train-hdr", 1, 1), ("train-hdr", 5, 1), ("reconstruct-512", 3, 3), ("curate", 1, 2))
@@ -167,6 +174,12 @@ def main():
         T.backward(report.node, [t])
         print(f"loss {name} {report.total!r} {sorted(report.components.items())!r} "
               f"gradient {sha(t.grad)}")
+    scene = synthetic.make_hdr_corpus(1, seed=13, size=(64, 64))[0]
+    crop = np.log1p(rgb_to_gray(scene.pixels[:, 5:42, 11:40]))
+    for path, color_sigma in (("series", 100.0), ("direct", 0.05)):
+        print(f"bilateral 37x29 {path} {sha(bilateral_filter(crop, color_sigma, 10.0))}")
+    ldr = simulate_ldr(scene, curve=CameraCurve(kind="sigmoid"), quantize_bits=0)
+    print(f"simulate_ldr sigmoid unquantized {sha(ldr.pixels)}")
 
 
 if __name__ == "__main__":
