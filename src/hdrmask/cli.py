@@ -221,17 +221,16 @@ def cmd_mask(args, resolved):
 
 
 _SAMPLE_DEFAULTS = {"patch": 64, "per_image": 32, "threshold": 0.85,
-                    "alpha": DEFAULT_SATURATION_THRESHOLD, "sigma_color": 100.0,
-                    "sigma_space": 10.0, "percentile": None, "seed": 0}
+                    "alpha": DEFAULT_SATURATION_THRESHOLD, "sigma_space": 10.0,
+                    "percentile": None, "seed": 0}
 
 
 def cmd_sample_patches(args, resolved):
     images = _load_hdr_dir(args.in_dir)
     cfg = SamplerConfig(
-        color_sigma=resolved["sigma_color"], space_sigma=resolved["sigma_space"],
-        metric_threshold=resolved["threshold"], patch_size=resolved["patch"],
-        patches_per_image=resolved["per_image"], alpha=resolved["alpha"],
-        fixed_percentile=resolved["percentile"])
+        space_sigma=resolved["sigma_space"], metric_threshold=resolved["threshold"],
+        patch_size=resolved["patch"], patches_per_image=resolved["per_image"],
+        alpha=resolved["alpha"], fixed_percentile=resolved["percentile"])
     records = sample_corpus(images, cfg, resolved["seed"])
     if not records:
         raise ContractError("no patches passed the sampler; relax the threshold "

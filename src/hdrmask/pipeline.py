@@ -144,16 +144,23 @@ class CameraCurve:
 
 
 def apply_exposure(hdr, scale, curve=None, quantize_bits=8):
-    """Expose radiance at a known multiplier: clip, encode (``curve.apply``
-    clips), quantize to ``quantize_bits`` (0 or None: not at all; at most 16)."""
-    curve = curve or CameraCurve()
+    """Expose radiance at a known multiplier, then :func:`encode_exposed`."""
     h = hdr.pixels if isinstance(hdr, HdrImage) else np.asarray(hdr)
     if scale <= 0:
         raise DomainError("exposure multiplier must be positive")
+    return encode_exposed(h * h.dtype.type(scale), curve, quantize_bits)
+
+
+def encode_exposed(exposed, curve=None, quantize_bits=8):
+    """The LDR image of radiance already multiplied by its exposure: encode
+    (``curve.apply`` clips), quantize to ``quantize_bits`` (0 or None: not
+    at all; at most 16)."""
+    curve = curve or CameraCurve()
     if not 0 <= (quantize_bits or 0) <= MAX_QUANTIZE_BITS:
         raise DomainError(f"quantize bits must lie in [0,{MAX_QUANTIZE_BITS}], "
                           f"got {quantize_bits}")
-    t = curve.apply(h * h.dtype.type(scale)).astype(h.dtype, copy=False)
+    h = np.asarray(exposed)
+    t = curve.apply(h).astype(h.dtype, copy=False)
     if quantize_bits:
         levels = (1 << quantize_bits) - 1
         t = (np.rint(t * levels) / levels).astype(h.dtype, copy=False)

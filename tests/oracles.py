@@ -164,49 +164,6 @@ def _reflect_index(i, n):
     return i
 
 
-def bilateral_loops(img, color_sigma, space_sigma, radius):
-    """Direct double-loop bilateral filter with reflected borders."""
-    h, w = img.shape
-    out = np.zeros_like(img, dtype=np.float64)
-    for y in range(h):
-        for x in range(w):
-            num = 0.0
-            den = 0.0
-            center = float(img[y, x])
-            for dy in range(-radius, radius + 1):
-                for dx in range(-radius, radius + 1):
-                    yy = _reflect_index(y + dy, h)
-                    xx = _reflect_index(x + dx, w)
-                    v = float(img[yy, xx])
-                    wgt = math.exp(-(dy * dy + dx * dx) / (2 * space_sigma ** 2))
-                    wgt *= math.exp(-((v - center) ** 2) / (2 * color_sigma ** 2))
-                    num += wgt * v
-                    den += wgt
-            out[y, x] = num / den
-    return out
-
-
-def bilateral_shifts(img, color_sigma, space_sigma, radius):
-    """The direct bilateral sum in float64, one numpy pass per window shift.
-
-    Same sums as ``bilateral_loops``, vectorized over pixels so that it is
-    fast enough for whole 64x64 patches.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
-    p = np.pad(img, radius, mode="reflect")
-    num = np.zeros_like(img)
-    den = np.zeros_like(img)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            v = p[radius + dy:radius + dy + h, radius + dx:radius + dx + w]
-            wgt = math.exp(-(dy * dy + dx * dx) / (2 * space_sigma ** 2)) * \
-                np.exp(-((v - img) ** 2) / (2 * color_sigma ** 2))
-            num += wgt * v
-            den += wgt
-    return num / den
-
-
 def gaussian_blur_loops(img, space_sigma, radius):
     """Truncated Gaussian blur with reflected borders (no range term)."""
     h, w = img.shape
@@ -224,6 +181,42 @@ def gaussian_blur_loops(img, space_sigma, radius):
                     den += wgt
             out[y, x] = num / den
     return out
+
+
+def gaussian_blur_shifts(img, space_sigma, radius):
+    """``gaussian_blur_loops`` in float64, vectorized over pixels: one numpy
+    pass per window shift, on a reflect-padded copy."""
+    img = np.asarray(img, dtype=np.float64)
+    h, w = img.shape
+    p = np.pad(img, radius, mode="reflect")
+    num = np.zeros_like(img)
+    den = 0.0
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            wgt = math.exp(-(dy * dy + dx * dx) / (2 * space_sigma ** 2))
+            num += wgt * p[radius + dy:radius + dy + h, radius + dx:radius + dx + w]
+            den += wgt
+    return num / den
+
+
+def bilateral_shifts(img, color_sigma, space_sigma, radius):
+    """The direct bilateral sum with reflected borders in float64, one numpy
+    pass per window shift: ``gaussian_blur_shifts`` with each neighbour also
+    weighted by exp(-(v - center)**2 / (2 color_sigma**2)).
+    """
+    img = np.asarray(img, dtype=np.float64)
+    h, w = img.shape
+    p = np.pad(img, radius, mode="reflect")
+    num = np.zeros_like(img)
+    den = np.zeros_like(img)
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            v = p[radius + dy:radius + dy + h, radius + dx:radius + dx + w]
+            wgt = math.exp(-(dy * dy + dx * dx) / (2 * space_sigma ** 2)) * \
+                np.exp(-((v - img) ** 2) / (2 * color_sigma ** 2))
+            num += wgt * v
+            den += wgt
+    return num / den
 
 
 def sobel_reflect_loops(img):
@@ -273,41 +266,16 @@ def sobel_padded(img):
     return np.abs(gx) + np.abs(gy)
 
 
-def bilateral_series_sums(img, color_sigma, terms, blur_rows, blur_cols):
-    """The range-kernel series of the bilateral filter cut after ``terms``,
-    summed from zeros and ones with fresh temporaries per term, given the
-    two reflect-bordered blur matrices: the sums the sampler's series path
-    must reproduce bit for bit."""
-    l64 = np.asarray(img).astype(np.float64)
-    inv_2cs = 1.0 / (2.0 * color_sigma * color_sigma)
-    mid = 0.5 * (float(l64.min()) + float(l64.max()))
-    v = l64 - mid
-    layers = np.empty((terms + 2,) + v.shape)
-    layers[0] = np.exp(-inv_2cs * v * v)
-    for k in range(1, terms + 2):
-        layers[k] = layers[k - 1] * v
-    blurred = blur_rows @ layers @ blur_cols.T
-    num = np.zeros_like(v)
-    den = np.zeros_like(v)
-    coef = np.ones_like(v)
-    step = 2.0 * inv_2cs * v
-    for k in range(terms + 1):
-        den += coef * blurred[k]
-        num += coef * blurred[k + 1]
-        coef *= step / (k + 1)
-    return (mid + num / den).astype(np.asarray(img).dtype, copy=False)
-
-
-def patch_metric_steps(hdr, mask, color_sigma=100.0, space_sigma=10.0, radius=None,
-                       bilateral=bilateral_loops, sobel=sobel_reflect_loops):
-    """Step-by-step textured-patch metric: gray, log, base/detail, Sobel, mean."""
+def patch_metric_steps(hdr, mask, space_sigma=10.0, radius=None,
+                       base=gaussian_blur_loops, sobel=sobel_reflect_loops):
+    """Step-by-step textured-patch metric: gray, log, base/detail, Sobel, mean.
+    ``base(log_lum, space_sigma, radius)`` is the base layer."""
     r, g, b = (np.asarray(hdr, dtype=np.float64)[i] for i in range(3))
     gray = 0.2126 * r + 0.7152 * g + 0.0722 * b
     log_lum = np.log(gray + 1.0)
     if radius is None:
         radius = int(math.ceil(2 * space_sigma))
-    base = bilateral(log_lum, color_sigma, space_sigma, radius)
-    detail = log_lum - base
+    detail = log_lum - base(log_lum, space_sigma, radius)
     grad = sobel(detail)
     weight = (1.0 - np.asarray(mask, dtype=np.float64)).max(axis=0)
     return float((grad * weight).mean())

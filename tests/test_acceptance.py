@@ -24,7 +24,7 @@ from hdrmask.sampler import SamplerConfig, sample_patches
 from hdrmask.synthetic import hdr_scene, make_hdr_corpus
 from hdrmask.training import initialize_parameters
 
-from oracles import bilateral_loops, conv2d_loops, patch_metric_steps
+from oracles import conv2d_loops, gaussian_blur_loops, patch_metric_steps
 
 
 def report(criterion, passed, detail=""):
@@ -67,13 +67,13 @@ class TestCriterion1OracleEquivalence:
         for i in range(200):
             h = int(rng.integers(4, 9))
             img64 = rng.random((h, h)) * rng.uniform(0.5, 4.0)
-            sc = float(rng.uniform(0.2, 50.0))
+            rng.uniform(0.2, 50.0)  # the former range sigma: the same draws follow
             ss = float(rng.uniform(0.8, 3.0))
             r = int(rng.integers(1, 4))
-            want = bilateral_loops(img64, sc, ss, r)
-            got64 = S.bilateral_filter(img64, sc, ss, radius=r)
+            want = gaussian_blur_loops(img64, ss, r)
+            got64 = S.bilateral_filter(img64, ss, radius=r)
             b_worst64 = max(b_worst64, float(np.max(np.abs(got64 - want))))
-            got32 = S.bilateral_filter(img64.astype(np.float32), sc, ss, radius=r)
+            got32 = S.bilateral_filter(img64.astype(np.float32), ss, radius=r)
             b_worst32 = max(b_worst32, float(np.max(np.abs(got32 - want))))
         elapsed = time.monotonic() - t0
         ok = (worst64 <= 1e-12 and worst32 <= 1e-6 and

@@ -241,8 +241,7 @@ class TestSamplePatchesCommand:
         assert rc == 2
 
 
-    @pytest.mark.parametrize("flag,value", [("--sigma-color", "nan"), ("--sigma-color", "0"),
-                                            ("--sigma-space", "inf")])
+    @pytest.mark.parametrize("flag,value", [("--sigma-space", "inf")])
     def test_invalid_sigma_is_named(self, tmp_path, capsys, flag, value):
         hdr_dir = tmp_path / "hdr"
         hdr_dir.mkdir()
@@ -253,6 +252,16 @@ class TestSamplePatchesCommand:
         err = capsys.readouterr().err
         assert rc == 2 and not shard.exists()
         assert "sigma" in err and "relax" not in err
+
+    def test_sigma_color_is_no_flag(self, tmp_path, capsys):
+        # The base layer is a Gaussian blur: it has no range sigma to set,
+        # and the flag is a usage error.
+        shard = tmp_path / "x.mds"
+        rc = dispatch(["sample-patches", "--in-dir", str(tmp_path), "--out", str(shard),
+                       "--sigma-color", "100"])
+        err = capsys.readouterr().err
+        assert rc == 1 and not shard.exists()
+        assert "--sigma-color" in err
 
 
 class TestReconstructIdentity:

@@ -91,6 +91,14 @@ class TestApplyExposure:
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("bits", [-1, 17])
+    @pytest.mark.parametrize("expose", [lambda h, bits: P.apply_exposure(h, 1.7, None, bits),
+                                        lambda h, bits: P.encode_exposed(h, None, bits)],
+                             ids=["apply_exposure", "encode_exposed"])
+    def test_quantize_bits_outside_the_range_rejected(self, expose, bits):
+        with pytest.raises(DomainError, match="quantize bits"):
+            expose(np.full((3, 2, 2), 0.5), bits)
+
 
 def _hdr_verdict(px):
     """The error ``HdrImage`` raises for ``px``, as comparisons over every

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hdrmask.errors import DimensionError, DomainError
 from hdrmask.pipeline import HdrImage
 from hdrmask.synthetic import hdr_scene, make_hdr_corpus
 
-from oracles import (bilateral_loops, bilateral_series_sums, bilateral_shifts,
-                     gaussian_blur_loops, patch_metric_steps, sobel_padded, sobel_shifts)
+from oracles import (bilateral_shifts, gaussian_blur_loops, gaussian_blur_shifts,
+                     patch_metric_steps, sobel_padded, sobel_shifts)
 
 
 def rnd(seed):
@@ -38,20 +39,17 @@ class TestRgbToGray:
 
 
 class TestBilateralFilter:
-    def test_constant_image_unchanged(self):
-        c = np.full((7, 7), 2.5)
-        assert np.allclose(S.bilateral_filter(c, 100.0, 2.0), 2.5, atol=1e-12)
-
-    @pytest.mark.parametrize("color_sigma", [1e12, math.inf])
-    def test_infinite_color_sigma_is_gaussian_blur(self, color_sigma):
-        img = rnd(0).random((8, 8))
-        got = S.bilateral_filter(img, color_sigma, 1.5, radius=3)
-        want = gaussian_blur_loops(img, 1.5, 3)
-        assert np.max(np.abs(got - want)) < 1e-6
+    # Centred on its midrange, a constant image blurs to exact zeros.
+    @pytest.mark.parametrize("shape", [(7, 7), (1, 1), (1, 9), (64, 64)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constant_image_unchanged(self, shape, dtype):
+        c = np.full(shape, 2.7, dtype=dtype)
+        got = S.bilateral_filter(c, 2.0)
+        assert got.dtype == dtype and np.array_equal(got, c)
 
     def test_output_within_window_bounds(self):
         img = rnd(1).random((10, 10)) * 5
-        out = S.bilateral_filter(img, 3.0, 2.0, radius=2)
+        out = S.bilateral_filter(img, 2.0, radius=2)
         assert out.min() >= img.min() - 1e-12
         assert out.max() <= img.max() + 1e-12
 
@@ -59,101 +57,60 @@ class TestBilateralFilter:
     def test_matches_loop_oracle(self, seed):
         rng = rnd(seed)
         img = rng.random((6, 6)) * rng.uniform(0.5, 4.0)
-        sc = rng.uniform(0.2, 50.0)
         ss = rng.uniform(0.8, 3.0)
         r = int(rng.integers(1, 4))
-        got = S.bilateral_filter(img, sc, ss, radius=r)
-        want = bilateral_loops(img, sc, ss, r)
+        got = S.bilateral_filter(img, ss, radius=r)
+        want = gaussian_blur_loops(img, ss, r)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_tiny_space_sigma_is_near_identity(self):
         img = rnd(7).random((8, 8))
-        out = S.bilateral_filter(img, 100.0, 1e-3, radius=1)
+        out = S.bilateral_filter(img, 1e-3, radius=1)
         assert np.max(np.abs(out - img)) < 1e-6
 
     def test_rejects_non_2d(self):
         with pytest.raises(DimensionError):
-            S.bilateral_filter(np.zeros((3, 4, 4)), 1.0, 1.0)
+            S.bilateral_filter(np.zeros((3, 4, 4)), 1.0)
 
-    # The sampler's regime: sigma_c = 100 on log-luminance, radius 20. A
-    # 16x16 image reflects more than once inside the window; a 1-pixel axis
-    # reflects onto itself.
+    # The sampler's regime: log-luminance, radius 20. A 16x16 image
+    # reflects more than once inside the window; a 1-pixel axis reflects
+    # onto itself.
     @pytest.mark.parametrize("shape", [(24, 24), (16, 16), (1, 24), (24, 1)])
     def test_production_regime_matches_loop_oracle(self, shape):
         img = np.log1p(rnd(sum(shape)).random(shape) * 50.0)
-        want = bilateral_loops(img, 100.0, 10.0, 20)
-        got64 = S.bilateral_filter(img, 100.0, 10.0)
-        got32 = S.bilateral_filter(img.astype(np.float32), 100.0, 10.0)
+        want = gaussian_blur_loops(img, 10.0, 20)
+        got64 = S.bilateral_filter(img, 10.0)
+        got32 = S.bilateral_filter(img.astype(np.float32), 10.0)
         assert got32.dtype == np.float32
         assert np.max(np.abs(got64 - want)) <= 1e-12
         assert np.max(np.abs(got32 - want)) <= 1e-6
 
+    def test_sampler_crop_matches_shift_oracle(self):
+        # The sampler's own 64x64 crop extent, against the loop's sums.
+        img = np.log1p(rnd(64).random((64, 64)) * 50.0)
+        want = gaussian_blur_shifts(img, 10.0, 20)
+        assert np.max(np.abs(S.bilateral_filter(img) - want)) <= 1e-12
+        assert np.max(np.abs(S.bilateral_filter(img.astype(np.float32)) - want)) <= 1e-6
 
-class TestBilateralSeriesTerms:
-    def _direct_calls(self, monkeypatch):
-        calls = []
-        direct = S._bilateral_direct
-
-        def spy(*args):
-            calls.append(args)
-            return direct(*args)
-
-        monkeypatch.setattr(S, "_bilateral_direct", spy)
-        return calls
-
-    def test_term_count_rule(self):
-        x = 2.0 / (2.0 * 100.0 ** 2) * 2.0 ** 2   # half-range 2 at sigma_c = 100
-        k = S._series_terms(x)
-        assert k is not None and k <= 6
-        assert x ** (k + 1) / math.factorial(k + 1) * math.exp(2 * x) <= 2.0 ** -53
-        assert S._series_terms(0.0) == 0
-        for wide in (5.0, float("inf"), float("nan")):
-            assert S._series_terms(wide) is None
-
-    def test_production_input_takes_the_series(self, monkeypatch):
-        calls = self._direct_calls(monkeypatch)
-        S.bilateral_filter(np.log1p(rnd(8).random((12, 12)) * 50), 100.0, 10.0)
-        assert calls == []
-
-    def test_narrow_sigma_takes_the_loop(self, monkeypatch):
-        calls = self._direct_calls(monkeypatch)
-        img = rnd(9).random((6, 6)) * 4
-        got = S.bilateral_filter(img, 0.2, 1.5, radius=2)
-        assert len(calls) == 1
-        assert np.max(np.abs(got - bilateral_loops(img, 0.2, 1.5, 2))) < 1e-12
-
-    def test_nan_takes_the_loop_and_propagates(self, monkeypatch):
-        calls = self._direct_calls(monkeypatch)
-        img = rnd(10).random((9, 9))
-        img[4, 4] = np.nan
-        got = S.bilateral_filter(img, 100.0, 1.0, radius=1)
-        assert len(calls) == 1
-        assert np.array_equal(np.isnan(got), np.isnan(bilateral_loops(img, 100.0, 1.0, 1)))
-        assert np.isnan(got[3:6, 3:6]).all() and np.isnan(got).sum() == 9
-
-    @pytest.mark.parametrize("infinity", [np.inf, -np.inf])
-    def test_an_infinity_takes_the_loop(self, monkeypatch, infinity):
-        calls = self._direct_calls(monkeypatch)
-        img = rnd(10).random((5, 5))
-        img[2, 2] = infinity
-        with np.errstate(invalid="ignore"):
-            S.bilateral_filter(img, 100.0, 1.0, radius=1)
-        assert len(calls) == 1
-
-    # Over a half-range of 1, color_sigma sets x = 1 / color_sigma**2 and so
-    # the number of series terms.
-    @pytest.mark.parametrize("color_sigma, terms", [(1e9, 0), (1e4, 1), (100.0, 3),
-                                                    (10.0, 6), (2.0, 12), (1.2, 16)])
+    # A NaN or an infinity would reach every output through the blur
+    # matrices' zero entries (0 * inf), so it is refused, with no warning.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_series_bit_identical_to_the_summed_loop(self, color_sigma, terms, dtype):
-        img = (rnd(terms).random((63, 65)) * 2).astype(dtype)
-        img[0, 0], img[-1, -1] = 0, 2
-        assert S._series_terms(1.0 / color_sigma ** 2) == terms
-        got = S.bilateral_filter(img, color_sigma, 3.0)
-        want = bilateral_series_sums(img, color_sigma, terms, S._blur_matrix(63, 6, 3.0),
-                                     S._blur_matrix(65, 6, 3.0))
-        assert got.dtype == want.dtype == dtype
-        assert np.array_equal(got, want)
+    def test_non_finite_image_is_a_domain_error(self, bad, dtype):
+        img = rnd(10).random((9, 9)).astype(dtype)
+        img[4, 4] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="finite"):
+                S.bilateral_filter(img, 1.0, radius=1)
+
+
+# The oracle the corpus tests use: the loop's sums in the loop's order.
+@pytest.mark.parametrize("shape,radius", [((6, 6), 2), ((5, 9), 7), ((1, 6), 3), ((7, 1), 2)])
+def test_blur_shift_oracle_bit_identical_to_the_loop_oracle(shape, radius):
+    img = np.log1p(rnd(sum(shape)).random(shape) * 50.0)
+    assert np.array_equal(gaussian_blur_shifts(img, 2.5, radius),
+                          gaussian_blur_loops(img, 2.5, radius))
 
 
 @pytest.fixture()
@@ -195,9 +152,20 @@ class TestBlurMatrixMemory:
                                               ((1, 6), 3), ((6, 6), 5)])
     def test_wide_radius_matches_loop_oracle(self, shape, radius):
         img = np.log1p(rnd(sum(shape)).random(shape) * 50.0)
-        want = bilateral_loops(img, 100.0, 2.5, radius)
-        assert np.max(np.abs(S.bilateral_filter(img, 100.0, 2.5, radius) - want)) <= 1e-12
-        got32 = S.bilateral_filter(img.astype(np.float32), 100.0, 2.5, radius)
+        want = gaussian_blur_loops(img, 2.5, radius)
+        assert np.max(np.abs(S.bilateral_filter(img, 2.5, radius) - want)) <= 1e-12
+        got32 = S.bilateral_filter(img.astype(np.float32), 2.5, radius)
+        assert np.max(np.abs(got32 - want)) <= 1e-6
+
+    def test_radius_100_matches_loop_oracle(self):
+        # 201 taps per axis fold onto periods of 4 and 6: criterion 1's
+        # tolerances against the loop oracle's 40401 shifts.
+        img = rnd(14).random((3, 4)) * 4
+        want = gaussian_blur_loops(img, 50.0, 100)
+        got64 = S.bilateral_filter(img, 50.0, radius=100)
+        got32 = S.bilateral_filter(img.astype(np.float32), 50.0, radius=100)
+        assert got32.dtype == np.float32
+        assert np.max(np.abs(got64 - want)) <= 1e-12
         assert np.max(np.abs(got32 - want)) <= 1e-6
 
     @pytest.mark.parametrize("space_sigma", [1e4, 1e6])
@@ -208,79 +176,12 @@ class TestBlurMatrixMemory:
         S._reflect_blur_matrix.cache_clear()
         tracemalloc.start()
         try:
-            out = S.bilateral_filter(img, 100.0, space_sigma)
+            out = S.bilateral_filter(img, space_sigma)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             S._reflect_blur_matrix.cache_clear()
         assert np.isfinite(out).all() and peak < 2 << 20, peak
-
-    def test_direct_sum_gathers_instead_of_padding(self, monkeypatch):
-        img = rnd(12).random((3, 4)) * 4
-        direct = S._bilateral_direct
-        calls = []
-        monkeypatch.setattr(S, "_bilateral_direct", lambda *a: calls.append(a) or direct(*a))
-        got = S.bilateral_filter(img, 0.2, 30.0, radius=9)
-        assert len(calls) == 1
-        # The same sums as slicing a reflect-padded copy, with the shifts a
-        # reflection period apart added together first: equal to rounding.
-        h, w = img.shape
-        p = np.pad(img, 9, mode="reflect")
-        acc, norm = np.zeros((h, w)), np.zeros((h, w))
-        inv_2ss, inv_2cs = 1.0 / (2.0 * 30.0 * 30.0), 1.0 / (2.0 * 0.2 * 0.2)
-        for dy in range(-9, 10):
-            for dx in range(-9, 10):
-                shifted = p[9 + dy:9 + dy + h, 9 + dx:9 + dx + w]
-                diff = shifted - img
-                wgt = np.exp(-(dy * dy + dx * dx) * inv_2ss) * np.exp(-diff * diff * inv_2cs)
-                acc += wgt * shifted
-                norm += wgt
-        assert np.max(np.abs(got - acc / norm)) <= 1e-12
-        assert np.max(np.abs(got - bilateral_loops(img, 0.2, 30.0, 9))) <= 1e-12
-
-    def test_direct_sum_at_radius_100_matches_loop_oracle(self, monkeypatch):
-        # 201 shifts per axis fold onto periods of 4 and 6: criterion 1's
-        # tolerances against the loop oracle's 40401 shifts.
-        img = rnd(14).random((3, 4)) * 4
-        direct = S._bilateral_direct
-        calls = []
-        monkeypatch.setattr(S, "_bilateral_direct", lambda *a: calls.append(a) or direct(*a))
-        want = bilateral_loops(img, 0.2, 50.0, 100)
-        got64 = S.bilateral_filter(img, 0.2, 50.0, radius=100)
-        got32 = S.bilateral_filter(img.astype(np.float32), 0.2, 50.0, radius=100)
-        assert len(calls) == 2 and got32.dtype == np.float32
-        assert np.max(np.abs(got64 - want)) <= 1e-12
-        assert np.max(np.abs(got32 - want)) <= 1e-6
-
-    def test_direct_sum_passes_bounded_by_the_periods(self):
-        # space_sigma 1e3 is radius 2000: 4001**2 shifts unfolded, 4 x 6 here.
-        class Counted(np.ndarray):
-            passes = 0
-
-            def __getitem__(self, key):
-                if isinstance(key, tuple):  # a row block's column gather
-                    Counted.passes += 1
-                    assert Counted.passes <= 4 * 6, "the shifts did not fold"
-                return super().__getitem__(key)
-
-        img = (rnd(15).random((3, 4)) * 4).view(Counted)
-        space_sigma = 1e3
-        out = S._bilateral_direct(img, int(math.ceil(2 * space_sigma)),
-                                  1.0 / (2.0 * space_sigma * space_sigma), 1.0 / 0.08)
-        assert Counted.passes == 4 * 6
-        assert np.isfinite(np.asarray(out)).all()
-
-    def test_direct_sum_peak_is_bounded(self):
-        # A padded copy at radius 40 is 83x84 float64, 56 KB.
-        img = rnd(13).random((3, 4)) * 4
-        tracemalloc.start()
-        try:
-            S._bilateral_direct(img, 40, 1.0 / 800.0, 1.0 / 0.08)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 << 10, peak
-
 
 @pytest.mark.usefixtures("fresh_blur_cache")
 class TestBlurMatrixCache:
@@ -323,9 +224,9 @@ class TestBlurMatrixCache:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_filter_bit_identical_to_uncached_builder(self, monkeypatch, shape, radius, dtype):
         img = np.log1p(rnd(sum(shape)).random(shape) * 50.0).astype(dtype)
-        cached = [S.bilateral_filter(img, 100.0, 2.5, radius) for _ in range(2)]
+        cached = [S.bilateral_filter(img, 2.5, radius) for _ in range(2)]
         monkeypatch.setattr(S, "_blur_matrix", S._reflect_blur_matrix.__wrapped__)
-        want = S.bilateral_filter(img, 100.0, 2.5, radius)
+        want = S.bilateral_filter(img, 2.5, radius)
         assert want.dtype == dtype
         for got in cached:
             assert got.dtype == dtype and np.array_equal(got, want)
@@ -333,25 +234,23 @@ class TestBlurMatrixCache:
 
 @pytest.mark.usefixtures("fresh_blur_cache")
 class TestSigmaDomain:
-    @pytest.mark.parametrize("color_sigma,space_sigma", [
-        (0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (-math.inf, 2.0), (1e-200, 2.0),
-        (100.0, 0.0), (100.0, -2.0), (100.0, math.nan), (100.0, math.inf), (100.0, 1e-200)])
-    def test_filter_rejects_before_the_cache(self, color_sigma, space_sigma):
+    @pytest.mark.parametrize("space_sigma", [0.0, -2.0, math.nan, math.inf, 1e-200])
+    def test_filter_rejects_before_the_cache(self, space_sigma):
         img = rnd(11).random((6, 6))
         for radius in (None, 2):
             with pytest.raises(DomainError):
-                S.bilateral_filter(img, color_sigma, space_sigma, radius)
+                S.bilateral_filter(img, space_sigma, radius)
         assert S._reflect_blur_matrix.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("field,value", [("color_sigma", 0.0), ("color_sigma", math.nan),
-                                             ("space_sigma", math.nan),
+    @pytest.mark.parametrize("field,value", [("space_sigma", math.nan),
                                              ("space_sigma", math.inf)])
     def test_config_rejects(self, field, value):
         with pytest.raises(DomainError, match=field):
             S.SamplerConfig(**{field: value})
 
-    def test_config_keeps_infinite_color_sigma(self):
-        assert S.SamplerConfig(color_sigma=math.inf).color_sigma == math.inf
+    def test_config_has_no_color_sigma(self):
+        with pytest.raises(TypeError, match="color_sigma"):
+            S.SamplerConfig(color_sigma=100.0)
 
 
 class TestPatchMetric:
@@ -371,7 +270,7 @@ class TestPatchMetric:
         oracle = patch_metric_steps(h, m)
         assert score > 0
         assert np.isclose(score, oracle, rtol=1e-9)
-        assert np.isclose(score, 5.7321505050, rtol=1e-6)  # regression pin
+        assert np.isclose(score, 5.7329427326, rtol=1e-6)  # regression pin
 
     def test_log_domain_shift_invariance(self):
         rng = rnd(3)
@@ -389,12 +288,12 @@ class TestPatchMetric:
 
     @pytest.mark.parametrize("shape", [(3, 16, 12), (3, 9, 20)])
     def test_sobel_matches_step_oracle_to_rounding(self, shape):
-        # The oracle runs the production bilateral, so the two differ only in
+        # The oracle runs the production blur, so the two differ only in
         # the Sobel pair (separable here, a 2-D tap loop there) and rounding.
         rng = rnd(shape[2])
         h = rng.random(shape) * 8
         m = rng.random(shape)
-        want = patch_metric_steps(h, m, bilateral=S.bilateral_filter)
+        want = patch_metric_steps(h, m, base=S.bilateral_filter)
         assert abs(S.patch_metric(h, m) - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (2, 2), (2, 7), (9, 13),
@@ -420,7 +319,7 @@ class TestPatchMetric:
 
     def test_criterion5_corpus_keeps_the_same_crops(self):
         # Criterion 5's corpus: every saturated crop scored by the production
-        # metric in float64 and by the step oracle (production bilateral, 2-D
+        # metric in float64 and by the step oracle (production blur, 2-D
         # Sobel taps); the sampler's float32 scoring at the default threshold
         # keeps exactly the oracle's crops. The detail layer cancels most of
         # the log-luminance, which lifts the two paths' gray/log rounding to
@@ -434,15 +333,76 @@ class TestPatchMetric:
             kept += S.sample_patches(scene, cfg, seed=i, image_id=f"c{i}")
         hdr64 = [r.hdr.pixels.astype(np.float64) for r in scored]
         got = [S.patch_metric(h, r.mask) for h, r in zip(hdr64, scored)]
-        want = [patch_metric_steps(h, r.mask, bilateral=S.bilateral_filter, sobel=sobel_shifts)
+        want = [patch_metric_steps(h, r.mask, base=S.bilateral_filter, sobel=sobel_shifts)
                 for h, r in zip(hdr64, scored)]
         assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-8
         assert len(scored) > len(kept) > 0
         assert [(r.image_id, r.offset) for r in kept] == \
             [(r.image_id, r.offset) for r, w in zip(scored, want) if w > cfg.metric_threshold]
 
+    def test_criterion5_corpus_keeps_what_the_range_kernel_keeps(self):
+        # The base layer was a bilateral filter with a range sigma of 100 on
+        # log1p luminance, whose range within a crop is at most about 4.34,
+        # so every range weight lay in [0.99906, 1]. Scored with that
+        # bilateral, criterion 5's corpus keeps exactly the crops that the
+        # shipped blur keeps.
+        corpus = make_hdr_corpus(50, seed=151, size=(96, 96))
+        every = S.SamplerConfig(patch_size=64, patches_per_image=4, metric_threshold=0.0)
+        scored = [r for i, scene in enumerate(corpus)
+                  for r in S.sample_patches(scene, every, seed=i, image_id=f"c{i}")]
+
+        def ranged(log_lum, space_sigma, radius):
+            return bilateral_shifts(log_lum, 100.0, space_sigma, radius)
+
+        want = [patch_metric_steps(r.hdr.pixels, r.mask, base=ranged, sobel=sobel_shifts)
+                for r in scored]
+        threshold = S.SamplerConfig().metric_threshold
+        kept = [r.score > threshold for r in scored]
+        assert 0 < sum(kept) < len(scored)
+        assert kept == [w > threshold for w in want]
+        assert max(abs(r.score - w) / w for r, w in zip(scored, want)) < 1e-3
+
+
+def sample_patches_exposing_twice(hdr, config, seed, curve):
+    """``sample_patches`` as it was written with two exposure products per
+    crop: one inside ``apply_exposure`` and one for the record's radiance."""
+    rng = np.random.default_rng(seed)
+    ps, records = config.patch_size, []
+    for _ in range(config.patches_per_image):
+        oy = int(rng.integers(0, hdr.shape[1] - ps + 1))
+        ox = int(rng.integers(0, hdr.shape[2] - ps + 1))
+        lo, hi = config.percentile_range
+        scale = P.exposure_scale(hdr, float(rng.uniform(lo, hi)), curve)
+        patch = hdr[:, oy:oy + ps, ox:ox + ps]
+        ldr = P.apply_exposure(patch, scale, curve=curve, quantize_bits=config.quantize_bits)
+        mask = P.exposure_mask(ldr.pixels, config.alpha)
+        if mask.min() == 1:
+            continue
+        scaled = HdrImage(patch * patch.dtype.type(scale))
+        score = S.patch_metric(scaled, mask, config)
+        if score > config.metric_threshold:
+            records.append(S.PatchRecord(scaled, ldr, mask, score, "", (oy, ox)))
+    return sorted(records, key=lambda r: r.offset)
+
 
 class TestSamplePatches:
+    @pytest.mark.parametrize("kind", ["gamma", "sigmoid"])
+    @pytest.mark.parametrize("bits", [0, 8, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_records_bit_identical_to_exposing_twice(self, kind, bits, dtype):
+        scene = hdr_scene(7, size=(96, 80)).pixels.astype(dtype)
+        curve = P.CameraCurve(kind=kind, exposure=1.5)
+        cfg = S.SamplerConfig(patch_size=32, patches_per_image=24, metric_threshold=0.0,
+                              quantize_bits=bits)
+        got = S.sample_patches(scene, cfg, seed=3, curve=curve)
+        want = sample_patches_exposing_twice(scene, cfg, 3, curve)
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert (a.offset, a.score) == (b.offset, b.score)
+            for x, y in [(a.hdr.pixels, b.hdr.pixels), (a.ldr.pixels, b.ldr.pixels),
+                         (a.mask, b.mask)]:
+                assert x.dtype == y.dtype == dtype and x.tobytes() == y.tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_crop_scale_is_exposure_scale(self, monkeypatch, dtype):
         scene = hdr_scene(7, size=(96, 80)).pixels.astype(dtype)
@@ -515,16 +475,16 @@ class TestSamplePatches:
 
     def test_corpus_kept_set_and_rank_order_match_direct_reference(self):
         # Every saturated crop with a positive score, scored by the production
-        # metric and by the direct-sum reference: the default threshold keeps
-        # the same crops and the scores rank the same.
+        # metric and by the shift-sum Gaussian reference: the default
+        # threshold keeps the same crops and the scores rank the same.
         cfg = S.SamplerConfig()
         named = [(f"c{i}", s) for i, s in
                  enumerate(make_hdr_corpus(3, seed=151, size=(96, 96)))]
         scored = S.sample_corpus(named, S.SamplerConfig(metric_threshold=0.0), seed=0)
         kept = S.sample_corpus(named, cfg, seed=0)
         got = np.array([r.score for r in scored])
-        want = np.array([patch_metric_steps(r.hdr.pixels, r.mask, cfg.color_sigma,
-                                            cfg.space_sigma, bilateral=bilateral_shifts)
+        want = np.array([patch_metric_steps(r.hdr.pixels, r.mask, cfg.space_sigma,
+                                            base=gaussian_blur_shifts)
                          for r in scored])
         assert len(scored) > len(kept) > 0
         assert [(r.image_id, r.offset) for r in kept] == \

@@ -35,11 +35,11 @@ before numpy loads, as the benchmark does. The lines are:
   steps per epoch);
 * the values and input gradients of ``inpainting_loss`` and ``total_loss``
   on a fixed 2x3x16x16 float64 batch;
-* ``bilateral_filter`` of a 37x29 float32 log-luminance crop, once through
-  the range-kernel series (the default sigmas) and once through the direct
-  window sum (a color_sigma of 0.05), and the ``simulate_ldr`` pixels of a
-  64x64 scene through the sigmoid curve, unquantized: paths the ``curate``
-  units do not reach.
+* ``bilateral_filter`` (the Gaussian blur of the texture score's base
+  layer) of a 37x29 float32 log-luminance crop at the default space sigma,
+  and the ``simulate_ldr`` pixels of a 64x64 scene through the sigmoid
+  curve, unquantized: a crop extent and a path the ``curate`` units do not
+  reach.
 """
 
 import contextlib
@@ -176,8 +176,7 @@ def main():
               f"gradient {sha(t.grad)}")
     scene = synthetic.make_hdr_corpus(1, seed=13, size=(64, 64))[0]
     crop = np.log1p(rgb_to_gray(scene.pixels[:, 5:42, 11:40]))
-    for path, color_sigma in (("series", 100.0), ("direct", 0.05)):
-        print(f"bilateral 37x29 {path} {sha(bilateral_filter(crop, color_sigma, 10.0))}")
+    print(f"bilateral 37x29 blur {sha(bilateral_filter(crop, 10.0))}")
     ldr = simulate_ldr(scene, curve=CameraCurve(kind="sigmoid"), quantize_bits=0)
     print(f"simulate_ldr sigmoid unquantized {sha(ldr.pixels)}")
 
