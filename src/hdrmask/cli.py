@@ -150,7 +150,9 @@ def _photo_source(command, photo, config, alpha):
     def source(a, b):
         band = rows[a:b]
         lo = int(band.min())
-        ldr = photo.rows(lo, int(band.max()) + 1)[:, band - lo][:, :, cols]
+        ldr = photo.rows(lo, int(band.max()) + 1)
+        if b > h or len(cols) > w:  # one copy takes the reflected rows and columns
+            ldr = ldr[:, (band - lo)[:, None], cols]
         return ldr[None], exposure_mask(ldr, alpha)[None]
 
     return source, (1, 3, len(rows), len(cols))
@@ -342,20 +344,38 @@ def cmd_reconstruct(args, resolved):
 
     No array of the photo's area exists but FMask's table of saturated
     pixels (``network.predict_strips``); the PFM appears only once every
-    strip is written.
+    strip is written. Each photo row is read and masked once: a strip is
+    composed from the rows and mask the walk's input read, held from then
+    until their strip is written.
     """
     curve = CameraCurve(gamma=resolved["gamma"])  # checks the knob before any work
     alpha = resolved["alpha"]
     with formats.LdrReader(args.input) as photo:
         params = load_model(args.checkpoint).params
         h, w = photo.height, photo.width
-        strips = predict_strips(*_photo_source("reconstruct", photo, params.config, alpha), params)
+        source, shape = _photo_source("reconstruct", photo, params.config, alpha)
+        held = [0, None, None]  # the first row, rows and mask read and not yet composed
+
+        def reading(a, b):
+            ldr, mask = source(a, b)
+            held[1:] = (ldr[0], mask[0]) if held[1] is None else \
+                [np.concatenate(p, axis=1) for p in zip(held[1:], (ldr[0], mask[0]))]
+            return ldr, mask
+
+        def compose(a, y):
+            """Compose and write the strip ``y`` of rows from ``a``, then hold
+            only the rows read past it, copied out of their band, so the band
+            and the composed strip are freed before the walk computes the next."""
+            b = min(a + y.shape[2], h)
+            first, ldr, mask = held
+            rows = (slice(None), slice(a - first, b - first), slice(w))
+            write(a, compose_hdr(ldr[rows], mask[rows], y[0, :, :b - a, :w],
+                                 gamma=curve.gamma, row=a).pixels)
+            held[:] = b, ldr[:, b - first:].copy(), mask[:, b - first:].copy()
+
         with formats.pfm_strip_writer(args.output, 3, h, w) as write:
-            for a, y in strips:
-                ldr = photo.rows(a, min(a + y.shape[2], h))
-                hdr = compose_hdr(ldr, exposure_mask(ldr, alpha), y[0, :, :ldr.shape[1], :w],
-                                  gamma=curve.gamma, row=a)
-                write(a, hdr.pixels)
+            for a, y in predict_strips(reading, shape, params):
+                compose(a, y)
     out_dir = os.path.dirname(os.path.abspath(args.output))
     _write_manifest(out_dir, "reconstruct", resolved,
                     {"ldr": args.input, "checkpoint": args.checkpoint},

@@ -40,6 +40,17 @@ same walk yielding each layer's finished mask rows instead (``hdrmask
 mask``). They agree with :func:`unet_forward` to rounding, and exactly when
 one strip covers the image.
 
+Each row is written once, where it is read. A walk derives each layer's
+GEMM operands the first time it runs the layer and keeps them for every
+later strip (:func:`~hdrmask.tensor.layer_operands`: the tap-major weights
+with their bias column and a decoder's phase kernels, and
+:func:`mask_operands`, the normalized magnitudes the mask conv uses). From a
+node's second strip on, its new rows go straight into its row buffers,
+right behind the rows it still holds: the GEMM blocks, a decoder's phase
+add, the activation and the mask's clip all write into that slice, and the
+buffers only move the few held rows to their front when the new ones would
+not fit behind them.
+
 Where no saturated pixel is in reach, a mask conv only repeats the layer's
 all-valid mask. So in FMask the walk cuts each window of a layer's output
 into tiles and reads off the input which of them saturation reaches: a
@@ -119,30 +130,44 @@ class CleanTiles:
 def _gather(a, pad_rows, padding, runs, step, rows, widths, tail):
     """The input rectangles of runs of output tiles, side by side in one image.
 
-    Run ``k`` reads ``rows`` rows from padded input row ``band[k] * step[0]``
-    and ``widths[k]`` columns from padded column ``first[k] * step[1]`` of
-    image ``n[k]``; ``a`` holds the padded input from row ``pad_rows[0]``
+    Run ``k`` of ``runs``, lists ``(n, band, first, ...)``, reads ``rows``
+    rows from padded input row ``band[k] * step[0]`` and ``widths[k]``
+    columns from padded column ``first[k] * step[1]`` of image ``n[k]``;
+    ``a`` holds the padded input from row ``pad_rows[0]``
     and column ``padding``. The pad, and whatever lies past ``a`` (only
     outputs outside the window read it), is 1, and so are ``tail`` more
-    columns. One wide image keeps the convolution's row copies long and its
-    GEMMs as wide as the dense ones, so that they round alike; the tail,
-    never read, takes the narrower kernel of a GEMM's last columns.
+    columns; each element is written once. One wide image keeps the
+    convolution's row copies long and its GEMMs as wide as the dense ones,
+    so that they round alike; the tail, never read, takes the narrower
+    kernel of a GEMM's last columns.
     """
-    n, band, first, _ = runs
     h, w = a.shape[2:]
-    img = np.ones((1, a.shape[1], rows, int(widths.sum()) + tail), dtype=a.dtype)
+    end = sum(widths)
+    img = np.empty((a.shape[1], rows, end + tail), dtype=a.dtype)
+    img[:, :, end:] = 1
     x = 0
-    for k, width in enumerate(widths.tolist()):
-        r0, c0 = int(band[k]) * step[0] - pad_rows[0], int(first[k]) * step[1] - padding
-        r1, c1, r2, c2 = max(r0, 0), max(c0, 0), min(r0 + rows, h), min(c0 + width, w)
-        img[0, :, r1 - r0:r2 - r0, x + c1 - c0:x + c2 - c0] = a[n[k], :, r1:r2, c1:c2]
+    for i, band, first, width in zip(runs[0], runs[1], runs[2], widths):
+        r0, c0 = band * step[0] - pad_rows[0], first * step[1] - padding
+        r1, c1 = max(r0, 0), max(c0, 0)
+        r2, c2 = max(min(r0 + rows, h), r1), max(min(c0 + width, w), c1)
+        # A run at the input's edge has pad rows or columns: only those are filled.
+        if r1 > r0:
+            img[:, :r1 - r0, x:x + width] = 1
+        if r2 < r0 + rows:
+            img[:, r2 - r0:, x:x + width] = 1
+        if c1 > c0:
+            img[:, r1 - r0:r2 - r0, x:x + c1 - c0] = 1
+        if c2 < c0 + width:
+            img[:, r1 - r0:r2 - r0, x + c2 - c0:x + width] = 1
+        img[:, r1 - r0:r2 - r0, x + c1 - c0:x + c2 - c0] = a[i, :, r1:r2, c1:c2]
         x += width
-    return img
+    return img[None]
 
 
-def _sparse_mask(m, wn, stride, padding, skip, pad_rows, skip_pad_rows, tiles):
-    """The window's propagated mask from its flagged tiles only, or None for a
-    window left to the dense call (see :func:`propagate_mask`)."""
+def _sparse_mask(m, w, operands, stride, padding, skip, pad_rows, skip_pad_rows, tiles, out):
+    """The window's propagated mask from its flagged tiles only, written into
+    ``out`` (a new array when None), or None for a window left to the dense
+    call (see :func:`propagate_mask`)."""
     todo, (rows, width) = tiles.flags, tiles.shape
     n, bands, across = todo.shape
     h, side, period, up = tiles.band, tiles.side, tiles.period, skip is not None
@@ -164,56 +189,86 @@ def _sparse_mask(m, wn, stride, padding, skip, pad_rows, skip_pad_rows, tiles):
     padded = np.zeros((n, bands, across + 2), dtype=np.int8)
     padded[:, :, 1:-1] = todo
     edges = padded[:, :, 1:] - padded[:, :, :-1]
-    runs = np.nonzero(edges == 1) + (np.nonzero(edges == -1)[2],)
-    cols = (runs[3] - runs[2]) * side
-    ks, tail, img_skip = wn.shape[2], 16, None
+    runs = [r.tolist() for r in np.nonzero(edges == 1) + (np.nonzero(edges == -1)[2],)]
+    cols = [(end - first) * side for first, end in zip(runs[2], runs[3])]
+    ks, tail, img_skip = w.shape[2], 16, None
     if up:
         # The skip runs 4p columns apart and the phase runs half that, so one
         # interleave puts every run in place at once.
         p = padding
-        img_skip = _gather(skip, skip_pad_rows, p, runs, (h, side), h + 2 * p, cols + 4 * p, tail)
+        img_skip = _gather(skip, skip_pad_rows, p, runs, (h, side), h + 2 * p,
+                           [c + 4 * p for c in cols], tail)
         img = _gather(m, pad_rows, p, runs, (h // 2, side // 2), h // 2 + 2 * p,
-                      cols // 2 + 2 * p, tail // 2 + p)
-        pitch = cols + 4 * p
+                      [c // 2 + 2 * p for c in cols], tail // 2 + p)
+        extra = 4 * p
     else:
         extra = -(-(ks - stride) // stride)
         img = _gather(m, pad_rows, padding, runs, (stride * h, stride * side),
-                      stride * (h - 1) + ks, stride * (cols + extra), stride * tail)
-        pitch = cols + extra
-    out = T.layer_raw(img, wn, None, stride, 0, 1.0, skip=img_skip)[0]
-    np.clip(out, 0.0, 1.0, out=out)
-    starts = (np.cumsum(pitch) - pitch).tolist()
+                      stride * (h - 1) + ks, [stride * (c + extra) for c in cols],
+                      stride * tail)
+    got = T.layer_raw(img, w, None, stride, 0, 1.0, skip=img_skip, operands=operands)[0][0]
+    np.clip(got, 0.0, 1.0, out=got)
     if sample is not None:
-        k = int(np.flatnonzero((runs[0] == sample[0]) & (runs[1] == sample[1])
-                               & (runs[2] <= sample[2]) & (sample[2] < runs[3]))[0])
-        x = starts[k] + (sample[2] - runs[2][k]) * side
+        # The sample's run, and the column of the sample in the gathered output.
+        x = 0
+        for i, b, first, end in zip(*runs):
+            if (i, b) == sample[:2] and first <= sample[2] < end:
+                break
+            x += (end - first) * side + extra
+        x += (sample[2] - first) * side
         shift = ((tiles.row + sample[1] * h) % period, (sample[2] * side) % period)
-        pattern = tiles.pattern[0] = np.roll(out[0, :, :period, x:x + period], shift, axis=(1, 2))
-    # Fill whole periods of rows from the image's origin, cut the window out
-    # and put the computed runs in.
-    co, offset, full_cols = out.shape[1], tiles.row % period, across * side
-    periods = -(-(offset + bands * h) // period)
-    full = np.empty((n, co, periods, period, full_cols), dtype=out.dtype)
-    full[:] = np.tile(pattern, -(-full_cols // period))[None, :, None, :, :full_cols]
-    window = full.reshape(n, co, periods * period, full_cols)[:, :, offset:offset + bands * h]
-    for k, x in enumerate(starts):
-        i, j = int(runs[1][k]) * h, int(runs[2][k]) * side
-        window[runs[0][k], :, i:i + h, j:j + cols[k]] = out[0, :, :, x:x + cols[k]]
-    return window[:, :, :rows, :width]
+        pattern = tiles.pattern[0] = np.roll(got[:, :period, x:x + period], shift, axis=(1, 2))
+    if out is None:
+        out = np.empty((n, got.shape[0], rows, width), dtype=got.dtype)
+    # The pattern from image row and column 0, as many rows as a band needs
+    # from any of its phases; tiles start at multiples of the period.
+    tiled = np.tile(pattern, (1, -(-(period + h) // period), -(-width // period)))
+    # One walk along each band: its computed runs from the gathered output,
+    # the clean tiles before, between and after them from the pattern.
+    runs = iter(zip(*runs, cols))
+    run = next(runs, None)
+    x = 0
+    for i in range(n):
+        for b in range(bands):
+            y0, j = b * h, 0
+            y1 = min(y0 + h, rows)
+            o = (tiles.row + y0) % period
+            while run is not None and run[0] == i and run[1] == b:
+                c0 = run[2] * side
+                c1 = min(c0 + run[4], width)
+                if c0 > j:
+                    out[i, :, y0:y1, j:c0] = tiled[:, o:o + y1 - y0, j:c0]
+                out[i, :, y0:y1, c0:c1] = got[:, :y1 - y0, x:x + c1 - c0]
+                j, x, run = c1, x + run[4] + extra, next(runs, None)
+            if j < width:
+                out[i, :, y0:y1, j:] = tiled[:, o:o + y1 - y0, j:width]
+    return out
+
+
+def mask_operands(w, up_channels=0, dtype=None):
+    """The :class:`~hdrmask.tensor.LayerOperands` of the mask conv of OIHW
+    weights ``w``, their matrices in ``dtype``: the kernel magnitudes,
+    normalized per output channel to sum to (just under) one."""
+    a = np.abs(w)
+    wn = a / (a.sum(axis=(1, 2, 3), keepdims=True) + a.dtype.type(MASK_NORM_EPS))
+    return T.layer_operands(wn, None, up_channels, dtype)
 
 
 def propagate_mask(mask, weights, stride=1, padding=0, skip=None, pad_rows=None,
-                   skip_pad_rows=None, tiles=None):
+                   skip_pad_rows=None, tiles=None, out=None, operands=None):
     """Carry an (N,C,H,W) validity mask through the conv of weight Tensor ``weights``.
 
     The kernel magnitudes are normalized per output channel to sum to
-    (just under) one, so the result is a weighted average of mask values in
-    each receptive field. Borders pad with 1; output is clamped to [0,1].
-    The convolution is the layer's own, :func:`~hdrmask.tensor.layer_raw`:
-    with ``skip`` the layer is a decoder layer, whose input mask is the 2x
-    nearest upsample of ``mask`` followed by the channels of ``skip``.
-    ``pad_rows`` and ``skip_pad_rows`` are ``(top, bottom)`` row paddings
-    of ``mask`` and ``skip``.
+    (just under) one (:func:`mask_operands`), so the result is a weighted
+    average of mask values in each receptive field. Borders pad with 1;
+    output is clamped to [0,1]. The convolution is the layer's own,
+    :func:`~hdrmask.tensor.layer_raw`: with ``skip`` the layer is a decoder
+    layer, whose input mask is the 2x nearest upsample of ``mask`` followed
+    by the channels of ``skip``. ``pad_rows`` and ``skip_pad_rows`` are
+    ``(top, bottom)`` row paddings of ``mask`` and ``skip``. ``out``
+    receives the result as in :func:`~hdrmask.tensor.conv2d_raw`, and
+    ``operands``, :func:`mask_operands` derived once by a caller that runs
+    the layer again, stand in for deriving them.
 
     ``tiles`` (:class:`CleanTiles`) computes only where saturation reaches.
     Each run of adjacent flagged tiles along a band, with its halo, is
@@ -225,16 +280,18 @@ def propagate_mask(mask, weights, stride=1, padding=0, skip=None, pad_rows=None,
     over its own receptive field either way, so the two agree bit for bit
     wherever the GEMM rounds an output alike in both, and to rounding elsewhere.
     """
-    w = np.abs(weights.data)
-    wn = w / (w.sum(axis=(1, 2, 3), keepdims=True) + w.dtype.type(MASK_NORM_EPS))
+    w = weights.data if isinstance(weights, T.Tensor) else np.asarray(weights)
+    if operands is None:
+        operands = mask_operands(w, 0 if skip is None else mask.shape[1],
+                                 np.result_type(mask, w))
     if tiles is not None:
         rows, skip_rows = ((padding, padding) if p is None else p
                            for p in (pad_rows, skip_pad_rows))
-        out = _sparse_mask(mask, wn, stride, padding, skip, rows, skip_rows, tiles)
-        if out is not None:
-            return out
-    out = T.layer_raw(mask, wn, None, stride, padding, 1.0, pad_rows, skip=skip,
-                      skip_pad_rows=skip_pad_rows)[0]
+        got = _sparse_mask(mask, w, operands, stride, padding, skip, rows, skip_rows, tiles, out)
+        if got is not None:
+            return got
+    out = T.layer_raw(mask, w, None, stride, padding, 1.0, pad_rows, skip=skip,
+                      skip_pad_rows=skip_pad_rows, out=out, operands=operands)[0]
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -426,9 +483,10 @@ class _Frontier:
     window of its source's rows, padded only where it meets the image's
     edge; a window that is all of the source is the source itself, so one
     advance over the whole image runs the whole-image operations and records
-    the same graph. Later advances write
-    into row buffers outside the differentiation graph, so they are for
-    constant parameters only.
+    the same graph. Later advances have each layer write its rows into
+    the node's row buffers (:meth:`_store`), outside the differentiation
+    graph, so they are for constant parameters only. ``operands`` holds
+    the derived GEMM operands of each layer that has rows left to compute.
 
     A layer is one :func:`~hdrmask.tensor.conv2d` call, which scales its
     inputs by their masks, and then, in FMask, one :func:`propagate_mask`
@@ -473,6 +531,7 @@ class _Frontier:
         self.keep, self.done = [0] * nodes, [0] * nodes
         self.features, self.masks = [None] * nodes, [None] * nodes
         self.buffers, self.start = [None] * nodes, [None] * nodes
+        self.operands = {}
         self.table = None
         if config.mode == MODE_FEATURE_MASK and not self.frozen:
             self.table = np.zeros((n, h + 1, w + 1),
@@ -517,7 +576,8 @@ class _Frontier:
             np.add(rows, t[:, a:a + 1, 1:], out=t[:, a + 1:b + 1, 1:])
         if self.config.mode == MODE_INPUT_MASK:
             x = x * T.constant(m)
-        self._store(0, x, m if self.config.mode == MODE_FEATURE_MASK else None)
+        self._hold(0, x, m if self.config.mode == MODE_FEATURE_MASK else None,
+                   self._store(0, b - a))
         self.done[0] = b
 
     def _drop(self):
@@ -597,47 +657,78 @@ class _Frontier:
             inputs[0], (inputs[1:] or [(None, None, None)])[0]
         tensors, stride = self.params.tensors, self.edges[v][0][1]
         weights, bias = tensors[f"{spec.name}.weight"], tensors[f"{spec.name}.bias"]
-        out = T.conv2d(f, weights, bias, stride, self.pad, pad_rows=pad_rows, scale=m,
-                       skip=skip, skip_scale=skip_m, skip_pad_rows=skip_pad_rows,
-                       activation_kind=spec.activation, slope=self.config.leaky_slope)
-        mask = None
+        mask, propagate = None, False
         if m is not None and (v < len(self.plan) or self.out_mask):
             mask = self.frozen.get(spec.name)
-            if mask is None:
-                tiles = None if self.table is None else self._tiles(v, a, b)
-                mask = propagate_mask(m, weights, stride, self.pad, skip=skip_m,
-                                      pad_rows=pad_rows, skip_pad_rows=skip_pad_rows,
-                                      tiles=tiles)
-        self._store(v, out, mask)
+            propagate = mask is None
+        up, dtype = 0 if skip is None else f.data.shape[1], np.result_type(f.data, weights.data)
+        # Derived once, a layer's operands are kept while it has rows left,
+        # so a one-strip walk holds none past its layer.
+        ops, mask_ops = self.operands.pop(v, None) or (
+            T.layer_operands(weights.data, bias.data, up, dtype),
+            mask_operands(weights.data, up, dtype) if propagate else None)
+        if b < self.extents[v][0]:
+            self.operands[v] = ops, mask_ops
+        slots = self._store(v, b - a)
+        to, mask_to = (None, None) if slots is None else slots
+        out = T.conv2d(f, weights, bias, stride, self.pad, pad_rows=pad_rows, scale=m,
+                       skip=skip, skip_scale=skip_m, skip_pad_rows=skip_pad_rows,
+                       activation_kind=spec.activation, slope=self.config.leaky_slope,
+                       out=to, operands=ops)
+        if propagate:
+            tiles = None if self.table is None else self._tiles(v, a, b)
+            mask = propagate_mask(m, weights, stride, self.pad, skip=skip_m, pad_rows=pad_rows,
+                                  skip_pad_rows=skip_pad_rows, tiles=tiles, out=mask_to,
+                                  operands=mask_ops)
+        self._hold(v, out, mask, slots)
         self.done[v] = b
 
-    def _store(self, v, f, m):
-        """Hold node ``v``'s new rows after its rows ``[keep, done)``.
+    def _store(self, v, count):
+        """Where node ``v``'s next ``count`` rows are written: views of its
+        row buffers (features and, when it has one, mask) right behind its
+        held rows ``[keep, done)``, or None when it holds none.
 
         Rows that follow none are held as computed, so a one-strip walk keeps
-        its graph. Otherwise they go to the node's row buffers (features and,
-        when there is one, mask), which move the held rows to their front
-        only when the new ones do not fit behind them: no strip allocates.
+        its graph. Otherwise the layer writes them straight into these views.
+        The buffers move the few held rows to their front only when the new
+        ones do not fit behind them, and are replaced by longer ones only for
+        a longer strip: no strip allocates.
         """
         held = self.done[v] - self.keep[v]
         if held == 0:
-            self.features[v], self.masks[v], self.start[v] = f, m, None
-            return
-        new = [a for a in (f.data, m) if a is not None]
-        total = held + f.data.shape[2]
+            return None
+        old = [a for a in (self.features[v].data, self.masks[v]) if a is not None]
+        total = held + count
         buf, start = self.buffers[v], self.start[v]
         if buf is None or buf[0].shape[2] < total:
             buf = self.buffers[v] = [np.empty(a.shape[:2] + (total,) + a.shape[3:], a.dtype)
-                                     for a in new]
+                                     for a in old]
             start = None
         if start is None or start + total > buf[0].shape[2]:
-            for to, a in zip(buf, (self.features[v].data, self.masks[v])):
+            for to, a in zip(buf, old):
                 to[:, :, :held] = a
-            start = 0
-        for to, a in zip(buf, new):
-            to[:, :, start + held:start + total] = a
-        rows = [to[:, :, start:start + total] for to in buf]
-        self.features[v], self.start[v] = T.constant(rows[0]), start
+            # The held rows are read from their new place from now on, so
+            # rows held as computed are freed before the layer runs.
+            start = self.start[v] = 0
+            self.features[v] = T.constant(buf[0][:, :, :held])
+            if self.masks[v] is not None:
+                self.masks[v] = buf[1][:, :, :held]
+        new = [to[:, :, start + held:start + total] for to in buf]
+        return new[0], new[1] if len(new) > 1 else None
+
+    def _hold(self, v, f, m, slots):
+        """Hold node ``v``'s new rows ``f`` (a Tensor) and mask ``m``, written
+        to ``slots`` (:meth:`_store`) or, where that is None, as they are.
+        Rows computed elsewhere (the source's, a frozen mask) are copied in."""
+        if slots is None:
+            self.features[v], self.masks[v], self.start[v] = f, m, None
+            return
+        for to, a in zip(slots, (f.data, m)):
+            if a is not None and a is not to:
+                to[...] = a
+        start, total = self.start[v], self.done[v] - self.keep[v] + f.data.shape[2]
+        rows = [to[:, :, start:start + total] for to in self.buffers[v]]
+        self.features[v] = T.constant(rows[0])
         self.masks[v] = None if m is None else rows[1]
 
 

@@ -17,6 +17,7 @@ per axis extent, window radius and space_sigma.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from math import ceil, isfinite
 
@@ -173,9 +174,10 @@ def bilateral_filter(luminance, space_sigma=10.0, radius=None):
     The image, centred on its midrange so that a constant one comes back
     exactly, goes through one pair of products with the two axes' cached
     blur matrices and is divided by the window's tap sum. Raises
-    DomainError for a ``space_sigma`` that is not finite and positive and
-    for an image holding a NaN or an infinity, which the products would
-    spread over the whole image.
+    DomainError for a ``space_sigma`` that is not finite and positive, for
+    an image holding a NaN or an infinity, which the products would spread
+    over the whole image, and for one whose range times the window's tap
+    sum passes float64's largest value, where the products would overflow.
     """
     l = np.asarray(luminance)
     if l.ndim != 2:
@@ -188,13 +190,20 @@ def bilateral_filter(luminance, space_sigma=10.0, radius=None):
     lo, hi = float(l.min()), float(l.max())
     if not (isfinite(lo) and isfinite(hi)):  # a NaN or an infinity reaches an extreme
         raise DomainError("bilateral_filter wants a finite image")
-    mid = 0.5 * (lo + hi)
-    v = l.astype(np.float64) - mid
     rows, cols = (_blur_matrix(n, radius, space_sigma) for n in l.shape)
     # Reflection sends every tap of a window somewhere, so each row of a
-    # blur matrix sums to that axis's whole tap sum.
-    out = rows @ v @ cols.T
-    out /= rows[0].sum() * cols[0].sum()
+    # blur matrix sums to that axis's whole tap sum, and no partial sum of
+    # the products passes the range times the two. Python floats go to inf
+    # past the largest value, without a warning.
+    taps = float(rows[0].sum()) * float(cols[0].sum())
+    if (hi - lo) * taps > sys.float_info.max:
+        raise DomainError(f"bilateral_filter's blur of an image ranging over [{lo}, {hi}] "
+                          "would overflow float64")
+    # Halved first, the two ends cannot overflow; halving is exact but for
+    # subnormals, so this is 0.5 * (lo + hi) wherever that is finite.
+    mid = 0.5 * lo + 0.5 * hi
+    out = rows @ (l.astype(np.float64) - mid) @ cols.T
+    out /= taps
     out += mid
     return out.astype(l.dtype, copy=False)
 

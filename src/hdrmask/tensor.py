@@ -15,7 +15,10 @@ along as one more column against a row of ones (the low-memory GEMM
 convolution of Anderson et al., arXiv 1709.03395). Both gradients run one
 GEMM per tap on the same planes. :func:`conv2d_raw` returns ``(out,
 planes)``; the planes, about the size of the padded input, are kept for the
-backward pass only when the weights need a gradient.
+backward pass only when the weights need a gradient. A caller that runs a
+layer strip by strip hands in the GEMM operands it derived once
+(:func:`layer_operands`) and the slice of its row buffer the output goes
+to (``out``).
 
 :func:`conv2d` is a whole masked layer in one node: the constant mask
 product is written into the planes as they are filled, a decoder's 2x
@@ -385,7 +388,19 @@ def _tap_major(w):
     return np.ascontiguousarray(np.transpose(w, (2, 3, 0, 1)))
 
 
-def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scale=None):
+def gemm_matrix(w, b=None, dtype=None):
+    """The forward's GEMM operand of OIHW weights ``w``: (Co, kh*kw*Ci) with
+    tap-major columns, then the bias ``b`` (or None) as one more column, in
+    ``dtype`` (``w``'s own by default)."""
+    co, ci, kh, kw = w.shape
+    wk = np.transpose(w, (0, 2, 3, 1)).reshape(co, kh * kw * ci)
+    if b is not None:
+        wk = np.concatenate([wk, np.asarray(b).reshape(co, 1)], axis=1)
+    return wk if dtype is None else wk.astype(dtype, copy=False)
+
+
+def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scale=None,
+               out=None, matrix=None):
     """Plain-numpy NCHW convolution (cross-correlation), no graph.
 
     Shared by the differentiable op below and by mask propagation, which
@@ -397,6 +412,12 @@ def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, 
     padded only where it meets the image's edge. ``scale``, an array shaped
     like ``x``, convolves ``x * scale`` (in ``x``'s dtype) instead of ``x``:
     the product is written straight into the planes, which then hold it.
+
+    ``out``, an (N, Co, oh, ow) array of the result's dtype whose rows are
+    contiguous (a slice of a row buffer's rows will do), receives the
+    result in place of a new array. ``matrix``, ``gemm_matrix(w, b)``
+    derived once by the caller, stands in for deriving it here; ``w`` then
+    gives only the kernel's shape.
     """
     x = np.asarray(x)
     w = np.asarray(w)
@@ -422,13 +443,15 @@ def conv2d_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, 
     grid = planes.reshape(s * s, n, c, _plane_extent(h + top + bottom, s),
                           _plane_extent(wd + 2 * padding, s))
     dtype = np.result_type(x, w)
-    wk = np.transpose(w, (0, 2, 3, 1)).reshape(co, taps * ci)
-    if b is not None:
-        wk = np.concatenate([wk, np.asarray(b).reshape(co, 1)], axis=1)
-    wk = wk.astype(dtype, copy=False)
+    wk = gemm_matrix(w, b, dtype) if matrix is None else matrix.astype(dtype, copy=False)
     k = wk.shape[1]
-    out = np.empty((n, co, oh, ow), dtype=dtype)
-    flat = out.reshape(n, co, oh * ow)
+    if out is None:
+        out = np.empty((n, co, oh, ow), dtype=dtype)
+    elif (out.shape != (n, co, oh, ow) or out.dtype != dtype
+          or out.strides[2:] != (ow * out.itemsize, out.itemsize)):
+        raise DimensionError(f"out {out.shape} {out.dtype} with strides {out.strides} cannot "
+                             f"hold a contiguous-row {(n, co, oh, ow)} {dtype} result")
+    flat = out.reshape(n, co, oh * ow)  # a view: each (image, channel)'s rows are contiguous
     reads = _conv_taps(kh, kw, s)
     rows = min(oh, max(1, _BLOCK_ELEMS // (n * (taps * ci + co) * ow)))
     # One flat buffer; each block, the shorter last one included, is its
@@ -512,19 +535,34 @@ def _phase_crops(p):
     return [(r, c, (p + r) // 2, (p + c) // 2) for r in (0, 1) for c in (0, 1)]
 
 
+def _weave(x, p):
+    """The phase outputs ``x`` of an :func:`upsample_kernels` convolution
+    whose kernel has half-width p, interleaved: the (N, Co, 2h, 2w)
+    convolution over the 2x upsample, as one new array."""
+    n, c4, hp, wp = x.shape
+    phases = x.reshape(n, 2, 2, c4 // 4, hp, wp)
+    h, w = hp - p, wp - p
+    woven = np.empty((n, c4 // 4, h, 2, w, 2), dtype=x.dtype)
+    for r, c, oy, ox in _phase_crops(p):
+        woven[:, :, :, r, :, c] = phases[:, r, c, :, oy:oy + h, ox:ox + w]
+    return woven.reshape(n, c4 // 4, 2 * h, 2 * w)
+
+
+def _add_woven(out, woven):
+    """``out += woven``, for a :func:`_weave` of the right extent: one add
+    along whole rows, each element getting its phase's value once."""
+    if out.shape[2:] != woven.shape[2:]:
+        raise DimensionError(f"phase outputs upsample to {woven.shape[2]}x{woven.shape[3]}, "
+                             f"not {out.shape[2]}x{out.shape[3]}")
+    out += woven
+    return out
+
+
 def add_phases(out, x, p):
     """Add the phase outputs ``x`` of an :func:`upsample_kernels` convolution
     whose kernel has half-width p into the (N, Co, 2h, 2w) array ``out``, in
     place: the convolution over the 2x upsample, interleaved."""
-    n, c4, hp, wp = x.shape
-    phases = x.reshape(n, 2, 2, c4 // 4, hp, wp)
-    h, w = hp - p, wp - p
-    if out.shape[2:] != (2 * h, 2 * w):
-        raise DimensionError(f"phase outputs {x.shape} upsample to {2 * h}x{2 * w}, "
-                             f"not {out.shape[2]}x{out.shape[3]}")
-    for r, c, oy, ox in _phase_crops(p):
-        out[:, :, r::2, c::2] += phases[:, r, c, :, oy:oy + h, ox:ox + w]
-    return out
+    return _add_woven(out, _weave(x, p))
 
 
 def _phase_grads(g, p):
@@ -539,8 +577,37 @@ def _phase_grads(g, p):
     return phases.reshape(n, 4 * co, h + p, w + p)
 
 
+@dataclass(frozen=True)
+class LayerOperands:
+    """What :func:`layer_raw` derives from a layer's weights and bias, derived
+    once for a caller that runs the same layer many times: ``main``, the
+    ``(kernel, gemm_matrix)`` of the convolution of the input (a decoder's
+    skip, with the rest of its weights and the bias), and ``up``, those of a
+    decoder's phase convolution (:func:`upsample_kernels` of its first
+    input channels), or None. A kernel is kept as its shape and dtype
+    only, a read-only view of one element, which is all :func:`conv2d_raw`
+    reads of a kernel whose matrix it is handed."""
+
+    main: tuple
+    up: tuple = None
+
+
+def layer_operands(w, b=None, up_channels=0, dtype=None):
+    """:class:`LayerOperands` of OIHW ``w`` and bias ``b``, their matrices in
+    ``dtype``: a decoder's when ``up_channels``, the channels it reads from
+    the 2x upsample, is nonzero."""
+    def pair(kernel, bias):
+        return np.broadcast_to(np.zeros((), kernel.dtype), kernel.shape), \
+            gemm_matrix(kernel, bias, dtype)
+
+    if not up_channels:
+        return LayerOperands(pair(w, b))
+    return LayerOperands(pair(w[:, up_channels:], b),
+                         pair(upsample_kernels(w[:, :up_channels]), None))
+
+
 def layer_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scale=None,
-              skip=None, skip_scale=None, skip_pad_rows=None):
+              skip=None, skip_scale=None, skip_pad_rows=None, out=None, operands=None):
     """One layer's convolution, no graph: the forward of :func:`conv2d` and
     of mask propagation. Returns ``(out, planes, up_planes)``.
 
@@ -549,19 +616,29 @@ def layer_raw(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, s
     convolution with the rest of ``w`` and ``b`` (``planes``), plus the
     phase convolution of ``x`` (``up_planes``) interleaved at the kernel's
     half-width, so inputs already padded by it with ``pad_value`` and
-    convolved at ``padding`` 0 give the same-padded layer.
+    convolved at ``padding`` 0 give the same-padded layer. ``out`` receives
+    the result as in :func:`conv2d_raw`; ``operands``
+    (:func:`layer_operands` of ``w`` and ``b``) stand in for deriving them.
     """
     if skip is None:
-        return conv2d_raw(x, w, b, stride, padding, pad_value, pad_rows, scale) + (None,)
+        kernel, matrix = (w, None) if operands is None else operands.main
+        return conv2d_raw(x, kernel, b, stride, padding, pad_value, pad_rows, scale, out,
+                          matrix) + (None,)
     if stride != 1:
         raise DimensionError("a convolution over a 2x upsample has stride 1")
     cu = x.shape[1]
-    out, planes = conv2d_raw(skip, w[:, cu:], b, 1, padding, pad_value, skip_pad_rows,
-                             skip_scale)
-    phases, up_planes = conv2d_raw(x, upsample_kernels(w[:, :cu]), None, 1, padding, pad_value,
-                                   pad_rows, scale)
-    add_phases(out, phases, w.shape[2] // 2)
-    return out, planes, up_planes
+    (kernel, matrix), (up, up_matrix) = (
+        ((w[:, cu:], None), (upsample_kernels(w[:, :cu]), None)) if operands is None
+        else (operands.main, operands.up))
+    # Woven before the skip conv runs, the phase outputs are freed before
+    # its planes and output are made.
+    phases, up_planes = conv2d_raw(x, up, None, 1, padding, pad_value, pad_rows, scale,
+                                   matrix=up_matrix)
+    woven = _weave(phases, w.shape[2] // 2)
+    del phases
+    out, planes = conv2d_raw(skip, kernel, b, 1, padding, pad_value, skip_pad_rows, skip_scale,
+                             out, matrix)
+    return _add_woven(out, woven), planes, up_planes
 
 
 # -- the differentiable convolution: one masked layer per node ---------------
@@ -652,7 +729,8 @@ def _conv_grads(g, x_shape, w, planes, stride, padding, rows, dx_scale, need_dx)
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, pad_rows=None, scale=None, skip=None,
-           skip_scale=None, skip_pad_rows=None, activation_kind="identity", slope=0.2):
+           skip_scale=None, skip_pad_rows=None, activation_kind="identity", slope=0.2,
+           out=None, operands=None):
     """Differentiable NCHW convolution, optionally a whole masked layer in one node.
 
     ``x``, ``w`` and the bias ``b`` (or None) are Tensors. The input pads
@@ -678,7 +756,9 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_rows=None, scale=None, skip=No
 
     The node keeps its output, and the planes (which hold the scaled
     input) only when ``w`` needs a gradient; it computes a gradient only
-    for an operand that requires one.
+    for an operand that requires one. ``out`` and ``operands`` are
+    :func:`layer_raw`'s: the output is written, and activated, in ``out``,
+    which the node's data then is.
     """
     if activation_kind not in _ACTIVATIONS:
         raise ContractError(f"unknown activation kind {activation_kind!r}")
@@ -697,7 +777,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, pad_rows=None, scale=None, skip=No
         parents.append(skip)
     out, planes, up_planes = layer_raw(x.data, w.data, bias, stride, padding, 0.0, rows, scale,
                                        None if skip is None else skip.data, skip_scale,
-                                       skip_rows)
+                                       skip_rows, out, operands)
     _require_finite(out, "conv2d")
     _activate(out, activation_kind, slope)
     # Only what the vjp reads stays referenced: the output for the

@@ -3,6 +3,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+import numpy as np
 import pytest
 
 from hdrmask import tensor as T
@@ -29,3 +30,23 @@ def row_blocks(monkeypatch):
         monkeypatch.setattr(T, "_BLOCK_ELEMS", budget)
 
     return cut
+
+
+@pytest.fixture()
+def in_place():
+    """``check(fresh, into)``: ``into(slot)``, handed a view of rows of a
+    longer buffer of noise shaped like ``fresh``, must return that view
+    holding ``fresh`` bit for bit and leave the buffer's other rows as they
+    were."""
+    rng = np.random.default_rng(0)
+
+    def check(fresh, into):
+        n, c, h, w = fresh.shape
+        buf = rng.normal(size=(n, c, h + 5, w)).astype(fresh.dtype)
+        before, slot = buf.copy(), buf[:, :, 3:3 + h]
+        got = into(slot)
+        assert got is slot and np.array_equal(got, fresh)
+        for rows in (slice(0, 3), slice(3 + h, None)):
+            assert np.array_equal(buf[:, :, rows], before[:, :, rows])
+
+    return check

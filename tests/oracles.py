@@ -41,15 +41,17 @@ def conv2d_loops(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None
     return out
 
 
-def conv2d_terms(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scale=None):
+def conv2d_terms(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None, scale=None,
+                 out=None, matrix=None):
     """NCHW convolution summing every output's terms in one fixed order.
 
     One elementwise multiply and add per (input channel, kernel row, kernel
     column) over all outputs at once, so each output rounds the same
     wherever it sits and however large the array is; a GEMM's rounding can
     depend on both. Takes ``tensor.conv2d_raw``'s arguments (``scale``
-    multiplies ``x`` in its dtype) and returns its ``(out, planes)`` pair,
-    with no planes.
+    multiplies ``x`` in its dtype, ``out`` receives the result; ``matrix``
+    is not read, as ``w`` and ``b`` give every term) and returns its
+    ``(out, planes)`` pair, with no planes.
     """
     x, w = np.asarray(x), np.asarray(w)
     if scale is not None:
@@ -63,15 +65,18 @@ def conv2d_terms(x, w, b=None, stride=1, padding=0, pad_value=0.0, pad_rows=None
     xp[:, :, top:top + h, padding:padding + wd] = x
     oh = (h + top + bottom - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, co, oh, ow), dtype=dtype)
+    acc = np.zeros((n, co, oh, ow), dtype=dtype)
     for i in range(ci):
         for ky in range(kh):
             for kx in range(kw):
                 tap = xp[:, i:i + 1, ky:ky + stride * (oh - 1) + 1:stride,
                          kx:kx + stride * (ow - 1) + 1:stride]
-                out += w[:, i, ky, kx].astype(dtype)[None, :, None, None] * tap
+                acc += w[:, i, ky, kx].astype(dtype)[None, :, None, None] * tap
     if b is not None:
-        out += np.asarray(b, dtype=dtype).reshape(1, co, 1, 1)
+        acc += np.asarray(b, dtype=dtype).reshape(1, co, 1, 1)
+    if out is None:
+        return acc, None
+    out[...] = acc
     return out, None
 
 

@@ -8,6 +8,7 @@ ordering does not reproduce (ROADMAP item 2).
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -299,8 +300,8 @@ class TestCriterion8FormatIntegrity:
             valid_samples = {
                 F.read_pfm: F.encode_pfm(img),
                 F.read_ldr: F.encode_ppm(ldr),
-                F.load_checkpoint: open(c, "rb").read(),
-                F.read_dataset_shard: open(s, "rb").read(),
+                F.load_checkpoint: Path(c).read_bytes(),
+                F.read_dataset_shard: Path(s).read_bytes(),
             }
         crashes = 0
         cases_per_reader = 10000

@@ -355,6 +355,23 @@ class TestReconstructStream:
         F.write_pfm(str(want), compose_hdr(ldr, mask, y[0, :, :h, :w], gamma=2.0))
         assert out.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("h, w", [(400, 256), (203, 509)])
+    def test_each_photo_row_is_read_and_masked_once(self, tmp_path, monkeypatch, h, w):
+        # Compose takes each strip's rows and mask from the walk's reads.
+        ckpt = str(tmp_path / "m.ckpt")
+        save_model(ckpt, initialize_parameters(UNetConfig(), 2))
+        photo = _photo(tmp_path / "in.ppm", h, w, 3)
+        read, masked = [], []
+        rows, mask = F.LdrReader.rows, cli.exposure_mask
+        monkeypatch.setattr(F.LdrReader, "rows",
+                            lambda reader, a, b: read.extend(range(a, b)) or rows(reader, a, b))
+        monkeypatch.setattr(cli, "exposure_mask",
+                            lambda ldr, alpha: masked.append(ldr.shape[1]) or mask(ldr, alpha))
+        assert dispatch(["reconstruct", "--in", photo, "--checkpoint", ckpt,
+                         "--out", str(tmp_path / "r.pfm")]) == 0
+        assert sorted(read) == list(range(h))
+        assert sum(masked) == -(-h // 8) * 8
+
     def test_memory_is_bounded_by_the_width(self, tmp_path):
         ckpt = str(tmp_path / "m.ckpt")
         save_model(ckpt, initialize_parameters(UNetConfig(), 0))

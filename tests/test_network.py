@@ -553,6 +553,64 @@ class TestRowBlockMasks:
             assert rel_err(a, want) <= self.TOL[dtype], name
 
 
+class TestMaskInPlace:
+    """``propagate_mask`` written into a slice of a row buffer's rows, with
+    :func:`~hdrmask.network.mask_operands` derived beforehand, is its fresh
+    result bit for bit: the dense call over several row blocks, the last
+    ragged, and the call gathered from a window's flagged tiles."""
+
+    @staticmethod
+    def tiles(n, rows, width, band, period, seed):
+        """A window's tiles, about a third flagged and the first one clean."""
+        flags = rnd(seed).random((n, -(-rows // band), -(-width // 8))) < 0.35
+        flags[0, 0, 0] = False
+        return N.CleanTiles(flags, 0, (rows, width), band, 8, period, [None])
+
+    @staticmethod
+    def layer(n, dtype, up):
+        """An encoder's or a decoder's mask, weights and skip mask."""
+        rng = rnd(100 + n + up)
+        w = T.constant(rng.normal(size=(4, 5 if up else 3, 3, 3)).astype(dtype), name="l.weight")
+        m = rng.random((n, 3, 10, 12) if up else (n, 3, 19, 24)).astype(dtype)
+        skip = rng.random((n, 2, 20, 24)).astype(dtype) if up else None
+        return m, w, skip
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("stride,up", [(1, False), (2, False), (1, True)])
+    def test_dense(self, row_blocks, in_place, dtype, n, stride, up):
+        m, w, skip = self.layer(n, dtype, up)
+        if up:
+            row_blocks([(m.shape, (16, 3, 2, 2), 1, 1), (skip.shape, (4, 2, 3, 3), 1, 1)], 5)
+        else:
+            row_blocks([(m.shape, w.data.shape, stride, 1)], 3)
+        fresh = N.propagate_mask(m, w, stride, 1, skip=skip)
+        ops = N.mask_operands(w.data, 3 if up else 0, dtype)
+        for operands in (None, ops):
+            in_place(fresh, lambda slot: N.propagate_mask(m, w, stride, 1, skip=skip, out=slot,
+                                                          operands=operands))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("up", [False, True])
+    def test_gathered(self, monkeypatch, in_place, dtype, n, up):
+        m, w, skip = self.layer(n, dtype, up)
+        gathers = []
+        gather = N._gather
+        monkeypatch.setattr(N, "_gather", lambda *args: gathers.append(1) or gather(*args))
+        # Bands of 8 rows over 19 or 20, the last one ragged, and a decoder's
+        # pattern repeating every 2 rows and columns.
+        rows, period = (20, 2) if up else (19, 1)
+        fresh = N.propagate_mask(m, w, 1, 1, skip=skip,
+                                 tiles=self.tiles(n, rows, 24, 8, period, n))
+        assert gathers
+        ops = N.mask_operands(w.data, 3 if up else 0, dtype)
+        for operands in (None, ops):
+            in_place(fresh, lambda slot: N.propagate_mask(
+                m, w, 1, 1, skip=skip, tiles=self.tiles(n, rows, 24, 8, period, n), out=slot,
+                operands=operands))
+
+
 def reference_unet(x, mask, arrays, config, mode):
     """The masked U-Net the long way: loop convolutions, and every decoder
     input built as the upsample of the level below concatenated with its skip."""
@@ -713,6 +771,94 @@ class TestPredict:
         strips = list(N.predict_strips(source, shape, tiny_params(config, seed=75)))
         assert len(strips) > 1
         assert sorted(r for a, b in calls for r in range(a, b)) == list(range(72))
+
+    @pytest.mark.parametrize("mode", N.MASKING_MODES)
+    def test_layers_write_into_their_row_buffers(self, monkeypatch, mode):
+        # From the second strip on, each layer's conv and mask propagation
+        # write their rows straight into the node's row buffers, right where
+        # its consumers read them; the output's strips are the caller's.
+        config = replace(self.CFG, mode=mode)
+        x = rnd(76).random((2, 3, 48, 24))
+        source, shape = N._array_source(x, N.exposure_mask(x, 0.8), config)
+        written, conv2d, propagate = [], T.conv2d, N.propagate_mask
+
+        def conv_spy(*args, **kwargs):
+            out = conv2d(*args, **kwargs)
+            written.append((args[1].name, 0, out.data))
+            return out
+
+        def mask_spy(m, weights, *args, **kwargs):
+            out = propagate(m, weights, *args, **kwargs)
+            written.append((weights.name, 1, out))
+            return out
+
+        monkeypatch.setattr(T, "conv2d", conv_spy)
+        monkeypatch.setattr(N, "propagate_mask", mask_spy)
+        monkeypatch.setattr(N, "_STRIP_ELEMS", 1)  # strips of eight rows
+        walk = N._Frontier(source, shape, tiny_params(config, seed=77).as_constants(),
+                           out_mask=False)
+        top, names = len(walk.plan), [f"{spec.name}.weight" for spec in walk.plan]
+        checked = set()
+        for row in range(0, 48, walk.strip):
+            written.clear()
+            walk.advance(row + walk.strip)
+            if row:
+                for name, k, rows in written:
+                    v = names.index(name) + 1
+                    assert v == top or np.shares_memory(rows, walk.buffers[v][k]), name
+                    checked.add((v, k))
+                for v in range(top):
+                    held = (walk.features[v].data, walk.masks[v])
+                    assert walk.done[v] == walk.keep[v] or all(
+                        np.shares_memory(a, buf) for a, buf in zip(held, walk.buffers[v])), v
+        masked = mode == N.MODE_FEATURE_MASK
+        assert checked == {(v, k) for v in range(1, top + 1) for k in range(1 + masked)
+                           if v < top or k == 0}
+        assert walk.buffers[top] is None
+
+    def test_each_walk_derives_its_own_weights(self, monkeypatch):
+        # Two walks of different parameters advanced in lock step, and a walk
+        # after the parameters changed, give the strips of walks run alone.
+        monkeypatch.setattr(N, "_STRIP_ELEMS", 1)
+        x = rnd(78).random((1, 3, 48, 24))
+        mask = N.exposure_mask(x, 0.8)
+        params = [tiny_params(self.CFG, seed=s) for s in (79, 80)]
+
+        def strips(p):
+            return N.predict_strips(*N._array_source(x, mask, self.CFG), p)
+
+        alone = [list(strips(p)) for p in params]
+        walks = [strips(p) for p in params]
+        for step in zip(*alone):
+            for walk, (row, y) in zip(walks, step):
+                got_row, got = next(walk)
+                assert got_row == row and np.array_equal(got, y)
+        changed = params[0]
+        for name, t in changed.tensors.items():
+            t.data = t.data * 1.5
+        fresh = N.UNetParameters.from_arrays(self.CFG, changed.named_arrays())
+        assert np.array_equal(N.predict(x, mask, changed), N.predict(x, mask, fresh))
+        assert not np.array_equal(N.predict(x, mask, changed), np.concatenate(
+            [y for _, y in alone[0]], axis=2))
+
+    def test_peak_allocation_not_above_the_copying_walk(self):
+        # The same walk with each strip's rows computed into new arrays and
+        # then copied into the row buffers peaked at 32328183 bytes with
+        # numpy 2.4 on CPython 3.11: the rows written in place, and held
+        # rows freed once moved, leave room for each layer's weights derived
+        # once per walk.
+        config = N.UNetConfig()
+        params = N.UNetParameters.from_arrays(config, {
+            k: a.astype(np.float32) for k, a in tiny_params(config, seed=44).named_arrays().items()})
+        x = rnd(45).random((1, 3, 512, 512)).astype(np.float32)
+        mask = N.exposure_mask(x)
+        tracemalloc.start()
+        try:
+            N.predict(x, mask, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32328183, peak
 
     def test_peak_allocation_a_quarter_of_unet_forward(self):
         # tracemalloc counts numpy's buffers, so the peaks are deterministic.

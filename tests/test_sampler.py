@@ -104,6 +104,24 @@ class TestBilateralFilter:
             with pytest.raises(DomainError, match="finite"):
                 S.bilateral_filter(img, 1.0, radius=1)
 
+    # Near float64's limit the midrange is formed without overflow, and an
+    # image whose blur products could overflow is refused, with no warning.
+    def test_range_near_the_float64_limit(self):
+        big = np.full((5, 5), 1e307)
+        big[2, 2] = 1.7e308
+        near = np.full((5, 5), 1.7e308)
+        near[2, 2] = 1.7e308 - 1e305
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="overflow"):
+                S.bilateral_filter(big, 1.0)
+            got = S.bilateral_filter(near, 1.0)
+        assert np.all(np.isfinite(got))
+        assert near.min() <= got.min() and got.max() <= near.max()
+        # The same blur, scaled down by an exact power of two.
+        scale = 2.0 ** -1000
+        assert np.allclose(got * scale, S.bilateral_filter(near * scale, 1.0), rtol=1e-12)
+
 
 # The oracle the corpus tests use: the loop's sums in the loop's order.
 @pytest.mark.parametrize("shape,radius", [((6, 6), 2), ((5, 9), 7), ((1, 6), 3), ((7, 1), 2)])

@@ -258,6 +258,62 @@ class TestRowBlocks:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestWritesInPlace:
+    """A forward written into ``out``, a slice of a row buffer's rows, with
+    the GEMM operands derived beforehand, is the fresh forward bit for bit,
+    over several row blocks, the last one ragged."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_raw(self, row_blocks, in_place, dtype, n, stride):
+        rng = rnd(80 + 2 * n + stride)
+        x = rng.normal(size=(n, 3, 9, 7)).astype(dtype)
+        scale = rng.random(x.shape).astype(dtype)
+        w, b = rng.normal(size=(4, 3, 3, 3)).astype(dtype), rng.normal(size=4).astype(dtype)
+        row_blocks([(x.shape, w.shape, stride, 1)], 2)
+        for pad_value, bias in ((0.0, b), (1.0, None)):
+            fresh, _ = T.conv2d_raw(x, w, bias, stride, 1, pad_value, scale=scale)
+            for matrix in (None, T.gemm_matrix(w, bias)):
+                in_place(fresh, lambda slot: T.conv2d_raw(
+                    x, w, bias, stride, 1, pad_value, scale=scale, out=slot,
+                    matrix=matrix)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_layer_raw_decoder(self, row_blocks, in_place, dtype, n):
+        rng = rnd(90 + n)
+        x, m = rng.normal(size=(n, 3, 5, 3)), rng.random((n, 3, 5, 3))
+        s, ms = rng.normal(size=(n, 2, 10, 6)), rng.random((n, 2, 10, 6))
+        w, b = rng.normal(size=(3, 5, 3, 3)), rng.normal(size=3)
+        x, m, s, ms, w, b = (a.astype(dtype) for a in (x, m, s, ms, w, b))
+        # The half-resolution phase conv and the full-resolution skip conv.
+        row_blocks([(x.shape, (12, 3, 2, 2), 1, 1), (s.shape, (3, 2, 3, 3), 1, 1)], 4)
+        fresh = T.layer_raw(x, w, b, 1, 1, 0.0, None, m, s, ms)[0]
+        for operands in (None, T.layer_operands(w, b, 3, dtype)):
+            in_place(fresh, lambda slot: T.layer_raw(
+                x, w, b, 1, 1, 0.0, None, m, s, ms, out=slot, operands=operands)[0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_conv2d_node_activates_in_the_slot(self, in_place, dtype):
+        rng = rnd(95)
+        x = T.constant(rng.normal(size=(2, 3, 8, 6)).astype(dtype))
+        w = T.constant(rng.normal(size=(4, 3, 3, 3)).astype(dtype))
+        b = T.constant(rng.normal(size=4).astype(dtype))
+        fresh = T.conv2d(x, w, b, 1, 1, activation_kind="leaky_relu").data
+        operands = T.layer_operands(w.data, b.data, 0, dtype)
+        in_place(fresh, lambda slot: T.conv2d(
+            x, w, b, 1, 1, activation_kind="leaky_relu", out=slot, operands=operands).data)
+
+    def test_out_that_cannot_hold_the_result_rejected(self):
+        rng = rnd(96)
+        x, w = rng.normal(size=(1, 3, 6, 6)), rng.normal(size=(2, 3, 3, 3))
+        for out in (np.empty((1, 2, 6, 6), np.float32), np.empty((1, 2, 5, 6)),
+                    np.empty((1, 2, 6, 12))[:, :, :, ::2]):
+            with pytest.raises(DimensionError):
+                T.conv2d_raw(x, w, None, 1, 1, out=out)
+
+
 class TestActivation:
     def test_relu_negative(self):
         assert T.activation(T.constant(np.array([-1.5])), "relu").data[0] == 0.0

@@ -27,6 +27,9 @@ before numpy loads, as the benchmark does. The lines are:
   scene, and the PGMs ``hdrmask gen-inpaint-masks`` writes;
 * ``unet_forward``'s output, mask stack and parameter gradients in each
   masking mode (a 2x3x64x64 float32 batch);
+* ``predict`` of the default FMask model at seed 3 on a 2x3x600x64 float32
+  batch of two exposed scenes: three strips of 256, 256 and 88 rows, so
+  every layer's rows land in its row buffers with two images;
 * the ``sample_corpus`` records (offsets, scores, LDR and mask bytes) of
   three synthetic scenes in float32 and float64, at alphas 0.3, 0.5 and the
   default, every crop with saturated support kept (threshold 0);
@@ -145,6 +148,11 @@ def main():
             print(f"forward {mode} output {sha(y.data)}")
             print(f"forward {mode} masks {sha(*(a for _, a in stack))}")
             print(f"forward {mode} gradients {sha(*(t.grad for t in tensors.values()))}")
+    batch = np.stack([simulate_ldr(s).pixels for s in synthetic.make_hdr_corpus(
+        2, seed=11, size=(600, 64))])
+    params = training.initialize_parameters(network.UNetConfig(), seed=3)
+    y = network.predict(batch, network.exposure_mask(batch), params)
+    print(f"predict FMask 2x3x600x64 {sha(y)}")
     scenes = synthetic.make_hdr_corpus(3, seed=5)
     for dtype in (np.float32, np.float64):
         named = [(f"scene{i}", s.pixels.astype(dtype)) for i, s in enumerate(scenes)]
